@@ -321,7 +321,9 @@ def build_parser():
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--boundary", default=None)
     p.add_argument("--report", default=None)
-    p.add_argument("--batch", type=int, default=0)
+    p.add_argument("--batch", type=int, default=0,
+                   help="round-trip B generated instances with seeds S..S+B-1 instead")
+    p.add_argument("--seed", type=int, default=0, help="first seed S of a batch")
     p.add_argument("file")
 
     p = add("gen", cmd_gen, help="random instance in the matrix class")

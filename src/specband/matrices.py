@@ -11,9 +11,16 @@ Within a finite truncation the rightmost stored nonzero of a row that never
 serves as a pivot is indistinguishable from a true row edge, so the pivot
 designation is explicit input data rather than something inferred from the
 stored entries.
+
+Every :class:`MatrixSpec` indexes its structural nonzeros once, when it is
+built, so the structural queries behind validation cost O(1)
+(``struct_tol``, ``column_topmost``) or O(log E) (``row_rightmost``) per
+call instead of a scan over all E stored entries.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,6 +58,11 @@ class MatrixSpec:
     column c > n to the row whose row-edge entry sits in that column.
     ``tail`` is the pair (j0, k0) where the regular banded tail starts, or
     None when the description is purely finite.
+
+    The normalised ``entries`` are read-only.  The structural index (the
+    scale behind ``struct_tol`` and, per index, the sorted partners of its
+    structural nonzeros) is built once from them here and never goes stale;
+    it is not a field, so equality and repr ignore it.
     """
 
     n: int
@@ -76,13 +88,28 @@ class MatrixSpec:
             if key in norm and abs(norm[key] - v) > 1e-9 * max(1.0, abs(v)):
                 raise ValueError(f"conflicting Hermitian values for entry {key}")
             norm[key] = v
-        object.__setattr__(self, "entries", norm)
+        object.__setattr__(self, "entries", MappingProxyType(norm))
         object.__setattr__(self, "pivot", {int(c): int(r) for c, r in self.pivot.items()})
         if self.tail is not None:
             j0, k0 = self.tail
             if not k0 > j0 >= 1:
                 raise ValueError("tail must satisfy k0 > j0 >= 1")
             object.__setattr__(self, "tail", (int(j0), int(k0)))
+        scale = max((abs(v) for v in norm.values()), default=0.0)
+        tol = STRUCT_TOL * max(scale, 1.0)
+        partners = {}
+        for (j, k), v in norm.items():
+            if abs(v) > tol:
+                partners.setdefault(j, set()).add(k)
+                partners.setdefault(k, set()).add(j)
+        object.__setattr__(self, "_max_abs", scale)
+        object.__setattr__(self, "_struct_tol", tol)
+        object.__setattr__(self, "_partners", {i: tuple(sorted(p)) for i, p in partners.items()})
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; rebuild from a plain copy of the entries
+        args = (self.n, self.n_max, dict(self.entries), self.pivot, self.tail, self.tail_profile)
+        return type(self), args
 
     def entry(self, j, k):
         """Entry (j, k) with Hermitian symmetry; zero when not stored."""
@@ -91,41 +118,24 @@ class MatrixSpec:
         return self.entries.get((j, k), 0j)
 
     def max_abs(self):
-        return max((abs(v) for v in self.entries.values()), default=0.0)
+        return self._max_abs
 
     def struct_tol(self):
-        return STRUCT_TOL * max(self.max_abs(), 1.0)
+        return self._struct_tol
 
     def is_structural_nonzero(self, j, k):
         return abs(self.entry(j, k)) > self.struct_tol()
 
     def row_rightmost(self, j, upto=None):
         """Largest column <= upto holding a structural nonzero of row j (0 if none)."""
-        upto = self.n_max if upto is None else upto
-        best = 0
-        for (a, b), v in self.entries.items():
-            if abs(v) <= self.struct_tol():
-                continue
-            if a == j and b <= upto:
-                best = max(best, b)
-            if b == j and a <= upto:
-                best = max(best, a)
-        return best
+        row = self._partners.get(j, ())
+        i = bisect_right(row, self.n_max if upto is None else upto)
+        return row[i - 1] if i else 0
 
     def column_topmost(self, k):
         """Smallest row holding a structural nonzero of column k (0 if none)."""
-        best = 0
-        for (a, b), v in self.entries.items():
-            if abs(v) <= self.struct_tol():
-                continue
-            row = None
-            if b == k:
-                row = a
-            elif a == k:
-                row = b
-            if row is not None:
-                best = row if best == 0 else min(best, row)
-        return best
+        col = self._partners.get(k)
+        return col[0] if col else 0
 
     def resolved_tail_profile(self):
         """Tail profile with defaults filled in from the stored tail row."""
@@ -285,11 +295,7 @@ def truncate(spec: MatrixSpec, N: int) -> FiniteHermitian:
 
 def _row_edge_candidates(spec, column):
     """Rows whose rightmost stored nonzero lies exactly in the given column."""
-    out = []
-    for j in range(1, spec.n_max + 1):
-        if spec.row_rightmost(j) == column:
-            out.append(j)
-    return out
+    return [j for j in spec._partners.get(column, ()) if spec.row_rightmost(j) == column]
 
 
 def _check_condition1(spec, report):
@@ -367,17 +373,10 @@ def _check_n_minimality(spec, report):
 
 def _diag_is_simultaneous_edge(spec, j, k):
     """Whether the stored diagonal (j+m, k+m) consists of row+column edges."""
-    m = 0
-    any_checked = False
-    while k + m <= spec.n_max:
-        r, c = j + m, k + m
-        any_checked = True
-        if not spec.is_structural_nonzero(r, c):
-            return False
-        if spec.row_rightmost(r) != c or spec.column_topmost(c) != r:
-            return False
-        m += 1
-    return any_checked
+    return k <= spec.n_max and all(
+        spec.row_rightmost(j + m) == k + m and spec.column_topmost(k + m) == j + m
+        for m in range(spec.n_max - k + 1)
+    )
 
 
 def _check_tail_minimality(spec, report):

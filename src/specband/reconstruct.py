@@ -175,32 +175,18 @@ def spec_from_dense(data: np.ndarray, n: int, rel_tol: float = RECOVER_STRUCT_TO
     data = np.asarray(data, dtype=complex)
     N = data.shape[0]
     scale = float(np.max(np.abs(data))) or 1.0
-    tol = rel_tol * scale
-    entries = {}
-    for j in range(1, N + 1):
-        for k in range(j, N + 1):
-            v = data[j - 1, k - 1]
-            if abs(v) > tol:
-                entries[(j, k)] = complex(v)
-
-    def rightmost(row):
-        cols = [k for (j, k) in entries if j == row] + [
-            j for (j, k) in entries if k == row
-        ]
-        return max(cols, default=0)
-
-    def topmost(col):
-        rows = [j for (j, k) in entries if k == col] + [
-            k for (j, k) in entries if j == col
-        ]
-        return min(rows, default=0)
-
+    upper = np.triu(np.abs(data) > rel_tol * scale)
+    entries = {(j + 1, k + 1): complex(data[j, k]) for j, k in np.argwhere(upper).tolist()}
+    # 1-based rightmost column per row and topmost row per column, 0 where
+    # empty; the upper triangle decides every edge a pivot can sit on
+    rightmost = np.where(upper.any(axis=1), N - np.argmax(upper[:, ::-1], axis=1), 0)
+    topmost = np.where(upper.any(axis=0), np.argmax(upper, axis=0) + 1, 0)
     pivot = {}
     for c in range(n + 1, N + 1):
-        r = topmost(c)
+        r = int(topmost[c - 1])
         if r == 0 or r >= c:
             raise PivotViolation(f"column {c} has no readable pivot")
-        if rightmost(r) != c:
+        if rightmost[r - 1] != c:
             raise PivotViolation(
                 f"topmost entry of column {c} (row {r}) is not a row edge"
             )

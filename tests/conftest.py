@@ -6,12 +6,19 @@ FIX7   the 7x7 matrix with n=3, pivots 4->1, 5->4, 6->2, 7->6 and
        unpivoted rows {3,5,7}; interior values chosen generically so no
        accidental cancellations occur.  Variants zero the entries (2,5)
        and/or (3,5), which toggles the height pattern of the q system.
+
+``brute_force_scans`` swaps MatrixSpec's structural index for the original
+per-query scans over every stored entry, as a reference for equivalence tests.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from specband import BoundaryMatrix, GenProfile, MatrixSpec, generate_random
+from specband import matrices
 
 
 @pytest.fixture
@@ -82,3 +89,96 @@ def random_instance(seed, n=None, N=None, mtilde=False, N_hi=20):
         N = int(rng.integers(n + 2, N_hi + 1))
     spec = generate_random(GenProfile(n=n, n_max=max(N, n + 2), mtilde=mtilde), seed)
     return spec, N
+
+
+# -- reference: structural queries by rescanning every stored entry --------
+
+
+def _scan_max_abs(spec):
+    return max((abs(v) for v in spec.entries.values()), default=0.0)
+
+
+def _scan_struct_tol(spec):
+    return matrices.STRUCT_TOL * max(_scan_max_abs(spec), 1.0)
+
+
+def scan_row_rightmost(spec, j, upto=None):
+    upto = spec.n_max if upto is None else upto
+    tol = _scan_struct_tol(spec)
+    best = 0
+    for (a, b), v in spec.entries.items():
+        if abs(v) <= tol:
+            continue
+        if a == j and b <= upto:
+            best = max(best, b)
+        if b == j and a <= upto:
+            best = max(best, a)
+    return best
+
+
+def scan_column_topmost(spec, k):
+    tol = _scan_struct_tol(spec)
+    best = 0
+    for (a, b), v in spec.entries.items():
+        if abs(v) <= tol:
+            continue
+        row = None
+        if b == k:
+            row = a
+        elif a == k:
+            row = b
+        if row is not None:
+            best = row if best == 0 else min(best, row)
+    return best
+
+
+def _scan_row_edge_candidates(spec, column):
+    out = []
+    for j in range(1, spec.n_max + 1):
+        if spec.row_rightmost(j) == column:
+            out.append(j)
+    return out
+
+
+def _scan_diag_is_simultaneous_edge(spec, j, k):
+    m = 0
+    any_checked = False
+    while k + m <= spec.n_max:
+        r, c = j + m, k + m
+        any_checked = True
+        if not spec.is_structural_nonzero(r, c):
+            return False
+        if spec.row_rightmost(r) != c or spec.column_topmost(c) != r:
+            return False
+        m += 1
+    return any_checked
+
+
+@contextlib.contextmanager
+def brute_force_scans():
+    """Answer every structural query by a full scan of the stored entries."""
+    with mock.patch.multiple(
+        MatrixSpec,
+        max_abs=_scan_max_abs,
+        struct_tol=_scan_struct_tol,
+        row_rightmost=scan_row_rightmost,
+        column_topmost=scan_column_topmost,
+    ), mock.patch.multiple(
+        matrices,
+        _row_edge_candidates=_scan_row_edge_candidates,
+        _diag_is_simultaneous_edge=_scan_diag_is_simultaneous_edge,
+    ):
+        yield
+
+
+def outcome(fn, *args):
+    """Return value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+def reference_outcome(fn, *args):
+    with brute_force_scans():
+        return outcome(fn, *args)

@@ -144,6 +144,17 @@ class TestPipelineCommands:
         assert rep["all_class_ok"]
         assert rep["max_eigenvalue_error"] <= 1e-8
 
+    def test_roundtrip_batch_starts_at_seed(self, fix7_file, tmp_path):
+        def batch(seed):
+            report = tmp_path / f"batch{seed}.json"
+            run_cli(["roundtrip", fix7_file, "--N", "8", "--batch", "2", "--seed", str(seed),
+                     "--report", str(report)])
+            return read_json(report)["reports"]
+
+        from0, from1 = batch(0), batch(1)
+        assert from0 != from1
+        assert from0[1] == from1[0]
+
 
 class TestExitCodes:
     def test_usage_error(self):

@@ -1,5 +1,10 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specband import (
     GenProfile,
@@ -13,7 +18,15 @@ from specband import (
     truncate,
     validate_class,
 )
-from conftest import make_fix7, random_instance
+from specband.matrices import STRUCT_TOL
+from conftest import (
+    make_fix7,
+    outcome,
+    random_instance,
+    reference_outcome,
+    scan_column_topmost,
+    scan_row_rightmost,
+)
 
 
 def brute_force_k_rows(dense, pivot, n, N):
@@ -190,3 +203,158 @@ class TestGenerateRandom:
         spec = generate_random(GenProfile(n=3, n_max=12), 5)
         for c, r in spec.pivot.items():
             assert abs(spec.entry(r, c)) >= 0.5
+
+
+class TestEntriesReadOnly:
+    def test_item_assignment_raises(self, fix7):
+        with pytest.raises(TypeError):
+            fix7.entries[(1, 1)] = 5.0
+        with pytest.raises(TypeError):
+            del fix7.entries[(1, 1)]
+        assert fix7.entry(1, 1) == 1.0
+
+    def test_pickle_and_deepcopy_rebuild_the_index(self, fix7):
+        for clone in (pickle.loads(pickle.dumps(fix7)), copy.deepcopy(fix7)):
+            assert clone == fix7
+            assert clone.row_rightmost(2) == 6 and clone.column_topmost(5) == 2
+            with pytest.raises(TypeError):
+                clone.entries[(1, 1)] = 5.0
+
+
+# -- the structural index against brute-force scans of every entry ----------
+
+
+def assert_index_matches_scans(spec, N=None):
+    """Every structural query, analysis and validation equals the full-scan reference."""
+    tol = STRUCT_TOL * max(max((abs(v) for v in spec.entries.values()), default=0.0), 1.0)
+    assert spec.struct_tol() == tol
+    top = spec.n_max + 2
+    for j in range(top):
+        for upto in [None, *range(top)]:
+            assert spec.row_rightmost(j, upto) == scan_row_rightmost(spec, j, upto), (j, upto)
+    for k in range(top):
+        assert spec.column_topmost(k) == scan_column_topmost(spec, k), k
+    for size in {N or spec.n_max, spec.n_max}:
+        if size > spec.n:
+            assert outcome(analyze_structure, spec, size) == reference_outcome(
+                analyze_structure, spec, size
+            )
+    for which in ("m", "mtilde"):
+        report = validate_class(spec, which).to_dict()
+        assert report == reference_outcome(lambda s: validate_class(s, which).to_dict(), spec)
+
+
+def acceptance_instance(seed, N_hi=20, mtilde=False):
+    """The acceptance suite's seeded instance (n = seed % 3 + 1, N in n+2..N_hi)."""
+    rng = np.random.default_rng(seed)
+    n = seed % 3 + 1
+    N = int(rng.integers(n + 2, N_hi + 1))
+    return generate_random(GenProfile(n=n, n_max=max(N, n + 2), mtilde=mtilde), seed), N
+
+
+class TestIndexMatchesScans:
+    @pytest.mark.parametrize("mtilde", [False, True])
+    def test_acceptance_set(self, mtilde):
+        for seed in range(50):
+            spec, N = acceptance_instance(seed, mtilde=mtilde)
+            assert_index_matches_scans(spec, N)
+
+    def test_extended_tails(self, fix7, jac5):
+        for seed in range(0, 50, 5):
+            spec, N = acceptance_instance(seed)
+            assert_index_matches_scans(extend_tail(spec, N + 9), N + 9)
+            # analyze_structure extends the tail itself when N exceeds n_max
+            assert outcome(analyze_structure, spec, N + 9) == reference_outcome(
+                analyze_structure, spec, N + 9
+            )
+        assert_index_matches_scans(extend_tail(fix7, 13))
+        assert_index_matches_scans(extend_tail(jac5, 9))
+
+    def test_fixtures_and_broken_specs(self, flip2, jac5, fix7):
+        for spec in (flip2, jac5, fix7, make_fix7(m25=0.0), make_fix7(m35=0.0)):
+            assert_index_matches_scans(spec)
+        assert_index_matches_scans(MatrixSpec(1, 3, {(1, 2): 1.0, (2, 3): 1.0}, {2: 1}, (1, 2)))
+        assert_index_matches_scans(MatrixSpec(2, 4, {}, {}, None))
+
+
+#: magnitudes relative to the structural threshold STRUCT_TOL * max(max_abs, 1)
+THRESHOLD_LEVELS = ("at", "below", "above", "far_below")
+
+
+def _near_threshold(level, tol, phase):
+    mag = {
+        "at": tol,
+        "below": np.nextafter(tol, 0.0),
+        "above": np.nextafter(tol, np.inf),
+        "far_below": 0.5 * tol,
+    }[level]
+    # a real or purely imaginary value keeps abs() exactly at the magnitude
+    return complex(mag * phase) if phase in (1, -1) else complex(0.0, mag)
+
+
+@st.composite
+def threshold_specs(draw):
+    """Generated specs rescaled (max_abs below or above 1), some entries at the threshold."""
+    n = draw(st.integers(1, 3))
+    n_max = draw(st.integers(n + 2, 14))
+    seed = draw(st.integers(0, 10_000))
+    mtilde = draw(st.booleans())
+    base = generate_random(GenProfile(n=n, n_max=n_max, mtilde=mtilde), seed)
+    factor = draw(st.sampled_from([1e-3, 0.4, 1.0, 6.0, 2e4]))
+    entries = {key: v * factor for key, v in base.entries.items()}
+    scale = max(abs(v) for v in entries.values())
+    tol = STRUCT_TOL * max(scale, 1.0)
+    # keep the largest entry, so the threshold stays where it was computed
+    keys = [
+        (j, k)
+        for j in range(1, n_max + 1)
+        for k in range(j, n_max + 1)
+        if abs(entries.get((j, k), 0.0)) < scale
+    ]
+    picked = draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
+    for key in picked:
+        level = draw(st.sampled_from(THRESHOLD_LEVELS))
+        entries[key] = _near_threshold(level, tol, draw(st.sampled_from([1, -1, 1j])))
+    return MatrixSpec(n, n_max, entries, base.pivot, base.tail)
+
+
+@st.composite
+def sparse_specs(draw):
+    """Arbitrary sparse specs with random pivots and tails, thresholds included."""
+    n = draw(st.integers(1, 3))
+    n_max = draw(st.integers(max(n, 2), 10))
+    scale = draw(st.sampled_from([0.3, 1.0, 50.0]))
+    tol = STRUCT_TOL * max(scale, 1.0)
+    # entries may lie beyond the declared size; queries stop at n_max
+    keys = [(j, k) for j in range(1, n_max + 2) for k in range(j, n_max + 2)]
+    entries = {keys[0]: complex(scale)}
+    for key in draw(st.lists(st.sampled_from(keys[1:]), max_size=20, unique=True)):
+        kind = draw(st.sampled_from(("value",) + THRESHOLD_LEVELS))
+        if kind == "value":
+            half = scale / 2
+            entries[key] = complex(draw(st.floats(-half, half)), draw(st.floats(-half, half)))
+        else:
+            entries[key] = _near_threshold(kind, tol, 1)
+    tail = draw(st.none() | st.tuples(st.integers(1, n_max), st.integers(1, 3)))
+    if tail is not None:
+        tail = (tail[0], tail[0] + tail[1])
+    if draw(st.booleans()):  # pivots read off the entries, so checks get past column n+1
+        bare = MatrixSpec(n, n_max, entries, {}, tail)
+        pivot = {c: scan_column_topmost(bare, c) for c in range(n + 1, n_max + 1)}
+    else:
+        pivot = draw(
+            st.dictionaries(st.integers(n + 1, n_max + 1), st.integers(1, n_max + 1), max_size=8)
+        )
+    return MatrixSpec(n, n_max, entries, pivot, tail)
+
+
+@settings(max_examples=150, deadline=None)
+@given(threshold_specs())
+def test_index_matches_scans_near_threshold(spec):
+    assert_index_matches_scans(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_specs())
+def test_index_matches_scans_on_sparse_specs(spec):
+    assert_index_matches_scans(spec)

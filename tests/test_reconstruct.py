@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specband import (
     BoundaryMatrix,
+    GenProfile,
+    MatrixSpec,
+    PivotViolation,
     SingularZerothMoment,
     StepMeasure,
     analyze_structure,
     compare_measures,
     eigen_decompose,
+    generate_random,
     inner_product,
     norm_sq,
     orthonormalize,
@@ -18,7 +24,8 @@ from specband import (
     truncate,
     validate_class,
 )
-from conftest import random_boundary, random_instance
+from specband.reconstruct import RECOVER_STRUCT_TOL
+from conftest import outcome, random_boundary, random_instance, reference_outcome
 
 
 def measure_of(spec, N, t=None, seed=0):
@@ -193,3 +200,112 @@ class TestRoundTrip:
         mu2, _, _ = measure_of(jac5, 5)
         loc, mat = compare_measures(mu1, mu2)
         assert loc == float("inf")
+
+
+# -- spec_from_dense against the per-query scans it replaced ----------------
+
+
+def scan_spec_from_dense(data, n, rel_tol=RECOVER_STRUCT_TOL):
+    """Reference: entries by a double loop, edges by rescanning the entries."""
+    data = np.asarray(data, dtype=complex)
+    N = data.shape[0]
+    scale = float(np.max(np.abs(data))) or 1.0
+    tol = rel_tol * scale
+    entries = {}
+    for j in range(1, N + 1):
+        for k in range(j, N + 1):
+            v = data[j - 1, k - 1]
+            if abs(v) > tol:
+                entries[(j, k)] = complex(v)
+
+    def rightmost(row):
+        cols = [k for (j, k) in entries if j == row] + [j for (j, k) in entries if k == row]
+        return max(cols, default=0)
+
+    def topmost(col):
+        rows = [j for (j, k) in entries if k == col] + [k for (j, k) in entries if j == col]
+        return min(rows, default=0)
+
+    pivot = {}
+    for c in range(n + 1, N + 1):
+        r = topmost(c)
+        if r == 0 or r >= c:
+            raise PivotViolation(f"column {c} has no readable pivot")
+        if rightmost(r) != c:
+            raise PivotViolation(f"topmost entry of column {c} (row {r}) is not a row edge")
+        pivot[c] = r
+    tail = None
+    if pivot:
+        c = N
+        while c - 1 in pivot and c in pivot and pivot[c - 1] == pivot[c] - 1:
+            c -= 1
+        tail = (pivot[c], c)
+    return MatrixSpec(n, N, entries, pivot, tail, None)
+
+
+def spec_parts(spec):
+    """Everything a spec holds, with entry order and index types made visible."""
+    if not isinstance(spec, MatrixSpec):
+        return spec
+    keys = [(type(j), type(k)) for j, k in spec.entries]
+    return (spec.n, spec.n_max, list(spec.entries.items()), keys, spec.pivot, spec.tail)
+
+
+def assert_reads_like_scans(data, n):
+    new = outcome(spec_from_dense, data, n)
+    assert spec_parts(new) == spec_parts(outcome(scan_spec_from_dense, data, n))
+    if isinstance(new, MatrixSpec):
+        for which in ("m", "mtilde"):
+            report = validate_class(new, which).to_dict()
+            assert report == reference_outcome(
+                lambda s: validate_class(s, which).to_dict(), new
+            )
+
+
+def recovered_matrix(spec, N, t):
+    mu, _, _ = measure_of(spec, N, t)
+    return recover_matrix(orthonormalize(mu, N), mu).data
+
+
+class TestSpecFromDenseMatchesScans:
+    def test_recovered_acceptance_set(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n = seed % 3 + 1
+            N = int(rng.integers(n + 2, 16))
+            spec = generate_random(GenProfile(n=n, n_max=max(N, n + 2)), seed)
+            data = recovered_matrix(spec, N, random_boundary(n, seed + 10_000))
+            assert_reads_like_scans(data, n)
+
+    def test_truncations_and_failures(self, jac5, fix7):
+        assert_reads_like_scans(truncate(jac5, 5).data, 1)
+        assert_reads_like_scans(truncate(fix7, 7).data, 3)  # column 5 is not read
+        assert_reads_like_scans(np.zeros((4, 4)), 1)
+        assert_reads_like_scans(np.eye(3), 1)
+
+
+@st.composite
+def dense_near_threshold(draw):
+    """Recovered band matrices, rescaled, with entries at RECOVER_STRUCT_TOL * scale."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(n + 2, 14))
+    seed = draw(st.integers(0, 10_000))
+    spec = generate_random(GenProfile(n=n, n_max=N, mtilde=True), seed)
+    data = recovered_matrix(spec, N, BoundaryMatrix.identity(n))
+    data = data * draw(st.sampled_from([1e-6, 0.3, 1.0, 40.0]))
+    scale = float(np.max(np.abs(data)))
+    tol = RECOVER_STRUCT_TOL * scale
+    positions = [(j, k) for j in range(N) for k in range(N) if abs(data[j, k]) < scale]
+    for j, k in draw(st.lists(st.sampled_from(positions), max_size=8, unique=True)):
+        mag = draw(st.sampled_from([tol, np.nextafter(tol, 0.0), np.nextafter(tol, np.inf)]))
+        value = draw(st.sampled_from([mag, -mag, 1j * mag]))
+        data[j, k] = value
+        if draw(st.booleans()):  # keep it Hermitian, or let the lower triangle disagree
+            data[k, j] = np.conj(value)
+    return data, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_near_threshold())
+def test_spec_from_dense_matches_scans_near_threshold(case):
+    assert_reads_like_scans(*case)
