@@ -4,12 +4,14 @@ Every command reads/writes the JSON formats of :mod:`specband.serialize`;
 complex values are [re, im] pairs throughout.  Exit codes: 0 success, 1
 validation failure, 2 numerical failure, 64 usage error.  The environment
 variable SPECBAND_TOL overrides the zero-norm threshold used by the
-reconstruction sweep.
+reconstruction sweep; --tol-zero overrides both.  Tolerances must be
+positive finite numbers.
 """
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -28,7 +30,14 @@ from .errors import (
 )
 from .interpolation import InterpolationData, is_solution, verify_generators
 from .matrices import GenProfile, analyze_structure, generate_random, truncate, validate_class
-from .spectral import BoundaryMatrix, build_p, build_q, eigen_decompose, step_measure
+from .spectral import (
+    CLUSTER_TOL,
+    BoundaryMatrix,
+    build_p,
+    build_q,
+    eigen_decompose,
+    step_measure,
+)
 from .vectorpoly import height
 
 EXIT_OK = 0
@@ -44,15 +53,17 @@ class Config:
     """Tolerances and output knobs shared by the subcommands."""
 
     tol_zero: float = rec.ZERO_NORM_TOL
-    cluster: float = 1e-9
-    rank: float = 1e-8
-    fmt: str = "json"
+    cluster: float = CLUSTER_TOL
     seed: int = 0
     verbosity: int = 0
 
     def __post_init__(self):
-        if min(self.tol_zero, self.cluster, self.rank) <= 0:
+        if min(self.tol_zero, self.cluster) <= 0:
             raise ValueError("tolerances must be positive")
+
+
+class UsageError(Exception):
+    """Arguments that parse but cannot be used together (exit code 64)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,6 +71,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EXIT_USAGE)
+
+
+def _tolerance(text):
+    """argparse type of a tolerance: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below like any other bad value
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _emit(payload, out_path):
@@ -136,10 +158,7 @@ def cmd_measure(args, cfg):
 
 def cmd_moments(args, cfg):
     mu = ser.measure_from_dict(ser.load(args.file))
-    out = []
-    for k in range(args.k + 1):
-        s = mu.moment(k)
-        out.append([[list_pair(v) for v in row] for row in s])
+    out = [[[list_pair(v) for v in row] for row in s] for s in mu.moments_upto(args.k)]
     _emit({"n": mu.n, "orders": args.k, "moments": out}, args.output)
     return EXIT_OK
 
@@ -215,6 +234,8 @@ def cmd_height(args, cfg):
 
 def cmd_reconstruct(args, cfg):
     mu = ser.measure_from_dict(ser.load(args.file))
+    if args.max_k < mu.n:
+        raise UsageError(f"--max-k {args.max_k} is below the measure's order n={mu.n}")
     res = rec.orthonormalize(mu, args.max_k, zero_tol=cfg.tol_zero)
     m = rec.recover_matrix(res, mu)
     payload = {
@@ -335,8 +356,8 @@ def build_parser():
     p.add_argument("--real", action="store_true")
 
     for sp in sub.choices.values():
-        sp.add_argument("--tol-zero", type=float, default=None)
-        sp.add_argument("--cluster-tol", type=float, default=None)
+        sp.add_argument("--tol-zero", type=_tolerance, default=None)
+        sp.add_argument("--cluster-tol", type=_tolerance, default=None)
         sp.add_argument("--verbose", "-v", action="count", default=0)
     return parser
 
@@ -347,17 +368,23 @@ def run_cli(argv) -> int:
     tol_zero = rec.ZERO_NORM_TOL
     env = os.environ.get("SPECBAND_TOL")
     if env:
-        tol_zero = float(env)
-    if getattr(args, "tol_zero", None):
+        try:
+            tol_zero = _tolerance(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"SPECBAND_TOL {exc}")
+    if args.tol_zero is not None:
         tol_zero = args.tol_zero
     cfg = Config(
         tol_zero=tol_zero,
-        cluster=getattr(args, "cluster_tol", None) or 1e-9,
+        cluster=CLUSTER_TOL if args.cluster_tol is None else args.cluster_tol,
         seed=getattr(args, "seed", 0) or 0,
-        verbosity=getattr(args, "verbose", 0),
+        verbosity=args.verbose,
     )
     try:
         return args.fn(args, cfg)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except StageError as exc:
         print(f"error in {exc.stage}: {exc.original}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc.original, _NUMERICAL) else EXIT_VALIDATION

@@ -13,10 +13,17 @@ orthonormal system, the first n of them form the boundary matrix, and
 assembles a matrix in the band-with-degenerations class whose step
 spectral function reproduces sigma.
 
-Working representation: each polynomial is carried both as coefficients
-and as its vector of spectral coordinates w[k] = (C^k)* f(lambda_k), so
-inner products are plain dot products and the Gram-Schmidt arithmetic
-happens on well-scaled point values.
+Working representation: the sweep reads the measure once into a lambda
+vector and the block of conj(C^p), so the spectral coordinates of e_k,
+w[p] = (C^p)* e_k(lambda_p), are one array expression.  Each residual is
+carried as that coordinate vector, where inner products are plain dot
+products and Gram-Schmidt runs on well-scaled point values, and as a row
+of canonical coefficients (entry m belongs to e_{m+1}).  The row takes the
+same multipliers as the coordinates, in the same order and with the
+rounding of Python's complex arithmetic, so it equals what stepwise
+``VectorPolynomial`` arithmetic would give.  The emitted rows share one
+preallocated array; the ``VectorPolynomial`` objects of p~ and q~ are
+built from the rows once, when the sweep is done.
 """
 
 from dataclasses import dataclass
@@ -38,7 +45,7 @@ from .spectral import (
     eigen_decompose,
     step_measure,
 )
-from .vectorpoly import canonical_e, leading_slot
+from .vectorpoly import from_coeff_vector, leading_slot
 
 #: relative residual threshold declaring a Gram-Schmidt degeneration
 ZERO_NORM_TOL = 1e-8
@@ -68,12 +75,6 @@ class OrthoResult:
     skip_residuals: tuple = ()
 
 
-def _canonical_weight_row(mu: StepMeasure, k):
-    """Spectral coordinates of e_k without polynomial evaluation."""
-    i, l = leading_slot(k - 1, mu.n)
-    return np.array([(lam**l) * np.conj(c[i - 1]) for lam, c in mu.points])
-
-
 def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
                    zero_tol: float = ZERO_NORM_TOL) -> OrthoResult:
     """Gram-Schmidt over the canonical family with the height-lattice skip rule.
@@ -90,49 +91,65 @@ def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
         raise SingularZerothMoment(
             f"zeroth moment has eigenvalue {eig[0]:.3e}; cannot start"
         )
+    lam, conj_c = mu.spectral_arrays()
+    # row j holds the canonical coefficients of the j-th emitted p~.  While
+    # fewer than n degenerations are found, every block of n heights has an
+    # unskipped one, so k stays below n * (emitted + n + 1); a sweep that
+    # emits more than N (only under a tiny zero_tol) doubles the array.
+    rows = max(min(max_k, mu.size), 1)
+    coeffs = np.zeros((rows, n * (rows + n + 1)), dtype=complex)
     emitted_w = []
-    emitted_poly = []
-    q_tilde = []
+    emitted_len = []
+    q_rows = []
     q_heights = []
     skip_log = []
     skip_residuals = []
     k = 0
-    while len(q_tilde) < n:
+    while len(q_rows) < n:
         k += 1
         h = k - 1
+        if k > coeffs.shape[1]:
+            coeffs = np.pad(coeffs, ((0, 0), (0, coeffs.shape[1])))
         lattice_hit = any((h - hq) > 0 and (h - hq) % n == 0 for hq in q_heights)
         if lattice_hit:
             skip_log.append(k)
             if check_skips:
-                w, _, e_norm = _residual(mu, k, emitted_w, emitted_poly)
+                w, _, e_norm = _residual(lam, conj_c, n, k, emitted_w, coeffs)
                 skip_residuals.append(
                     float(np.linalg.norm(w)) / max(e_norm, 1e-300)
                 )
             continue
-        w, poly, e_norm = _residual(mu, k, emitted_w, emitted_poly)
+        w, row, e_norm = _residual(lam, conj_c, n, k, emitted_w, coeffs)
         norm = float(np.linalg.norm(w))
         if norm <= zero_tol * max(e_norm, 1e-300):
-            q_tilde.append(poly)
+            q_rows.append(row)
             q_heights.append(h)
-        elif len(emitted_poly) < max_k:
+        elif len(emitted_w) < max_k:
+            if len(emitted_w) == coeffs.shape[0]:
+                coeffs = np.pad(coeffs, ((0, coeffs.shape[0]), (0, 0)))
+            coeffs[len(emitted_w), :k] = row * (1.0 / norm)
             emitted_w.append(w / norm)
-            emitted_poly.append(poly * (1.0 / norm))
+            emitted_len.append(k)
         else:
             # cap reached and the next direction is not degenerate: stop
             break
-    rank_exhausted = len(emitted_poly) < max_k
-    if len(emitted_poly) < n:
+    rank_exhausted = len(emitted_w) < max_k
+    if len(emitted_w) < n:
         raise SingularZerothMoment("fewer than n orthonormal constants emerged")
+    p_tilde = tuple(
+        from_coeff_vector(coeffs[j, :length], n, tol=0.0)
+        for j, length in enumerate(emitted_len)
+    )
     t_mat = np.zeros((n, n), dtype=complex)
     for j in range(n):
-        const = emitted_poly[j]
+        const = p_tilde[j]
         for i in range(n):
             comp = const.comps[i]
             t_mat[i, j] = comp[0] if comp else 0.0
     weights = np.array(emitted_w) if emitted_w else np.zeros((0, mu.size))
     return OrthoResult(
-        p_tilde=tuple(emitted_poly),
-        q_tilde=tuple(q_tilde),
+        p_tilde=p_tilde,
+        q_tilde=tuple(from_coeff_vector(row, n, tol=0.0) for row in q_rows),
         t_tilde=BoundaryMatrix(n, t_mat),
         skip_log=tuple(skip_log),
         q_heights=tuple(q_heights),
@@ -142,18 +159,44 @@ def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
     )
 
 
-def _residual(mu, k, emitted_w, emitted_poly):
-    """Twice-iterated Gram-Schmidt step for e_k against the emitted system."""
-    w = _canonical_weight_row(mu, k)
+def _residual(lam, conj_c, n, k, emitted_w, coeffs):
+    """Twice-iterated Gram-Schmidt step for e_k against the emitted system.
+
+    Returns the residual's spectral coordinates, its canonical coefficients
+    (length k) and the norm of e_k's coordinates.
+    """
+    i, l = leading_slot(k - 1, n)
+    with np.errstate(over="raise"):  # as Python's float ** int does
+        power = np.float_power(lam, l)
+    w = power * conj_c[:, i - 1]
     e_norm = float(np.linalg.norm(w))
-    poly = canonical_e(k, mu.n)
+    row = np.zeros(k, dtype=complex)
+    row[k - 1] = 1.0
+    emitted = coeffs[: len(emitted_w), :k]
     for _ in range(2):
-        for wi, pi in zip(emitted_w, emitted_poly):
-            c = complex(np.vdot(wi, w))
+        cs = np.zeros(len(emitted_w), dtype=complex)
+        for j, wj in enumerate(emitted_w):
+            c = complex(np.vdot(wj, w))
             if c != 0:
-                w = w - c * wi
-                poly = poly - pi * c
-    return w, poly, e_norm
+                w = w - c * wj
+                cs[j] = c
+        row = _subtract_in_order(row, cs, emitted)
+    return w, row, e_norm
+
+
+def _subtract_in_order(row, cs, rows):
+    """row - cs[0] rows[0] - cs[1] rows[1] - ..., summed left to right.
+
+    Each product is rounded as Python's complex product rounds it.  numpy's
+    complex multiply may fuse a multiply-add; with a purely real or purely
+    imaginary factor one term of each part is an exact zero and fusing
+    changes nothing, hence the split of c into c.real and 1j*c.imag.
+    """
+    terms = np.empty((len(cs) + 1, row.size), dtype=complex)
+    terms[0] = row
+    np.multiply(-cs.real[:, None], rows, out=terms[1:])
+    terms[1:] += (-1j * cs.imag)[:, None] * rows
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def recover_matrix(res: OrthoResult, mu: StepMeasure) -> FiniteHermitian:
@@ -283,10 +326,8 @@ def roundtrip(spec: MatrixSpec, t: BoundaryMatrix, N: int) -> RoundTripReport:
         l = 0
     order = 2 * l
     mom_err = 0.0
-    for k in range(order + 1):
-        mom_err = max(
-            mom_err, float(np.max(np.abs(sigma.moment(k) - sigma_rec.moment(k))))
-        )
+    for a, b in zip(sigma.moments_upto(order), sigma_rec.moments_upto(order)):
+        mom_err = max(mom_err, float(np.max(np.abs(a - b))))
     residues = [h % spec.n for h in res.q_heights]
     return RoundTripReport(
         N=N,

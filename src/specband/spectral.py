@@ -89,6 +89,10 @@ class StepMeasure:
     One summand C^k (C^k)* per eigenvalue-with-multiplicity; jumps at equal
     (clustered) locations may be grouped on demand.  sigma is
     left-continuous: sigma(t) sums the jumps strictly below t.
+
+    ``points`` is the one stored form.  Array views for vectorised callers
+    (``spectral_arrays``, ``moments_upto``) are built per call and never
+    cached, so they cannot fall out of step with it.
     """
 
     n: int
@@ -116,12 +120,31 @@ class StepMeasure:
                 out += np.outer(c, c.conj())
         return out
 
+    def spectral_arrays(self):
+        """The lambda vector and the (N, n) block of conj(C^k), a row per point."""
+        conj_c = np.array([c for _, c in self.points], dtype=complex).conj()
+        return self.lambdas(), conj_c.reshape(self.size, self.n)
+
+    def moments_upto(self, K):
+        """Moments S_0..S_K as a (K+1, n, n) array, in one pass over the points.
+
+        S_k is the sum of lambda^k C C* over the growth points, added point
+        by point in order.  ``np.float_power`` gives the same powers as
+        Python's ``float ** int``; an overflowing power raises
+        ``FloatingPointError`` rather than turning into inf.
+        """
+        with np.errstate(over="raise"):
+            powers = np.float_power(self.lambdas()[:, None], np.arange(K + 1))
+        out = np.zeros((K + 1, self.n, self.n), dtype=complex)
+        for pw, (_, c) in zip(powers, self.points):
+            out += pw[:, None, None] * np.outer(c, c.conj())
+        return out
+
     def moment(self, k):
         """k-th moment: sum of lambda^k C C* over all growth points."""
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for lam, c in self.points:
-            out += (lam**k) * np.outer(c, c.conj())
-        return out
+        if k < 0:
+            raise ValueError("moment order must be nonnegative")
+        return self.moments_upto(k)[k]
 
     def total_mass(self):
         return self.moment(0)

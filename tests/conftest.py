@@ -9,6 +9,9 @@ FIX7   the 7x7 matrix with n=3, pivots 4->1, 5->4, 6->2, 7->6 and
 
 ``brute_force_scans`` swaps MatrixSpec's structural index for the original
 per-query scans over every stored entry, as a reference for equivalence tests.
+``reference_orthonormalize`` and ``reference_moment`` are the original
+inverse sweep on VectorPolynomial arithmetic and the original per-order
+moment loop, the references of the array-based sweep and moments.
 """
 
 import contextlib
@@ -16,9 +19,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from specband import BoundaryMatrix, GenProfile, MatrixSpec, generate_random
+from specband import BoundaryMatrix, GenProfile, MatrixSpec, StepMeasure, generate_random
 from specband import matrices
+from specband.errors import SingularZerothMoment
+from specband.reconstruct import ZERO_NORM_TOL, OrthoResult
+from specband.vectorpoly import canonical_e, leading_slot
 
 
 @pytest.fixture
@@ -89,6 +96,37 @@ def random_instance(seed, n=None, N=None, mtilde=False, N_hi=20):
         N = int(rng.integers(n + 2, N_hi + 1))
     spec = generate_random(GenProfile(n=n, n_max=max(N, n + 2), mtilde=mtilde), seed)
     return spec, N
+
+
+def gue_measure(seed, n, N):
+    """Step measure (T = I) of a random N x N GUE matrix."""
+    rng = np.random.default_rng([seed, n, N])
+    a = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    lam, phi = np.linalg.eigh(0.5 * (a + a.conj().T))
+    return StepMeasure(n, tuple((float(x), phi[:n, k]) for k, x in enumerate(lam)))
+
+
+@st.composite
+def awkward_measures(draw):
+    """Step measures with clustered points and rank-deficient heads.
+
+    Points sit on a few centres, exactly or 1e-12 apart; heads may lie in a
+    subspace of C^n (singular S_0) or have zero components at many points,
+    which forces early degenerations and long lattice-skip runs.
+    """
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(n, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.normal(size=draw(st.integers(1, N))) * draw(st.sampled_from([1e-2, 1.0, 30.0]))
+    jitter = draw(st.sampled_from([0.0, 1e-12]))
+    lam = np.sort(rng.choice(centres, N) + jitter * rng.normal(size=N))
+    heads = rng.normal(size=(N, n)) + 1j * rng.normal(size=(N, n))
+    rank = draw(st.integers(1, n))
+    heads = heads[:, :rank] @ (rng.normal(size=(rank, n)) + 0j)
+    # per slot, the share of points whose head component is zero
+    sparsity = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 0.9]), min_size=n, max_size=n)))
+    heads[rng.random((N, n)) < sparsity] = 0.0
+    return StepMeasure(n, tuple((float(x), c) for x, c in zip(lam, heads)))
 
 
 # -- reference: structural queries by rescanning every stored entry --------
@@ -182,3 +220,81 @@ def outcome(fn, *args):
 def reference_outcome(fn, *args):
     with brute_force_scans():
         return outcome(fn, *args)
+
+
+# -- reference: the inverse sweep on VectorPolynomial arithmetic ------------
+
+
+def reference_moment(mu, k):
+    """k-th moment by one loop over the points for this order alone."""
+    out = np.zeros((mu.n, mu.n), dtype=complex)
+    for lam, c in mu.points:
+        out += (lam**k) * np.outer(c, c.conj())
+    return out
+
+
+def _reference_weight_row(mu, k):
+    i, l = leading_slot(k - 1, mu.n)
+    return np.array([(lam**l) * np.conj(c[i - 1]) for lam, c in mu.points])
+
+
+def _reference_residual(mu, k, emitted_w, emitted_poly):
+    w = _reference_weight_row(mu, k)
+    e_norm = float(np.linalg.norm(w))
+    poly = canonical_e(k, mu.n)
+    for _ in range(2):
+        for wi, pi in zip(emitted_w, emitted_poly):
+            c = complex(np.vdot(wi, w))
+            if c != 0:
+                w = w - c * wi
+                poly = poly - pi * c
+    return w, poly, e_norm
+
+
+def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TOL):
+    """The sweep with every residual carried as a VectorPolynomial."""
+    n = mu.n
+    eig = np.linalg.eigvalsh(reference_moment(mu, 0))
+    if eig[0] <= 1e-12 * max(eig[-1], 1.0):
+        raise SingularZerothMoment(
+            f"zeroth moment has eigenvalue {eig[0]:.3e}; cannot start"
+        )
+    emitted_w, emitted_poly = [], []
+    q_tilde, q_heights, skip_log, skip_residuals = [], [], [], []
+    k = 0
+    while len(q_tilde) < n:
+        k += 1
+        h = k - 1
+        if any((h - hq) > 0 and (h - hq) % n == 0 for hq in q_heights):
+            skip_log.append(k)
+            if check_skips:
+                w, _, e_norm = _reference_residual(mu, k, emitted_w, emitted_poly)
+                skip_residuals.append(float(np.linalg.norm(w)) / max(e_norm, 1e-300))
+            continue
+        w, poly, e_norm = _reference_residual(mu, k, emitted_w, emitted_poly)
+        norm = float(np.linalg.norm(w))
+        if norm <= zero_tol * max(e_norm, 1e-300):
+            q_tilde.append(poly)
+            q_heights.append(h)
+        elif len(emitted_poly) < max_k:
+            emitted_w.append(w / norm)
+            emitted_poly.append(poly * (1.0 / norm))
+        else:
+            break
+    if len(emitted_poly) < n:
+        raise SingularZerothMoment("fewer than n orthonormal constants emerged")
+    t_mat = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for i in range(n):
+            comp = emitted_poly[j].comps[i]
+            t_mat[i, j] = comp[0] if comp else 0.0
+    return OrthoResult(
+        p_tilde=tuple(emitted_poly),
+        q_tilde=tuple(q_tilde),
+        t_tilde=BoundaryMatrix(n, t_mat),
+        skip_log=tuple(skip_log),
+        q_heights=tuple(q_heights),
+        rank_exhausted=len(emitted_poly) < max_k,
+        weights=np.array(emitted_w) if emitted_w else np.zeros((0, mu.size)),
+        skip_residuals=tuple(skip_residuals),
+    )

@@ -186,3 +186,54 @@ class TestExitCodes:
         monkeypatch.setenv("SPECBAND_TOL", "1e-3")
         assert run_cli(["reconstruct", str(sigma)]) == EXIT_OK
         capsys.readouterr()
+
+
+class TestToleranceAndLimitChecks:
+    @pytest.fixture
+    def sigma_file(self, fix7_file, tmp_path):
+        sigma = tmp_path / "sigma.json"
+        assert run_cli(["measure", fix7_file, "-o", str(sigma)]) == EXIT_OK
+        return str(sigma)
+
+    @pytest.mark.parametrize("flag", ["--tol-zero", "--cluster-tol"])
+    @pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "inf", "abc"])
+    def test_bad_tolerance_flag_is_a_usage_error(self, sigma_file, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["reconstruct", sigma_file, flag, value])
+        assert exc.value.code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1e-3", "abc", "nan"])
+    def test_bad_tolerance_env_is_a_usage_error(self, sigma_file, value, monkeypatch, capsys):
+        monkeypatch.setenv("SPECBAND_TOL", value)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["reconstruct", sigma_file])
+        assert exc.value.code == EXIT_USAGE
+        assert "SPECBAND_TOL" in capsys.readouterr().err
+
+    def test_tolerance_flag_beats_env(self, sigma_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPECBAND_TOL", "0.5")
+        loose, strict = tmp_path / "loose.json", tmp_path / "strict.json"
+        assert run_cli(["reconstruct", sigma_file, "-o", str(loose)]) == EXIT_OK
+        assert run_cli(
+            ["reconstruct", sigma_file, "--tol-zero", "1e-8", "-o", str(strict)]
+        ) == EXIT_OK
+        # a relative threshold of 0.5 declares degenerations the default does not
+        assert read_json(loose)["emitted"] < read_json(strict)["emitted"] == 7
+
+    def test_cluster_tol_is_used(self, fix7_file, tmp_path):
+        sigma = tmp_path / "sigma.json"
+        run_cli(["measure", fix7_file, "-o", str(sigma)])
+        out = tmp_path / "stairs.csv"
+        assert run_cli(["staircase", str(sigma), "--cluster-tol", "1e300", "-o", str(out)]) == EXIT_OK
+        with open(out) as fh:
+            assert len(list(csv.reader(fh))) == 2  # header + one cluster of all points
+
+    @pytest.mark.parametrize("max_k", ["2", "0", "-3"])
+    def test_max_k_below_n_is_a_usage_error(self, sigma_file, max_k, capsys):
+        assert run_cli(["reconstruct", sigma_file, "--max-k", max_k]) == EXIT_USAGE
+        assert "--max-k" in capsys.readouterr().err
+
+    def test_max_k_equal_to_n_runs(self, sigma_file, capsys):
+        assert run_cli(["reconstruct", sigma_file, "--max-k", "3"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["emitted"] == 3

@@ -24,8 +24,16 @@ from specband import (
     truncate,
     validate_class,
 )
-from specband.reconstruct import RECOVER_STRUCT_TOL
-from conftest import outcome, random_boundary, random_instance, reference_outcome
+from specband.reconstruct import RECOVER_STRUCT_TOL, ZERO_NORM_TOL, OrthoResult
+from conftest import (
+    awkward_measures,
+    gue_measure,
+    outcome,
+    random_boundary,
+    random_instance,
+    reference_orthonormalize,
+    reference_outcome,
+)
 
 
 def measure_of(spec, N, t=None, seed=0):
@@ -309,3 +317,69 @@ def dense_near_threshold(draw):
 @given(dense_near_threshold())
 def test_spec_from_dense_matches_scans_near_threshold(case):
     assert_reads_like_scans(*case)
+
+
+# -- orthonormalize against the VectorPolynomial sweep it replaced ----------
+
+
+def sweep_parts(res):
+    """Every field of a sweep, arrays as bytes, polynomials as coefficients."""
+    if not isinstance(res, OrthoResult):
+        return res
+    w = res.weights
+    return (
+        w.dtype, w.shape, w.tobytes(), res.q_heights, res.skip_log, res.rank_exhausted,
+        res.skip_residuals, res.t_tilde.t.tobytes(),
+        [p.comps for p in res.p_tilde], [q.comps for q in res.q_tilde],
+    )
+
+
+def assert_sweep_like_reference(mu, max_k, check_skips=True, zero_tol=ZERO_NORM_TOL):
+    args = (mu, max_k, check_skips, zero_tol)
+    new = outcome(orthonormalize, *args)
+    assert sweep_parts(new) == sweep_parts(outcome(reference_orthonormalize, *args))
+    return new
+
+
+def acceptance_measures():
+    """The shared 50-instance set of the acceptance suite, as step measures."""
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        n = seed % 3 + 1
+        N = int(rng.integers(n + 2, 21))
+        spec = generate_random(GenProfile(n=n, n_max=max(N, n + 2)), seed)
+        yield measure_of(spec, N, random_boundary(n, seed + 10_000))[0], N
+
+
+class TestSweepMatchesReference:
+    def test_acceptance_set(self):
+        for mu, N in acceptance_measures():
+            for max_k in (N, N + 4, max(N // 2, mu.n)):
+                res = assert_sweep_like_reference(mu, max_k)
+                if N <= 10:
+                    for p, w in zip(res.p_tilde, res.weights):
+                        assert np.max(np.abs(mu.weight_row(p) - w)) <= 1e-10
+            assert_sweep_like_reference(mu, N, check_skips=False)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gue_measures(self, n):
+        for N in (n + 1, 10, 20, 40, 80):
+            mu = gue_measure(N, n, N)
+            assert_sweep_like_reference(mu, N)
+            assert_sweep_like_reference(mu, N // 3 + n, check_skips=False)
+
+    @pytest.mark.parametrize("n, max_k", [(1, 6), (2, 7)])
+    def test_emitting_past_n_grows_the_coefficient_array(self, n, max_k):
+        # a tiny threshold emits past the N-dimensional space, beyond the
+        # preallocated rows (and, for n=1, columns), and must still match
+        mu = gue_measure(0, n, 3)
+        res = assert_sweep_like_reference(mu, max_k, zero_tol=1e-300)
+        assert len(res.p_tilde) == max_k
+
+
+@settings(max_examples=200, deadline=None)
+@given(awkward_measures(), st.data())
+def test_sweep_matches_reference_on_awkward_measures(mu, data):
+    max_k = data.draw(st.integers(1, mu.size + 3), label="max_k")
+    zero_tol = data.draw(st.sampled_from([ZERO_NORM_TOL, 1e-4, 1e-13]), label="zero_tol")
+    assert_sweep_like_reference(mu, max_k, data.draw(st.booleans()), zero_tol)

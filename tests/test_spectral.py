@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
 
 from specband import (
     BoundaryMatrix,
@@ -28,7 +29,13 @@ from specband.errors import DimensionMismatch
 from specband.spectral import StepMeasure, jump_rank
 from specband.vectorpoly import VectorPolynomial, height
 
-from conftest import random_boundary, random_instance
+from conftest import (
+    awkward_measures,
+    gue_measure,
+    random_boundary,
+    random_instance,
+    reference_moment,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -352,6 +359,49 @@ class TestMoments:
         m, s, _, sd = setup(fix7, 7)
         mu = step_measure(sd, t)
         assert np.min(np.linalg.eigvalsh(moments(mu, 0))) > 1e-6
+
+    def test_negative_order_rejected(self, flip2):
+        m, s, t, sd = setup(flip2, 2)
+        with pytest.raises(ValueError):
+            step_measure(sd, t).moment(-1)
+
+    def test_overflowing_power_raises(self):
+        mu = StepMeasure(1, ((1e200, [1.0]),))
+        with pytest.raises(FloatingPointError):
+            mu.moments_upto(2)
+
+
+def assert_moments_like_reference(mu, K):
+    table = mu.moments_upto(K)
+    assert table.shape == (K + 1, mu.n, mu.n)
+    for k in range(K + 1):
+        ref = reference_moment(mu, k).tobytes()
+        assert table[k].tobytes() == ref
+        assert mu.moment(k).tobytes() == ref
+
+
+class TestMomentsMatchReference:
+    def test_acceptance_set(self):
+        for seed in range(50):
+            spec, N = random_instance(seed)
+            m, s, _, sd = setup(spec, N)
+            mu = step_measure(sd, random_boundary(spec.n, seed + 10_000))
+            assert_moments_like_reference(mu, 2 * N + 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gue_measures(self, n):
+        for N in (n, 20, 80):
+            assert_moments_like_reference(gue_measure(N, n, N), 40)
+
+    def test_no_orders(self, fix7):
+        m, s, t, sd = setup(fix7, 7)
+        assert step_measure(sd, t).moments_upto(-1).shape == (0, 3, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(awkward_measures())
+def test_moments_match_reference_on_awkward_measures(mu):
+    assert_moments_like_reference(mu, 2 * mu.size + 2)
 
 
 # ---------------------------------------------------------------- theta
