@@ -65,7 +65,6 @@ from .spectral import (
     eigen_decompose,
     gram_matrix,
     inner_product,
-    moments,
     multiplication_matrix,
     norm_sq,
     psi_at,

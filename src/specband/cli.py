@@ -54,8 +54,6 @@ class Config:
 
     tol_zero: float = rec.ZERO_NORM_TOL
     cluster: float = CLUSTER_TOL
-    seed: int = 0
-    verbosity: int = 0
 
     def __post_init__(self):
         if min(self.tol_zero, self.cluster) <= 0:
@@ -257,7 +255,7 @@ def cmd_roundtrip(args, cfg):
         reports = []
         for i in range(args.batch):
             g = generate_random(
-                GenProfile(n=spec.n, n_max=max(args.N, spec.n + 2)), cfg.seed + i
+                GenProfile(n=spec.n, n_max=max(args.N, spec.n + 2)), args.seed + i
             )
             reports.append(rec.roundtrip(g, t, args.N).to_dict())
         payload = {
@@ -377,8 +375,6 @@ def run_cli(argv) -> int:
     cfg = Config(
         tol_zero=tol_zero,
         cluster=CLUSTER_TOL if args.cluster_tol is None else args.cluster_tol,
-        seed=getattr(args, "seed", 0) or 0,
-        verbosity=args.verbose,
     )
     try:
         return args.fn(args, cfg)

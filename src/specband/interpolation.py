@@ -9,6 +9,9 @@ measure assembled from the same points.  The solution set is a module over
 scalar polynomials with n generators; the degeneration polynomials q_j of a
 band matrix are always solutions and, for the band-with-degenerations
 subclass, they are exactly the generators.
+
+The constraints are the canonical coordinates (C^k)* e_m(mu_k) that the
+inverse sweep reads too, one table from ``spectral.canonical_coordinates``.
 """
 
 from dataclasses import dataclass, field
@@ -16,12 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NoDecomposition
-from .spectral import CLUSTER_TOL, StepMeasure
+from .spectral import CLUSTER_TOL, StepMeasure, canonical_coordinates
 from .vectorpoly import (
     MINUS_INF,
     VectorPolynomial,
     height,
-    leading_slot,
     to_coeff_vector,
 )
 
@@ -56,22 +58,11 @@ class InterpolationData:
     def from_measure(cls, mu: StepMeasure):
         return cls(mu.n, mu.points)
 
-    def constraint_row(self, mu, c, m):
-        """Value (C)* e_m(mu) of the m-th canonical basis functional."""
-        i, k = leading_slot(m - 1, self.n)
-        return (mu**k) * np.conj(c[i - 1])
-
     def constraint_matrix(self, length):
-        """Stacked annihilation constraints on span{e_1..e_length}."""
-        rows = []
-        for mu, c in self.points:
-            powers = mu ** np.arange((length + self.n - 1) // self.n)
-            row = np.empty(length, dtype=complex)
-            for m in range(1, length + 1):
-                i, k = leading_slot(m - 1, self.n)
-                row[m - 1] = powers[k] * np.conj(c[i - 1])
-            rows.append(row)
-        return np.array(rows)
+        """Annihilation constraints on span{e_1..e_length}: entry (p, m) is
+        (C^p)* e_{m+1}(mu_p), a row per node."""
+        lam, conj_c = StepMeasure(self.n, self.points).spectral_arrays()
+        return canonical_coordinates(lam, conj_c, np.arange(length))
 
 
 def is_solution(r: VectorPolynomial, data: InterpolationData, tol: float = 1e-8) -> bool:
@@ -179,15 +170,16 @@ def recompose(dec: Decomposition, p, q) -> VectorPolynomial:
 
 def kernel_dimension(data: InterpolationData, h: int) -> int:
     """Dimension of the annihilated subspace among polynomials of height <= h."""
-    if h < 0:
-        return 0
-    B = data.constraint_matrix(h + 1)
+    return _null_dimension(data.constraint_matrix(h + 1))  # h < 0: empty span
+
+
+def _null_dimension(B) -> int:
+    """Number of columns of B minus its numerical rank."""
     svals = np.linalg.svd(B, compute_uv=False)
     if svals.size == 0:
-        return h + 1
+        return B.shape[1]
     cutoff = LSTSQ_RCOND * svals[0] if svals[0] > 0 else 0.0
-    rank = int(np.sum(svals > cutoff))
-    return h + 1 - rank
+    return B.shape[1] - int(np.sum(svals > cutoff))
 
 
 def expected_kernel_dimension(heights, h, n):
@@ -231,7 +223,8 @@ def verify_generators(q, data: InterpolationData, class_hint: str = "m") -> Gene
     generators would produce.  A surplus at some height means a solution of
     smaller height exists outside the span, i.e. the q's are not the
     generators (expected for the general class, never for the band
-    subclass).
+    subclass).  The constraint table is built once, for the top height; the
+    constraints up to height h are its first h + 1 columns.
     """
     n = data.n
     heights = [height(qj) for qj in q]
@@ -240,12 +233,13 @@ def verify_generators(q, data: InterpolationData, class_hint: str = "m") -> Gene
     distinct = len(set(finite)) == len(finite) == n
     flags = [is_solution(qj, data) for qj in q]
     h_max = max((int(h) for h in heights if h != MINUS_INF), default=-1)
+    B = data.constraint_matrix(h_max + 1)
     table = []
     minimal = all(flags)
     ties_ok = True
     prev = 0
     for h in range(0, h_max + 1):
-        obs = kernel_dimension(data, h)
+        obs = _null_dimension(B[:, : h + 1])
         exp = expected_kernel_dimension(heights, h, n)
         table.append((h, obs, exp))
         if obs != exp:

@@ -42,10 +42,11 @@ from .spectral import (
     BoundaryMatrix,
     CLUSTER_TOL,
     StepMeasure,
+    canonical_coordinates,
     eigen_decompose,
     step_measure,
 )
-from .vectorpoly import from_coeff_vector, leading_slot
+from .vectorpoly import from_coeff_vector
 
 #: relative residual threshold declaring a Gram-Schmidt degeneration
 ZERO_NORM_TOL = 1e-8
@@ -79,10 +80,12 @@ def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
                    zero_tol: float = ZERO_NORM_TOL) -> OrthoResult:
     """Gram-Schmidt over the canonical family with the height-lattice skip rule.
 
-    Runs until ``max_k`` orthonormal polynomials are emitted or all residue
-    classes mod n are closed by degenerations (then the measure's rank is
-    exhausted and the result says so).  ``check_skips`` additionally
-    computes the raw residual at every skipped index, for verification.
+    Runs until min(``max_k``, N) orthonormal polynomials are emitted (an
+    orthonormal system in L2 of N points has at most N members) or all
+    residue classes mod n are closed by degenerations (then the measure's
+    rank is exhausted and the result says so).  ``check_skips``
+    additionally computes the raw residual at every skipped index, for
+    verification.
     """
     n = mu.n
     s0 = mu.total_mass()
@@ -92,12 +95,11 @@ def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
             f"zeroth moment has eigenvalue {eig[0]:.3e}; cannot start"
         )
     lam, conj_c = mu.spectral_arrays()
+    cap = max(min(max_k, mu.size), 0)
     # row j holds the canonical coefficients of the j-th emitted p~.  While
     # fewer than n degenerations are found, every block of n heights has an
-    # unskipped one, so k stays below n * (emitted + n + 1); a sweep that
-    # emits more than N (only under a tiny zero_tol) doubles the array.
-    rows = max(min(max_k, mu.size), 1)
-    coeffs = np.zeros((rows, n * (rows + n + 1)), dtype=complex)
+    # unskipped one, so k stays below n * (emitted + n + 1).
+    coeffs = np.zeros((cap, n * (cap + n + 1)), dtype=complex)
     emitted_w = []
     emitted_len = []
     q_rows = []
@@ -108,25 +110,21 @@ def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
     while len(q_rows) < n:
         k += 1
         h = k - 1
-        if k > coeffs.shape[1]:
-            coeffs = np.pad(coeffs, ((0, 0), (0, coeffs.shape[1])))
         lattice_hit = any((h - hq) > 0 and (h - hq) % n == 0 for hq in q_heights)
         if lattice_hit:
             skip_log.append(k)
             if check_skips:
-                w, _, e_norm = _residual(lam, conj_c, n, k, emitted_w, coeffs)
+                w, _, e_norm = _residual(lam, conj_c, k, emitted_w, coeffs)
                 skip_residuals.append(
                     float(np.linalg.norm(w)) / max(e_norm, 1e-300)
                 )
             continue
-        w, row, e_norm = _residual(lam, conj_c, n, k, emitted_w, coeffs)
+        w, row, e_norm = _residual(lam, conj_c, k, emitted_w, coeffs)
         norm = float(np.linalg.norm(w))
         if norm <= zero_tol * max(e_norm, 1e-300):
             q_rows.append(row)
             q_heights.append(h)
-        elif len(emitted_w) < max_k:
-            if len(emitted_w) == coeffs.shape[0]:
-                coeffs = np.pad(coeffs, ((0, coeffs.shape[0]), (0, 0)))
+        elif len(emitted_w) < cap:
             coeffs[len(emitted_w), :k] = row * (1.0 / norm)
             emitted_w.append(w / norm)
             emitted_len.append(k)
@@ -159,16 +157,13 @@ def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
     )
 
 
-def _residual(lam, conj_c, n, k, emitted_w, coeffs):
+def _residual(lam, conj_c, k, emitted_w, coeffs):
     """Twice-iterated Gram-Schmidt step for e_k against the emitted system.
 
     Returns the residual's spectral coordinates, its canonical coefficients
     (length k) and the norm of e_k's coordinates.
     """
-    i, l = leading_slot(k - 1, n)
-    with np.errstate(over="raise"):  # as Python's float ** int does
-        power = np.float_power(lam, l)
-    w = power * conj_c[:, i - 1]
+    w = canonical_coordinates(lam, conj_c, k - 1)
     e_norm = float(np.linalg.norm(w))
     row = np.zeros(k, dtype=complex)
     row[k - 1] = 1.0

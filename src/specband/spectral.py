@@ -173,6 +173,20 @@ class StepMeasure:
         return np.array([np.vdot(c, f.evaluate(lam)) for lam, c in self.points])
 
 
+def canonical_coordinates(lam, conj_c, m) -> np.ndarray:
+    """(C^p)* e_{m+1}(lambda_p), a row per point p, for a 0-based index m.
+
+    ``lam`` and ``conj_c`` are a measure's ``spectral_arrays()``; for an
+    array of indices the result has a column per index.  Unlike ``**`` on
+    arrays, ``np.float_power`` gives Python's ``float ** int`` bit for bit;
+    an overflowing power raises ``FloatingPointError``.
+    """
+    n = conj_c.shape[1]
+    with np.errstate(over="raise"):
+        power = np.float_power.outer(lam, m // n)
+    return power * conj_c[:, m % n]
+
+
 def jump_rank(jump, tol=JUMP_RANK_TOL):
     """Numerical rank of a jump matrix via its singular values."""
     svals = np.linalg.svd(jump, compute_uv=False)
@@ -213,30 +227,32 @@ def _recursion_order(s: StructureInfo):
 def psi_at(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, z) -> np.ndarray:
     """Numeric N x n solution matrix Psi(z) of the reduced equation.
 
-    Row-by-row forward recursion; evaluating at a point rather than via
-    stored coefficients keeps the computation stable at spectrum points.
+    ``z`` is a point or a 1-D array of points; for an array the matrices are
+    stacked, shape (len(z), N, n), and the recursion runs once over all of
+    them.  Row-by-row forward recursion; evaluating at points rather than
+    via stored coefficients keeps the computation stable at spectrum points.
     """
+    z = np.asarray(z)
     N, n = s.N, s.n
     data = m.data
-    psi = np.zeros((N, n), dtype=complex)
-    psi[:n, :] = t.t.conj().T
+    psi = np.zeros(z.shape + (N, n), dtype=complex)
+    psi[..., :n, :] = t.t.conj().T
     for c, r in _recursion_order(s):
         edge = data[r - 1, c - 1]
         if abs(edge) == 0.0:
             raise PivotViolation(f"zero edge entry at ({r},{c})")
-        acc = z * psi[r - 1, :].copy()
-        row = data[r - 1, : c - 1]
-        acc -= row @ psi[: c - 1, :]
-        psi[c - 1, :] = acc / edge
+        acc = z[..., None] * psi[..., r - 1, :]
+        acc -= data[r - 1, : c - 1] @ psi[..., : c - 1, :]
+        psi[..., c - 1, :] = acc / edge
     return psi
 
 
 def theta_at(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, z) -> np.ndarray:
-    """Numeric n x n matrix Theta(z): the K rows of (M_N - zI) Psi(z)."""
+    """Numeric n x n matrix Theta(z): the K rows of (M_N - zI) Psi(z), stacked like psi_at."""
     psi = psi_at(m, s, t, z)
     rows = np.array(s.K) - 1
     mat = m.data[rows, :] @ psi
-    mat -= z * psi[rows, :]
+    mat -= np.asarray(z)[..., None, None] * psi[..., rows, :]
     return mat
 
 
@@ -259,7 +275,7 @@ def det_theta_polynomial(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix
     k = np.arange(N + 1)
     nodes = np.cos((2 * k + 1) * np.pi / (2 * (N + 1)))
     nodes = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    vals = np.array([det_theta(m, s, t, z) for z in nodes])
+    vals = np.linalg.det(theta_at(m, s, t, nodes))
     if np.max(np.abs(vals.imag)) <= 1e-9 * max(1.0, np.max(np.abs(vals))):
         vals = vals.real
     return np.polynomial.chebyshev.Chebyshev.fit(nodes, vals, deg=N, domain=[lo, hi])
@@ -356,48 +372,45 @@ def norm_sq(f: VectorPolynomial, mu: StepMeasure) -> float:
     return float(np.real(np.vdot(w, w)))
 
 
-def moments(mu: StepMeasure, k: int) -> np.ndarray:
-    """k-th matrix moment of the step measure."""
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
-    return mu.moment(k)
-
-
 def completeness_defect(mu: StepMeasure, t: BoundaryMatrix) -> float:
     """Deviation of T* (sum C C*) T from the identity."""
     total = mu.total_mass()
     return float(np.max(np.abs(t.t.conj().T @ total @ t.t - np.eye(t.n))))
 
 
+def _eigen_rows(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
+                sd: SpectralData = None):
+    """The eigenvalues lambda_k and the rows u_k = Psi(lambda_k) C^k.
+
+    Each u_k is its own matrix-vector product, rounded as a loop over k
+    would round it."""
+    if sd is None:
+        sd = eigen_decompose(m)
+    cs = np.array(c_vectors(sd, t))
+    psi = psi_at(m, s, t, sd.lambdas)
+    return sd.lambdas, np.matmul(psi, cs[:, :, None])[:, :, 0]
+
+
 def gram_matrix(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
                 sd: SpectralData = None) -> np.ndarray:
-    """Gram matrix of {p_k} under the step measure, via pointwise recursion.
+    """Gram matrix of {p_k} under the step measure, from Psi at the eigenvalues.
 
     Evaluates Psi at each eigenvalue instead of expanding polynomial
     coefficients, which stays accurate for truncations around N = 20.
     """
-    if sd is None:
-        sd = eigen_decompose(m)
-    t.require_invertible()
-    cs = c_vectors(sd, t)
-    N = s.N
-    gram = np.zeros((N, N), dtype=complex)
-    for lam, c in zip(sd.lambdas, cs):
-        u = psi_at(m, s, t, lam) @ c
+    _, us = _eigen_rows(m, s, t, sd)
+    gram = np.zeros((s.N, s.N), dtype=complex)
+    for u in us:
         gram += np.outer(u, u.conj())
     return gram
 
 
 def multiplication_matrix(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
                           sd: SpectralData = None) -> np.ndarray:
-    """Matrix elements <p_i, t * p_j> under the step measure (pointwise path)."""
-    if sd is None:
-        sd = eigen_decompose(m)
-    cs = c_vectors(sd, t)
-    N = s.N
-    out = np.zeros((N, N), dtype=complex)
-    for lam, c in zip(sd.lambdas, cs):
-        u = psi_at(m, s, t, lam) @ c
+    """Matrix elements <p_i, t * p_j> under the step measure, from Psi at the eigenvalues."""
+    lams, us = _eigen_rows(m, s, t, sd)
+    out = np.zeros((s.N, s.N), dtype=complex)
+    for lam, u in zip(lams, us):
         out += lam * np.outer(u, u.conj())
     return out
 
@@ -411,19 +424,16 @@ def q_norms_sq(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
     sum would have without the cancellation inside (M - l I)_K Psi(l) C, i.e.
     the K-row magnitudes of (M - l I) times the recovered eigenvector norms.
     """
-    if sd is None:
-        sd = eigen_decompose(m)
-    cs = c_vectors(sd, t)
+    lams, us = _eigen_rows(m, s, t, sd)
     n = s.n
     rows = np.array(s.K) - 1
+    k_rows = m.data[rows, :]
     norms = np.zeros(n)
     scales = np.zeros(n)
-    for lam, c in zip(sd.lambdas, cs):
-        psi = psi_at(m, s, t, lam)
-        u = psi @ c
-        v = m.data[rows, :] @ u - lam * u[rows]
+    for lam, u in zip(lams, us):
+        v = k_rows @ u - lam * u[rows]
         norms += np.abs(v) ** 2
-        shifted = m.data[rows, :].copy()
+        shifted = k_rows.copy()
         shifted[np.arange(n), rows] -= lam
         scales += (np.linalg.norm(shifted, axis=1) * np.linalg.norm(u)) ** 2
     return norms, scales

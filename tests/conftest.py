@@ -12,6 +12,9 @@ per-query scans over every stored entry, as a reference for equivalence tests.
 ``reference_orthonormalize`` and ``reference_moment`` are the original
 inverse sweep on VectorPolynomial arithmetic and the original per-order
 moment loop, the references of the array-based sweep and moments.
+``reference_psi_at`` and the functions after it are the original direct
+side, which evaluated Psi one point at a time and rebuilt the interpolation
+constraints entry by entry at every height.
 """
 
 import contextlib
@@ -23,9 +26,11 @@ from hypothesis import strategies as st
 
 from specband import BoundaryMatrix, GenProfile, MatrixSpec, StepMeasure, generate_random
 from specband import matrices
-from specband.errors import SingularZerothMoment
+from specband.errors import PivotViolation, SingularZerothMoment
+from specband.interpolation import LSTSQ_RCOND, expected_kernel_dimension
 from specband.reconstruct import ZERO_NORM_TOL, OrthoResult
-from specband.vectorpoly import canonical_e, leading_slot
+from specband.spectral import c_vectors, eigen_decompose
+from specband.vectorpoly import MINUS_INF, canonical_e, height, leading_slot
 
 
 @pytest.fixture
@@ -233,13 +238,13 @@ def reference_moment(mu, k):
     return out
 
 
-def _reference_weight_row(mu, k):
+def reference_weight_row(mu, k):
     i, l = leading_slot(k - 1, mu.n)
     return np.array([(lam**l) * np.conj(c[i - 1]) for lam, c in mu.points])
 
 
 def _reference_residual(mu, k, emitted_w, emitted_poly):
-    w = _reference_weight_row(mu, k)
+    w = reference_weight_row(mu, k)
     e_norm = float(np.linalg.norm(w))
     poly = canonical_e(k, mu.n)
     for _ in range(2):
@@ -276,7 +281,7 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
         if norm <= zero_tol * max(e_norm, 1e-300):
             q_tilde.append(poly)
             q_heights.append(h)
-        elif len(emitted_poly) < max_k:
+        elif len(emitted_poly) < min(max_k, mu.size):
             emitted_w.append(w / norm)
             emitted_poly.append(poly * (1.0 / norm))
         else:
@@ -298,3 +303,118 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
         weights=np.array(emitted_w) if emitted_w else np.zeros((0, mu.size)),
         skip_residuals=tuple(skip_residuals),
     )
+
+
+# -- reference: the direct side, one point and one height at a time --------
+
+
+def reference_psi_at(m, s, t, z):
+    """Psi(z) at one point by the row recursion."""
+    N, n = s.N, s.n
+    data = m.data
+    psi = np.zeros((N, n), dtype=complex)
+    psi[:n, :] = t.t.conj().T
+    for c in sorted(s.pivot):
+        r = s.pivot[c]
+        edge = data[r - 1, c - 1]
+        if abs(edge) == 0.0:
+            raise PivotViolation(f"zero edge entry at ({r},{c})")
+        acc = z * psi[r - 1, :].copy()
+        row = data[r - 1, : c - 1]
+        acc -= row @ psi[: c - 1, :]
+        psi[c - 1, :] = acc / edge
+    return psi
+
+
+def reference_theta_at(m, s, t, z):
+    psi = reference_psi_at(m, s, t, z)
+    rows = np.array(s.K) - 1
+    mat = m.data[rows, :] @ psi
+    mat -= z * psi[rows, :]
+    return mat
+
+
+def reference_det_theta(m, s, t, z):
+    return complex(np.linalg.det(reference_theta_at(m, s, t, z)))
+
+
+def reference_det_theta_polynomial(m, s, t):
+    """det Theta interpolated from one determinant per Chebyshev node."""
+    sd = eigen_decompose(m)
+    lo, hi = float(sd.lambdas[0]), float(sd.lambdas[-1])
+    pad = 0.25 * max(hi - lo, 1.0)
+    lo, hi = lo - pad, hi + pad
+    N = s.N
+    k = np.arange(N + 1)
+    nodes = np.cos((2 * k + 1) * np.pi / (2 * (N + 1)))
+    nodes = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    vals = np.array([reference_det_theta(m, s, t, z) for z in nodes])
+    if np.max(np.abs(vals.imag)) <= 1e-9 * max(1.0, np.max(np.abs(vals))):
+        vals = vals.real
+    return np.polynomial.chebyshev.Chebyshev.fit(nodes, vals, deg=N, domain=[lo, hi])
+
+
+def _reference_eigen_rows(m, s, t, sd):
+    cs = c_vectors(sd, t)
+    return [(lam, reference_psi_at(m, s, t, lam) @ c) for lam, c in zip(sd.lambdas, cs)]
+
+
+def reference_gram_matrix(m, s, t, sd):
+    gram = np.zeros((s.N, s.N), dtype=complex)
+    for _, u in _reference_eigen_rows(m, s, t, sd):
+        gram += np.outer(u, u.conj())
+    return gram
+
+
+def reference_multiplication_matrix(m, s, t, sd):
+    out = np.zeros((s.N, s.N), dtype=complex)
+    for lam, u in _reference_eigen_rows(m, s, t, sd):
+        out += lam * np.outer(u, u.conj())
+    return out
+
+
+def reference_q_norms_sq(m, s, t, sd):
+    n = s.n
+    rows = np.array(s.K) - 1
+    norms = np.zeros(n)
+    scales = np.zeros(n)
+    for lam, u in _reference_eigen_rows(m, s, t, sd):
+        v = m.data[rows, :] @ u - lam * u[rows]
+        norms += np.abs(v) ** 2
+        shifted = m.data[rows, :].copy()
+        shifted[np.arange(n), rows] -= lam
+        scales += (np.linalg.norm(shifted, axis=1) * np.linalg.norm(u)) ** 2
+    return norms, scales
+
+
+def reference_constraint_matrix(data, length):
+    """Annihilation constraints built entry by entry, powers by ``**``."""
+    rows = []
+    for mu, c in data.points:
+        powers = mu ** np.arange((length + data.n - 1) // data.n)
+        row = np.empty(length, dtype=complex)
+        for m in range(1, length + 1):
+            i, k = leading_slot(m - 1, data.n)
+            row[m - 1] = powers[k] * np.conj(c[i - 1])
+        rows.append(row)
+    return np.array(rows)
+
+
+def reference_kernel_dimension(data, h):
+    if h < 0:
+        return 0
+    svals = np.linalg.svd(reference_constraint_matrix(data, h + 1), compute_uv=False)
+    if svals.size == 0:
+        return h + 1
+    cutoff = LSTSQ_RCOND * svals[0] if svals[0] > 0 else 0.0
+    return h + 1 - int(np.sum(svals > cutoff))
+
+
+def reference_height_table(q, data):
+    """(h, observed, expected) per height, the constraints rebuilt for every h."""
+    heights = [height(qj) for qj in q]
+    h_max = max((int(h) for h in heights if h != MINUS_INF), default=-1)
+    return [
+        (h, reference_kernel_dimension(data, h), expected_kernel_dimension(heights, h, data.n))
+        for h in range(h_max + 1)
+    ]

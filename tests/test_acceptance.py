@@ -26,7 +26,6 @@ from specband import (
     generate_random,
     gram_matrix,
     inner_product,
-    moments,
     multiplication_matrix,
     norm_sq,
     orthonormalize,
@@ -93,9 +92,9 @@ def test_criterion_01_fixture_exactness(flip2):
     q1 = q[0] * (1.0 / q[0].comps[0][0])
     q_err = float(np.max(np.abs(np.array(q1.comps[0]) - [1.0, 0.0, -1.0])))
     mom_err = max(
-        abs(moments(mu, 0)[0, 0] - 1.0),
-        abs(moments(mu, 1)[0, 0]),
-        abs(moments(mu, 2)[0, 0] - 1.0),
+        abs(mu.moment(0)[0, 0] - 1.0),
+        abs(mu.moment(1)[0, 0]),
+        abs(mu.moment(2)[0, 0] - 1.0),
     )
     elapsed = time.monotonic() - t0
     worst = max(eig_err, jump_err, p_err, q_err, mom_err)

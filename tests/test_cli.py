@@ -8,7 +8,7 @@ from specband import serialize as ser
 from specband import truncate
 from specband.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run_cli
 
-from conftest import make_fix7
+from conftest import gue_measure, make_fix7
 
 
 @pytest.fixture
@@ -237,3 +237,12 @@ class TestToleranceAndLimitChecks:
     def test_max_k_equal_to_n_runs(self, sigma_file, capsys):
         assert run_cli(["reconstruct", sigma_file, "--max-k", "3"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["emitted"] == 3
+
+    def test_tiny_tolerance_stops_at_n_emitted(self, tmp_path, capsys):
+        sigma = tmp_path / "sigma3.json"
+        ser.dump(ser.measure_to_dict(gue_measure(0, 1, 3)), sigma)
+        argv = ["reconstruct", str(sigma), "--tol-zero", "1e-300", "--max-k", "12"]
+        assert run_cli(argv) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["emitted"] == 3
+        assert np.array(out["matrix"]["data"]).shape == (3, 3, 2)

@@ -3,6 +3,7 @@ import pytest
 
 from specband import (
     BoundaryMatrix,
+    GenProfile,
     InterpolationData,
     NoDecomposition,
     analyze_structure,
@@ -10,6 +11,7 @@ from specband import (
     build_q,
     decompose,
     eigen_decompose,
+    generate_random,
     is_solution,
     kernel_dimension,
     recompose,
@@ -20,7 +22,14 @@ from specband import (
 from specband.interpolation import expected_kernel_dimension
 from specband.vectorpoly import VectorPolynomial, canonical_e, height, poly_allclose
 
-from conftest import make_fix7, random_boundary, random_instance
+from conftest import (
+    make_fix7,
+    random_boundary,
+    random_instance,
+    reference_height_table,
+    reference_kernel_dimension,
+    reference_weight_row,
+)
 
 
 def pipeline(spec, N, t=None, seed=0):
@@ -219,3 +228,37 @@ class TestHeightCoverage:
                 covered.update(h + spec.n * l for l in range(0, 40))
             top = max(hp)
             assert set(range(top + 1)) <= covered
+
+
+# -- the height walk against rebuilding the constraints at every height ----
+
+
+def assert_walk_like_reference(spec, N, t):
+    _, _, _, mu, p, q = pipeline(spec, N, t)
+    data = InterpolationData.from_measure(mu)
+    table = reference_height_table(q, data)
+    assert verify_generators(q, data).height_table == table
+    for h in range(-1, len(table) + 1):
+        assert kernel_dimension(data, h) == reference_kernel_dimension(data, h)
+    B = data.constraint_matrix(len(table) + 1)
+    for k in range(1, B.shape[1] + 1):
+        assert B[:, k - 1].tobytes() == reference_weight_row(mu, k).tobytes()
+
+
+class TestHeightWalkMatchesReference:
+    def test_acceptance_set(self):
+        for seed in range(50):
+            spec, N = random_instance(seed)
+            assert_walk_like_reference(spec, N, random_boundary(spec.n, seed + 10_000))
+
+    @pytest.mark.parametrize("N", [10, 20, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_direct_cells(self, n, N):
+        for seed in range(2):
+            spec = generate_random(GenProfile(n=n, n_max=N), seed)
+            assert_walk_like_reference(spec, N, random_boundary(n, seed))
+
+    def test_no_nodes(self):
+        data = InterpolationData(2, ())
+        assert data.constraint_matrix(3).shape == (0, 3)
+        assert kernel_dimension(data, 2) == 3

@@ -368,13 +368,16 @@ class TestSweepMatchesReference:
             assert_sweep_like_reference(mu, N)
             assert_sweep_like_reference(mu, N // 3 + n, check_skips=False)
 
-    @pytest.mark.parametrize("n, max_k", [(1, 6), (2, 7)])
-    def test_emitting_past_n_grows_the_coefficient_array(self, n, max_k):
-        # a tiny threshold emits past the N-dimensional space, beyond the
-        # preallocated rows (and, for n=1, columns), and must still match
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("max_k", [6, 12])
+    def test_tiny_threshold_stops_at_n_emitted(self, n, max_k):
+        # under zero_tol=1e-300 rounding residues past the 3-dimensional
+        # space count as directions; emission still stops at N = 3
         mu = gue_measure(0, n, 3)
         res = assert_sweep_like_reference(mu, max_k, zero_tol=1e-300)
-        assert len(res.p_tilde) == max_k
+        assert len(res.p_tilde) == 3 and res.rank_exhausted
+        coeffs = [c for p in res.p_tilde for comp in p.comps for c in comp]
+        assert np.all(np.isfinite(coeffs))
 
 
 @settings(max_examples=200, deadline=None)

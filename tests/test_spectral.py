@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specband import (
     BoundaryMatrix,
+    FiniteHermitian,
+    GenProfile,
     SingularBoundary,
     analyze_structure,
     build_p,
@@ -14,9 +17,9 @@ from specband import (
     det_theta,
     det_theta_polynomial,
     eigen_decompose,
+    generate_random,
     gram_matrix,
     inner_product,
-    moments,
     multiplication_matrix,
     norm_sq,
     psi_at,
@@ -32,9 +35,17 @@ from specband.vectorpoly import VectorPolynomial, height
 from conftest import (
     awkward_measures,
     gue_measure,
+    outcome,
     random_boundary,
     random_instance,
+    reference_det_theta,
+    reference_det_theta_polynomial,
+    reference_gram_matrix,
     reference_moment,
+    reference_multiplication_matrix,
+    reference_psi_at,
+    reference_q_norms_sq,
+    reference_theta_at,
 )
 
 
@@ -256,8 +267,7 @@ class TestStepMeasure:
         data = np.zeros((4, 4), dtype=complex)
         data[0, 2] = data[2, 0] = 1.0
         data[1, 3] = data[3, 1] = 1.0
-        from specband.matrices import FiniteHermitian
-
+        
         sd = eigen_decompose(FiniteHermitian(4, data))
         t = BoundaryMatrix.identity(2)
         mu = step_measure(sd, t)
@@ -313,7 +323,7 @@ class TestMoments:
     def test_flip2_frozen(self, flip2):
         m, s, t, sd = setup(flip2, 2)
         mu = step_measure(sd, t)
-        vals = [moments(mu, k)[0, 0] for k in range(3)]
+        vals = [mu.moment(k)[0, 0] for k in range(3)]
         assert np.allclose(vals, [1.0, 0.0, 1.0], atol=1e-12)
 
     def test_jac5_matrix_power_oracle(self, jac5):
@@ -321,7 +331,7 @@ class TestMoments:
         mu = step_measure(sd, t)
         for k in range(7):
             oracle = np.linalg.matrix_power(m.data, k)[0, 0]
-            assert moments(mu, k)[0, 0] == pytest.approx(oracle, abs=1e-10)
+            assert mu.moment(k)[0, 0] == pytest.approx(oracle, abs=1e-10)
 
     def test_moments_match_matrix_powers_block(self, fix7):
         # with identity boundary, S_k equals the upper-left n x n block of M^k
@@ -329,13 +339,13 @@ class TestMoments:
         mu = step_measure(sd, t)
         for k in range(5):
             oracle = np.linalg.matrix_power(m.data, k)[:3, :3]
-            assert np.max(np.abs(moments(mu, k) - oracle)) < 1e-8
+            assert np.max(np.abs(mu.moment(k) - oracle)) < 1e-8
 
     def test_s1_via_degree_one_inner_products(self, fix7):
         t = random_boundary(3, 3)
         m, s, _, sd = setup(fix7, 7)
         mu = step_measure(sd, t)
-        s1 = moments(mu, 1)
+        s1 = mu.moment(1)
         from specband.vectorpoly import canonical_e
 
         for i in range(1, 4):
@@ -351,14 +361,14 @@ class TestMoments:
         m, s, _, sd = setup(fix7, 7)
         mu = step_measure(sd, t)
         for k in range(4):
-            sk = moments(mu, k)
+            sk = mu.moment(k)
             assert np.max(np.abs(sk - sk.conj().T)) < 1e-12
 
     def test_s0_invertible(self, fix7):
         t = random_boundary(3, 5)
         m, s, _, sd = setup(fix7, 7)
         mu = step_measure(sd, t)
-        assert np.min(np.linalg.eigvalsh(moments(mu, 0))) > 1e-6
+        assert np.min(np.linalg.eigvalsh(mu.moment(0))) > 1e-6
 
     def test_negative_order_rejected(self, flip2):
         m, s, t, sd = setup(flip2, 2)
@@ -505,3 +515,95 @@ class TestBulkIdentities:
     def test_jump_rank_tolerance(self):
         jump = np.diag([1.0, 1e-20])
         assert jump_rank(jump) == 1
+
+
+# ------------------------------------------- direct side against the per-point loops
+
+
+def as_bytes(value):
+    """Arrays as (dtype, shape, bytes), tuples elementwise, anything else as is."""
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(as_bytes(v) for v in value)
+    return value
+
+
+def assert_same(fn, ref, *args):
+    assert as_bytes(outcome(fn, *args)) == as_bytes(outcome(ref, *args))
+
+
+def assert_points_like_reference(m, s, t, zs):
+    """psi_at/theta_at over the array zs, and at each point alone, against the loop."""
+    for fn, ref in ((psi_at, reference_psi_at), (theta_at, reference_theta_at)):
+        stacked = outcome(fn, m, s, t, zs)
+        refs = [outcome(ref, m, s, t, z) for z in zs]
+        if isinstance(stacked, np.ndarray):
+            assert stacked.shape[0] == len(zs)
+            assert [as_bytes(a) for a in stacked] == [as_bytes(r) for r in refs]
+        else:  # the stacked call raises what the first failing point raises
+            assert stacked == next(r for r in refs if not isinstance(r, np.ndarray))
+        for z in zs:
+            assert_same(fn, ref, m, s, t, z)
+    for z in zs:
+        assert_same(det_theta, reference_det_theta, m, s, t, z)
+
+
+def assert_direct_like_reference(m, s, t):
+    sd = eigen_decompose(m)
+    assert_points_like_reference(m, s, t, sd.lambdas)
+    for fn, ref in (
+        (gram_matrix, reference_gram_matrix),
+        (multiplication_matrix, reference_multiplication_matrix),
+        (q_norms_sq, reference_q_norms_sq),
+    ):
+        assert_same(fn, ref, m, s, t, sd)
+    poly, ref = det_theta_polynomial(m, s, t), reference_det_theta_polynomial(m, s, t)
+    assert as_bytes(poly.coef) == as_bytes(ref.coef)
+    assert as_bytes(poly.domain) == as_bytes(ref.domain)
+
+
+class TestDirectSideMatchesReference:
+    def test_acceptance_set(self):
+        for seed in range(50):
+            spec, N = random_instance(seed)
+            m, s = truncate(spec, N), analyze_structure(spec, N)
+            assert_direct_like_reference(m, s, random_boundary(spec.n, seed + 10_000))
+
+    @pytest.mark.parametrize("N", [10, 20, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_direct_cells(self, n, N):
+        for seed in range(2):
+            spec = generate_random(GenProfile(n=n, n_max=N), seed)
+            m, s = truncate(spec, N), analyze_structure(spec, N)
+            assert_direct_like_reference(m, s, random_boundary(n, seed))
+
+    def test_zero_edge_raises_like_reference(self, fix7):
+        m, s, t, _ = setup(fix7, 7)
+        data = m.data.copy()
+        data[0, 3] = data[3, 0] = 0.0  # the edge of column 4
+        assert_points_like_reference(FiniteHermitian(7, data), s, t, np.array([0.5, -1.0]))
+
+
+@st.composite
+def direct_points(draw):
+    """A small instance and an array of real or complex points of mixed size."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(n + 2, 12))
+    seed = draw(st.integers(0, 10_000))
+    spec = generate_random(GenProfile(n=n, n_max=N), seed)
+    m, s = truncate(spec, N), analyze_structure(spec, N)
+    sizes = st.sampled_from([0.0, 1e-3, 1.0, 3.0, 40.0])
+    part = st.tuples(st.floats(-1.0, 1.0), sizes).map(lambda p: p[0] * p[1])
+    re = draw(st.lists(part, min_size=1, max_size=6))
+    zs = np.array(re)
+    if draw(st.booleans()):
+        zs = zs + 1j * np.array(draw(st.lists(part, min_size=len(re), max_size=len(re))))
+    return m, s, random_boundary(n, seed), zs
+
+
+@settings(max_examples=150, deadline=None)
+@given(direct_points())
+def test_points_match_reference(case):
+    assert_points_like_reference(*case)
+
