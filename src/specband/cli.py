@@ -1,16 +1,17 @@
 """Command-line front end: validation, spectra, measures, reconstruction.
 
 Every command reads/writes the JSON formats of :mod:`specband.serialize`;
-complex values are [re, im] pairs throughout.  Exit codes: 0 success, 1
-validation failure, 2 numerical failure, 64 usage error.  The environment
-variable SPECBAND_TOL overrides the zero-norm threshold used by the
-reconstruction sweep; --tol-zero overrides both.  Tolerances must be
-positive finite numbers.
+complex values are [re, im] pairs throughout, and every JSON output is
+``json.dumps(payload, indent=2)`` text, written by ``serialize.dumps``.
+Exit codes: 0 success, 1 validation failure, 2 numerical failure, 64 usage
+error.  The environment variable SPECBAND_TOL overrides the zero-norm
+threshold used by the reconstruction sweep; --tol-zero overrides both.
+Tolerances must be positive finite numbers.
 """
 
 import argparse
 import csv
-import json
+import functools
 import math
 import os
 import sys
@@ -50,7 +51,7 @@ _NUMERICAL = (NumericalFailure, SingularBoundary, SingularZerothMoment, NoDecomp
 
 @dataclass
 class Config:
-    """Tolerances and output knobs shared by the subcommands."""
+    """Tolerances shared by the subcommands."""
 
     tol_zero: float = rec.ZERO_NORM_TOL
     cluster: float = CLUSTER_TOL
@@ -83,7 +84,7 @@ def _tolerance(text):
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2)
+    text = ser.dumps(payload)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -156,14 +157,9 @@ def cmd_measure(args, cfg):
 
 def cmd_moments(args, cfg):
     mu = ser.measure_from_dict(ser.load(args.file))
-    out = [[[list_pair(v) for v in row] for row in s] for s in mu.moments_upto(args.k)]
+    out = ser.complex_pairs(mu.moments_upto(args.k))
     _emit({"n": mu.n, "orders": args.k, "moments": out}, args.output)
     return EXIT_OK
-
-
-def list_pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def cmd_staircase(args, cfg):
@@ -284,7 +280,9 @@ def cmd_gen(args, cfg):
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process; each parse gets a new namespace."""
     parser = _Parser(prog="specband", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,9 +2,12 @@
 
 Complex numbers are always written as two-element [re, im] arrays.  Matrix
 entries store the upper triangle only; Hermitian symmetry is implied.
+Every file is ``json.dumps(obj, indent=2)`` text, written by :func:`dumps`.
 """
 
+import functools
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -16,6 +19,12 @@ from .vectorpoly import VectorPolynomial
 def _c(z):
     z = complex(z)
     return [z.real, z.imag]
+
+
+def complex_pairs(a):
+    """Nested [re, im] lists of a complex array: the floats of ``_c`` per entry."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _unc(pair):
@@ -59,7 +68,7 @@ def spec_from_dict(d: dict) -> MatrixSpec:
 
 
 def matrix_to_dict(m: FiniteHermitian) -> dict:
-    return {"N": m.N, "data": [[_c(v) for v in row] for row in m.data]}
+    return {"N": m.N, "data": complex_pairs(m.data)}
 
 
 def matrix_from_dict(d: dict) -> FiniteHermitian:
@@ -68,7 +77,7 @@ def matrix_from_dict(d: dict) -> FiniteHermitian:
 
 
 def boundary_to_dict(t: BoundaryMatrix) -> dict:
-    return {"n": t.n, "t": [[_c(v) for v in row] for row in t.t]}
+    return {"n": t.n, "t": complex_pairs(t.t)}
 
 
 def boundary_from_dict(d: dict) -> BoundaryMatrix:
@@ -79,9 +88,7 @@ def boundary_from_dict(d: dict) -> BoundaryMatrix:
 def measure_to_dict(mu: StepMeasure) -> dict:
     return {
         "n": mu.n,
-        "points": [
-            {"lambda": lam, "C": [_c(v) for v in c]} for lam, c in mu.points
-        ],
+        "points": [{"lambda": lam, "C": complex_pairs(c)} for lam, c in mu.points],
     }
 
 
@@ -102,8 +109,99 @@ def poly_from_dict(d: dict) -> VectorPolynomial:
     return VectorPolynomial.from_components(comps, int(d["n"]), tol=0.0)
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_SEQUENCES = frozenset((list, tuple))
+_CONTAINERS = (list, tuple, dict)
+
+
+@functools.lru_cache(maxsize=None)
+def _flat(level):
+    """C-encoder call that separates items by a newline and ``level`` indents."""
+    return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
+
+
+def _scalars(items):
+    """True if every item is exactly one of the JSON scalar types."""
+    return _SCALARS.issuperset(map(type, items))
+
+
+def _is_rows(o):
+    """True for a list of non-empty lists (or tuples) of JSON scalars."""
+    return _SEQUENCES.issuperset(map(type, o)) and all(o) and _scalars(chain.from_iterable(o))
+
+
+def _rows(rows, level):
+    r"""A list of non-empty scalar lists at ``level``, in one C-encoder call.
+
+    Encoded scalars hold no raw newline, so "],\n[" only occurs between two
+    inner lists and ",\n" only between two items.
+    """
+    outer, inner = "  " * (level + 1), "  " * (level + 2)
+    body = (
+        _flat(0)(rows)[2:-2]
+        .replace(",\n", ",\n" + inner)
+        .replace("],\n" + inner + "[", f"\n{outer}],\n{outer}[\n{inner}")
+    )
+    return f"[\n{outer}[\n{inner}{body}\n{outer}]\n{'  ' * level}]"
+
+
+def _mixed(o, level, path):
+    """Items of a container at ``level`` that holds containers, as texts.
+
+    Each run of scalar items takes one C-encoder call; a dict key before a
+    container goes through the C encoder on its own.
+    """
+    is_dict = isinstance(o, dict)
+    parts, run = [], []
+    path.add(id(o))
+    for item in o.items() if is_dict else o:
+        value = item[1] if is_dict else item
+        if not isinstance(value, _CONTAINERS):
+            run.append(item)
+            continue
+        if run:
+            parts.append(_flat(level)(dict(run) if is_dict else run)[1:-1])
+            run = []
+        text = _encode(value, level, path)
+        parts.append(_flat(0)({item[0]: 0})[1:-4] + ": " + text if is_dict else text)
+    if run:
+        parts.append(_flat(level)(dict(run) if is_dict else run)[1:-1])
+    path.discard(id(o))
+    return parts
+
+
+def _encode(o, level, path):
+    """``json.dumps(o, indent=2)`` text of ``o`` nested ``level`` deep."""
+    if not isinstance(o, _CONTAINERS):
+        return _flat(level)(o)
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    if id(o) in path:
+        raise ValueError("Circular reference detected")
+    is_dict = isinstance(o, dict)
+    if _scalars(o.values() if is_dict else o):
+        body = _flat(level + 1)(o)[1:-1]
+    elif not is_dict and _is_rows(o):
+        return _rows(o, level)
+    else:
+        body = (",\n" + "  " * (level + 1)).join(_mixed(o, level + 1, path))
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{'  ' * (level + 1)}{body}\n{'  ' * level}{closing}"
+
+
+def dumps(obj):
+    """``json.dumps(obj, indent=2)``, byte for byte, with the same errors.
+
+    Dicts and lists are walked here.  Each run of scalars, and each list of
+    scalar lists such as a matrix row of [re, im] pairs, takes one call of
+    the C encoder, which formats NaN, infinities, ints and strings exactly as
+    json does.
+    """
+    return _encode(obj, 0, set())
+
+
 def dump(obj_dict, path=None):
-    text = json.dumps(obj_dict, indent=2)
+    text = dumps(obj_dict)
     if path is None:
         return text
     with open(path, "w", encoding="utf-8") as fh:

@@ -30,7 +30,7 @@ def _trim(coeffs, tol):
     last = len(coeffs)
     while last > 0 and abs(coeffs[last - 1]) <= tol:
         last -= 1
-    return tuple(complex(c) for c in coeffs[:last])
+    return tuple(map(complex, coeffs[:last]))
 
 
 @dataclass(frozen=True)
@@ -180,15 +180,11 @@ def to_coeff_vector(r: VectorPolynomial, length):
 
 
 def from_coeff_vector(coords, n, tol=COEFF_TRIM_TOL):
-    """Inverse of :func:`to_coeff_vector`."""
-    comps = [[] for _ in range(n)]
-    for m, c in enumerate(coords):
-        i, k = leading_slot(m, n)
-        comp = comps[i - 1]
-        while len(comp) <= k:
-            comp.append(0j)
-        comp[k] = complex(c)
-    return VectorPolynomial.from_components(comps, n, tol=tol)
+    """Inverse of :func:`to_coeff_vector`: slot i holds every n-th coordinate."""
+    coords = np.asarray(coords)
+    return VectorPolynomial.from_components(
+        [coords[i::n].tolist() for i in range(n)], n, tol=tol
+    )
 
 
 def poly_allclose(a: VectorPolynomial, b: VectorPolynomial, tol=1e-9):

@@ -15,9 +15,14 @@ moment loop, the references of the array-based sweep and moments.
 ``reference_psi_at`` and the functions after it are the original direct
 side, which evaluated Psi one point at a time and rebuilt the interpolation
 constraints entry by entry at every height.
+``reference_dumps`` is the CLI's original output encoder, json's indent-2
+encoder, and ``reference_from_coeff_vector`` the original per-coefficient
+slot loop with its trimming loop, the references of ``serialize.dumps`` and
+of ``vectorpoly.from_coeff_vector``.
 """
 
 import contextlib
+import json
 from unittest import mock
 
 import numpy as np
@@ -30,7 +35,14 @@ from specband.errors import PivotViolation, SingularZerothMoment
 from specband.interpolation import LSTSQ_RCOND, expected_kernel_dimension
 from specband.reconstruct import ZERO_NORM_TOL, OrthoResult
 from specband.spectral import c_vectors, eigen_decompose
-from specband.vectorpoly import MINUS_INF, canonical_e, height, leading_slot
+from specband.vectorpoly import (
+    COEFF_TRIM_TOL,
+    MINUS_INF,
+    VectorPolynomial,
+    canonical_e,
+    height,
+    leading_slot,
+)
 
 
 @pytest.fixture
@@ -418,3 +430,27 @@ def reference_height_table(q, data):
         (h, reference_kernel_dimension(data, h), expected_kernel_dimension(heights, h, data.n))
         for h in range(h_max + 1)
     ]
+
+
+def reference_dumps(obj):
+    """JSON text as the CLI wrote it before ``serialize.dumps``."""
+    return json.dumps(obj, indent=2)
+
+
+def _reference_trim(coeffs, tol):
+    last = len(coeffs)
+    while last > 0 and abs(coeffs[last - 1]) <= tol:
+        last -= 1
+    return tuple(complex(c) for c in coeffs[:last])
+
+
+def reference_from_coeff_vector(coords, n, tol=COEFF_TRIM_TOL):
+    """Vector polynomial of canonical coordinates, one coefficient at a time."""
+    comps = [[] for _ in range(n)]
+    for m, c in enumerate(coords):
+        i, k = leading_slot(m, n)
+        comp = comps[i - 1]
+        while len(comp) <= k:
+            comp.append(0j)
+        comp[k] = complex(c)
+    return VectorPolynomial(n, tuple(_reference_trim(c, tol) for c in comps))

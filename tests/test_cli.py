@@ -4,11 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from specband import cli
 from specband import serialize as ser
 from specband import truncate
 from specband.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run_cli
+from specband.reconstruct import ZERO_NORM_TOL
+from specband.spectral import CLUSTER_TOL
 
-from conftest import gue_measure, make_fix7
+from conftest import gue_measure, make_fix7, reference_dumps
 
 
 @pytest.fixture
@@ -246,3 +249,131 @@ class TestToleranceAndLimitChecks:
         out = json.loads(capsys.readouterr().out)
         assert out["emitted"] == 3
         assert np.array(out["matrix"]["data"]).shape == (3, 3, 2)
+
+
+class TestOutputText:
+    """Every JSON output file is the reference text of its payload."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("spec", "inf", "mat", "sigma", "poly", "T")}
+        assert run_cli(["gen", "--n", "2", "--N-max", "8", "--seed", "7", "-o", paths["spec"]]) == 0
+        # n=1, N=30, seed 7: the round trip's sizes differ and its errors are inf
+        assert run_cli(["gen", "--n", "1", "--N-max", "30", "--seed", "7", "-o", paths["inf"]]) == 0
+        assert run_cli(["truncate", "--N", "6", paths["spec"], "-o", paths["mat"]]) == 0
+        assert run_cli(["measure", paths["spec"], "-o", paths["sigma"]]) == 0
+        ser.dump({"n": 2, "comps": [[[1, 0], [-0.0, 2.5]], [[0.125, -1]]]}, paths["poly"])
+        ser.dump({"n": 2, "t": [[[1, 0], [0.5, -0.25]], [[0, 0], [2, 0]]]}, paths["T"])
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "3", "--N-max", "9", "--seed", "4", "--mtilde"],
+            ["validate", "--class", "m", "{spec}"],
+            ["validate", "--class", "mtilde", "{spec}"],
+            ["truncate", "--N", "5", "{spec}"],
+            ["spectrum", "{mat}"],
+            ["measure", "{spec}", "--boundary", "{T}"],
+            ["measure", "{mat}", "--n", "2"],
+            ["moments", "--k", "4", "{sigma}"],
+            ["check-solution", "{sigma}", "{poly}"],
+            ["generators", "{spec}"],
+            ["height", "{poly}"],
+            ["reconstruct", "{sigma}", "--max-k", "8"],
+            ["roundtrip", "--N", "8", "{spec}"],
+            ["roundtrip", "--N", "30", "{inf}"],
+            ["roundtrip", "--N", "6", "--batch", "2", "--seed", "3", "{spec}"],
+        ],
+    )
+    def test_file_is_reference_text(self, files, argv, tmp_path, monkeypatch):
+        payloads = []
+        dumps = ser.dumps
+
+        def spy(obj):
+            payloads.append(obj)
+            return dumps(obj)
+
+        monkeypatch.setattr(ser, "dumps", spy)
+        out = tmp_path / "out.json"
+        run_cli([a.format(**files) for a in argv] + ["-o", str(out)])
+        assert len(payloads) == 1
+        assert out.read_text(encoding="utf-8") == reference_dumps(payloads[0]) + "\n"
+
+    def test_roundtrip_report_with_infinity(self, files, tmp_path):
+        out = tmp_path / "out.json"
+        run_cli(["roundtrip", "--N", "30", files["inf"], "-o", str(out)])
+        assert '"eigenvalue_error": Infinity' in out.read_text(encoding="utf-8")
+
+    def test_stdout_is_reference_text(self, files, capsys):
+        assert run_cli(["moments", "--k", "2", files["sigma"]]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert text == reference_dumps(json.loads(text)) + "\n"
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def sigma_file(self, tmp_path):
+        sigma = tmp_path / "sigma.json"
+        ser.dump(ser.measure_to_dict(gue_measure(1, 2, 6)), sigma)
+        return str(sigma)
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        """The Config of every run_cli call, as (tol_zero, cluster)."""
+        seen = []
+
+        class Recorded(cli.Config):
+            def __post_init__(self):
+                super().__post_init__()
+                seen.append((self.tol_zero, self.cluster))
+
+        monkeypatch.setattr(cli, "Config", Recorded)
+        return seen
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_fresh_namespace_per_parse(self):
+        parser = cli.build_parser()
+        first = parser.parse_args(["gen", "--n", "2", "--N-max", "5", "--tail", "1", "2", "--real", "-v"])
+        second = parser.parse_args(["gen", "--n", "1", "--N-max", "3"])
+        assert first is not second
+        assert (first.tail, first.real, first.verbose) == ([1, 2], True, 1)
+        assert (second.tail, second.real, second.verbose) == (None, False, 0)
+
+    def test_settings_do_not_leak(self, sigma_file, configs, monkeypatch, capsys):
+        argv = ["moments", "--k", "1", sigma_file]
+        monkeypatch.delenv("SPECBAND_TOL", raising=False)
+        runs = [argv + ["--tol-zero", "1e-3", "--cluster-tol", "1e-4"], argv]
+        for flags in runs:
+            assert run_cli(flags) == EXIT_OK
+        monkeypatch.setenv("SPECBAND_TOL", "1e-5")
+        assert run_cli(argv) == EXIT_OK
+        assert run_cli(argv + ["--tol-zero", "1e-2"]) == EXIT_OK
+        monkeypatch.delenv("SPECBAND_TOL")
+        assert run_cli(argv + ["--cluster-tol", "1e-6"]) == EXIT_OK
+        assert run_cli(argv) == EXIT_OK
+        assert configs == [
+            (1e-3, 1e-4),
+            (ZERO_NORM_TOL, CLUSTER_TOL),
+            (1e-5, CLUSTER_TOL),
+            (1e-2, CLUSTER_TOL),
+            (ZERO_NORM_TOL, 1e-6),
+            (ZERO_NORM_TOL, CLUSTER_TOL),
+        ]
+        # the same calls on a parser built afresh give the same settings
+        cli.build_parser.cache_clear()
+        assert run_cli(argv) == EXIT_OK
+        assert configs[-1] == (ZERO_NORM_TOL, CLUSTER_TOL)
+        capsys.readouterr()
+
+    def test_usage_error_after_reuse(self, sigma_file, capsys):
+        assert run_cli(["moments", "--k", "1", sigma_file]) == EXIT_OK
+        for argv in (["reconstruct"], ["moments", sigma_file], ["bogus"],
+                     ["reconstruct", sigma_file, "--tol-zero", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv)
+            assert exc.value.code == EXIT_USAGE
+        assert run_cli(["reconstruct", sigma_file, "--max-k", "6"]) == EXIT_OK
+        capsys.readouterr()

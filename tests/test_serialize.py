@@ -10,7 +10,7 @@ from specband import serialize as ser
 from specband.spectral import StepMeasure
 from specband.vectorpoly import VectorPolynomial
 
-from conftest import make_fix7
+from conftest import make_fix7, reference_dumps
 
 
 finite_float = st.floats(
@@ -84,3 +84,128 @@ class TestOtherRoundTrips:
         assert kind == "matrix"
         with pytest.raises(ValueError):
             ser.sniff_matrix_or_spec({"bogus": 1})
+
+
+# JSON trees for the emitter: every scalar json writes (NaN, infinities,
+# -0.0, ints beyond 64 bits, non-ASCII and escaped strings), np.float64
+# leaves, dict keys of every kind json accepts, tuples, empty containers
+# and lists of (ragged, mixed-type) scalar lists such as [re, im] pairs.
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).map(lambda i: i * (-1) ** (i % 2)),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, 5e-324]),
+    st.floats().map(np.float64),
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\u2028", "é", "😀", "],\n[", ",\n"]),
+)
+json_keys = st.one_of(
+    st.text(max_size=4), st.integers(), st.floats(), st.booleans(), st.none()
+)
+scalar_rows = st.lists(st.lists(json_scalars, min_size=1, max_size=3), max_size=3)
+pair_rows = st.lists(
+    st.tuples(st.floats(), st.floats()) | st.lists(st.floats(), min_size=2, max_size=2),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _nest(inner):
+    return st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(json_keys, inner, max_size=3),
+    )
+
+
+json_leaves = st.one_of(json_scalars, scalar_rows, pair_rows)
+json_trees = _nest(st.one_of(json_leaves, _nest(st.one_of(json_leaves, _nest(json_leaves)))))
+
+
+class TestDumpsMatchesReference:
+    @settings(max_examples=2000, deadline=None)
+    @given(json_trees)
+    def test_random_trees(self, obj):
+        assert ser.dumps(obj) == reference_dumps(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            0,
+            "",
+            float("nan"),
+            [],
+            {},
+            [[]],
+            [{}],
+            {"": []},
+            [[1.0, 2.0], []],
+            [[1.0, 2.0], [3.0, [4.0]]],
+            [(-0.0, float("inf")), [float("nan"), -float("inf")]],
+            [[1, "a", None, True], [2**70], [False, 0.5]],
+            {1: [1], 1.5: {"x": []}, None: [[0.0, 1.0]], True: (2,), "k": 3},
+            [1, [2], 3, 4, [[5]], "s", {}],
+            {"a": np.float64(0.1), "b": [np.float64("nan"), 1.0]},
+        ],
+    )
+    def test_listed(self, obj):
+        assert ser.dumps(obj) == reference_dumps(obj)
+
+    def test_payloads(self):
+        spec = make_fix7()
+        for d in (
+            ser.spec_to_dict(spec),
+            ser.matrix_to_dict(truncate(spec, 7)),
+            ser.boundary_to_dict(BoundaryMatrix(2, np.array([[1.0, 0.5 + 2j], [0, 0.75]]))),
+        ):
+            assert ser.dumps(d) == reference_dumps(d)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [1, 2j],
+            {"a": [1, {(1, 2): 3}]},
+            {"a": np.int64(3)},
+            [[1.0, 2.0], [3.0, {1, 2}]],
+            {"a": 1, "b": object(), "c": [1j]},
+            {(1,): [1]},
+            [np.array([1.0])],
+        ],
+    )
+    def test_same_type_error(self, obj):
+        with pytest.raises(TypeError) as expected:
+            reference_dumps(obj)
+        with pytest.raises(TypeError) as got:
+            ser.dumps(obj)
+        assert str(got.value) == str(expected.value)
+
+    def test_circular_reference(self):
+        a = [1.0]
+        a.append({"a": a})
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            reference_dumps(a)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            ser.dumps(a)
+
+    def test_dump_writes_the_reference_text(self, tmp_path):
+        d = ser.spec_to_dict(make_fix7())
+        path = tmp_path / "spec.json"
+        ser.dump(d, path)
+        assert path.read_text(encoding="utf-8") == reference_dumps(d) + "\n"
+        assert ser.dump(d) == reference_dumps(d)
+
+
+complex_entries = st.complex_numbers(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [complex(-0.0, -0.0), complex(0.0, -0.0), complex(float("nan"), -0.0)]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(complex_entries, max_size=12), st.integers(min_value=1, max_value=3))
+def test_complex_pairs_are_the_floats_of_c(values, width):
+    a = np.array(values[: len(values) // width * width], dtype=complex).reshape(-1, width)
+    expected = [[[complex(v).real, complex(v).imag] for v in row] for row in a]
+    assert repr(ser.complex_pairs(a)) == repr(expected)
+    assert repr(ser.complex_pairs(a.real)) == repr([[[v, 0.0] for v in row] for row in a.real.tolist()])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from specband.errors import DimensionMismatch
 from specband.vectorpoly import (
+    COEFF_TRIM_TOL,
     MINUS_INF,
     VectorPolynomial,
     canonical_e,
@@ -14,6 +15,8 @@ from specband.vectorpoly import (
     poly_allclose,
     to_coeff_vector,
 )
+
+from conftest import reference_from_coeff_vector
 
 
 def vp(comps, n=None):
@@ -158,3 +161,50 @@ def test_coeff_vector_round_trip(n, length):
     coords = rng.normal(size=length) + 1j * rng.normal(size=length)
     r = from_coeff_vector(coords, n, tol=0.0)
     assert np.allclose(to_coeff_vector(r, length), coords)
+
+
+def _same_poly(a, b):
+    """Equal dimension and coefficients, bit for bit (repr tells -0.0 from 0.0)."""
+    return repr((a.n, a.comps)) == repr((b.n, b.comps))
+
+
+class TestFromCoeffVectorMatchesReference:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [],
+            [0.0],
+            [1 + 2j, -0.0, 3.5, 0j, 0j, 0j, 0j],
+            [0.0, -0.0j, 1e-13, 2e-13, -5e-13j, 0.0, 1e-12, 0.0],
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+            [float("nan"), 1.0, float("inf"), 0.0],
+        ],
+    )
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 0.5])
+    def test_listed(self, n, coords, tol):
+        for c in (coords, np.asarray(coords, dtype=complex)):
+            assert _same_poly(
+                from_coeff_vector(c, n, tol=tol), reference_from_coeff_vector(c, n, tol=tol)
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_real_and_integer_arrays(self, n):
+        for coords in (np.array([1.0, -0.0, 0.0, 2.5, 0.0]), np.array([3, 0, 1, 0, 0, 0])):
+            assert _same_poly(from_coeff_vector(coords, n), reference_from_coeff_vector(coords, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.lists(st.one_of(coeff, st.sampled_from([0j, -0.0 + 0j, 1e-13, -2e-12j])), max_size=14),
+        st.sampled_from([0.0, COEFF_TRIM_TOL, 1e-3]),
+    )
+    def test_random(self, n, coords, tol):
+        a = np.asarray(coords, dtype=complex)
+        assert _same_poly(from_coeff_vector(a, n, tol=tol), reference_from_coeff_vector(a, n, tol=tol))
+
+    def test_default_tolerance_trims(self):
+        coords = [1.0, 0.0, 5e-13, 2e-13]
+        r = from_coeff_vector(coords, 2)
+        assert r.comps == ((1 + 0j,), ())
+        assert _same_poly(r, reference_from_coeff_vector(coords, 2))
