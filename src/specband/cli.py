@@ -4,9 +4,10 @@ Every command reads/writes the JSON formats of :mod:`specband.serialize`;
 complex values are [re, im] pairs throughout, and every JSON output is
 ``json.dumps(payload, indent=2)`` text, written by ``serialize.dumps``.
 Exit codes: 0 success, 1 validation failure, 2 numerical failure, 64 usage
-error.  The environment variable SPECBAND_TOL overrides the zero-norm
-threshold used by the reconstruction sweep; --tol-zero overrides both.
-Tolerances must be positive finite numbers.
+error.  ``reconstruct --tol-zero`` sets the zero-norm threshold of the
+reconstruction sweep; without it the environment variable SPECBAND_TOL
+does.  ``staircase --cluster-tol`` sets the gap under which growth points
+join one jump.  Tolerances must be positive finite numbers.
 """
 
 import argparse
@@ -15,7 +16,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,18 +49,6 @@ EXIT_USAGE = 64
 _NUMERICAL = (NumericalFailure, SingularBoundary, SingularZerothMoment, NoDecomposition)
 
 
-@dataclass
-class Config:
-    """Tolerances shared by the subcommands."""
-
-    tol_zero: float = rec.ZERO_NORM_TOL
-    cluster: float = CLUSTER_TOL
-
-    def __post_init__(self):
-        if min(self.tol_zero, self.cluster) <= 0:
-            raise ValueError("tolerances must be positive")
-
-
 class UsageError(Exception):
     """Arguments that parse but cannot be used together (exit code 64)."""
 
@@ -84,11 +72,8 @@ def _tolerance(text):
 
 
 def _emit(payload, out_path):
-    text = ser.dumps(payload)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    text = ser.dump(payload, out_path or None)
+    if text is not None:
         print(text)
 
 
@@ -109,7 +94,7 @@ def _dense_and_structure(d, N=None):
     return truncate(obj, N), analyze_structure(obj, N)
 
 
-def cmd_validate(args, cfg):
+def cmd_validate(args):
     spec = ser.spec_from_dict(ser.load(args.file))
     which = "mtilde" if args.klass in ("mtilde", "m_tilde") else "m"
     report = validate_class(spec, which)
@@ -117,14 +102,14 @@ def cmd_validate(args, cfg):
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
-def cmd_truncate(args, cfg):
+def cmd_truncate(args):
     spec = ser.spec_from_dict(ser.load(args.file))
     m = truncate(spec, args.N)
     _emit(ser.matrix_to_dict(m), args.output)
     return EXIT_OK
 
 
-def cmd_spectrum(args, cfg):
+def cmd_spectrum(args):
     m, _ = _dense_and_structure(ser.load(args.file), args.N)
     sd = eigen_decompose(m)
     payload = {
@@ -136,7 +121,7 @@ def cmd_spectrum(args, cfg):
     return EXIT_OK
 
 
-def cmd_measure(args, cfg):
+def cmd_measure(args):
     d = ser.load(args.file)
     obj, kind = ser.sniff_matrix_or_spec(d)
     if kind == "spec":
@@ -155,16 +140,16 @@ def cmd_measure(args, cfg):
     return EXIT_OK
 
 
-def cmd_moments(args, cfg):
+def cmd_moments(args):
     mu = ser.measure_from_dict(ser.load(args.file))
     out = ser.complex_pairs(mu.moments_upto(args.k))
     _emit({"n": mu.n, "orders": args.k, "moments": out}, args.output)
     return EXIT_OK
 
 
-def cmd_staircase(args, cfg):
+def cmd_staircase(args):
     mu = ser.measure_from_dict(ser.load(args.file))
-    jumps = mu.grouped_jumps(cfg.cluster)
+    jumps = mu.grouped_jumps(args.cluster_tol)
     rows = []
     acc = np.zeros((mu.n, mu.n), dtype=complex)
     for lam, jump, _rank in jumps:
@@ -190,7 +175,7 @@ def cmd_staircase(args, cfg):
     return EXIT_OK
 
 
-def cmd_check_solution(args, cfg):
+def cmd_check_solution(args):
     mu = ser.measure_from_dict(ser.load(args.sigma))
     poly = ser.poly_from_dict(ser.load(args.poly))
     data = InterpolationData.from_measure(mu)
@@ -203,7 +188,7 @@ def none_if_inf(h):
     return None if h == float("-inf") else int(h)
 
 
-def cmd_generators(args, cfg):
+def cmd_generators(args):
     spec = ser.spec_from_dict(ser.load(args.file))
     N = args.N or spec.n_max
     m = truncate(spec, N)
@@ -220,17 +205,17 @@ def cmd_generators(args, cfg):
     return EXIT_OK
 
 
-def cmd_height(args, cfg):
+def cmd_height(args):
     poly = ser.poly_from_dict(ser.load(args.file))
     _emit({"n": poly.n, "height": none_if_inf(height(poly))}, args.output)
     return EXIT_OK
 
 
-def cmd_reconstruct(args, cfg):
+def cmd_reconstruct(args):
     mu = ser.measure_from_dict(ser.load(args.file))
     if args.max_k < mu.n:
         raise UsageError(f"--max-k {args.max_k} is below the measure's order n={mu.n}")
-    res = rec.orthonormalize(mu, args.max_k, zero_tol=cfg.tol_zero)
+    res = rec.orthonormalize(mu, args.max_k, zero_tol=args.tol_zero)
     m = rec.recover_matrix(res, mu)
     payload = {
         "matrix": ser.matrix_to_dict(m),
@@ -238,13 +223,13 @@ def cmd_reconstruct(args, cfg):
         "q_heights": list(res.q_heights),
         "skip_log": list(res.skip_log),
         "rank_exhausted": res.rank_exhausted,
-        "emitted": len(res.p_tilde),
+        "emitted": len(res.weights),
     }
     _emit(payload, args.output)
     return EXIT_OK
 
 
-def cmd_roundtrip(args, cfg):
+def cmd_roundtrip(args):
     spec = ser.spec_from_dict(ser.load(args.file))
     t = _load_boundary(args.boundary, spec.n)
     if args.batch:
@@ -267,7 +252,7 @@ def cmd_roundtrip(args, cfg):
     return EXIT_OK if report.class_ok else EXIT_VALIDATION
 
 
-def cmd_gen(args, cfg):
+def cmd_gen(args):
     profile = GenProfile(
         n=args.n,
         n_max=args.N_max,
@@ -290,6 +275,7 @@ def build_parser():
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("-o", "--output", default=None, help="write result here")
+        p.add_argument("--verbose", "-v", action="count", default=0)
         return p
 
     p = add("validate", cmd_validate, help="check class membership")
@@ -315,6 +301,7 @@ def build_parser():
     p.add_argument("file")
 
     p = add("staircase", cmd_staircase, help="CSV of cumulative sigma per jump")
+    p.add_argument("--cluster-tol", type=_tolerance, default=CLUSTER_TOL)
     p.add_argument("file")
 
     p = add("check-solution", cmd_check_solution, help="interpolation membership")
@@ -332,6 +319,8 @@ def build_parser():
 
     p = add("reconstruct", cmd_reconstruct, help="matrix from a step measure")
     p.add_argument("--max-k", type=int, default=20)
+    p.add_argument("--tol-zero", type=_tolerance, default=None,
+                   help="zero-norm threshold (default: SPECBAND_TOL, else 1e-8)")
     p.add_argument("file")
 
     p = add("roundtrip", cmd_roundtrip, help="full direct+inverse pipeline report")
@@ -350,32 +339,22 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mtilde", action="store_true")
     p.add_argument("--real", action="store_true")
-
-    for sp in sub.choices.values():
-        sp.add_argument("--tol-zero", type=_tolerance, default=None)
-        sp.add_argument("--cluster-tol", type=_tolerance, default=None)
-        sp.add_argument("--verbose", "-v", action="count", default=0)
     return parser
 
 
 def run_cli(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    tol_zero = rec.ZERO_NORM_TOL
-    env = os.environ.get("SPECBAND_TOL")
-    if env:
+    if args.fn is cmd_reconstruct:
+        env = os.environ.get("SPECBAND_TOL")
         try:
-            tol_zero = _tolerance(env)
+            # a bad SPECBAND_TOL is a usage error even where --tol-zero wins
+            env_tol = _tolerance(env) if env else rec.ZERO_NORM_TOL
         except argparse.ArgumentTypeError as exc:
             parser.error(f"SPECBAND_TOL {exc}")
-    if args.tol_zero is not None:
-        tol_zero = args.tol_zero
-    cfg = Config(
-        tol_zero=tol_zero,
-        cluster=CLUSTER_TOL if args.cluster_tol is None else args.cluster_tol,
-    )
+        args.tol_zero = args.tol_zero or env_tol
     try:
-        return args.fn(args, cfg)
+        return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

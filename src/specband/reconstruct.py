@@ -17,15 +17,14 @@ Working representation: the sweep reads the measure once into a lambda
 vector and the block of conj(C^p), so the spectral coordinates of e_k,
 w[p] = (C^p)* e_k(lambda_p), are one array expression.  Each residual is
 carried as that coordinate vector, where inner products are plain dot
-products and Gram-Schmidt runs on well-scaled point values, and as a row
-of canonical coefficients (entry m belongs to e_{m+1}).  The row takes the
-same multipliers as the coordinates, in the same order and with the
-rounding of Python's complex arithmetic, so it equals what stepwise
-``VectorPolynomial`` arithmetic would give.  The emitted rows share one
-preallocated array; the ``VectorPolynomial`` objects of p~ and q~ are
-built from the rows once, when the sweep is done.
+products and Gram-Schmidt runs on well-scaled point values, and by its
+coefficients of e_1..e_n, which take the same multipliers in the same
+order with the rounding of Python's complex arithmetic; the boundary matrix
+is read off them.  p~ and q~ themselves are the p_k and q_j of the
+recovered matrix, built by ``spectral.build_p``/``build_q`` when asked for.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ from .errors import PivotViolation, SingularZerothMoment, StageError
 from .matrices import (
     FiniteHermitian,
     MatrixSpec,
+    StructureInfo,
     analyze_structure,
     truncate,
     validate_class,
@@ -42,11 +42,12 @@ from .spectral import (
     BoundaryMatrix,
     CLUSTER_TOL,
     StepMeasure,
+    build_p,
+    build_q,
     canonical_coordinates,
     eigen_decompose,
     step_measure,
 )
-from .vectorpoly import from_coeff_vector
 
 #: relative residual threshold declaring a Gram-Schmidt degeneration
 ZERO_NORM_TOL = 1e-8
@@ -59,21 +60,57 @@ RECOVER_STRUCT_TOL = 1e-8
 class OrthoResult:
     """Output of the orthonormalization sweep.
 
-    ``p_tilde`` are the emitted orthonormal polynomials, ``q_tilde`` the
-    zero-norm degenerations (unnormalized residuals), ``t_tilde`` the
-    boundary matrix read off the first n constants.  ``skip_log`` lists
-    the canonical indices suppressed by the height-lattice rule and
-    ``q_heights`` the heights at which degenerations appeared.
+    ``t_tilde`` is the boundary matrix read off the first n constants,
+    ``skip_log`` lists the canonical indices suppressed by the height-lattice
+    rule and ``q_heights`` the heights at which degenerations appeared.
+    ``p_tilde`` and ``q_tilde`` are derived on first access by ``build_p``
+    and ``build_q``.  They keep the sweep's heights and, where the declared
+    degenerations have zero norm, equal its residuals in L2(sigma); as
+    coefficient vectors they may differ from them by a zero-norm polynomial,
+    q~ also by a scalar.  Monomial coefficients scale exponentially, so they
+    are exact objects only at small N.
     """
 
-    p_tilde: tuple
-    q_tilde: tuple
     t_tilde: BoundaryMatrix
     skip_log: tuple
     q_heights: tuple
     rank_exhausted: bool
     weights: np.ndarray  # emitted spectral coordinates, row per p~
+    lambdas: np.ndarray  # the measure's points, a column of weights each
     skip_residuals: tuple = ()
+
+    @functools.cached_property
+    def _band(self):
+        """Recovered matrix, its structure by the emitted heights, and those heights.
+
+        Column height h >= n is pivoted by row height h - n; entries between
+        heights more than n apart are zero in exact arithmetic and are set
+        so, lest rounding noise raise the heights of the derived polynomials.
+        """
+        n, N = self.t_tilde.n, len(self.weights)
+        gone = set(self.q_heights).union(k - 1 for k in self.skip_log)
+        heights = [h for h in range(N + len(gone)) if h not in gone][:N]
+        row = {h: i for i, h in enumerate(heights, 1)}
+        pivot = {c: row[h - n] for c, h in enumerate(heights, 1) if h >= n}
+        k_rows = tuple(sorted(set(row.values()) - set(pivot.values())))
+        s = StructureInfo(n, N, k_rows, tuple(sorted(pivot.values())),
+                          {k: i + 1 for i, k in enumerate(k_rows)}, pivot)
+        data = _multiplication(self.weights, self.lambdas)
+        h = np.array(heights)
+        data[np.abs(h[:, None] - h) > n] = 0.0
+        return FiniteHermitian(N, data), s, heights
+
+    @functools.cached_property
+    def p_tilde(self):
+        m, s, _ = self._band
+        return tuple(build_p(m, s, self.t_tilde))
+
+    @functools.cached_property
+    def q_tilde(self):
+        """The q~ of height h: build_q's polynomial of the K row of height h - n."""
+        m, s, heights = self._band
+        q = build_q(m, s, self.t_tilde, self.p_tilde)
+        return tuple(q[s.K.index(heights.index(h - s.n) + 1)] for h in self.q_heights)
 
 
 def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
@@ -85,7 +122,7 @@ def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
     residue classes mod n are closed by degenerations (then the measure's
     rank is exhausted and the result says so).  ``check_skips``
     additionally computes the raw residual at every skipped index, for
-    verification.
+    verification.  A degeneration below height n raises, as T~ would be singular.
     """
     n = mu.n
     s0 = mu.total_mass()
@@ -96,78 +133,57 @@ def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
         )
     lam, conj_c = mu.spectral_arrays()
     cap = max(min(max_k, mu.size), 0)
-    # row j holds the canonical coefficients of the j-th emitted p~.  While
-    # fewer than n degenerations are found, every block of n heights has an
-    # unskipped one, so k stays below n * (emitted + n + 1).
-    coeffs = np.zeros((cap, n * (cap + n + 1)), dtype=complex)
+    # row j holds the coefficients of e_1..e_n in the j-th emitted p~
+    heads = np.zeros((cap, n), dtype=complex)
     emitted_w = []
-    emitted_len = []
-    q_rows = []
     q_heights = []
     skip_log = []
     skip_residuals = []
     k = 0
-    while len(q_rows) < n:
+    while len(q_heights) < n:
         k += 1
         h = k - 1
-        lattice_hit = any((h - hq) > 0 and (h - hq) % n == 0 for hq in q_heights)
-        if lattice_hit:
+        if any((h - hq) > 0 and (h - hq) % n == 0 for hq in q_heights):  # lattice hit
             skip_log.append(k)
             if check_skips:
-                w, _, e_norm = _residual(lam, conj_c, k, emitted_w, coeffs)
-                skip_residuals.append(
-                    float(np.linalg.norm(w)) / max(e_norm, 1e-300)
-                )
+                w, _, e_norm = _residual(lam, conj_c, k, emitted_w, heads)
+                skip_residuals.append(float(np.linalg.norm(w)) / max(e_norm, 1e-300))
             continue
-        w, row, e_norm = _residual(lam, conj_c, k, emitted_w, coeffs)
+        w, head, e_norm = _residual(lam, conj_c, k, emitted_w, heads)
         norm = float(np.linalg.norm(w))
         if norm <= zero_tol * max(e_norm, 1e-300):
-            q_rows.append(row)
+            if h < n:
+                raise SingularZerothMoment(f"degeneration at height {h} < n={n}; T~ is singular")
             q_heights.append(h)
         elif len(emitted_w) < cap:
-            coeffs[len(emitted_w), :k] = row * (1.0 / norm)
+            heads[len(emitted_w)] = head * (1.0 / norm)
             emitted_w.append(w / norm)
-            emitted_len.append(k)
         else:
             # cap reached and the next direction is not degenerate: stop
             break
-    rank_exhausted = len(emitted_w) < max_k
     if len(emitted_w) < n:
         raise SingularZerothMoment("fewer than n orthonormal constants emerged")
-    p_tilde = tuple(
-        from_coeff_vector(coeffs[j, :length], n, tol=0.0)
-        for j, length in enumerate(emitted_len)
-    )
-    t_mat = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        const = p_tilde[j]
-        for i in range(n):
-            comp = const.comps[i]
-            t_mat[i, j] = comp[0] if comp else 0.0
-    weights = np.array(emitted_w) if emitted_w else np.zeros((0, mu.size))
     return OrthoResult(
-        p_tilde=p_tilde,
-        q_tilde=tuple(from_coeff_vector(row, n, tol=0.0) for row in q_rows),
-        t_tilde=BoundaryMatrix(n, t_mat),
+        t_tilde=BoundaryMatrix(n, heads[:n].T),
         skip_log=tuple(skip_log),
         q_heights=tuple(q_heights),
-        rank_exhausted=rank_exhausted,
-        weights=weights,
+        rank_exhausted=len(emitted_w) < max_k,
+        weights=np.array(emitted_w),
+        lambdas=lam,
         skip_residuals=tuple(skip_residuals),
     )
 
 
-def _residual(lam, conj_c, k, emitted_w, coeffs):
+def _residual(lam, conj_c, k, emitted_w, heads):
     """Twice-iterated Gram-Schmidt step for e_k against the emitted system.
 
-    Returns the residual's spectral coordinates, its canonical coefficients
-    (length k) and the norm of e_k's coordinates.
+    Returns the residual's spectral coordinates, its coefficients of
+    e_1..e_n and the norm of e_k's coordinates.
     """
     w = canonical_coordinates(lam, conj_c, k - 1)
     e_norm = float(np.linalg.norm(w))
-    row = np.zeros(k, dtype=complex)
-    row[k - 1] = 1.0
-    emitted = coeffs[: len(emitted_w), :k]
+    head = np.eye(1, heads.shape[1], k - 1, dtype=complex)[0]  # e_k's e_1..e_n part
+    emitted = heads[: len(emitted_w)]
     for _ in range(2):
         cs = np.zeros(len(emitted_w), dtype=complex)
         for j, wj in enumerate(emitted_w):
@@ -175,8 +191,8 @@ def _residual(lam, conj_c, k, emitted_w, coeffs):
             if c != 0:
                 w = w - c * wj
                 cs[j] = c
-        row = _subtract_in_order(row, cs, emitted)
-    return w, row, e_norm
+        head = _subtract_in_order(head, cs, emitted)
+    return w, head, e_norm
 
 
 def _subtract_in_order(row, cs, rows):
@@ -194,13 +210,15 @@ def _subtract_in_order(row, cs, rows):
     return np.cumsum(terms, axis=0)[-1]
 
 
+def _multiplication(weights, lam):
+    """<p~_i, t * p~_j> from the spectral coordinates, made exactly Hermitian."""
+    mat = (weights.conj() * lam) @ weights.T
+    return 0.5 * (mat + mat.conj().T)
+
+
 def recover_matrix(res: OrthoResult, mu: StepMeasure) -> FiniteHermitian:
     """Matrix of multiplication by the variable in the orthonormal basis."""
-    W = res.weights
-    lam = mu.lambdas()
-    mat = (W.conj() * lam) @ W.T
-    mat = 0.5 * (mat + mat.conj().T)
-    return FiniteHermitian(W.shape[0], mat)
+    return FiniteHermitian(res.weights.shape[0], _multiplication(res.weights, mu.lambdas()))
 
 
 def spec_from_dense(data: np.ndarray, n: int, rel_tol: float = RECOVER_STRUCT_TOL) -> MatrixSpec:

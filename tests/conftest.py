@@ -277,9 +277,9 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
             f"zeroth moment has eigenvalue {eig[0]:.3e}; cannot start"
         )
     emitted_w, emitted_poly = [], []
-    q_tilde, q_heights, skip_log, skip_residuals = [], [], [], []
+    q_heights, skip_log, skip_residuals = [], [], []
     k = 0
-    while len(q_tilde) < n:
+    while len(q_heights) < n:
         k += 1
         h = k - 1
         if any((h - hq) > 0 and (h - hq) % n == 0 for hq in q_heights):
@@ -291,7 +291,8 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
         w, poly, e_norm = _reference_residual(mu, k, emitted_w, emitted_poly)
         norm = float(np.linalg.norm(w))
         if norm <= zero_tol * max(e_norm, 1e-300):
-            q_tilde.append(poly)
+            if h < n:
+                raise SingularZerothMoment(f"degeneration at height {h} < n={n}; T~ is singular")
             q_heights.append(h)
         elif len(emitted_poly) < min(max_k, mu.size):
             emitted_w.append(w / norm)
@@ -306,13 +307,12 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
             comp = emitted_poly[j].comps[i]
             t_mat[i, j] = comp[0] if comp else 0.0
     return OrthoResult(
-        p_tilde=tuple(emitted_poly),
-        q_tilde=tuple(q_tilde),
         t_tilde=BoundaryMatrix(n, t_mat),
         skip_log=tuple(skip_log),
         q_heights=tuple(q_heights),
         rank_exhausted=len(emitted_poly) < max_k,
-        weights=np.array(emitted_w) if emitted_w else np.zeros((0, mu.size)),
+        weights=np.array(emitted_w),
+        lambdas=mu.lambdas(),
         skip_residuals=tuple(skip_residuals),
     )
 

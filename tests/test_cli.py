@@ -9,9 +9,12 @@ from specband import serialize as ser
 from specband import truncate
 from specband.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run_cli
 from specband.reconstruct import ZERO_NORM_TOL
-from specband.spectral import CLUSTER_TOL
+from specband.spectral import CLUSTER_TOL, StepMeasure
 
 from conftest import gue_measure, make_fix7, reference_dumps
+
+#: the one subcommand that reads each tolerance flag
+FLAG_OWNER = {"--tol-zero": "reconstruct", "--cluster-tol": "staircase"}
 
 
 @pytest.fixture
@@ -202,9 +205,34 @@ class TestToleranceAndLimitChecks:
     @pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "inf", "abc"])
     def test_bad_tolerance_flag_is_a_usage_error(self, sigma_file, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["reconstruct", sigma_file, flag, value])
+            run_cli([FLAG_OWNER[flag], sigma_file, flag, value])
         assert exc.value.code == EXIT_USAGE
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "f.json"],
+        ["truncate", "--N", "5", "f.json"],
+        ["spectrum", "f.json"],
+        ["measure", "f.json"],
+        ["moments", "--k", "2", "f.json"],
+        ["staircase", "f.json"],
+        ["check-solution", "f.json", "g.json"],
+        ["generators", "f.json"],
+        ["height", "f.json"],
+        ["reconstruct", "f.json"],
+        ["roundtrip", "--N", "8", "f.json"],
+        ["gen", "--n", "2", "--N-max", "5"],
+    ])
+    @pytest.mark.parametrize("flag", ["--tol-zero", "--cluster-tol"])
+    def test_tolerance_flag_only_where_it_is_read(self, argv, flag, capsys):
+        if argv[0] == FLAG_OWNER[flag]:
+            assert getattr(cli.build_parser().parse_args(argv + [flag, "1e-6"]),
+                           flag[2:].replace("-", "_")) == 1e-6
+            return
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + [flag, "1e-6"])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-1e-3", "abc", "nan"])
     def test_bad_tolerance_env_is_a_usage_error(self, sigma_file, value, monkeypatch, capsys):
@@ -320,15 +348,20 @@ class TestParserReuse:
 
     @pytest.fixture
     def configs(self, monkeypatch):
-        """The Config of every run_cli call, as (tol_zero, cluster)."""
+        """The tolerance of every sweep and jump grouping run_cli starts, in order."""
         seen = []
+        sweep, group = cli.rec.orthonormalize, StepMeasure.grouped_jumps
 
-        class Recorded(cli.Config):
-            def __post_init__(self):
-                super().__post_init__()
-                seen.append((self.tol_zero, self.cluster))
+        def orthonormalize(mu, max_k, zero_tol):
+            seen.append(("zero", zero_tol))
+            return sweep(mu, max_k, zero_tol=zero_tol)
 
-        monkeypatch.setattr(cli, "Config", Recorded)
+        def grouped_jumps(mu, cluster_tol):
+            seen.append(("cluster", cluster_tol))
+            return group(mu, cluster_tol)
+
+        monkeypatch.setattr(cli.rec, "orthonormalize", orthonormalize)
+        monkeypatch.setattr(StepMeasure, "grouped_jumps", grouped_jumps)
         return seen
 
     def test_built_once(self):
@@ -343,29 +376,33 @@ class TestParserReuse:
         assert (second.tail, second.real, second.verbose) == (None, False, 0)
 
     def test_settings_do_not_leak(self, sigma_file, configs, monkeypatch, capsys):
-        argv = ["moments", "--k", "1", sigma_file]
+        sweep = ["reconstruct", "--max-k", "6", sigma_file]
+        stairs = ["staircase", sigma_file]
         monkeypatch.delenv("SPECBAND_TOL", raising=False)
-        runs = [argv + ["--tol-zero", "1e-3", "--cluster-tol", "1e-4"], argv]
-        for flags in runs:
-            assert run_cli(flags) == EXIT_OK
+        for argv in (sweep + ["--tol-zero", "1e-3"], sweep,
+                     stairs + ["--cluster-tol", "1e-4"], stairs):
+            assert run_cli(argv) == EXIT_OK
         monkeypatch.setenv("SPECBAND_TOL", "1e-5")
-        assert run_cli(argv) == EXIT_OK
-        assert run_cli(argv + ["--tol-zero", "1e-2"]) == EXIT_OK
+        assert run_cli(sweep) == EXIT_OK
+        assert run_cli(sweep + ["--tol-zero", "1e-2"]) == EXIT_OK
+        assert run_cli(stairs) == EXIT_OK
         monkeypatch.delenv("SPECBAND_TOL")
-        assert run_cli(argv + ["--cluster-tol", "1e-6"]) == EXIT_OK
-        assert run_cli(argv) == EXIT_OK
+        assert run_cli(sweep) == EXIT_OK
         assert configs == [
-            (1e-3, 1e-4),
-            (ZERO_NORM_TOL, CLUSTER_TOL),
-            (1e-5, CLUSTER_TOL),
-            (1e-2, CLUSTER_TOL),
-            (ZERO_NORM_TOL, 1e-6),
-            (ZERO_NORM_TOL, CLUSTER_TOL),
+            ("zero", 1e-3),
+            ("zero", ZERO_NORM_TOL),
+            ("cluster", 1e-4),
+            ("cluster", CLUSTER_TOL),
+            ("zero", 1e-5),
+            ("zero", 1e-2),
+            ("cluster", CLUSTER_TOL),
+            ("zero", ZERO_NORM_TOL),
         ]
         # the same calls on a parser built afresh give the same settings
         cli.build_parser.cache_clear()
-        assert run_cli(argv) == EXIT_OK
-        assert configs[-1] == (ZERO_NORM_TOL, CLUSTER_TOL)
+        assert run_cli(sweep) == EXIT_OK
+        assert run_cli(stairs) == EXIT_OK
+        assert configs[-2:] == [("zero", ZERO_NORM_TOL), ("cluster", CLUSTER_TOL)]
         capsys.readouterr()
 
     def test_usage_error_after_reuse(self, sigma_file, capsys):

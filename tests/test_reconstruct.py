@@ -24,7 +24,11 @@ from specband import (
     truncate,
     validate_class,
 )
+from specband import reconstruct
+from specband import serialize as ser
+from specband.cli import EXIT_NUMERICAL, EXIT_OK, run_cli
 from specband.reconstruct import RECOVER_STRUCT_TOL, ZERO_NORM_TOL, OrthoResult
+from specband.vectorpoly import height
 from conftest import (
     awkward_measures,
     gue_measure,
@@ -120,6 +124,22 @@ class TestOrthonormalize:
         mu = StepMeasure(2, ((0.0, c), (1.0, c)))
         with pytest.raises(SingularZerothMoment):
             orthonormalize(mu, 2)
+
+    def test_degeneration_below_n_is_singular(self, tmp_path):
+        # nearly parallel heads: at zero_tol=1e-2 the residual of e_2 counts
+        # as degenerate, which would leave the boundary's second row zero
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=6) + 1j * rng.normal(size=6)
+        eps = rng.normal(size=6)
+        heads = np.stack([a, a * (1 + 1e-3 * eps)], axis=1)
+        mu = StepMeasure(2, tuple(zip(np.linspace(-1, 1, 6), heads)))
+        with pytest.raises(SingularZerothMoment, match="height 1 < n=2"):
+            orthonormalize(mu, 6, zero_tol=1e-2)
+        # the default threshold sees the e_2 residual (ratio about 1e-3)
+        assert orthonormalize(mu, 6).q_heights == (6, 7)
+        sigma = tmp_path / "sigma.json"
+        ser.dump(ser.measure_to_dict(mu), sigma)
+        assert run_cli(["reconstruct", str(sigma), "--tol-zero", "1e-2"]) == EXIT_NUMERICAL
 
 
 class TestRecoverMatrix:
@@ -323,15 +343,22 @@ def test_spec_from_dense_matches_scans_near_threshold(case):
 
 
 def sweep_parts(res):
-    """Every field of a sweep, arrays as bytes, polynomials as coefficients."""
+    """Every field of a sweep, arrays as bytes."""
     if not isinstance(res, OrthoResult):
         return res
     w = res.weights
     return (
         w.dtype, w.shape, w.tobytes(), res.q_heights, res.skip_log, res.rank_exhausted,
-        res.skip_residuals, res.t_tilde.t.tobytes(),
-        [p.comps for p in res.p_tilde], [q.comps for q in res.q_tilde],
+        res.skip_residuals, res.t_tilde.t.tobytes(), res.lambdas.tobytes(),
     )
+
+
+def assert_derived_heights(res):
+    """p~ take the heights that are neither degenerate nor skipped, q~ the q heights."""
+    gone = set(res.q_heights) | {k - 1 for k in res.skip_log}
+    emitted = [h for h in range(len(res.weights) + len(gone)) if h not in gone]
+    assert [height(p) for p in res.p_tilde] == emitted[: len(res.weights)]
+    assert [height(q) for q in res.q_tilde] == list(res.q_heights)
 
 
 def assert_sweep_like_reference(mu, max_k, check_skips=True, zero_tol=ZERO_NORM_TOL):
@@ -356,6 +383,7 @@ class TestSweepMatchesReference:
         for mu, N in acceptance_measures():
             for max_k in (N, N + 4, max(N // 2, mu.n)):
                 res = assert_sweep_like_reference(mu, max_k)
+                assert_derived_heights(res)
                 if N <= 10:
                     for p, w in zip(res.p_tilde, res.weights):
                         assert np.max(np.abs(mu.weight_row(p) - w)) <= 1e-10
@@ -365,7 +393,7 @@ class TestSweepMatchesReference:
     def test_gue_measures(self, n):
         for N in (n + 1, 10, 20, 40, 80):
             mu = gue_measure(N, n, N)
-            assert_sweep_like_reference(mu, N)
+            assert_derived_heights(assert_sweep_like_reference(mu, N))
             assert_sweep_like_reference(mu, N // 3 + n, check_skips=False)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -386,3 +414,18 @@ def test_sweep_matches_reference_on_awkward_measures(mu, data):
     max_k = data.draw(st.integers(1, mu.size + 3), label="max_k")
     zero_tol = data.draw(st.sampled_from([ZERO_NORM_TOL, 1e-4, 1e-13]), label="zero_tol")
     assert_sweep_like_reference(mu, max_k, data.draw(st.booleans()), zero_tol)
+
+
+def test_polynomials_are_derived_only_on_access(monkeypatch, tmp_path, fix7):
+    def refuse(*args):
+        raise AssertionError("polynomials derived")
+
+    monkeypatch.setattr(reconstruct, "build_p", refuse)
+    monkeypatch.setattr(reconstruct, "build_q", refuse)
+    mu, _, _ = measure_of(fix7, 7)
+    sigma = tmp_path / "sigma.json"
+    ser.dump(ser.measure_to_dict(mu), sigma)
+    assert run_cli(["reconstruct", str(sigma), "-o", str(tmp_path / "out.json")]) == EXIT_OK
+    assert roundtrip(fix7, random_boundary(3, 41), 7).class_ok
+    with pytest.raises(AssertionError, match="derived"):
+        orthonormalize(mu, 7).p_tilde
