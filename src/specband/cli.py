@@ -216,7 +216,7 @@ def cmd_reconstruct(args):
     if args.max_k < mu.n:
         raise UsageError(f"--max-k {args.max_k} is below the measure's order n={mu.n}")
     res = rec.orthonormalize(mu, args.max_k, zero_tol=args.tol_zero)
-    m = rec.recover_matrix(res, mu)
+    m = rec.recover_matrix(res)
     payload = {
         "matrix": ser.matrix_to_dict(m),
         "boundary": ser.boundary_to_dict(res.t_tilde),

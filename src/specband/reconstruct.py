@@ -16,12 +16,10 @@ spectral function reproduces sigma.
 Working representation: the sweep reads the measure once into a lambda
 vector and the block of conj(C^p), so the spectral coordinates of e_k,
 w[p] = (C^p)* e_k(lambda_p), are one array expression.  Each residual is
-carried as that coordinate vector, where inner products are plain dot
-products and Gram-Schmidt runs on well-scaled point values, and by its
-coefficients of e_1..e_n, which take the same multipliers in the same
-order with the rounding of Python's complex arithmetic; the boundary matrix
-is read off them.  p~ and q~ themselves are the p_k and q_j of the
-recovered matrix, built by ``spectral.build_p``/``build_q`` when asked for.
+carried as that vector, where Gram-Schmidt runs on well-scaled point values,
+and by its coefficients of e_1..e_n, which take the same multipliers in the
+same order with Python's complex rounding; T~ is read off them.  p~ and q~
+are the p_k and q_j of the recovered matrix, built when asked for.
 """
 
 import functools
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PivotViolation, SingularZerothMoment, StageError
+from .errors import NumericalFailure, PivotViolation, SingularZerothMoment, StageError
 from .matrices import (
     FiniteHermitian,
     MatrixSpec,
@@ -55,6 +53,10 @@ ZERO_NORM_TOL = 1e-8
 #: relative threshold for reading structure off a reconstructed dense matrix
 RECOVER_STRUCT_TOL = 1e-8
 
+#: relative size of an entry outside the band of the sweep's heights that is no
+#: rounding noise (GUE measures, N <= 160: noise < 1e-7, a false degeneration >= 8e-2)
+BAND_NOISE_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class OrthoResult:
@@ -67,7 +69,8 @@ class OrthoResult:
     and ``build_q``.  They keep the sweep's heights and, where the declared
     degenerations have zero norm, equal its residuals in L2(sigma); as
     coefficient vectors they may differ from them by a zero-norm polynomial,
-    q~ also by a scalar.  Monomial coefficients scale exponentially, so they
+    q~ also by a scalar; where one has nonzero norm, access raises
+    ``NumericalFailure``.  Monomial coefficients scale exponentially, so they
     are exact objects only at small N.
     """
 
@@ -83,9 +86,9 @@ class OrthoResult:
     def _band(self):
         """Recovered matrix, its structure by the emitted heights, and those heights.
 
-        Column height h >= n is pivoted by row height h - n; entries between
-        heights more than n apart are zero in exact arithmetic and are set
-        so, lest rounding noise raise the heights of the derived polynomials.
+        Column height h >= n is pivoted by row height h - n.  Entries between
+        heights more than n apart vanish if the degenerations have zero norm;
+        their rounding noise is zeroed, lest it raise the derived heights.
         """
         n, N = self.t_tilde.n, len(self.weights)
         gone = set(self.q_heights).union(k - 1 for k in self.skip_log)
@@ -95,10 +98,14 @@ class OrthoResult:
         k_rows = tuple(sorted(set(row.values()) - set(pivot.values())))
         s = StructureInfo(n, N, k_rows, tuple(sorted(pivot.values())),
                           {k: i + 1 for i, k in enumerate(k_rows)}, pivot)
-        data = _multiplication(self.weights, self.lambdas)
-        h = np.array(heights)
-        data[np.abs(h[:, None] - h) > n] = 0.0
-        return FiniteHermitian(N, data), s, heights
+        m = recover_matrix(self)
+        far = np.abs(np.subtract.outer(heights, heights)) > n
+        off = float(np.max(np.abs(m.data[far]), initial=0.0))
+        if off > BAND_NOISE_TOL * float(np.max(np.abs(m.data))):
+            raise NumericalFailure(f"entry {off:.3e} outside the band: a degeneration "
+                                   f"at {self.q_heights} has nonzero norm; p~, q~ not derivable")
+        m.data[far] = 0.0
+        return m, s, heights
 
     @functools.cached_property
     def p_tilde(self):
@@ -210,15 +217,11 @@ def _subtract_in_order(row, cs, rows):
     return np.cumsum(terms, axis=0)[-1]
 
 
-def _multiplication(weights, lam):
-    """<p~_i, t * p~_j> from the spectral coordinates, made exactly Hermitian."""
-    mat = (weights.conj() * lam) @ weights.T
-    return 0.5 * (mat + mat.conj().T)
-
-
-def recover_matrix(res: OrthoResult, mu: StepMeasure) -> FiniteHermitian:
-    """Matrix of multiplication by the variable in the orthonormal basis."""
-    return FiniteHermitian(res.weights.shape[0], _multiplication(res.weights, mu.lambdas()))
+def recover_matrix(res: OrthoResult) -> FiniteHermitian:
+    """m~_ij = <p~_i, t p~_j> from the spectral coordinates, made exactly Hermitian."""
+    w = res.weights
+    mat = (w.conj() * res.lambdas) @ w.T
+    return FiniteHermitian(w.shape[0], 0.5 * (mat + mat.conj().T))
 
 
 def spec_from_dense(data: np.ndarray, n: int, rel_tol: float = RECOVER_STRUCT_TOL) -> MatrixSpec:
@@ -320,7 +323,7 @@ def roundtrip(spec: MatrixSpec, t: BoundaryMatrix, N: int) -> RoundTripReport:
     sd = _stage("eigen", eigen_decompose, m)
     sigma = _stage("measure", step_measure, sd, t)
     res = _stage("orthonormalize", orthonormalize, sigma, N)
-    m_rec = _stage("recover", recover_matrix, res, sigma)
+    m_rec = _stage("recover", recover_matrix, res)
 
     rec_spec = _stage("verify", spec_from_dense, m_rec.data, spec.n)
     class_report = validate_class(rec_spec, "mtilde")

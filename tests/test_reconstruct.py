@@ -7,6 +7,7 @@ from specband import (
     BoundaryMatrix,
     GenProfile,
     MatrixSpec,
+    NumericalFailure,
     PivotViolation,
     SingularZerothMoment,
     StepMeasure,
@@ -146,19 +147,19 @@ class TestRecoverMatrix:
     def test_flip2_self_reconstruction(self, flip2):
         mu, m, _ = measure_of(flip2, 2)
         res = orthonormalize(mu, max_k=2)
-        rec = recover_matrix(res, mu)
+        rec = recover_matrix(res)
         assert np.max(np.abs(rec.data - m.data)) < 1e-12
 
     def test_jac5_three_term_recovery(self, jac5):
         mu, m, _ = measure_of(jac5, 5)
         res = orthonormalize(mu, max_k=5)
-        rec = recover_matrix(res, mu)
+        rec = recover_matrix(res)
         assert np.max(np.abs(rec.data - m.data)) < 1e-10
 
     def test_fix7_unitary_equivalent(self, fix7):
         mu, m, _ = measure_of(fix7, 7)
         res = orthonormalize(mu, max_k=7)
-        rec = recover_matrix(res, mu)
+        rec = recover_matrix(res)
         lam_in = np.linalg.eigvalsh(m.data)
         lam_out = np.linalg.eigvalsh(rec.data)
         assert np.max(np.abs(lam_in - lam_out)) < 1e-8
@@ -292,7 +293,7 @@ def assert_reads_like_scans(data, n):
 
 def recovered_matrix(spec, N, t):
     mu, _, _ = measure_of(spec, N, t)
-    return recover_matrix(orthonormalize(mu, N), mu).data
+    return recover_matrix(orthonormalize(mu, N)).data
 
 
 class TestSpecFromDenseMatchesScans:
@@ -393,8 +394,30 @@ class TestSweepMatchesReference:
     def test_gue_measures(self, n):
         for N in (n + 1, 10, 20, 40, 80):
             mu = gue_measure(N, n, N)
-            assert_derived_heights(assert_sweep_like_reference(mu, N))
             assert_sweep_like_reference(mu, N // 3 + n, check_skips=False)
+            res = assert_sweep_like_reference(mu, N)
+            try:
+                assert_derived_heights(res)
+            except NumericalFailure:
+                # only a degeneration of nonzero norm stops the derivation, and
+                # every point carries a rank-one jump, so L2(sigma) has dimension
+                # N and a true degeneration has height N or more
+                assert min(res.q_heights) < N
+                continue
+            for p, w in zip(res.p_tilde, res.weights):
+                assert np.max(np.abs(mu.weight_row(p) - w)) <= 1e-5
+
+    def test_degeneration_of_nonzero_norm_stops_the_derivation(self):
+        # the monomial sweep declares height 37 degenerate on a measure of
+        # dimension 40; the recursion on the recovered matrix would give a p~
+        # of height 38 whose weight row misses the sweep's by about 1
+        mu = gue_measure(40, 2, 40)
+        res = orthonormalize(mu, 40)
+        assert res.q_heights == (37, 40) and len(res.weights) == 38
+        with pytest.raises(NumericalFailure, match="has nonzero norm"):
+            res.p_tilde
+        with pytest.raises(NumericalFailure, match="has nonzero norm"):
+            res.q_tilde
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("max_k", [6, 12])
