@@ -7,10 +7,12 @@ Exit codes: 0 success, 1 validation failure, 2 numerical failure, 64 usage
 error.  ``reconstruct --tol-zero`` sets the zero-norm threshold of the
 reconstruction sweep; without it the environment variable SPECBAND_TOL
 does.  ``staircase --cluster-tol`` sets the gap under which growth points
-join one jump.  Tolerances must be positive finite numbers.
+join one jump, ``check-solution --tol`` the membership check's threshold.
+Tolerances are positive finite numbers, ``--k`` and ``--batch`` are >= 0.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import math
@@ -60,15 +62,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _tolerance(text):
-    """argparse type of a tolerance: a positive finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # rejected below like any other bad value
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+def _checked(parse, ok, what):
+    """argparse type: ``parse(text)`` if ``ok`` holds of the value, else a usage error."""
+    def convert(text):
+        with contextlib.suppress(ValueError):  # unparsable: refused like a bad value
+            if ok(value := parse(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return convert
+
+
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
+_count = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 
 
 def _emit(payload, out_path):
@@ -297,7 +302,7 @@ def build_parser():
     p.add_argument("file")
 
     p = add("moments", cmd_moments, help="matrix moments S_0..S_k")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_count, required=True)
     p.add_argument("file")
 
     p = add("staircase", cmd_staircase, help="CSV of cumulative sigma per jump")
@@ -307,7 +312,7 @@ def build_parser():
     p = add("check-solution", cmd_check_solution, help="interpolation membership")
     p.add_argument("sigma")
     p.add_argument("poly")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
 
     p = add("generators", cmd_generators, help="generator report for the q system")
     p.add_argument("--N", type=int, default=None)
@@ -327,7 +332,7 @@ def build_parser():
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--boundary", default=None)
     p.add_argument("--report", default=None)
-    p.add_argument("--batch", type=int, default=0,
+    p.add_argument("--batch", type=_count, default=0,
                    help="round-trip B generated instances with seeds S..S+B-1 instead")
     p.add_argument("--seed", type=int, default=0, help="first seed S of a batch")
     p.add_argument("file")

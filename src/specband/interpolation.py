@@ -215,7 +215,7 @@ class GeneratorReport:
         }
 
 
-def verify_generators(q, data: InterpolationData, class_hint: str = "m") -> GeneratorReport:
+def verify_generators(q, data: InterpolationData) -> GeneratorReport:
     """Check whether the q_j generate the solution module minimally.
 
     Walks every height up to max h(q_j), comparing the observed kernel

@@ -18,8 +18,9 @@ vector and the block of conj(C^p), so the spectral coordinates of e_k,
 w[p] = (C^p)* e_k(lambda_p), are one array expression.  Each residual is
 carried as that vector, where Gram-Schmidt runs on well-scaled point values,
 and by its coefficients of e_1..e_n, which take the same multipliers in the
-same order with Python's complex rounding; T~ is read off them.  p~ and q~
-are the p_k and q_j of the recovered matrix, built when asked for.
+same order with Python's complex rounding (``spectral._subtract_in_order``,
+shared with ``build_p``/``build_q``); T~ is read off them.  p~ and q~ are
+the p_k and q_j of the recovered matrix, built when asked for.
 """
 
 import functools
@@ -40,6 +41,7 @@ from .spectral import (
     BoundaryMatrix,
     CLUSTER_TOL,
     StepMeasure,
+    _subtract_in_order,
     build_p,
     build_q,
     canonical_coordinates,
@@ -200,21 +202,6 @@ def _residual(lam, conj_c, k, emitted_w, heads):
                 cs[j] = c
         head = _subtract_in_order(head, cs, emitted)
     return w, head, e_norm
-
-
-def _subtract_in_order(row, cs, rows):
-    """row - cs[0] rows[0] - cs[1] rows[1] - ..., summed left to right.
-
-    Each product is rounded as Python's complex product rounds it.  numpy's
-    complex multiply may fuse a multiply-add; with a purely real or purely
-    imaginary factor one term of each part is an exact zero and fusing
-    changes nothing, hence the split of c into c.real and 1j*c.imag.
-    """
-    terms = np.empty((len(cs) + 1, row.size), dtype=complex)
-    terms[0] = row
-    np.multiply(-cs.real[:, None], rows, out=terms[1:])
-    terms[1:] += (-1j * cs.imag)[:, None] * rows
-    return np.cumsum(terms, axis=0)[-1]
 
 
 def recover_matrix(res: OrthoResult) -> FiniteHermitian:

@@ -30,7 +30,7 @@ from .errors import (
     SingularBoundary,
 )
 from .matrices import FiniteHermitian, StructureInfo
-from .vectorpoly import VectorPolynomial
+from .vectorpoly import COEFF_TRIM_TOL, VectorPolynomial, from_coeff_vector, to_coeff_vector
 
 #: relative gap under which neighbouring eigenvalues join one jump
 CLUSTER_TOL = 1e-9
@@ -133,6 +133,8 @@ class StepMeasure:
         Python's ``float ** int``; an overflowing power raises
         ``FloatingPointError`` rather than turning into inf.
         """
+        if K < 0:
+            raise ValueError("moment order must be nonnegative")
         with np.errstate(over="raise"):
             powers = np.float_power(self.lambdas()[:, None], np.arange(K + 1))
         out = np.zeros((K + 1, self.n, self.n), dtype=complex)
@@ -142,8 +144,6 @@ class StepMeasure:
 
     def moment(self, k):
         """k-th moment: sum of lambda^k C C* over all growth points."""
-        if k < 0:
-            raise ValueError("moment order must be nonnegative")
         return self.moments_upto(k)[k]
 
     def total_mass(self):
@@ -219,11 +219,6 @@ def eigen_decompose(m: FiniteHermitian) -> SpectralData:
     return sd
 
 
-def _recursion_order(s: StructureInfo):
-    """Columns n+1..N paired with the row that solves them, ascending."""
-    return [(c, s.pivot[c]) for c in sorted(s.pivot)]
-
-
 def psi_at(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, z) -> np.ndarray:
     """Numeric N x n solution matrix Psi(z) of the reduced equation.
 
@@ -237,7 +232,7 @@ def psi_at(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, z) -> np.nda
     data = m.data
     psi = np.zeros(z.shape + (N, n), dtype=complex)
     psi[..., :n, :] = t.t.conj().T
-    for c, r in _recursion_order(s):
+    for c, r in sorted(s.pivot.items()):
         edge = data[r - 1, c - 1]
         if abs(edge) == 0.0:
             raise PivotViolation(f"zero edge entry at ({r},{c})")
@@ -284,47 +279,62 @@ def det_theta_polynomial(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix
 def build_p(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix):
     """The N vector polynomials p_k as formal-adjoint rows of Psi.
 
-    For k <= n these are the constant columns of the boundary matrix; each
-    further p_c is solved from the row equation owning the edge of column
-    c, with conjugated matrix entries (formal adjoint of the numeric
-    recursion).
+    Row k of one array is n zeros, then the canonical coefficients of p_k
+    (degree <= k - n), so its first w = n(N - n + 1) places are z p_k.  Rows
+    k <= n are the boundary matrix's columns, entries of magnitude <=
+    COEFF_TRIM_TOL set to 0; each further p_c solves the row equation owning
+    the edge of column c with conjugated entries (formal adjoint of the
+    numeric recursion), rounded as stepwise Python complex arithmetic rounds it.
     """
-    N, n = s.N, s.n
-    data = m.data
-    p = []
-    for k in range(1, n + 1):
-        p.append(VectorPolynomial.from_components([[t.t[i, k - 1]] for i in range(n)], n))
-    for c, r in _recursion_order(s):
+    N, n, data = s.N, s.n, m.data
+    w = n * (N - n + 1)
+    coeffs = np.zeros((N, n + w), dtype=complex)
+    # np.hypot is Python's complex abs bit for bit; np.abs on complex is not
+    coeffs[:n, n : 2 * n] = np.where(np.hypot(t.t.real, t.t.imag) > COEFF_TRIM_TOL, t.t, 0.0).T
+    for c, r in sorted(s.pivot.items()):
         edge = data[r - 1, c - 1]
         if abs(edge) == 0.0:
             raise PivotViolation(f"zero edge entry at ({r},{c})")
-        acc = p[r - 1].z_mul()
-        for i in range(1, c):
-            coeff = data[r - 1, i - 1]
-            if coeff != 0:
-                acc = acc - p[i - 1] * coeff.conjugate()
-        p.append(acc * (1.0 / edge.conjugate()))
-    return p
+        cols = np.flatnonzero(data[r - 1, : c - 1])
+        acc = _subtract_in_order(coeffs[r - 1, :w], data[r - 1, cols].conj(), coeffs[cols, n:])
+        scale = 1.0 / edge.conjugate()
+        coeffs[c - 1, n:] = acc * scale.real + acc * (1j * scale.imag)
+    return [from_coeff_vector(row, n, tol=0.0) for row in coeffs[:, n:]]
 
 
 def build_q(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, p):
     """The n degeneration polynomials q_j from the K-row equations.
 
-    q_j = sum_i conj(m_{k,i}) p_i - z p_k where k is the j-th element of K.
+    q_j = sum_i conj(m_{k,i}) p_i - z p_k, k the j-th element of K, summed in
+    this order on canonical coefficient rows n places wider than the longest p_i.
     """
     if len(p) != s.N:
         raise DimensionMismatch("expected one p polynomial per truncation row")
-    data = m.data
+    width = s.n * (max(len(comp) for pk in p for comp in pk.comps) + 1)
+    coeffs = np.array([to_coeff_vector(pk, width) for pk in p])
     q = []
     for k in s.K:
-        acc = VectorPolynomial.zero(s.n)
-        for i in range(1, s.N + 1):
-            coeff = data[k - 1, i - 1]
-            if coeff != 0:
-                acc = acc + p[i - 1] * coeff.conjugate()
-        acc = acc - p[k - 1].z_mul()
-        q.append(acc)
+        cols = np.flatnonzero(m.data[k - 1])
+        rows = np.vstack([coeffs[cols], np.roll(coeffs[k - 1], s.n)])
+        cs = np.append(-m.data[k - 1, cols].conj(), 1.0)
+        acc = _subtract_in_order(np.zeros(width, dtype=complex), cs, rows)
+        q.append(from_coeff_vector(acc, s.n, tol=0.0))
     return q
+
+
+def _subtract_in_order(row, cs, rows):
+    """row - cs[0] rows[0] - cs[1] rows[1] - ..., summed left to right.
+
+    Each product is rounded as Python's complex product rounds it.  numpy's
+    complex multiply may fuse a multiply-add; with a purely real or purely
+    imaginary factor one term of each part is an exact zero and fusing
+    changes nothing, hence the split of c into c.real and 1j*c.imag.
+    """
+    terms = np.empty((len(cs) + 1, row.size), dtype=complex)
+    terms[0] = row
+    np.multiply(-cs.real[:, None], rows, out=terms[1:])
+    terms[1:] += (-1j * cs.imag)[:, None] * rows
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def c_vectors(sd: SpectralData, t: BoundaryMatrix):

@@ -168,14 +168,11 @@ def to_coeff_vector(r: VectorPolynomial, length):
     Raises if r has coefficients beyond the requested height window.
     """
     out = np.zeros(length, dtype=complex)
-    for j, comp in enumerate(r.comps, start=1):
-        for d, c in enumerate(comp):
-            m = r.n * d + j - 1
-            if m >= length:
-                if abs(c) > 0:
-                    raise ValueError("polynomial exceeds coefficient window")
-                continue
-            out[m] = c
+    for j, comp in enumerate(r.comps):
+        slot = out[j :: r.n]  # a view: e_{j+1}, e_{j+1+n}, ...
+        if any(abs(c) > 0 for c in comp[len(slot):]):
+            raise ValueError("polynomial exceeds coefficient window")
+        slot[: len(comp)] = comp[: len(slot)]
     return out
 
 

@@ -14,7 +14,9 @@ inverse sweep on VectorPolynomial arithmetic and the original per-order
 moment loop, the references of the array-based sweep and moments.
 ``reference_psi_at`` and the functions after it are the original direct
 side, which evaluated Psi one point at a time and rebuilt the interpolation
-constraints entry by entry at every height.
+constraints entry by entry at every height.  ``reference_build_p`` and
+``reference_build_q`` build the p_k and q_j by stepwise VectorPolynomial
+arithmetic, the references of the coefficient-array ``build_p``/``build_q``.
 ``reference_dumps`` is the CLI's original output encoder, json's indent-2
 encoder, and ``reference_from_coeff_vector`` the original per-coefficient
 slot loop with its trimming loop, the references of ``serialize.dumps`` and
@@ -31,7 +33,7 @@ from hypothesis import strategies as st
 
 from specband import BoundaryMatrix, GenProfile, MatrixSpec, StepMeasure, generate_random
 from specband import matrices
-from specband.errors import PivotViolation, SingularZerothMoment
+from specband.errors import DimensionMismatch, PivotViolation, SingularZerothMoment
 from specband.interpolation import LSTSQ_RCOND, expected_kernel_dimension
 from specband.reconstruct import ZERO_NORM_TOL, OrthoResult
 from specband.spectral import c_vectors, eigen_decompose
@@ -336,6 +338,44 @@ def reference_psi_at(m, s, t, z):
         acc -= row @ psi[: c - 1, :]
         psi[c - 1, :] = acc / edge
     return psi
+
+
+def reference_build_p(m, s, t):
+    """The p_k by VectorPolynomial arithmetic, one operation per matrix entry."""
+    n = s.n
+    data = m.data
+    p = []
+    for k in range(1, n + 1):
+        p.append(VectorPolynomial.from_components([[t.t[i, k - 1]] for i in range(n)], n))
+    for c in sorted(s.pivot):
+        r = s.pivot[c]
+        edge = data[r - 1, c - 1]
+        if abs(edge) == 0.0:
+            raise PivotViolation(f"zero edge entry at ({r},{c})")
+        acc = p[r - 1].z_mul()
+        for i in range(1, c):
+            coeff = data[r - 1, i - 1]
+            if coeff != 0:
+                acc = acc - p[i - 1] * coeff.conjugate()
+        p.append(acc * (1.0 / edge.conjugate()))
+    return p
+
+
+def reference_build_q(m, s, t, p):
+    """The q_j by VectorPolynomial arithmetic, one operation per matrix entry."""
+    if len(p) != s.N:
+        raise DimensionMismatch("expected one p polynomial per truncation row")
+    data = m.data
+    q = []
+    for k in s.K:
+        acc = VectorPolynomial.zero(s.n)
+        for i in range(1, s.N + 1):
+            coeff = data[k - 1, i - 1]
+            if coeff != 0:
+                acc = acc + p[i - 1] * coeff.conjugate()
+        acc = acc - p[k - 1].z_mul()
+        q.append(acc)
+    return q
 
 
 def reference_theta_at(m, s, t, z):

@@ -14,7 +14,7 @@ from specband.spectral import CLUSTER_TOL, StepMeasure
 from conftest import gue_measure, make_fix7, reference_dumps
 
 #: the one subcommand that reads each tolerance flag
-FLAG_OWNER = {"--tol-zero": "reconstruct", "--cluster-tol": "staircase"}
+FLAG_OWNER = {"--tol-zero": "reconstruct", "--cluster-tol": "staircase", "--tol": "check-solution"}
 
 
 @pytest.fixture
@@ -91,6 +91,8 @@ class TestPipelineCommands:
         ppoly = tmp_path / "p.json"
         ser.dump({"n": 1, "comps": [[[0, 0], [1, 0]]]}, ppoly)
         assert run_cli(["check-solution", str(sigma), str(ppoly)]) == EXIT_VALIDATION
+        # p_2 = z is no solution, but its residual is within a loose threshold
+        assert run_cli(["check-solution", str(sigma), str(ppoly), "--tol", "10"]) == EXIT_OK
 
     def test_generators(self, fix7_file, capsys):
         assert run_cli(["generators", fix7_file]) == EXIT_OK
@@ -201,7 +203,7 @@ class TestToleranceAndLimitChecks:
         assert run_cli(["measure", fix7_file, "-o", str(sigma)]) == EXIT_OK
         return str(sigma)
 
-    @pytest.mark.parametrize("flag", ["--tol-zero", "--cluster-tol"])
+    @pytest.mark.parametrize("flag", ["--tol-zero", "--cluster-tol", "--tol"])
     @pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "inf", "abc"])
     def test_bad_tolerance_flag_is_a_usage_error(self, sigma_file, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -233,6 +235,22 @@ class TestToleranceAndLimitChecks:
             run_cli(argv + [flag, "1e-6"])
         assert exc.value.code == EXIT_USAGE
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["moments", "f.json", "--k"],
+                                      ["roundtrip", "f.json", "--N", "8", "--batch"]])
+    @pytest.mark.parametrize("value", ["-1", "-2", "1.5", "abc"])
+    def test_bad_count_is_a_usage_error(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + [value])
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {argv[-1]}: must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_zero_counts_run(self, sigma_file, fix7_file, capsys):
+        assert run_cli(["moments", "--k", "0", sigma_file]) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["moments"]) == 1
+        # --batch 0 is the default: one round trip of the given spec
+        assert run_cli(["roundtrip", "--N", "7", "--batch", "0", fix7_file]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["N"] == 7
 
     @pytest.mark.parametrize("value", ["0", "-1e-3", "abc", "nan"])
     def test_bad_tolerance_env_is_a_usage_error(self, sigma_file, value, monkeypatch, capsys):

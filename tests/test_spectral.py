@@ -28,9 +28,9 @@ from specband import (
     theta_at,
     truncate,
 )
-from specband.errors import DimensionMismatch
+from specband.errors import DimensionMismatch, PivotViolation
 from specband.spectral import StepMeasure, jump_rank
-from specband.vectorpoly import VectorPolynomial, height
+from specband.vectorpoly import COEFF_TRIM_TOL, VectorPolynomial, height
 
 from conftest import (
     awkward_measures,
@@ -38,6 +38,8 @@ from conftest import (
     outcome,
     random_boundary,
     random_instance,
+    reference_build_p,
+    reference_build_q,
     reference_det_theta,
     reference_det_theta_polynomial,
     reference_gram_matrix,
@@ -185,6 +187,88 @@ class TestBuildQ:
         q = build_q(m, s, t, p)
         roots = np.sort(np.roots(list(reversed(q[0].comps[0]))).real)
         assert np.allclose(roots, sd.lambdas, atol=1e-8)
+
+
+def polynomial_parts(m, s, t, build_p, build_q):
+    """Per p_k, then per q_j: height, component lengths and coefficients; or what
+    was raised.  Coefficients compare with ==, so 0.0 and -0.0 count as equal."""
+    def parts(polys):
+        return [(height(r), [len(c) for c in r.comps], r.comps) for r in polys]
+
+    try:
+        p = build_p(m, s, t)
+        return parts(p), parts(build_q(m, s, t, p))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+def assert_polynomials_like_reference(m, s, t):
+    new = polynomial_parts(m, s, t, build_p, build_q)
+    assert new == polynomial_parts(m, s, t, reference_build_p, reference_build_q)
+    return new
+
+
+class TestPolynomialsMatchReference:
+    def test_acceptance_set(self):
+        for seed in range(50):
+            spec, N = random_instance(seed)
+            m, s = truncate(spec, N), analyze_structure(spec, N)
+            assert_polynomials_like_reference(m, s, random_boundary(spec.n, seed + 10_000))
+
+    @pytest.mark.parametrize("N", [10, 20, 40, 80, 160])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cells(self, n, N):
+        for seed in range(2):
+            spec = generate_random(GenProfile(n=n, n_max=N), seed)
+            m, s = truncate(spec, N), analyze_structure(spec, N)
+            p, q = assert_polynomials_like_reference(m, s, random_boundary(n, seed))
+            assert len(p) == N and len(q) == n
+
+    def test_zero_edge_raises_like_reference(self, fix7):
+        m, s, t, _ = setup(fix7, 7)
+        data = m.data.copy()
+        data[3, 4] = data[4, 3] = 0.0  # the edge of column 5
+        raised = assert_polynomials_like_reference(FiniteHermitian(7, data), s, t)
+        assert raised == (PivotViolation, "zero edge entry at (4,5)")
+
+    def test_no_vector_polynomial_arithmetic(self, fix7, monkeypatch):
+        m, s, _, _ = setup(fix7, 7)
+        t = random_boundary(3, 1)
+        expected = polynomial_parts(m, s, t, reference_build_p, reference_build_q)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("VectorPolynomial arithmetic inside build_p/build_q")
+
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "z_mul"):
+            monkeypatch.setattr(VectorPolynomial, name, forbidden)
+        assert polynomial_parts(m, s, t, build_p, build_q) == expected
+
+
+@st.composite
+def trimmed_boundaries(draw):
+    """An instance whose complex boundary has one entry at or just above
+    COEFF_TRIM_TOL, with an edge entry of the matrix zeroed or not."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(n + 2, 12))
+    seed = draw(st.integers(0, 10_000))
+    spec = generate_random(GenProfile(n=n, n_max=N), seed)
+    m, s = truncate(spec, N), analyze_structure(spec, N)
+    t = random_boundary(n, seed).t.copy()
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(i, n - 1))
+    size = draw(st.sampled_from([0.0, 1e-14, COEFF_TRIM_TOL, np.nextafter(COEFF_TRIM_TOL, 1.0)]))
+    t[i, j] = size * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    data = m.data.copy()
+    if draw(st.booleans()):
+        c = draw(st.sampled_from(sorted(s.pivot)))
+        data[s.pivot[c] - 1, c - 1] = data[c - 1, s.pivot[c] - 1] = 0.0
+    return FiniteHermitian(N, data), s, BoundaryMatrix(n, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trimmed_boundaries())
+def test_polynomials_match_reference_with_trimmed_boundary(case):
+    assert_polynomials_like_reference(*case)
 
 
 # ---------------------------------------------------------------- C vectors
@@ -403,9 +487,12 @@ class TestMomentsMatchReference:
         for N in (n, 20, 80):
             assert_moments_like_reference(gue_measure(N, n, N), 40)
 
-    def test_no_orders(self, fix7):
+    def test_negative_count_rejected(self, fix7):
         m, s, t, sd = setup(fix7, 7)
-        assert step_measure(sd, t).moments_upto(-1).shape == (0, 3, 3)
+        mu = step_measure(sd, t)
+        assert mu.moments_upto(0).shape == (1, 3, 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            mu.moments_upto(-1)
 
 
 @settings(max_examples=100, deadline=None)
