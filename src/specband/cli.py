@@ -9,6 +9,9 @@ reconstruction sweep; without it the environment variable SPECBAND_TOL
 does.  ``staircase --cluster-tol`` sets the gap under which growth points
 join one jump, ``check-solution --tol`` the membership check's threshold.
 Tolerances are positive finite numbers, ``--k`` and ``--batch`` are >= 0.
+Flags must be spelled out in full; an abbreviation is a usage error.
+``reconstruct -v`` writes the sweep's emitted count, q heights, skip count
+and orthogonality loss to stderr.
 """
 
 import argparse
@@ -221,6 +224,10 @@ def cmd_reconstruct(args):
     if args.max_k < mu.n:
         raise UsageError(f"--max-k {args.max_k} is below the measure's order n={mu.n}")
     res = rec.orthonormalize(mu, args.max_k, zero_tol=args.tol_zero)
+    if args.verbose:
+        print(f"emitted {len(res.weights)}, q heights {list(res.q_heights)}, "
+              f"skips {len(res.skip_log)}, orthogonality loss {res.orthogonality_loss:.3e}",
+              file=sys.stderr)
     m = rec.recover_matrix(res)
     payload = {
         "matrix": ser.matrix_to_dict(m),
@@ -273,11 +280,11 @@ def cmd_gen(args):
 @functools.lru_cache(maxsize=1)
 def build_parser():
     """The argument parser, built once per process; each parse gets a new namespace."""
-    parser = _Parser(prog="specband", description=__doc__)
+    parser = _Parser(prog="specband", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("-o", "--output", default=None, help="write result here")
         p.add_argument("--verbose", "-v", action="count", default=0)

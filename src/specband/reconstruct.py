@@ -15,12 +15,16 @@ spectral function reproduces sigma.
 
 Working representation: the sweep reads the measure once into a lambda
 vector and the block of conj(C^p), so the spectral coordinates of e_k,
-w[p] = (C^p)* e_k(lambda_p), are one array expression.  Each residual is
-carried as that vector, where Gram-Schmidt runs on well-scaled point values,
-and by its coefficients of e_1..e_n, which take the same multipliers in the
-same order with Python's complex rounding (``spectral._subtract_in_order``,
-shared with ``build_p``/``build_q``); T~ is read off them.  p~ and q~ are
-the p_k and q_j of the recovered matrix, built when asked for.
+w[p] = (C^p)* e_k(lambda_p), are one array expression.  The emitted
+coordinates are the rows of one array V and their coefficients of e_1..e_n
+the rows of another.  A residual is reduced by classical Gram-Schmidt,
+twice: each pass takes every multiplier at once, cs = V* w, and subtracts
+cs V, so w is orthogonal to V at working precision (Giraud, Langou,
+Rozloznik & van den Eshof, Numer. Math. 101, 2005).  Its coefficients of
+e_1..e_n take the same multipliers with Python's complex rounding
+(``spectral._subtract_in_order``, shared with ``build_p``/``build_q``); T~
+is read off them.  p~ and q~ are the p_k and q_j of the recovered matrix,
+built when asked for.
 """
 
 import functools
@@ -85,6 +89,12 @@ class OrthoResult:
     skip_residuals: tuple = ()
 
     @functools.cached_property
+    def orthogonality_loss(self):
+        """max |W W* - I| over the emitted spectral coordinates W, computed when read."""
+        w = self.weights
+        return float(np.max(np.abs(w @ w.conj().T - np.eye(len(w))), initial=0.0))
+
+    @functools.cached_property
     def _band(self):
         """Recovered matrix, its structure by the emitted heights, and those heights.
 
@@ -142,9 +152,11 @@ def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
         )
     lam, conj_c = mu.spectral_arrays()
     cap = max(min(max_k, mu.size), 0)
-    # row j holds the coefficients of e_1..e_n in the j-th emitted p~
+    # row j of ``basis`` holds the spectral coordinates of the j-th emitted
+    # p~, row j of ``heads`` its coefficients of e_1..e_n; the first m are set
+    basis = np.zeros((cap, mu.size), dtype=complex)
     heads = np.zeros((cap, n), dtype=complex)
-    emitted_w = []
+    m = 0
     q_heights = []
     skip_log = []
     skip_residuals = []
@@ -155,52 +167,52 @@ def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
         if any((h - hq) > 0 and (h - hq) % n == 0 for hq in q_heights):  # lattice hit
             skip_log.append(k)
             if check_skips:
-                w, _, e_norm = _residual(lam, conj_c, k, emitted_w, heads)
+                w, _, e_norm = _residual(lam, conj_c, k, basis[:m], heads[:m])
                 skip_residuals.append(float(np.linalg.norm(w)) / max(e_norm, 1e-300))
             continue
-        w, head, e_norm = _residual(lam, conj_c, k, emitted_w, heads)
+        w, head, e_norm = _residual(lam, conj_c, k, basis[:m], heads[:m])
         norm = float(np.linalg.norm(w))
         if norm <= zero_tol * max(e_norm, 1e-300):
             if h < n:
                 raise SingularZerothMoment(f"degeneration at height {h} < n={n}; T~ is singular")
             q_heights.append(h)
-        elif len(emitted_w) < cap:
-            heads[len(emitted_w)] = head * (1.0 / norm)
-            emitted_w.append(w / norm)
+        elif m < cap:
+            heads[m] = head * (1.0 / norm)
+            basis[m] = w / norm
+            m += 1
         else:
             # cap reached and the next direction is not degenerate: stop
             break
-    if len(emitted_w) < n:
+    if m < n:
         raise SingularZerothMoment("fewer than n orthonormal constants emerged")
     return OrthoResult(
         t_tilde=BoundaryMatrix(n, heads[:n].T),
         skip_log=tuple(skip_log),
         q_heights=tuple(q_heights),
-        rank_exhausted=len(emitted_w) < max_k,
-        weights=np.array(emitted_w),
+        rank_exhausted=m < max_k,
+        weights=basis[:m],
         lambdas=lam,
         skip_residuals=tuple(skip_residuals),
     )
 
 
-def _residual(lam, conj_c, k, emitted_w, heads):
-    """Twice-iterated Gram-Schmidt step for e_k against the emitted system.
+def _residual(lam, conj_c, k, basis, heads):
+    """Classical Gram-Schmidt step for e_k against the emitted system, run twice.
 
-    Returns the residual's spectral coordinates, its coefficients of
-    e_1..e_n and the norm of e_k's coordinates.
+    ``basis`` holds the emitted spectral coordinates and ``heads`` their
+    coefficients of e_1..e_n, a row per emitted p~.  Each pass takes all
+    multipliers at once, cs = basis* w, and subtracts cs basis from w and
+    cs heads from e_k's coefficients, the latter term by term.  Returns
+    the residual's spectral coordinates, its coefficients of e_1..e_n and the
+    norm of e_k's coordinates.
     """
     w = canonical_coordinates(lam, conj_c, k - 1)
     e_norm = float(np.linalg.norm(w))
     head = np.eye(1, heads.shape[1], k - 1, dtype=complex)[0]  # e_k's e_1..e_n part
-    emitted = heads[: len(emitted_w)]
     for _ in range(2):
-        cs = np.zeros(len(emitted_w), dtype=complex)
-        for j, wj in enumerate(emitted_w):
-            c = complex(np.vdot(wj, w))
-            if c != 0:
-                w = w - c * wj
-                cs[j] = c
-        head = _subtract_in_order(head, cs, emitted)
+        cs = (basis @ w.conj()).conj()
+        w = w - cs @ basis
+        head = _subtract_in_order(head, cs, heads)
     return w, head, e_norm
 
 

@@ -9,9 +9,10 @@ FIX7   the 7x7 matrix with n=3, pivots 4->1, 5->4, 6->2, 7->6 and
 
 ``brute_force_scans`` swaps MatrixSpec's structural index for the original
 per-query scans over every stored entry, as a reference for equivalence tests.
-``reference_orthonormalize`` and ``reference_moment`` are the original
-inverse sweep on VectorPolynomial arithmetic and the original per-order
-moment loop, the references of the array-based sweep and moments.
+``reference_orthonormalize`` and ``reference_moment`` are the inverse sweep
+on VectorPolynomial arithmetic and the original per-order moment loop, the
+references of the array-based sweep and moments; with ``mgs_pass`` the
+sweep runs its original modified Gram-Schmidt kernel.
 ``reference_psi_at`` and the functions after it are the original direct
 side, which evaluated Psi one point at a time and rebuilt the interpolation
 constraints entry by entry at every height.  ``reference_build_p`` and
@@ -257,21 +258,44 @@ def reference_weight_row(mu, k):
     return np.array([(lam**l) * np.conj(c[i - 1]) for lam, c in mu.points])
 
 
-def _reference_residual(mu, k, emitted_w, emitted_poly):
+def block_pass(w, emitted_w):
+    """One classical Gram-Schmidt pass: every multiplier is taken from the same w."""
+    basis = np.array(emitted_w).reshape(len(emitted_w), w.size)
+    cs = (basis @ w.conj()).conj()
+    return w - cs @ basis, cs
+
+
+def mgs_pass(w, emitted_w):
+    """One modified Gram-Schmidt pass, the sweep's original kernel: each
+    multiplier is taken from the residual the previous one left."""
+    cs = []
+    for wi in emitted_w:
+        c = complex(np.vdot(wi, w))
+        if c != 0:
+            w = w - c * wi
+        cs.append(c)
+    return w, cs
+
+
+def _reference_residual(mu, k, emitted_w, emitted_poly, gs_pass):
     w = reference_weight_row(mu, k)
     e_norm = float(np.linalg.norm(w))
     poly = canonical_e(k, mu.n)
     for _ in range(2):
-        for wi, pi in zip(emitted_w, emitted_poly):
-            c = complex(np.vdot(wi, w))
+        w, cs = gs_pass(w, emitted_w)
+        for pi, c in zip(emitted_poly, cs):
             if c != 0:
-                w = w - c * wi
                 poly = poly - pi * c
     return w, poly, e_norm
 
 
-def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TOL):
-    """The sweep with every residual carried as a VectorPolynomial."""
+def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TOL,
+                             gs_pass=block_pass):
+    """The sweep with every residual carried as a VectorPolynomial.
+
+    ``gs_pass=mgs_pass`` runs the original modified Gram-Schmidt kernel, an
+    oracle for the sweep's decisions rather than for its bits.
+    """
     n = mu.n
     eig = np.linalg.eigvalsh(reference_moment(mu, 0))
     if eig[0] <= 1e-12 * max(eig[-1], 1.0):
@@ -287,10 +311,10 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
         if any((h - hq) > 0 and (h - hq) % n == 0 for hq in q_heights):
             skip_log.append(k)
             if check_skips:
-                w, _, e_norm = _reference_residual(mu, k, emitted_w, emitted_poly)
+                w, _, e_norm = _reference_residual(mu, k, emitted_w, emitted_poly, gs_pass)
                 skip_residuals.append(float(np.linalg.norm(w)) / max(e_norm, 1e-300))
             continue
-        w, poly, e_norm = _reference_residual(mu, k, emitted_w, emitted_poly)
+        w, poly, e_norm = _reference_residual(mu, k, emitted_w, emitted_poly, gs_pass)
         norm = float(np.linalg.norm(w))
         if norm <= zero_tol * max(e_norm, 1e-300):
             if h < n:

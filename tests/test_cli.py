@@ -8,7 +8,7 @@ from specband import cli
 from specband import serialize as ser
 from specband import truncate
 from specband.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run_cli
-from specband.reconstruct import ZERO_NORM_TOL
+from specband.reconstruct import ZERO_NORM_TOL, orthonormalize
 from specband.spectral import CLUSTER_TOL, StepMeasure
 
 from conftest import gue_measure, make_fix7, reference_dumps
@@ -117,6 +117,19 @@ class TestPipelineCommands:
         data = np.array(payload["matrix"]["data"])[:, :, 0]
         assert np.allclose(data, [[0, 1], [1, 0]], atol=1e-12)
         assert payload["rank_exhausted"]
+
+    def test_reconstruct_verbose_reports_the_sweep(self, fix7_file, tmp_path, capsys):
+        sigma, out = tmp_path / "sigma.json", str(tmp_path / "out.json")
+        run_cli(["measure", fix7_file, "-o", str(sigma)])
+        assert run_cli(["reconstruct", str(sigma), "-o", out]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert run_cli(["reconstruct", str(sigma), "-v", "-o", out]) == EXIT_OK
+        res = orthonormalize(ser.measure_from_dict(read_json(sigma)), 20)
+        assert capsys.readouterr().err == (
+            f"emitted 7, q heights {list(res.q_heights)}, skips {len(res.skip_log)}, "
+            f"orthogonality loss {res.orthogonality_loss:.3e}\n"
+        )
+        assert len(res.weights) == 7 and len(res.q_heights) == 3
 
     def test_roundtrip(self, flip2_file, tmp_path):
         report = tmp_path / "report.json"
@@ -235,6 +248,16 @@ class TestToleranceAndLimitChecks:
             run_cli(argv + [flag, "1e-6"])
         assert exc.value.code == EXIT_USAGE
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, full", [("reconstruct", "--tol", "--tol-zero"),
+                                                     ("staircase", "--cluster", "--cluster-tol")])
+    def test_abbreviated_flag_is_a_usage_error(self, command, flag, full, capsys):
+        parsed = cli.build_parser().parse_args([command, "f.json", full, "1e-3"])
+        assert getattr(parsed, full[2:].replace("-", "_")) == 1e-3
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "f.json", flag, "1e-3"])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 1e-3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["moments", "f.json", "--k"],
                                       ["roundtrip", "f.json", "--N", "8", "--batch"]])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from specband.vectorpoly import height
 from conftest import (
     awkward_measures,
     gue_measure,
+    mgs_pass,
     outcome,
     random_boundary,
     random_instance,
@@ -437,6 +440,60 @@ def test_sweep_matches_reference_on_awkward_measures(mu, data):
     max_k = data.draw(st.integers(1, mu.size + 3), label="max_k")
     zero_tol = data.draw(st.sampled_from([ZERO_NORM_TOL, 1e-4, 1e-13]), label="zero_tol")
     assert_sweep_like_reference(mu, max_k, data.draw(st.booleans()), zero_tol)
+
+
+def sweep_decisions(res):
+    """What a sweep decided (heights, skips, stop, emitted count), or what it raised."""
+    if not isinstance(res, OrthoResult):
+        return res
+    return res.q_heights, res.skip_log, res.rank_exhausted, len(res.weights)
+
+
+def assert_decisions_like_mgs(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TOL):
+    """The block sweep decides as the original modified Gram-Schmidt sweep did."""
+    args = (mu, max_k, check_skips, zero_tol)
+    mgs = outcome(lambda *a: reference_orthonormalize(*a, gs_pass=mgs_pass), *args)
+    assert sweep_decisions(outcome(orthonormalize, *args)) == sweep_decisions(mgs)
+
+
+class TestDecisionsMatchModifiedGramSchmidt:
+    def test_acceptance_set(self):
+        for mu, N in acceptance_measures():
+            for max_k in (N, N + 4, max(N // 2, mu.n)):
+                assert_decisions_like_mgs(mu, max_k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gue_measures(self, n):
+        for N in (n + 1, 10, 20, 40, 80):
+            for seed in (0, 1, N):
+                assert_decisions_like_mgs(gue_measure(seed, n, N), N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(awkward_measures(), st.data())
+def test_decisions_match_mgs_on_awkward_measures(mu, data):
+    max_k = data.draw(st.integers(1, mu.size + 3), label="max_k")
+    zero_tol = data.draw(st.sampled_from([ZERO_NORM_TOL, 1e-4, 1e-13]), label="zero_tol")
+    assert_decisions_like_mgs(mu, max_k, data.draw(st.booleans()), zero_tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(awkward_measures(), st.sampled_from([ZERO_NORM_TOL, 1e-4, 1e-13]))
+def test_emitted_coordinates_are_orthonormal(mu, zero_tol):
+    res = outcome(orthonormalize, mu, mu.size, False, zero_tol)
+    if isinstance(res, OrthoResult):
+        w = res.weights
+        assert np.max(np.abs(w @ w.conj().T - np.eye(len(w)))) <= 1e-12
+
+
+def test_orthogonality_loss_is_computed_when_read(fix7):
+    res = orthonormalize(measure_of(fix7, 7)[0], 7)
+    assert "orthogonality_loss" not in vars(res)
+    w = res.weights
+    assert res.orthogonality_loss == float(np.max(np.abs(w @ w.conj().T - np.eye(7))))
+    assert res.orthogonality_loss <= 1e-14
+    # rows of norm 2: W W* = 4 I
+    assert dataclasses.replace(res, weights=2 * w).orthogonality_loss == pytest.approx(3.0)
 
 
 def test_polynomials_are_derived_only_on_access(monkeypatch, tmp_path, fix7):
