@@ -1,6 +1,6 @@
 """Time the inverse sweep and the round trip on the North-star grid at two checkouts.
 
-    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_8.json
+    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_9.json
 
 Every cell n in {1,2,3}, N in {10,20,40,80,160} takes seeds 0-4, and each
 instance comes from perfbench's builders:
@@ -19,11 +19,14 @@ perfbench's speed probe is recorded per checkout), the emitted counts and
 the round trip's eigenvalue errors per seed ("inf" where the recovered size
 is wrong, null where it raised), the stages that raised, and the largest
 orthogonality loss max |W W* - I| of the emitted rows; per cell, whether the
-inputs, q heights, skip logs and emitted counts agree between checkouts.
+inputs, q heights, skip logs and emitted counts agree between checkouts
+(``decisions_agree``), and whether every sweep's sha256 of its ``weights``
+and ``t_tilde`` bytes does too (``outputs_identical``).
 """
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import platform
@@ -60,6 +63,7 @@ def _sweep_record(res):
         "q_heights": list(res.q_heights),
         "skip_log": list(res.skip_log),
         "loss": float(np.max(np.abs(w @ w.conj().T - np.eye(len(w))))),
+        "sha256": hashlib.sha256(w.tobytes() + res.t_tilde.t.tobytes()).hexdigest(),
     }
 
 
@@ -123,8 +127,7 @@ def _finite(value):
     return "inf" if value == float("inf") else value
 
 
-def _decisions(rec, part):
-    got = rec.get(part, {})
+def _decisions(got):
     return tuple(got.get(k) for k in ("q_heights", "skip_log", "emitted", "failure"))
 
 
@@ -154,9 +157,12 @@ def summarize(passes):
             }
         before, after = last["before"], last["after"]
         cell["inputs_agree"] = all(a["digest"] == b["digest"] for a, b in zip(before, after))
-        cell["decisions_agree"] = all(
-            _decisions(a, part) == _decisions(b, part)
-            for a, b in zip(before, after) for part in ("gue", "stage")
+        pairs = [(a.get(part, {}), b.get(part, {}))
+                 for a, b in zip(before, after) for part in ("gue", "stage")]
+        cell["decisions_agree"] = all(_decisions(a) == _decisions(b) for a, b in pairs)
+        cell["outputs_identical"] = all(
+            _decisions(a) == _decisions(b) and a.get("sha256") == b.get("sha256")
+            for a, b in pairs
         )
         cells.append(cell)
     return cells

@@ -8,7 +8,8 @@ error.  ``reconstruct --tol-zero`` sets the zero-norm threshold of the
 reconstruction sweep; without it the environment variable SPECBAND_TOL
 does.  ``staircase --cluster-tol`` sets the gap under which growth points
 join one jump, ``check-solution --tol`` the membership check's threshold.
-Tolerances are positive finite numbers, ``--k`` and ``--batch`` are >= 0.
+Tolerances are positive finite numbers, ``--k`` and ``--batch`` are >= 0,
+and ``--N`` is >= 1.
 Flags must be spelled out in full; an abbreviation is a usage error.
 ``reconstruct -v`` writes the sweep's emitted count, q heights, skip count
 and orthogonality loss to stderr.
@@ -77,6 +78,7 @@ def _checked(parse, ok, what):
 
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
 _count = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_size = _checked(int, lambda v: v > 0, "a positive integer")
 
 
 def _emit(payload, out_path):
@@ -295,15 +297,15 @@ def build_parser():
     p.add_argument("file")
 
     p = add("truncate", cmd_truncate, help="emit a dense truncation")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_size, required=True)
     p.add_argument("file")
 
     p = add("spectrum", cmd_spectrum, help="eigenvalues of a truncation")
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=_size, default=None)
     p.add_argument("file")
 
     p = add("measure", cmd_measure, help="step spectral function")
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=_size, default=None)
     p.add_argument("--n", type=int, default=None, help="boundary order for dense input")
     p.add_argument("--boundary", default=None, help="boundary matrix JSON")
     p.add_argument("file")
@@ -322,7 +324,7 @@ def build_parser():
     p.add_argument("--tol", type=_tolerance, default=1e-8)
 
     p = add("generators", cmd_generators, help="generator report for the q system")
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=_size, default=None)
     p.add_argument("--boundary", default=None)
     p.add_argument("file")
 
@@ -336,7 +338,7 @@ def build_parser():
     p.add_argument("file")
 
     p = add("roundtrip", cmd_roundtrip, help="full direct+inverse pipeline report")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_size, required=True)
     p.add_argument("--boundary", default=None)
     p.add_argument("--report", default=None)
     p.add_argument("--batch", type=_count, default=0,

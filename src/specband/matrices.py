@@ -173,6 +173,16 @@ class StructureInfo:
     pivot: dict
     tail: tuple = None
 
+    @classmethod
+    def from_pivot(cls, n, N, pivot, tail=None):
+        """K, K_perp and gamma of the N x N truncation with pivot map {column: row}."""
+        rows = list(pivot.values())
+        if len(set(rows)) != len(rows):
+            raise PivotViolation("pivot map is not injective on the truncation")
+        k_rows = tuple(sorted(set(range(1, N + 1)) - set(rows)))
+        gamma = {k: i + 1 for i, k in enumerate(k_rows)}
+        return cls(n, N, k_rows, tuple(sorted(rows)), gamma, pivot, tail)
+
 
 @dataclass(frozen=True)
 class FiniteHermitian:
@@ -269,13 +279,7 @@ def analyze_structure(spec: MatrixSpec, N: int) -> StructureInfo:
                 f"(found column {rightmost})"
             )
         pivot[c] = r
-    rows = list(pivot.values())
-    if len(set(rows)) != len(rows):
-        raise PivotViolation("pivot map is not injective on the truncation")
-    k_perp = tuple(sorted(rows))
-    k_rows = tuple(sorted(set(range(1, N + 1)) - set(rows)))
-    gamma = {k: i + 1 for i, k in enumerate(k_rows)}
-    return StructureInfo(spec.n, N, k_rows, k_perp, gamma, pivot, spec.tail)
+    return StructureInfo.from_pivot(spec.n, N, pivot, spec.tail)
 
 
 def truncate(spec: MatrixSpec, N: int) -> FiniteHermitian:

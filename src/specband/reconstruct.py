@@ -16,15 +16,15 @@ spectral function reproduces sigma.
 Working representation: the sweep reads the measure once into a lambda
 vector and the block of conj(C^p), so the spectral coordinates of e_k,
 w[p] = (C^p)* e_k(lambda_p), are one array expression.  The emitted
-coordinates are the rows of one array V and their coefficients of e_1..e_n
-the rows of another.  A residual is reduced by classical Gram-Schmidt,
-twice: each pass takes every multiplier at once, cs = V* w, and subtracts
-cs V, so w is orthogonal to V at working precision (Giraud, Langou,
-Rozloznik & van den Eshof, Numer. Math. 101, 2005).  Its coefficients of
-e_1..e_n take the same multipliers with Python's complex rounding
-(``spectral._subtract_in_order``, shared with ``build_p``/``build_q``); T~
-is read off them.  p~ and q~ are the p_k and q_j of the recovered matrix,
-built when asked for.
+coordinates are the rows of one array V.  A residual is reduced by
+classical Gram-Schmidt, twice: each pass takes every multiplier at once,
+cs = V* w, and subtracts cs V, so w is orthogonal to V at working precision
+(Giraud, Langou, Rozloznik & van den Eshof, Numer. Math. 101, 2005).  Only
+the first n emitted vectors, the constants, also carry their coefficients
+of e_1..e_n, an n x n block that takes the same multipliers with Python's
+complex rounding (``spectral._subtract_in_order``, shared with
+``build_p``/``build_q``); T~ is read off it.  p~ and q~ are the p_k and q_j
+of the recovered matrix, built when asked for.
 """
 
 import functools
@@ -68,9 +68,9 @@ BAND_NOISE_TOL = 1e-4
 class OrthoResult:
     """Output of the orthonormalization sweep.
 
-    ``t_tilde`` is the boundary matrix read off the first n constants,
-    ``skip_log`` lists the canonical indices suppressed by the height-lattice
-    rule and ``q_heights`` the heights at which degenerations appeared.
+    ``t_tilde`` is the boundary matrix read off the e_1..e_n coefficients of
+    the first n constants, ``skip_log`` lists the canonical indices suppressed
+    by the height-lattice rule and ``q_heights`` the heights of degenerations.
     ``p_tilde`` and ``q_tilde`` are derived on first access by ``build_p``
     and ``build_q``.  They keep the sweep's heights and, where the declared
     degenerations have zero norm, equal its residuals in L2(sigma); as
@@ -86,7 +86,6 @@ class OrthoResult:
     rank_exhausted: bool
     weights: np.ndarray  # emitted spectral coordinates, row per p~
     lambdas: np.ndarray  # the measure's points, a column of weights each
-    skip_residuals: tuple = ()
 
     @functools.cached_property
     def orthogonality_loss(self):
@@ -107,9 +106,7 @@ class OrthoResult:
         heights = [h for h in range(N + len(gone)) if h not in gone][:N]
         row = {h: i for i, h in enumerate(heights, 1)}
         pivot = {c: row[h - n] for c, h in enumerate(heights, 1) if h >= n}
-        k_rows = tuple(sorted(set(row.values()) - set(pivot.values())))
-        s = StructureInfo(n, N, k_rows, tuple(sorted(pivot.values())),
-                          {k: i + 1 for i, k in enumerate(k_rows)}, pivot)
+        s = StructureInfo.from_pivot(n, N, pivot)
         m = recover_matrix(self)
         far = np.abs(np.subtract.outer(heights, heights)) > n
         off = float(np.max(np.abs(m.data[far]), initial=0.0))
@@ -132,16 +129,15 @@ class OrthoResult:
         return tuple(q[s.K.index(heights.index(h - s.n) + 1)] for h in self.q_heights)
 
 
-def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
-                   zero_tol: float = ZERO_NORM_TOL) -> OrthoResult:
+def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL) -> OrthoResult:
     """Gram-Schmidt over the canonical family with the height-lattice skip rule.
 
     Runs until min(``max_k``, N) orthonormal polynomials are emitted (an
     orthonormal system in L2 of N points has at most N members) or all
     residue classes mod n are closed by degenerations (then the measure's
-    rank is exhausted and the result says so).  ``check_skips``
-    additionally computes the raw residual at every skipped index, for
-    verification.  A degeneration below height n raises, as T~ would be singular.
+    rank is exhausted and the result says so).  Only the first n emitted
+    vectors, the constants, keep their coefficients of e_1..e_n, an n x n
+    block; a degeneration below height n raises, as T~ would be singular.
     """
     n = mu.n
     s0 = mu.total_mass()
@@ -152,32 +148,32 @@ def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
         )
     lam, conj_c = mu.spectral_arrays()
     cap = max(min(max_k, mu.size), 0)
-    # row j of ``basis`` holds the spectral coordinates of the j-th emitted
-    # p~, row j of ``heads`` its coefficients of e_1..e_n; the first m are set
+    # the first m rows of ``basis`` hold the emitted p~'s spectral coordinates,
+    # row j of ``heads`` the j-th constant's coefficients of e_1..e_n
     basis = np.zeros((cap, mu.size), dtype=complex)
-    heads = np.zeros((cap, n), dtype=complex)
+    heads = np.zeros((n, n), dtype=complex)
     m = 0
     q_heights = []
     skip_log = []
-    skip_residuals = []
     k = 0
     while len(q_heights) < n:
         k += 1
         h = k - 1
         if any((h - hq) > 0 and (h - hq) % n == 0 for hq in q_heights):  # lattice hit
             skip_log.append(k)
-            if check_skips:
-                w, _, e_norm = _residual(lam, conj_c, k, basis[:m], heads[:m])
-                skip_residuals.append(float(np.linalg.norm(w)) / max(e_norm, 1e-300))
             continue
-        w, head, e_norm = _residual(lam, conj_c, k, basis[:m], heads[:m])
+        w, passes, e_norm = _residual(lam, conj_c, k, basis[:m])
         norm = float(np.linalg.norm(w))
         if norm <= zero_tol * max(e_norm, 1e-300):
             if h < n:
                 raise SingularZerothMoment(f"degeneration at height {h} < n={n}; T~ is singular")
             q_heights.append(h)
         elif m < cap:
-            heads[m] = head * (1.0 / norm)
+            if m < n:  # a constant (h == m): e_k's e_1..e_n part, reduced as w was
+                head = np.eye(1, n, h, dtype=complex)[0]
+                for cs in passes:
+                    head = _subtract_in_order(head, cs, heads[:m])
+                heads[m] = head * (1.0 / norm)
             basis[m] = w / norm
             m += 1
         else:
@@ -186,34 +182,31 @@ def orthonormalize(mu: StepMeasure, max_k: int, check_skips: bool = False,
     if m < n:
         raise SingularZerothMoment("fewer than n orthonormal constants emerged")
     return OrthoResult(
-        t_tilde=BoundaryMatrix(n, heads[:n].T),
+        t_tilde=BoundaryMatrix(n, heads.T),
         skip_log=tuple(skip_log),
         q_heights=tuple(q_heights),
         rank_exhausted=m < max_k,
         weights=basis[:m],
         lambdas=lam,
-        skip_residuals=tuple(skip_residuals),
     )
 
 
-def _residual(lam, conj_c, k, basis, heads):
+def _residual(lam, conj_c, k, basis):
     """Classical Gram-Schmidt step for e_k against the emitted system, run twice.
 
-    ``basis`` holds the emitted spectral coordinates and ``heads`` their
-    coefficients of e_1..e_n, a row per emitted p~.  Each pass takes all
-    multipliers at once, cs = basis* w, and subtracts cs basis from w and
-    cs heads from e_k's coefficients, the latter term by term.  Returns
-    the residual's spectral coordinates, its coefficients of e_1..e_n and the
-    norm of e_k's coordinates.
+    ``basis`` holds the emitted spectral coordinates, a row per emitted p~.
+    Each pass takes all multipliers at once, cs = basis* w, and subtracts
+    cs basis from w.  Returns the residual's spectral coordinates, the
+    multipliers of the two passes and the norm of e_k's coordinates.
     """
     w = canonical_coordinates(lam, conj_c, k - 1)
     e_norm = float(np.linalg.norm(w))
-    head = np.eye(1, heads.shape[1], k - 1, dtype=complex)[0]  # e_k's e_1..e_n part
+    passes = []
     for _ in range(2):
         cs = (basis @ w.conj()).conj()
         w = w - cs @ basis
-        head = _subtract_in_order(head, cs, heads)
-    return w, head, e_norm
+        passes.append(cs)
+    return w, passes, e_norm
 
 
 def recover_matrix(res: OrthoResult) -> FiniteHermitian:

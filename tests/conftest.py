@@ -26,6 +26,7 @@ of ``vectorpoly.from_coeff_vector``.
 
 import contextlib
 import json
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -229,10 +230,10 @@ def brute_force_scans():
         yield
 
 
-def outcome(fn, *args):
-    """Return value of fn(*args), or the type and message of what it raised."""
+def outcome(fn, *args, **kwargs):
+    """Return value of fn(*args, **kwargs), or the type and message of what it raised."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 - compared, not handled
         return type(exc), str(exc)
 
@@ -289,10 +290,19 @@ def _reference_residual(mu, k, emitted_w, emitted_poly, gs_pass):
     return w, poly, e_norm
 
 
+@dataclass(frozen=True)
+class ReferenceSweep(OrthoResult):
+    """The reference sweep's result, plus the relative residual at each skipped index."""
+
+    skip_residuals: tuple = ()
+
+
 def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TOL,
                              gs_pass=block_pass):
     """The sweep with every residual carried as a VectorPolynomial.
 
+    ``check_skips`` also reduces e_k at every skipped index and records its
+    relative residual, which the lattice rule predicts to vanish.
     ``gs_pass=mgs_pass`` runs the original modified Gram-Schmidt kernel, an
     oracle for the sweep's decisions rather than for its bits.
     """
@@ -332,7 +342,7 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
         for i in range(n):
             comp = emitted_poly[j].comps[i]
             t_mat[i, j] = comp[0] if comp else 0.0
-    return OrthoResult(
+    return ReferenceSweep(
         t_tilde=BoundaryMatrix(n, t_mat),
         skip_log=tuple(skip_log),
         q_heights=tuple(q_heights),

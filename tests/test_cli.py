@@ -268,6 +268,20 @@ class TestToleranceAndLimitChecks:
         assert exc.value.code == EXIT_USAGE
         assert f"argument {argv[-1]}: must be a nonnegative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command",
+                             ["truncate", "spectrum", "measure", "generators", "roundtrip"])
+    @pytest.mark.parametrize("value", ["0", "-3", "1.5", "abc"])
+    def test_bad_size_is_a_usage_error(self, fix7_file, command, value, capsys):
+        # --N 0 is no request for N_max, and no size reaches truncate unchecked
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, fix7_file, "--N", value])
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --N: must be a positive integer" in capsys.readouterr().err
+
+    def test_size_one_runs(self, fix7_file, capsys):
+        assert run_cli(["truncate", "--N", "1", fix7_file]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["N"] == 1
+
     def test_zero_counts_run(self, sigma_file, fix7_file, capsys):
         assert run_cli(["moments", "--k", "0", sigma_file]) == EXIT_OK
         assert len(json.loads(capsys.readouterr().out)["moments"]) == 1

@@ -11,6 +11,7 @@ from specband import (
     MatrixSpec,
     MissingPivot,
     PivotViolation,
+    StructureInfo,
     TailUndefined,
     analyze_structure,
     extend_tail,
@@ -70,6 +71,23 @@ class TestAnalyzeStructure:
             s = analyze_structure(spec, N)
             assert len(s.K) == spec.n
             assert sorted(s.K + s.K_perp) == list(range(1, N + 1))
+
+    def test_structure_from_pivot_map_on_acceptance_set(self):
+        # the shared 50-instance set: the truncation's pivot map alone gives K,
+        # K_perp and gamma as the analysis does
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n = seed % 3 + 1
+            N = int(rng.integers(n + 2, 21))
+            spec = generate_random(GenProfile(n=n, n_max=max(N, n + 2)), seed)
+            pivot = {c: spec.pivot[c] for c in range(n + 1, N + 1)}
+            s = StructureInfo.from_pivot(n, N, pivot, spec.tail)
+            assert s == analyze_structure(spec, N)
+            assert list(s.K) == brute_force_k_rows(None, pivot, n, N)
+
+    def test_structure_from_pivot_map_refuses_a_shared_row(self):
+        with pytest.raises(PivotViolation, match="not injective"):
+            StructureInfo.from_pivot(1, 3, {2: 1, 3: 1})
 
     def test_missing_pivot(self, flip2):
         broken = MatrixSpec(1, 3, dict(flip2.entries) | {(2, 3): 1.0}, {2: 1}, (1, 2))

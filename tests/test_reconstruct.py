@@ -27,7 +27,7 @@ from specband import (
     truncate,
     validate_class,
 )
-from specband import reconstruct
+from specband import reconstruct, spectral
 from specband import serialize as ser
 from specband.cli import EXIT_NUMERICAL, EXIT_OK, run_cli
 from specband.reconstruct import RECOVER_STRUCT_TOL, ZERO_NORM_TOL, OrthoResult
@@ -104,9 +104,11 @@ class TestOrthonormalize:
 
     def test_skip_rule_predicts_null_directions(self, fix7):
         mu, _, _ = measure_of(fix7, 7)
-        res = orthonormalize(mu, max_k=12, check_skips=True)
+        res = assert_sweep_like_reference(mu, 12)
         assert res.skip_log  # rank 7 measure forces skips beyond exhaustion
-        assert all(r <= 1e-8 for r in res.skip_residuals)
+        ref = reference_orthonormalize(mu, 12, check_skips=True)
+        assert len(ref.skip_residuals) == len(res.skip_log)
+        assert all(r <= 1e-8 for r in ref.skip_residuals)
 
     def test_rank_exhaustion_reported(self, flip2):
         mu, _, _ = measure_of(flip2, 2)
@@ -353,7 +355,7 @@ def sweep_parts(res):
     w = res.weights
     return (
         w.dtype, w.shape, w.tobytes(), res.q_heights, res.skip_log, res.rank_exhausted,
-        res.skip_residuals, res.t_tilde.t.tobytes(), res.lambdas.tobytes(),
+        res.t_tilde.t.tobytes(), res.lambdas.tobytes(),
     )
 
 
@@ -365,10 +367,10 @@ def assert_derived_heights(res):
     assert [height(q) for q in res.q_tilde] == list(res.q_heights)
 
 
-def assert_sweep_like_reference(mu, max_k, check_skips=True, zero_tol=ZERO_NORM_TOL):
-    args = (mu, max_k, check_skips, zero_tol)
-    new = outcome(orthonormalize, *args)
-    assert sweep_parts(new) == sweep_parts(outcome(reference_orthonormalize, *args))
+def assert_sweep_like_reference(mu, max_k, zero_tol=ZERO_NORM_TOL):
+    new = outcome(orthonormalize, mu, max_k, zero_tol=zero_tol)
+    ref = outcome(reference_orthonormalize, mu, max_k, zero_tol=zero_tol)
+    assert sweep_parts(new) == sweep_parts(ref)
     return new
 
 
@@ -391,13 +393,12 @@ class TestSweepMatchesReference:
                 if N <= 10:
                     for p, w in zip(res.p_tilde, res.weights):
                         assert np.max(np.abs(mu.weight_row(p) - w)) <= 1e-10
-            assert_sweep_like_reference(mu, N, check_skips=False)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gue_measures(self, n):
         for N in (n + 1, 10, 20, 40, 80):
             mu = gue_measure(N, n, N)
-            assert_sweep_like_reference(mu, N // 3 + n, check_skips=False)
+            assert_sweep_like_reference(mu, N // 3 + n)
             res = assert_sweep_like_reference(mu, N)
             try:
                 assert_derived_heights(res)
@@ -439,7 +440,7 @@ class TestSweepMatchesReference:
 def test_sweep_matches_reference_on_awkward_measures(mu, data):
     max_k = data.draw(st.integers(1, mu.size + 3), label="max_k")
     zero_tol = data.draw(st.sampled_from([ZERO_NORM_TOL, 1e-4, 1e-13]), label="zero_tol")
-    assert_sweep_like_reference(mu, max_k, data.draw(st.booleans()), zero_tol)
+    assert_sweep_like_reference(mu, max_k, zero_tol)
 
 
 def sweep_decisions(res):
@@ -449,11 +450,11 @@ def sweep_decisions(res):
     return res.q_heights, res.skip_log, res.rank_exhausted, len(res.weights)
 
 
-def assert_decisions_like_mgs(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TOL):
+def assert_decisions_like_mgs(mu, max_k, zero_tol=ZERO_NORM_TOL):
     """The block sweep decides as the original modified Gram-Schmidt sweep did."""
-    args = (mu, max_k, check_skips, zero_tol)
-    mgs = outcome(lambda *a: reference_orthonormalize(*a, gs_pass=mgs_pass), *args)
-    assert sweep_decisions(outcome(orthonormalize, *args)) == sweep_decisions(mgs)
+    mgs = outcome(reference_orthonormalize, mu, max_k, zero_tol=zero_tol, gs_pass=mgs_pass)
+    new = outcome(orthonormalize, mu, max_k, zero_tol=zero_tol)
+    assert sweep_decisions(new) == sweep_decisions(mgs)
 
 
 class TestDecisionsMatchModifiedGramSchmidt:
@@ -474,16 +475,32 @@ class TestDecisionsMatchModifiedGramSchmidt:
 def test_decisions_match_mgs_on_awkward_measures(mu, data):
     max_k = data.draw(st.integers(1, mu.size + 3), label="max_k")
     zero_tol = data.draw(st.sampled_from([ZERO_NORM_TOL, 1e-4, 1e-13]), label="zero_tol")
-    assert_decisions_like_mgs(mu, max_k, data.draw(st.booleans()), zero_tol)
+    assert_decisions_like_mgs(mu, max_k, zero_tol)
 
 
 @settings(max_examples=200, deadline=None)
 @given(awkward_measures(), st.sampled_from([ZERO_NORM_TOL, 1e-4, 1e-13]))
 def test_emitted_coordinates_are_orthonormal(mu, zero_tol):
-    res = outcome(orthonormalize, mu, mu.size, False, zero_tol)
+    res = outcome(orthonormalize, mu, mu.size, zero_tol=zero_tol)
     if isinstance(res, OrthoResult):
         w = res.weights
         assert np.max(np.abs(w @ w.conj().T - np.eye(len(w)))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coefficients_are_reduced_only_for_the_constants(monkeypatch, n):
+    # two classical Gram-Schmidt passes for each of the n constants, none for
+    # the rows after them, whose coefficients T~ never reads
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return spectral._subtract_in_order(*args)
+
+    monkeypatch.setattr(reconstruct, "_subtract_in_order", counted)
+    res = orthonormalize(gue_measure(0, n, 40), 40)
+    assert len(res.weights) > n
+    assert calls == [m for m in range(n) for _ in range(2)]
 
 
 def test_orthogonality_loss_is_computed_when_read(fix7):
