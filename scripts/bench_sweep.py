@@ -1,9 +1,9 @@
-"""Time the inverse sweep and the round trip on the North-star grid at two checkouts.
+"""Time the inverse sweep, the round trip and the direct side at two checkouts.
 
-    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_9.json
+    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_10.json
 
-Every cell n in {1,2,3}, N in {10,20,40,80,160} takes seeds 0-4, and each
-instance comes from perfbench's builders:
+Every cell n in {1,2,3}, N in {10,20,40,80,160} of the North-star grid
+takes seeds 0-4, and each instance comes from perfbench's builders:
 
 * ``orthonormalize(mu, N)`` on the GUE step measure of ``measure_instance``
   (T = I), the sweep that ``specband reconstruct`` runs;
@@ -11,17 +11,30 @@ instance comes from perfbench's builders:
   ``spec_instance`` with T = I, and ``orthonormalize`` on that spec's step
   measure, the round trip's sweep stage.
 
+The direct cells, n in {1,2,3}, N in {10,20,40}, take the same seeds and
+run the stages of perfbench's ``direct`` operation one after the other on
+the spec and boundary matrix of ``spec_instance``: ``eigen_decompose``,
+``step_measure``, ``build_p``, ``build_q``, ``gram_matrix``,
+``multiplication_matrix``, ``q_norms_sq``, ``det_theta_polynomial`` and
+``verify_generators``; the first stage that raises ends the instance.
+
 Each checkout runs in its own single-threaded process, importing its own
 ``src/``; the passes alternate between the checkouts, and every pass times
-each instance ``--repeats`` times.  The output holds, per cell and
-checkout, the median times in ms (wall clock, unscaled; the median of
-perfbench's speed probe is recorded per checkout), the emitted counts and
-the round trip's eigenvalue errors per seed ("inf" where the recovered size
-is wrong, null where it raised), the stages that raised, and the largest
-orthogonality loss max |W W* - I| of the emitted rows; per cell, whether the
-inputs, q heights, skip logs and emitted counts agree between checkouts
+each instance ``--repeats`` times.  Before each instance the pass takes one
+of perfbench's speed probes, and every time of a pass is scaled by
+``PROBE_REF_S`` over the median of its probes, as perfbench scales its
+rounds: unscaled, a cell moved by about 30 % between two runs of this
+script on the same checkouts.  The output holds, per cell and checkout,
+the median scaled times in ms, the emitted counts and the round trip's
+eigenvalue errors per seed ("inf" where the recovered size is wrong, null
+where it raised), the stages that raised, and the largest orthogonality
+loss max |W W* - I| of the emitted rows; per cell, whether the inputs, q
+heights, skip logs and emitted counts agree between checkouts
 (``decisions_agree``), and whether every sweep's sha256 of its ``weights``
-and ``t_tilde`` bytes does too (``outputs_identical``).
+and ``t_tilde`` bytes does too (``outputs_identical``).  A direct cell
+holds each stage's median scaled time and, in ``outputs_identical``,
+whether every instance's sha256 over all stage outputs (or the stage and
+exception that ended it) agrees between the checkouts.
 """
 
 import argparse
@@ -41,6 +54,10 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 GRID = [(n, N) for n in (1, 2, 3) for N in (10, 20, 40, 80, 160)]
+DIRECT_GRID = [(n, N) for n in (1, 2, 3) for N in (10, 20, 40)]
+DIRECT_STAGES = ("eigen_decompose", "step_measure", "build_p", "build_q", "gram_matrix",
+                 "multiplication_matrix", "q_norms_sq", "det_theta_polynomial",
+                 "verify_generators")
 SEEDS = range(5)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -67,8 +84,65 @@ def _sweep_record(res):
     }
 
 
+def _direct_stages(spec, t, N):
+    """(name, call) of each direct stage; a call takes the outputs so far by name."""
+    from specband import interpolation, matrices, spectral
+
+    m = matrices.truncate(spec, N)
+    s = matrices.analyze_structure(spec, N)
+    return [
+        ("eigen_decompose", lambda o: spectral.eigen_decompose(m)),
+        ("step_measure", lambda o: spectral.step_measure(o["eigen_decompose"], t)),
+        ("build_p", lambda o: spectral.build_p(m, s, t)),
+        ("build_q", lambda o: spectral.build_q(m, s, t, o["build_p"])),
+        ("gram_matrix", lambda o: spectral.gram_matrix(m, s, t, o["eigen_decompose"])),
+        ("multiplication_matrix",
+         lambda o: spectral.multiplication_matrix(m, s, t, o["eigen_decompose"])),
+        ("q_norms_sq", lambda o: spectral.q_norms_sq(m, s, t, o["eigen_decompose"])),
+        ("det_theta_polynomial", lambda o: spectral.det_theta_polynomial(m, s, t)),
+        ("verify_generators", lambda o: interpolation.verify_generators(
+            o["build_q"], interpolation.InterpolationData.from_measure(o["step_measure"]))),
+    ]
+
+
+def _output_bytes(name, out):
+    """The bytes of one direct stage's output that the digest covers."""
+    if name == "eigen_decompose":
+        return out.lambdas.tobytes() + out.phi.tobytes()
+    if name == "step_measure":
+        return b"".join(np.float64(lam).tobytes() + c.tobytes() for lam, c in out.points)
+    if name in ("build_p", "build_q"):
+        return repr([(r.n, r.comps) for r in out]).encode()
+    if name == "q_norms_sq":
+        return out[0].tobytes() + out[1].tobytes()
+    if name == "det_theta_polynomial":
+        return out.coef.tobytes() + out.domain.tobytes()
+    if name == "verify_generators":
+        return json.dumps(out.to_dict()).encode()
+    return out.tobytes()
+
+
+def _direct_record(inst, repeats):
+    """Per-stage times of one direct instance and the sha256 over its outputs."""
+    times = {}
+    digest = hashlib.sha256()
+    outs = {}
+    for name, call in _direct_stages(inst.spec, inst.t, inst.N):
+        times[name] = []
+        for _ in range(repeats):
+            ms, out = _timed(call, outs)
+            times[name].append(ms)
+        if isinstance(out, Exception):
+            digest.update(f"{name}: {type(out).__name__}: {out}".encode())
+            return {"stage_ms": times, "failure": f"{name}: {type(out).__name__}",
+                    "sha256": digest.hexdigest()}
+        outs[name] = out
+        digest.update(_output_bytes(name, out))
+    return {"stage_ms": times, "sha256": digest.hexdigest()}
+
+
 def worker(repeats):
-    """One pass over the grid with the specband on sys.path; JSON on stdout."""
+    """One pass over the grids with the specband on sys.path; JSON on stdout."""
     import measure
     import workloads
     from specband import BoundaryMatrix, eigen_decompose, orthonormalize, step_measure, truncate
@@ -76,10 +150,19 @@ def worker(repeats):
     from specband import serialize as ser
 
     records = []
+    direct = []
+    probes = []
     with tempfile.TemporaryDirectory() as tmp:
+        for n, N in DIRECT_GRID:
+            for seed in SEEDS:
+                probes.append(1e3 * measure.probe())
+                inst = workloads.spec_instance(seed, n, N, 0)
+                rec = _direct_record(inst, repeats)
+                direct.append(dict(rec, n=n, N=N, seed=seed, digest=inst.digest.hex()))
         for n, N in GRID:
             eye = BoundaryMatrix.identity(n)
             for seed in SEEDS:
+                probes.append(1e3 * measure.probe())
                 gue = workloads.measure_instance(seed, n, N, 0, tmp)
                 mu = ser.measure_from_dict(ser.load(gue.path))
                 inst = workloads.spec_instance(seed, n, N, 0)
@@ -106,8 +189,15 @@ def worker(repeats):
                         else {"eigenvalue_error": rep.eigenvalue_error}
                     )
                 records.append(rec)
-    probe_ms = statistics.median(1e3 * measure.probe() for _ in range(50))
-    json.dump({"probe_ms": probe_ms, "records": records}, sys.stdout)
+    scale = 1e3 * measure.PROBE_REF_S / statistics.median(probes)
+    for rec in records:
+        for key in ("gue_ms", "stage_ms", "roundtrip_ms"):
+            rec[key] = [scale * ms for ms in rec[key]]
+    for rec in direct:
+        rec["stage_ms"] = {name: [scale * ms for ms in times]
+                           for name, times in rec["stage_ms"].items()}
+    json.dump({"probe_ms": statistics.median(probes), "records": records, "direct": direct},
+              sys.stdout)
 
 
 def run_side(checkout, repeats):
@@ -168,6 +258,29 @@ def summarize(passes):
     return cells
 
 
+def summarize_direct(passes):
+    """Per direct cell: each stage's median scaled time per checkout, and the digests."""
+    cells = []
+    for n, N in DIRECT_GRID:
+        cell = {"n": n, "N": N, "seeds": len(SEEDS)}
+        last = {}
+        for side, runs in passes.items():
+            recs = [r for run in runs for r in run["direct"] if (r["n"], r["N"]) == (n, N)]
+            last[side] = [r for r in runs[-1]["direct"] if (r["n"], r["N"]) == (n, N)]
+            cell[side] = {
+                f"{name}_ms": _median([t for r in recs for t in r["stage_ms"].get(name, [])])
+                for name in DIRECT_STAGES
+            }
+            cell[side]["failures"] = sorted(r["failure"] for r in last[side] if "failure" in r)
+        before, after = last["before"], last["after"]
+        cell["inputs_agree"] = all(a["digest"] == b["digest"] for a, b in zip(before, after))
+        cell["outputs_identical"] = all(
+            a["sha256"] == b["sha256"] for a, b in zip(before, after)
+        )
+        cells.append(cell)
+    return cells
+
+
 def _cpu_model():
     with contextlib.suppress(OSError):
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -199,6 +312,8 @@ def main(argv=None):
         "command": (f"python3 scripts/bench_sweep.py --before PARENT --after CHANGE "
                     f"--passes {args.passes} --repeats {args.repeats}"),
         "grid": {"n": [1, 2, 3], "N": [10, 20, 40, 80, 160], "seeds": list(SEEDS)},
+        "direct_grid": {"n": [1, 2, 3], "N": [10, 20, 40], "seeds": list(SEEDS)},
+        "times": "ms, each pass scaled by perfbench's PROBE_REF_S over its median probe",
         "passes": args.passes,
         "repeats": args.repeats,
         "threads": 1,
@@ -207,6 +322,7 @@ def main(argv=None):
         "probe_ms": {side: [round(run["probe_ms"], 4) for run in runs]
                      for side, runs in passes.items()},
         "cells": summarize(passes),
+        "direct_cells": summarize_direct(passes),
     }
     text = json.dumps(doc, indent=1)
     if args.output:

@@ -93,17 +93,6 @@ def _load_boundary(path, n):
     return ser.boundary_from_dict(ser.load(path))
 
 
-def _dense_and_structure(d, N=None):
-    """Dense truncation plus structure info from a spec or dense-matrix dict."""
-    obj, kind = ser.sniff_matrix_or_spec(d)
-    if kind == "matrix":
-        if N is not None and N != obj.N:
-            raise SpecbandError("cannot retruncate a dense matrix; pass the structural file")
-        return obj, None
-    N = N or obj.n_max
-    return truncate(obj, N), analyze_structure(obj, N)
-
-
 def cmd_validate(args):
     spec = ser.spec_from_dict(ser.load(args.file))
     which = "mtilde" if args.klass in ("mtilde", "m_tilde") else "m"
@@ -120,7 +109,13 @@ def cmd_truncate(args):
 
 
 def cmd_spectrum(args):
-    m, _ = _dense_and_structure(ser.load(args.file), args.N)
+    obj, kind = ser.sniff_matrix_or_spec(ser.load(args.file))
+    if kind == "spec":
+        m = truncate(obj, args.N or obj.n_max)
+    elif args.N is not None and args.N != obj.N:
+        raise SpecbandError("cannot retruncate a dense matrix; pass the structural file")
+    else:
+        m = obj
     sd = eigen_decompose(m)
     payload = {
         "N": m.N,

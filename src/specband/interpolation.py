@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NoDecomposition
-from .spectral import CLUSTER_TOL, StepMeasure, canonical_coordinates
+from .spectral import CLUSTER_TOL, StepMeasure, canonical_coordinates, row_norms
 from .vectorpoly import (
     MINUS_INF,
     VectorPolynomial,
@@ -66,16 +66,22 @@ class InterpolationData:
 
 
 def is_solution(r: VectorPolynomial, data: InterpolationData, tol: float = 1e-8) -> bool:
-    """Whether r is annihilated by every data point, relatively to its size."""
+    """Whether r is annihilated by every data point, relatively to its size.
+
+    All nodes are tested at once, each rounded as a loop over the nodes
+    rounds it: r(mu_k) by ``VectorPolynomial.evaluate_at``, (C^k)* r(mu_k) by
+    the BLAS dot of ``np.vdot`` (a stacked row-by-column matmul), its modulus
+    by ``np.hypot`` (Python's ``abs``) and the norms by ``row_norms``.
+    """
     if r.n != data.n:
         raise DimensionMismatch("polynomial dimension does not match the data")
-    for mu, c in data.points:
-        val = r.evaluate(mu)
-        resid = abs(np.vdot(c, val))
-        scale = np.linalg.norm(c) * np.linalg.norm(val)
-        if resid > tol * (1.0 + scale):
-            return False
-    return True
+    mus = np.array([mu for mu, _ in data.points])
+    cs = np.array([c for _, c in data.points], dtype=complex).reshape(-1, data.n)
+    vals = r.evaluate_at(mus)
+    dots = np.matmul(cs.conj()[:, None, :], vals[:, :, None])[:, 0, 0]
+    resid = np.hypot(dots.real, dots.imag)
+    scale = row_norms(cs) * row_norms(vals)
+    return not np.any(resid > tol * (1.0 + scale))
 
 
 @dataclass(frozen=True)

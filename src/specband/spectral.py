@@ -30,7 +30,7 @@ from .errors import (
     SingularBoundary,
 )
 from .matrices import FiniteHermitian, StructureInfo
-from .vectorpoly import COEFF_TRIM_TOL, VectorPolynomial, from_coeff_vector, to_coeff_vector
+from .vectorpoly import COEFF_TRIM_TOL, VectorPolynomial, from_coeff_rows, to_coeff_vector
 
 #: relative gap under which neighbouring eigenvalues join one jump
 CLUSTER_TOL = 1e-9
@@ -199,7 +199,10 @@ def eigen_decompose(m: FiniteHermitian) -> SpectralData:
     """Hermitian eigendecomposition with a deterministic column phase.
 
     Eigenvalues come out ascending with multiplicity; each eigenvector is
-    rotated so its first significant entry is real positive.
+    rotated so its first significant entry is real positive.  The rotation
+    runs on all columns at once and rounds as a loop over the columns would:
+    ``np.hypot`` is Python's ``abs`` of the pivot, the quotient is the same
+    elementwise division, and ``_scale_columns`` rounds the product.
     """
     defect = m.hermiticity_defect()
     scale = max(1.0, float(np.max(np.abs(m.data))))
@@ -207,16 +210,53 @@ def eigen_decompose(m: FiniteHermitian) -> SpectralData:
         raise NumericalFailure(f"matrix is not Hermitian (defect {defect:.3e})")
     lams, phi = np.linalg.eigh(m.data)
     phi = np.asarray(phi, dtype=complex)
-    for k in range(phi.shape[1]):
-        col = phi[:, k]
-        idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
-        pivot_val = col[idx]
-        if abs(pivot_val) > 0:
-            phi[:, k] = col * (abs(pivot_val) / pivot_val)
+    pivot, _ = _first_significant(phi)
+    mag = np.hypot(pivot.real, pivot.imag)
+    turn = mag > 0
+    phi[:, turn] = _scale_columns(phi[:, turn], mag[turn] / pivot[turn])
     sd = SpectralData(np.asarray(lams, dtype=float), phi)
     if sd.unitarity_defect() > 1e-10 * max(1, m.N):
         raise NumericalFailure("eigenvector matrix lost unitarity")
     return sd
+
+
+def _first_significant(block):
+    """Per column, the first entry with |x| > 1e-8 max |x|, and that max."""
+    mags = np.abs(block)
+    peak = mags.max(axis=0)
+    idx = np.argmax(mags > 1e-8 * peak, axis=0)
+    return block[idx, np.arange(block.shape[1])], peak
+
+
+def _scale_columns(block, factor):
+    """block[:, k] * factor[k] for every k, rounded as that per-column product rounds.
+
+    A SIMD build of numpy multiplies complex arrays with an unfused scalar
+    kernel when the inner loop has one element and with a vector kernel,
+    which may fuse a multiply-add, when it has more.  A column of a one-row
+    block is such a one-element loop, so that block takes the unfused formula
+    written out; any other block takes one broadcast product, whose inner
+    loop has more than one element, as each column's has.
+    """
+    if block.shape[0] != 1:
+        return block * factor
+    re, im, f_re, f_im = block.real, block.imag, factor.real, factor.imag
+    out = np.empty_like(block)
+    out.real = re * f_re - im * f_im
+    out.imag = re * f_im + im * f_re
+    return out
+
+
+def row_norms(x):
+    """``np.linalg.norm`` of each row of the 2-D complex array x, bit for bit.
+
+    norm takes sqrt(re . re + im . im) with BLAS dot; a stacked (1, L) @ (L, 1)
+    matmul calls that same dot per row, where a sum along the axis would add
+    in another order.
+    """
+    re, im = x.real, x.imag
+    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
+    return np.sqrt(sq[:, 0, 0])
 
 
 def psi_at(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, z) -> np.ndarray:
@@ -299,7 +339,7 @@ def build_p(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix):
         acc = _subtract_in_order(coeffs[r - 1, :w], data[r - 1, cols].conj(), coeffs[cols, n:])
         scale = 1.0 / edge.conjugate()
         coeffs[c - 1, n:] = acc * scale.real + acc * (1j * scale.imag)
-    return [from_coeff_vector(row, n, tol=0.0) for row in coeffs[:, n:]]
+    return from_coeff_rows(coeffs[:, n:], n, tol=0.0)
 
 
 def build_q(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, p):
@@ -312,14 +352,13 @@ def build_q(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, p):
         raise DimensionMismatch("expected one p polynomial per truncation row")
     width = s.n * (max(len(comp) for pk in p for comp in pk.comps) + 1)
     coeffs = np.array([to_coeff_vector(pk, width) for pk in p])
-    q = []
-    for k in s.K:
+    q = np.zeros((s.n, width), dtype=complex)
+    for j, k in enumerate(s.K):
         cols = np.flatnonzero(m.data[k - 1])
         rows = np.vstack([coeffs[cols], np.roll(coeffs[k - 1], s.n)])
         cs = np.append(-m.data[k - 1, cols].conj(), 1.0)
-        acc = _subtract_in_order(np.zeros(width, dtype=complex), cs, rows)
-        q.append(from_coeff_vector(acc, s.n, tol=0.0))
-    return q
+        q[j] = _subtract_in_order(q[j], cs, rows)
+    return from_coeff_rows(q, s.n, tol=0.0)
 
 
 def _subtract_in_order(row, cs, rows):
@@ -337,31 +376,28 @@ def _subtract_in_order(row, cs, rows):
     return np.cumsum(terms, axis=0)[-1]
 
 
-def c_vectors(sd: SpectralData, t: BoundaryMatrix):
+def c_vectors(sd: SpectralData, t: BoundaryMatrix) -> np.ndarray:
     """Boundary-reduced eigenvector heads: solve T* C = (first n rows of phi).
 
-    The phase of each eigencolumn is re-fixed so the first significant
-    entry of its head is real positive; everything downstream only depends
-    on C C*.
+    Returns an (N, n) array whose row k is C^k.  The phase of each
+    eigencolumn is re-fixed so the first significant entry of its head is
+    real positive; everything downstream only depends on C C*.  Heads and
+    C-vectors are checked all at once, each error naming the first failing k;
+    the head rotation rounds as ``eigen_decompose``'s does, and the C-vector
+    norms are ``row_norms``, ``np.linalg.norm`` per vector.
     """
     t.require_invertible()
-    n = t.n
-    phi0 = sd.phi[:n, :].copy()
-    for k in range(phi0.shape[1]):
-        head = phi0[:, k]
-        mags = np.abs(head)
-        if np.max(mags) == 0.0:
-            raise NumericalFailure(f"eigenvector {k} has a vanishing head")
-        idx = np.argmax(mags > 1e-8 * np.max(mags))
-        head *= abs(head[idx]) / head[idx]
-    cs = np.linalg.solve(t.t.conj().T, phi0)
-    out = []
-    for k in range(cs.shape[1]):
-        c = cs[:, k]
-        if np.linalg.norm(c) <= 1e-13:
-            raise NumericalFailure(f"C-vector {k} vanished")
-        out.append(c)
-    return out
+    heads = sd.phi[: t.n, :]
+    pivot, peak = _first_significant(heads)
+    vanished = peak == 0.0
+    if vanished.any():
+        raise NumericalFailure(f"eigenvector {int(np.argmax(vanished))} has a vanishing head")
+    heads = _scale_columns(heads, np.hypot(pivot.real, pivot.imag) / pivot)
+    cs = np.ascontiguousarray(np.linalg.solve(t.t.conj().T, heads).T)
+    small = row_norms(cs) <= 1e-13
+    if small.any():
+        raise NumericalFailure(f"C-vector {int(np.argmax(small))} vanished")
+    return cs
 
 
 def step_measure(sd: SpectralData, t: BoundaryMatrix) -> StepMeasure:
@@ -396,7 +432,7 @@ def _eigen_rows(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
     would round it."""
     if sd is None:
         sd = eigen_decompose(m)
-    cs = np.array(c_vectors(sd, t))
+    cs = c_vectors(sd, t)
     psi = psi_at(m, s, t, sd.lambdas)
     return sd.lambdas, np.matmul(psi, cs[:, :, None])[:, :, 0]
 
@@ -433,17 +469,25 @@ def q_norms_sq(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
     which the theory says is exactly zero; scales_sq[j] is the size the same
     sum would have without the cancellation inside (M - l I)_K Psi(l) C, i.e.
     the K-row magnitudes of (M - l I) times the recovered eigenvector norms.
+
+    All eigenvalues are taken at once, rounded as a loop over k rounds:
+    (M - l_k I)_K u_k is one matrix-vector product per k, the K rows of every
+    M - l_k I are stacked (n N^2 entries) for their row norms, |u_k| is
+    ``row_norms``, and both sums run over k in order.
     """
     lams, us = _eigen_rows(m, s, t, sd)
     n = s.n
     rows = np.array(s.K) - 1
     k_rows = m.data[rows, :]
-    norms = np.zeros(n)
-    scales = np.zeros(n)
-    for lam, u in zip(lams, us):
-        v = k_rows @ u - lam * u[rows]
-        norms += np.abs(v) ** 2
-        shifted = k_rows.copy()
-        shifted[np.arange(n), rows] -= lam
-        scales += (np.linalg.norm(shifted, axis=1) * np.linalg.norm(u)) ** 2
-    return norms, scales
+    v = np.matmul(k_rows, us[:, :, None])[:, :, 0] - lams[:, None] * us[:, rows]
+    shifted = np.repeat(k_rows[None], len(lams), axis=0)
+    shifted[:, np.arange(n), rows] -= lams[:, None]
+    scales = (np.linalg.norm(shifted, axis=2) * row_norms(us)[:, None]) ** 2
+    return _sum_in_order(np.abs(v) ** 2), _sum_in_order(scales)
+
+
+def _sum_in_order(terms):
+    """0.0 + terms[0] + terms[1] + ..., left to right along the first axis.
+
+    ``np.add.reduce`` would sum a single column pairwise."""
+    return np.cumsum(np.vstack([np.zeros(terms.shape[1:]), terms]), axis=0)[-1]

@@ -26,11 +26,29 @@ COEFF_TRIM_TOL = 1e-12
 
 
 def _trim(coeffs, tol):
-    """Drop trailing coefficients of magnitude <= tol."""
-    last = len(coeffs)
-    while last > 0 and abs(coeffs[last - 1]) <= tol:
-        last -= 1
-    return tuple(map(complex, coeffs[:last]))
+    """Drop trailing coefficients of magnitude <= tol; a tuple of Python complex."""
+    return _trimmed_slots([coeffs], 1, tol)[0][0]
+
+
+def _trimmed_slots(rows, n, tol):
+    """Per row of the 2-D rows, its slots i = 0..n-1 (every n-th entry from i),
+    each without trailing coefficients of magnitude <= tol.
+
+    One array pass finds the last kept coefficient of every slot of every row.
+    ``np.hypot`` is Python's complex ``abs`` bit for bit (``np.abs`` on
+    complex is not), and a NaN is kept, as ``abs(nan) <= tol`` is false.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    count, size = rows.shape
+    depth = -(-size // n)
+    keep = np.zeros((count, depth * n), dtype=bool)
+    keep[:, :size] = ~(np.hypot(rows.real, rows.imag) <= tol)
+    grid = keep.reshape(count, depth, n)  # [row, d, i]: z^d in slot i
+    lengths = np.max(grid * np.arange(1, depth + 1)[:, None], axis=1, initial=0)
+    return [
+        tuple(tuple(values[i : n * k : n]) for i, k in enumerate(lens))
+        for values, lens in zip(rows.tolist(), lengths.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,39 @@ class VectorPolynomial:
             for c in reversed(coeffs):
                 acc = acc * t + c
             out[j] = acc
+        return out
+
+    def evaluate_at(self, ts):
+        """``evaluate(t)`` for every real t in ts, as a (len(ts), n) array.
+
+        Python rounds the Horner step acc * t + c as (acc.re t - acc.im 0.0 +
+        c.re, acc.re 0.0 + acc.im t + c.im); each step below runs those float
+        operations for all points and components at once, the two zero
+        products as one product with (-0.0, 0.0).  Only the sign of a NaN may
+        differ, as it depends on the order of the operands.  Shorter
+        components are padded at the top with zeros, which leave the
+        accumulator at 0j, and zero components stay 0j.  Like Python's, the
+        arithmetic overflows to inf without a warning.
+        """
+        ts = np.asarray(ts, dtype=float)
+        width = max(len(c) for c in self.comps)
+        steps = np.zeros((width, 2, self.n, 1))
+        for j, comp in enumerate(self.comps):
+            top = np.array(comp[::-1], dtype=complex)
+            steps[width - len(top):, 0, j, 0] = top.real
+            steps[width - len(top):, 1, j, 0] = top.imag
+        acc = np.zeros((2, self.n, ts.size))
+        signed_zero = np.array([-0.0, 0.0])[:, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in steps:
+                cross = acc[::-1] * signed_zero
+                acc *= ts
+                acc += cross
+                acc += step
+        out = np.zeros((ts.size, self.n), dtype=complex)
+        live = [j for j, comp in enumerate(self.comps) if comp]
+        out.real[:, live] = acc[0, live].T
+        out.imag[:, live] = acc[1, live].T
         return out
 
     def conjugate_coeffs(self):
@@ -178,10 +229,12 @@ def to_coeff_vector(r: VectorPolynomial, length):
 
 def from_coeff_vector(coords, n, tol=COEFF_TRIM_TOL):
     """Inverse of :func:`to_coeff_vector`: slot i holds every n-th coordinate."""
-    coords = np.asarray(coords)
-    return VectorPolynomial.from_components(
-        [coords[i::n].tolist() for i in range(n)], n, tol=tol
-    )
+    return from_coeff_rows([coords], n, tol)[0]
+
+
+def from_coeff_rows(rows, n, tol=COEFF_TRIM_TOL):
+    """:func:`from_coeff_vector` of each row of a 2-D array, trimmed in one pass."""
+    return [VectorPolynomial(n, comps) for comps in _trimmed_slots(rows, n, tol)]
 
 
 def poly_allclose(a: VectorPolynomial, b: VectorPolynomial, tol=1e-9):

@@ -15,13 +15,18 @@ references of the array-based sweep and moments; with ``mgs_pass`` the
 sweep runs its original modified Gram-Schmidt kernel.
 ``reference_psi_at`` and the functions after it are the original direct
 side, which evaluated Psi one point at a time and rebuilt the interpolation
-constraints entry by entry at every height.  ``reference_build_p`` and
+constraints entry by entry at every height.  ``reference_eigen_decompose``,
+``reference_c_vectors`` and ``reference_is_solution`` fix phases, check
+C-vectors and test nodes in a loop over the columns or nodes, the references
+of their array forms; the gram, multiplication and q-norm references take
+their C-vectors from ``reference_c_vectors``.  ``reference_build_p`` and
 ``reference_build_q`` build the p_k and q_j by stepwise VectorPolynomial
 arithmetic, the references of the coefficient-array ``build_p``/``build_q``.
 ``reference_dumps`` is the CLI's original output encoder, json's indent-2
 encoder, and ``reference_from_coeff_vector`` the original per-coefficient
 slot loop with its trimming loop, the references of ``serialize.dumps`` and
-of ``vectorpoly.from_coeff_vector``.
+of ``vectorpoly.from_coeff_vector``; ``_reference_trim`` is the trailing-zero
+walk that ``vectorpoly._trim`` replaced.
 """
 
 import contextlib
@@ -35,10 +40,15 @@ from hypothesis import strategies as st
 
 from specband import BoundaryMatrix, GenProfile, MatrixSpec, StepMeasure, generate_random
 from specband import matrices
-from specband.errors import DimensionMismatch, PivotViolation, SingularZerothMoment
+from specband.errors import (
+    DimensionMismatch,
+    NumericalFailure,
+    PivotViolation,
+    SingularZerothMoment,
+)
 from specband.interpolation import LSTSQ_RCOND, expected_kernel_dimension
 from specband.reconstruct import ZERO_NORM_TOL, OrthoResult
-from specband.spectral import c_vectors, eigen_decompose
+from specband.spectral import SpectralData
 from specband.vectorpoly import (
     COEFF_TRIM_TOL,
     MINUS_INF,
@@ -426,7 +436,7 @@ def reference_det_theta(m, s, t, z):
 
 def reference_det_theta_polynomial(m, s, t):
     """det Theta interpolated from one determinant per Chebyshev node."""
-    sd = eigen_decompose(m)
+    sd = reference_eigen_decompose(m)
     lo, hi = float(sd.lambdas[0]), float(sd.lambdas[-1])
     pad = 0.25 * max(hi - lo, 1.0)
     lo, hi = lo - pad, hi + pad
@@ -440,8 +450,50 @@ def reference_det_theta_polynomial(m, s, t):
     return np.polynomial.chebyshev.Chebyshev.fit(nodes, vals, deg=N, domain=[lo, hi])
 
 
+def reference_eigen_decompose(m):
+    """eigh, then the phase of each eigencolumn fixed in a loop over the columns."""
+    defect = m.hermiticity_defect()
+    scale = max(1.0, float(np.max(np.abs(m.data))))
+    if defect > 1e-9 * scale:
+        raise NumericalFailure(f"matrix is not Hermitian (defect {defect:.3e})")
+    lams, phi = np.linalg.eigh(m.data)
+    phi = np.asarray(phi, dtype=complex)
+    for k in range(phi.shape[1]):
+        col = phi[:, k]
+        idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
+        pivot_val = col[idx]
+        if abs(pivot_val) > 0:
+            phi[:, k] = col * (abs(pivot_val) / pivot_val)
+    sd = SpectralData(np.asarray(lams, dtype=float), phi)
+    if sd.unitarity_defect() > 1e-10 * max(1, m.N):
+        raise NumericalFailure("eigenvector matrix lost unitarity")
+    return sd
+
+
+def reference_c_vectors(sd, t):
+    """The C-vectors as a list, each head's phase and each norm taken in a loop over k."""
+    t.require_invertible()
+    n = t.n
+    phi0 = sd.phi[:n, :].copy()
+    for k in range(phi0.shape[1]):
+        head = phi0[:, k]
+        mags = np.abs(head)
+        if np.max(mags) == 0.0:
+            raise NumericalFailure(f"eigenvector {k} has a vanishing head")
+        idx = np.argmax(mags > 1e-8 * np.max(mags))
+        head *= abs(head[idx]) / head[idx]
+    cs = np.linalg.solve(t.t.conj().T, phi0)
+    out = []
+    for k in range(cs.shape[1]):
+        c = cs[:, k]
+        if np.linalg.norm(c) <= 1e-13:
+            raise NumericalFailure(f"C-vector {k} vanished")
+        out.append(c)
+    return out
+
+
 def _reference_eigen_rows(m, s, t, sd):
-    cs = c_vectors(sd, t)
+    cs = reference_c_vectors(sd, t)
     return [(lam, reference_psi_at(m, s, t, lam) @ c) for lam, c in zip(sd.lambdas, cs)]
 
 
@@ -471,6 +523,19 @@ def reference_q_norms_sq(m, s, t, sd):
         shifted[np.arange(n), rows] -= lam
         scales += (np.linalg.norm(shifted, axis=1) * np.linalg.norm(u)) ** 2
     return norms, scales
+
+
+def reference_is_solution(r, data, tol=1e-8):
+    """The annihilation test one node at a time, stopping at the first failing node."""
+    if r.n != data.n:
+        raise DimensionMismatch("polynomial dimension does not match the data")
+    for mu, c in data.points:
+        val = r.evaluate(mu)
+        resid = abs(np.vdot(c, val))
+        scale = np.linalg.norm(c) * np.linalg.norm(val)
+        if resid > tol * (1.0 + scale):
+            return False
+    return True
 
 
 def reference_constraint_matrix(data, length):

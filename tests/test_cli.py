@@ -73,6 +73,25 @@ class TestPipelineCommands:
         # cumulative mass after the last jump is the full mass
         assert float(rows[-1][1]) == pytest.approx(1.0)
 
+    def test_spectrum_truncates_like_measure(self, tmp_path, capsys):
+        # N = n needs no structure: spectrum and measure both take the 2 x 2 corner
+        spec = tmp_path / "spec.json"
+        assert run_cli(["gen", "--n", "2", "--N-max", "10", "--seed", "7", "-o", str(spec)]) == EXIT_OK
+        assert run_cli(["measure", str(spec), "--N", "2"]) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli(["spectrum", str(spec), "--N", "2"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        data = truncate(ser.spec_from_dict(read_json(spec)), 2).data
+        assert out["N"] == 2
+        assert out["eigenvalues"] == pytest.approx(np.linalg.eigvalsh(data), abs=1e-12)
+
+    def test_spectrum_refuses_to_retruncate_a_dense_matrix(self, flip2_file, tmp_path, capsys):
+        mat = tmp_path / "mat.json"
+        assert run_cli(["truncate", "--N", "2", flip2_file, "-o", str(mat)]) == EXIT_OK
+        assert run_cli(["spectrum", str(mat), "--N", "2"]) == EXIT_OK
+        assert run_cli(["spectrum", str(mat), "--N", "1"]) == EXIT_VALIDATION
+        assert "cannot retruncate a dense matrix" in capsys.readouterr().err
+
     def test_measure_from_dense_needs_n(self, flip2_file, tmp_path, capsys):
         mat = tmp_path / "mat.json"
         run_cli(["truncate", "--N", "2", flip2_file, "-o", str(mat)])

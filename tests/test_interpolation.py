@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specband import (
     BoundaryMatrix,
@@ -23,10 +25,13 @@ from specband.interpolation import expected_kernel_dimension
 from specband.vectorpoly import VectorPolynomial, canonical_e, height, poly_allclose
 
 from conftest import (
+    awkward_measures,
     make_fix7,
+    outcome,
     random_boundary,
     random_instance,
     reference_height_table,
+    reference_is_solution,
     reference_kernel_dimension,
     reference_weight_row,
 )
@@ -68,6 +73,64 @@ class TestIsSolution:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             InterpolationData(1, ((0.5, np.array([0j])),))
+
+
+def assert_solution_like_reference(polys, data):
+    """is_solution of every polynomial at three tolerances against the per-node loop."""
+    for r in polys:
+        for tol in (1e-14, 1e-8, 1e-2):
+            got, ref = outcome(is_solution, r, data, tol), outcome(reference_is_solution, r, data, tol)
+            assert got == ref and type(got) is type(ref)
+
+
+def direct_polys(spec, N, t):
+    """Measure data of a truncation, with its q_j, p_k and sums of both."""
+    _, _, _, mu, p, q = pipeline(spec, N, t)
+    mixed = [qj + p[k % len(p)] * 1e-9 for k, qj in enumerate(q)]
+    return InterpolationData.from_measure(mu), q + p[:6] + mixed
+
+
+class TestIsSolutionMatchesReference:
+    def test_acceptance_set(self):
+        for seed in range(50):
+            spec, N = random_instance(seed)
+            data, polys = direct_polys(spec, N, random_boundary(spec.n, seed + 10_000))
+            assert_solution_like_reference(polys, data)
+
+    @pytest.mark.parametrize("N", [10, 20, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_direct_cells(self, n, N):
+        for seed in range(2):
+            spec = generate_random(GenProfile(n=n, n_max=N), seed)
+            data, polys = direct_polys(spec, N, random_boundary(n, seed))
+            assert_solution_like_reference(polys, data)
+
+    def test_no_nodes(self):
+        data = InterpolationData(2, ())
+        assert_solution_like_reference([VectorPolynomial.zero(2), canonical_e(3, 2)], data)
+
+    def test_dimension_mismatch(self, flip2):
+        _, _, _, mu, _, _ = pipeline(flip2, 2)
+        data = InterpolationData.from_measure(mu)
+        assert_solution_like_reference([VectorPolynomial.zero(2)], data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_measures(), st.data())
+def test_is_solution_matches_reference_on_awkward_measures(mu, draw):
+    data = outcome(InterpolationData.from_measure, mu)
+    if not isinstance(data, InterpolationData):
+        data = InterpolationData(mu.n, [(lam, c) for lam, c in mu.points if np.any(c)][: mu.n])
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+    polys = []
+    for _ in range(3):
+        degs = rng.integers(-1, 8, size=mu.n)
+        comps = [rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1) for d in degs]
+        polys.append(VectorPolynomial.from_components(comps, mu.n, tol=0.0))
+    # a solution: every component vanishes at every node
+    nodes = np.atleast_1d(np.poly([x for x, _ in data.points]))[::-1].astype(complex)
+    polys.append(VectorPolynomial.from_components([nodes] * mu.n, mu.n, tol=0.0))
+    assert_solution_like_reference(polys, data)
 
 
 class TestDecompose:

@@ -28,8 +28,8 @@ from specband import (
     theta_at,
     truncate,
 )
-from specband.errors import DimensionMismatch, PivotViolation
-from specband.spectral import StepMeasure, jump_rank
+from specband.errors import DimensionMismatch, NumericalFailure, PivotViolation
+from specband.spectral import SpectralData, StepMeasure, jump_rank
 from specband.vectorpoly import COEFF_TRIM_TOL, VectorPolynomial, height
 
 from conftest import (
@@ -40,8 +40,10 @@ from conftest import (
     random_instance,
     reference_build_p,
     reference_build_q,
+    reference_c_vectors,
     reference_det_theta,
     reference_det_theta_polynomial,
+    reference_eigen_decompose,
     reference_gram_matrix,
     reference_moment,
     reference_multiplication_matrix,
@@ -620,6 +622,27 @@ def assert_same(fn, ref, *args):
     assert as_bytes(outcome(fn, *args)) == as_bytes(outcome(ref, *args))
 
 
+def eigen_bytes(fn, m):
+    """What fn(m) returns, eigenvalues and eigenvectors as bytes, or what it raised."""
+    sd = outcome(fn, m)
+    return as_bytes((sd.lambdas, sd.phi)) if isinstance(sd, SpectralData) else sd
+
+
+def c_bytes(fn, sd, t):
+    """The C-vectors of fn(sd, t) as the bytes of one (N, n) array, or what it raised."""
+    cs = outcome(fn, sd, t)
+    if isinstance(cs, tuple):
+        return cs
+    return as_bytes(np.array(cs, dtype=complex).reshape(-1, t.n))
+
+
+def assert_phases_like_reference(m, t):
+    """eigen_decompose and c_vectors on m against the per-column loops, bit for bit."""
+    assert eigen_bytes(eigen_decompose, m) == eigen_bytes(reference_eigen_decompose, m)
+    sd = reference_eigen_decompose(m)
+    assert c_bytes(c_vectors, sd, t) == c_bytes(reference_c_vectors, sd, t)
+
+
 def assert_points_like_reference(m, s, t, zs):
     """psi_at/theta_at over the array zs, and at each point alone, against the loop."""
     for fn, ref in ((psi_at, reference_psi_at), (theta_at, reference_theta_at)):
@@ -637,6 +660,7 @@ def assert_points_like_reference(m, s, t, zs):
 
 
 def assert_direct_like_reference(m, s, t):
+    assert_phases_like_reference(m, t)
     sd = eigen_decompose(m)
     assert_points_like_reference(m, s, t, sd.lambdas)
     for fn, ref in (
@@ -670,6 +694,72 @@ class TestDirectSideMatchesReference:
         data = m.data.copy()
         data[0, 3] = data[3, 0] = 0.0  # the edge of column 4
         assert_points_like_reference(FiniteHermitian(7, data), s, t, np.array([0.5, -1.0]))
+
+
+def awkward_matrix(mu, seed):
+    """Hermitian matrix with the measure's (clustered) eigenvalues and eigenvectors
+    that are unit vectors or 2 x 2 rotations of pairs of them, so mostly zeros."""
+    rng = np.random.default_rng(seed)
+    N = mu.size
+    q = np.eye(N, dtype=complex)
+    for i in range(0, N - 1, 2):
+        if rng.random() < 0.5:
+            q[i : i + 2, i : i + 2], _ = np.linalg.qr(
+                rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            )
+    data = q @ np.diag(mu.lambdas()) @ q.conj().T
+    return FiniteHermitian(N, 0.5 * (data + data.conj().T))
+
+
+def head_data(mu):
+    """Spectral data whose eigenvector heads are the measure's C-vectors."""
+    lam, conj_c = mu.spectral_arrays()
+    return SpectralData(lam, conj_c.conj().T.copy())
+
+
+class TestPhasesMatchReference:
+    def test_c_vectors_are_rows(self, fix7):
+        _, _, _, sd = setup(fix7, 7)
+        t = random_boundary(3, 5)
+        cs = c_vectors(sd, t)
+        assert cs.shape == (7, 3) and cs.flags.c_contiguous
+        assert np.allclose(np.abs(t.t.conj().T @ cs.T), np.abs(sd.phi[:3, :]))
+        for c, ref in zip(cs, reference_c_vectors(sd, t)):
+            assert c.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_vanishing_head_names_first_k(self, n):
+        # columns n.. of the identity have zero heads; the first of them is named
+        sd = SpectralData(np.arange(6.0), np.eye(6, dtype=complex))
+        t = random_boundary(n, 3)
+        for fn in (c_vectors, reference_c_vectors):
+            with pytest.raises(NumericalFailure, match=rf"^eigenvector {n} has a vanishing head$"):
+                fn(sd, t)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_vanished_c_vector_names_first_k(self, n):
+        # heads 1e-15 at k = 2 and 4 pass the head check and give |C| <= 1e-13
+        rng = np.random.default_rng(n)
+        phi = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        phi[:n, [2, 4]] *= 1e-15
+        sd = SpectralData(np.arange(6.0), phi)
+        t = random_boundary(n, 4)
+        assert c_bytes(c_vectors, sd, t) == c_bytes(reference_c_vectors, sd, t)
+        with pytest.raises(NumericalFailure, match=r"^C-vector 2 vanished$"):
+            c_vectors(sd, t)
+
+    def test_one_by_one(self):
+        m = FiniteHermitian(1, np.array([[2.5 + 0j]]))
+        assert_phases_like_reference(m, BoundaryMatrix(1, np.array([[0.7 - 0.2j]])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_measures(), st.integers(0, 2**32 - 1))
+def test_phases_match_reference_on_awkward_measures(mu, seed):
+    t = random_boundary(mu.n, seed)
+    assert_phases_like_reference(awkward_matrix(mu, seed), t)
+    sd = head_data(mu)
+    assert c_bytes(c_vectors, sd, t) == c_bytes(reference_c_vectors, sd, t)
 
 
 @st.composite

@@ -8,7 +8,9 @@ from specband.vectorpoly import (
     COEFF_TRIM_TOL,
     MINUS_INF,
     VectorPolynomial,
+    _trim,
     canonical_e,
+    from_coeff_rows,
     from_coeff_vector,
     height,
     leading_slot,
@@ -16,7 +18,7 @@ from specband.vectorpoly import (
     to_coeff_vector,
 )
 
-from conftest import reference_from_coeff_vector
+from conftest import _reference_trim, reference_from_coeff_vector
 
 
 def vp(comps, n=None):
@@ -208,3 +210,75 @@ class TestFromCoeffVectorMatchesReference:
         r = from_coeff_vector(coords, 2)
         assert r.comps == ((1 + 0j,), ())
         assert _same_poly(r, reference_from_coeff_vector(coords, 2))
+
+
+special = st.sampled_from(
+    [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1e-13, -2e-12j, 1e-12, float("nan"),
+     complex(0.0, float("nan")), float("inf"), complex(-float("inf"), 1.0)]
+)
+
+
+class TestTrimMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(coeff, special), max_size=12),
+        st.sampled_from([0.0, COEFF_TRIM_TOL, 0.5, -1.0]),
+        st.sampled_from([list, tuple, lambda c: np.asarray(c, dtype=complex)]),
+    )
+    def test_random(self, coeffs, tol, kind):
+        got, ref = _trim(kind(coeffs), tol), _reference_trim(kind(coeffs), tol)
+        assert repr(got) == repr(ref)
+        assert all(type(c) is complex for c in got)
+
+    def test_real_and_integer_entries(self):
+        for coeffs in ([1, 0, 0], [2.5, -0.0, 0.0], np.array([3, 0, 1, 0])):
+            assert repr(_trim(coeffs, 0.0)) == repr(_reference_trim(coeffs, 0.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 4),
+        st.lists(st.one_of(coeff, special), min_size=0, max_size=24),
+        st.sampled_from([0.0, COEFF_TRIM_TOL]),
+    )
+    def test_rows_match_single_vectors(self, n, count, flat, tol):
+        width = len(flat) // max(count, 1)
+        rows = np.asarray(flat[: count * width], dtype=complex).reshape(count, width)
+        got = from_coeff_rows(rows, n, tol)
+        assert len(got) == count
+        for poly, row in zip(got, rows):
+            assert _same_poly(poly, reference_from_coeff_vector(row, n, tol=tol))
+
+
+def nan_signless(values):
+    """A copy of a complex array with every NaN part replaced by the positive NaN."""
+    out = values.copy()
+    out.real[np.isnan(out.real)] = np.nan
+    out.imag[np.isnan(out.imag)] = np.nan
+    return out
+
+
+class TestEvaluateAt:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(st.lists(st.one_of(coeff, special), max_size=7), min_size=n, max_size=n)
+        ),
+        st.lists(
+            st.one_of(
+                st.floats(-50.0, 50.0),
+                st.sampled_from([0.0, -0.0, 1e-300, -1e200, float("inf"), float("nan")]),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_matches_evaluate_up_to_nan_signs(self, comps, ts):
+        r = VectorPolynomial.from_components(comps, len(comps), tol=0.0)
+        got = r.evaluate_at(np.array(ts))
+        assert got.shape == (len(ts), r.n)
+        for row, t in zip(got, ts):
+            assert nan_signless(row).tobytes() == nan_signless(r.evaluate(t)).tobytes()
+
+    def test_zero_polynomial(self):
+        got = VectorPolynomial.zero(2).evaluate_at(np.array([1.0, -3.0]))
+        assert got.tobytes() == np.zeros((2, 2), dtype=complex).tobytes()
