@@ -1,6 +1,6 @@
 """Time the inverse sweep, the round trip and the direct side at two checkouts.
 
-    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_10.json
+    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_11.json
 
 Every cell n in {1,2,3}, N in {10,20,40,80,160} of the North-star grid
 takes seeds 0-4, and each instance comes from perfbench's builders:
@@ -8,8 +8,13 @@ takes seeds 0-4, and each instance comes from perfbench's builders:
 * ``orthonormalize(mu, N)`` on the GUE step measure of ``measure_instance``
   (T = I), the sweep that ``specband reconstruct`` runs;
 * ``reconstruct.roundtrip(spec, I, N)`` on the ``generate_random`` spec of
-  ``spec_instance`` with T = I, and ``orthonormalize`` on that spec's step
-  measure, the round trip's sweep stage.
+  ``spec_instance`` with T = I, timed whole, and then its stages one after
+  the other, each timed alone: ``truncate``, ``structure``, ``eigen``,
+  ``measure``, ``orthonormalize``, ``recover``, ``verify`` (reading the
+  recovered matrix's structure, its class check and its step measure),
+  ``compare_measures`` and ``moment_gap`` (both measures' ``moments_upto``
+  and the largest entry of their difference); the first stage that raises
+  ends the instance.
 
 The direct cells, n in {1,2,3}, N in {10,20,40}, take the same seeds and
 run the stages of perfbench's ``direct`` operation one after the other on
@@ -25,13 +30,15 @@ of perfbench's speed probes, and every time of a pass is scaled by
 ``PROBE_REF_S`` over the median of its probes, as perfbench scales its
 rounds: unscaled, a cell moved by about 30 % between two runs of this
 script on the same checkouts.  The output holds, per cell and checkout,
-the median scaled times in ms, the emitted counts and the round trip's
-eigenvalue errors per seed ("inf" where the recovered size is wrong, null
-where it raised), the stages that raised, and the largest orthogonality
-loss max |W W* - I| of the emitted rows; per cell, whether the inputs, q
-heights, skip logs and emitted counts agree between checkouts
-(``decisions_agree``), and whether every sweep's sha256 of its ``weights``
-and ``t_tilde`` bytes does too (``outputs_identical``).  A direct cell
+the median scaled times in ms (of each round-trip stage too), the emitted
+counts and the round trip's eigenvalue errors per seed ("inf" where the
+recovered size is wrong, null where it raised), the stages that raised,
+and the largest orthogonality loss max |W W* - I| of the emitted rows; per
+cell, whether the inputs, q heights, skip logs and emitted counts agree
+between checkouts (``decisions_agree``), and whether every sweep's sha256
+of its ``weights`` and ``t_tilde`` bytes and every round trip's sha256 of
+its ``RoundTripReport.to_dict()`` JSON text and recovered matrix bytes (or
+of the error it raised) does too (``outputs_identical``).  A direct cell
 holds each stage's median scaled time and, in ``outputs_identical``,
 whether every instance's sha256 over all stage outputs (or the stage and
 exception that ended it) agrees between the checkouts.
@@ -58,6 +65,8 @@ DIRECT_GRID = [(n, N) for n in (1, 2, 3) for N in (10, 20, 40)]
 DIRECT_STAGES = ("eigen_decompose", "step_measure", "build_p", "build_q", "gram_matrix",
                  "multiplication_matrix", "q_norms_sq", "det_theta_polynomial",
                  "verify_generators")
+ROUNDTRIP_STAGES = ("truncate", "structure", "eigen", "measure", "orthonormalize", "recover",
+                    "verify", "compare_measures", "moment_gap")
 SEEDS = range(5)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -122,30 +131,90 @@ def _output_bytes(name, out):
     return out.tobytes()
 
 
-def _direct_record(inst, repeats):
-    """Per-stage times of one direct instance and the sha256 over its outputs."""
-    times = {}
-    digest = hashlib.sha256()
-    outs = {}
-    for name, call in _direct_stages(inst.spec, inst.t, inst.N):
+def _roundtrip_stages(spec, t, N):
+    """(name, call) of each stage of ``reconstruct.roundtrip``; a call takes the outputs so far.
+
+    ``compare_measures`` and the moment gap, which the round trip runs after
+    its last ``verify`` stage, are stages of their own here.
+    """
+    from specband import matrices, reconstruct, spectral
+
+    order = 0
+    if spec.tail is not None:
+        j0, k0 = spec.tail
+        order = 2 * max((N - spec.n) // (k0 - j0), 0)
+
+    def verify(o):
+        m_rec = o["recover"]
+        matrices.validate_class(reconstruct.spec_from_dense(m_rec.data, spec.n), "mtilde")
+        return spectral.step_measure(spectral.eigen_decompose(m_rec), o["orthonormalize"].t_tilde)
+
+    def moment_gap(o):
+        gap = o["measure"].moments_upto(order) - o["verify"].moments_upto(order)
+        return float(np.max(np.abs(gap)))
+
+    return [
+        ("truncate", lambda o: matrices.truncate(spec, N)),
+        ("structure", lambda o: matrices.analyze_structure(spec, N)),
+        ("eigen", lambda o: spectral.eigen_decompose(o["truncate"])),
+        ("measure", lambda o: spectral.step_measure(o["eigen"], t)),
+        ("orthonormalize", lambda o: reconstruct.orthonormalize(o["measure"], N)),
+        ("recover", lambda o: reconstruct.recover_matrix(o["orthonormalize"])),
+        ("verify", verify),
+        ("compare_measures", lambda o: reconstruct.compare_measures(o["measure"], o["verify"])),
+        ("moment_gap", moment_gap),
+    ]
+
+
+def _run_stages(stages, repeats):
+    """Each stage timed ``repeats`` times, in order, until one raises.
+
+    Returns the times per stage, the outputs by stage and (stage, exception)
+    of the stage that raised, or None.
+    """
+    times, outs = {}, {}
+    for name, call in stages:
         times[name] = []
         for _ in range(repeats):
             ms, out = _timed(call, outs)
             times[name].append(ms)
         if isinstance(out, Exception):
-            digest.update(f"{name}: {type(out).__name__}: {out}".encode())
-            return {"stage_ms": times, "failure": f"{name}: {type(out).__name__}",
-                    "sha256": digest.hexdigest()}
+            return times, outs, (name, out)
         outs[name] = out
+    return times, outs, None
+
+
+def _direct_record(inst, repeats):
+    """Per-stage times of one direct instance and the sha256 over its outputs."""
+    times, outs, failed = _run_stages(_direct_stages(inst.spec, inst.t, inst.N), repeats)
+    digest = hashlib.sha256()
+    for name, out in outs.items():
         digest.update(_output_bytes(name, out))
-    return {"stage_ms": times, "sha256": digest.hexdigest()}
+    rec = {"stage_ms": times}
+    if failed:
+        name, exc = failed
+        digest.update(f"{name}: {type(exc).__name__}: {exc}".encode())
+        rec["failure"] = f"{name}: {type(exc).__name__}"
+    rec["sha256"] = digest.hexdigest()
+    return rec
+
+
+def _roundtrip_record(rep):
+    """Eigenvalue error and sha256 of the report text and matrix bytes, or the failing stage."""
+    if isinstance(rep, Exception):
+        what = f"{getattr(rep, 'stage', '')}: {type(rep).__name__}: {rep}"
+        return {"failure": getattr(rep, "stage", type(rep).__name__),
+                "sha256": hashlib.sha256(what.encode()).hexdigest()}
+    text = json.dumps(rep.to_dict()).encode()
+    return {"eigenvalue_error": rep.eigenvalue_error,
+            "sha256": hashlib.sha256(text + rep.matrix.data.tobytes()).hexdigest()}
 
 
 def worker(repeats):
     """One pass over the grids with the specband on sys.path; JSON on stdout."""
     import measure
     import workloads
-    from specband import BoundaryMatrix, eigen_decompose, orthonormalize, step_measure, truncate
+    from specband import BoundaryMatrix, orthonormalize
     from specband import reconstruct
     from specband import serialize as ser
 
@@ -166,34 +235,26 @@ def worker(repeats):
                 gue = workloads.measure_instance(seed, n, N, 0, tmp)
                 mu = ser.measure_from_dict(ser.load(gue.path))
                 inst = workloads.spec_instance(seed, n, N, 0)
-                try:
-                    sigma = step_measure(eigen_decompose(truncate(inst.spec, N)), eye)
-                except Exception:  # noqa: BLE001 - the round trip records the failure
-                    sigma = None
                 rec = {"n": n, "N": N, "seed": seed,
                        "digest": (gue.digest + inst.digest).hex(),
-                       "gue_ms": [], "stage_ms": [], "roundtrip_ms": []}
+                       "gue_ms": [], "roundtrip_ms": []}
                 for _ in range(repeats):
                     ms, res = _timed(orthonormalize, mu, N)
                     rec["gue_ms"].append(ms)
                     rec["gue"] = _sweep_record(res)
-                    if sigma is not None:
-                        ms, res = _timed(orthonormalize, sigma, N)
-                        rec["stage_ms"].append(ms)
-                        rec["stage"] = _sweep_record(res)
                     ms, rep = _timed(reconstruct.roundtrip, inst.spec, eye, N)
                     rec["roundtrip_ms"].append(ms)
-                    rec["roundtrip"] = (
-                        {"failure": getattr(rep, "stage", type(rep).__name__)}
-                        if isinstance(rep, Exception)
-                        else {"eigenvalue_error": rep.eigenvalue_error}
-                    )
+                    rec["roundtrip"] = _roundtrip_record(rep)
+                times, outs, _ = _run_stages(_roundtrip_stages(inst.spec, eye, N), repeats)
+                rec["stage_ms"] = times
+                if "orthonormalize" in outs:
+                    rec["stage"] = _sweep_record(outs["orthonormalize"])
                 records.append(rec)
     scale = 1e3 * measure.PROBE_REF_S / statistics.median(probes)
     for rec in records:
-        for key in ("gue_ms", "stage_ms", "roundtrip_ms"):
+        for key in ("gue_ms", "roundtrip_ms"):
             rec[key] = [scale * ms for ms in rec[key]]
-    for rec in direct:
+    for rec in records + direct:
         rec["stage_ms"] = {name: [scale * ms for ms in times]
                            for name, times in rec["stage_ms"].items()}
     json.dump({"probe_ms": statistics.median(probes), "records": records, "direct": direct},
@@ -236,8 +297,11 @@ def summarize(passes):
             trips = [r["roundtrip"] for r in final]
             cell[side] = {
                 "orthonormalize_gue_ms": _median([t for r in recs for t in r["gue_ms"]]),
-                "orthonormalize_roundtrip_ms": _median([t for r in recs for t in r["stage_ms"]]),
                 "roundtrip_ms": _median([t for r in recs for t in r["roundtrip_ms"]]),
+                "roundtrip_stage_ms": {
+                    name: _median([t for r in recs for t in r["stage_ms"].get(name, [])])
+                    for name in ROUNDTRIP_STAGES
+                },
                 "emitted_gue": [g.get("emitted") for g in gue],
                 "emitted_roundtrip": [s.get("emitted") for s in stage],
                 "orthogonality_loss_max": max((s["loss"] for s in gue + stage if "loss" in s),
@@ -250,6 +314,7 @@ def summarize(passes):
         pairs = [(a.get(part, {}), b.get(part, {}))
                  for a, b in zip(before, after) for part in ("gue", "stage")]
         cell["decisions_agree"] = all(_decisions(a) == _decisions(b) for a, b in pairs)
+        pairs += [(a["roundtrip"], b["roundtrip"]) for a, b in zip(before, after)]
         cell["outputs_identical"] = all(
             _decisions(a) == _decisions(b) and a.get("sha256") == b.get("sha256")
             for a, b in pairs

@@ -59,6 +59,10 @@ ZERO_NORM_TOL = 1e-8
 #: relative threshold for reading structure off a reconstructed dense matrix
 RECOVER_STRUCT_TOL = 1e-8
 
+#: criterion 09 bounds of one round trip: eigenvalue error and jump-matrix error
+ROUNDTRIP_EIG_TOL = 1e-8
+ROUNDTRIP_JUMP_TOL = 1e-7
+
 #: relative size of an entry outside the band of the sweep's heights that is no
 #: rounding noise (GUE measures, N <= 160: noise < 1e-7, a false degeneration >= 8e-2)
 BAND_NOISE_TOL = 1e-4
@@ -273,6 +277,16 @@ class RoundTripReport:
     def class_ok(self):
         return self.class_report.passed
 
+    @property
+    def passed(self):
+        """Criterion 09: class ok, size N recovered, eigenvalues and jumps within bounds."""
+        return (
+            self.class_ok
+            and self.matrix.N == self.N
+            and self.eigenvalue_error <= ROUNDTRIP_EIG_TOL
+            and self.jump_matrix_error <= ROUNDTRIP_JUMP_TOL
+        )
+
     def to_dict(self):
         return {
             "N": self.N,
@@ -298,13 +312,16 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def compare_measures(a: StepMeasure, b: StepMeasure, cluster_tol=CLUSTER_TOL):
-    """(max jump-location gap, max entrywise jump-matrix gap) between measures."""
+    """(max jump-location gap, max entrywise jump-matrix gap) between measures.
+
+    Both are inf where the measures have different numbers of jumps.
+    """
     ja = a.grouped_jumps(cluster_tol)
     jb = b.grouped_jumps(cluster_tol)
     if len(ja) != len(jb):
         return float("inf"), float("inf")
-    loc = max(abs(x[0] - y[0]) for x, y in zip(ja, jb))
-    mat = max(float(np.max(np.abs(x[1] - y[1]))) for x, y in zip(ja, jb))
+    loc = float(np.max(np.abs(ja["location"] - jb["location"])))
+    mat = float(np.max(np.abs(ja["jump"] - jb["jump"])))
     return loc, mat
 
 
@@ -333,9 +350,7 @@ def roundtrip(spec: MatrixSpec, t: BoundaryMatrix, N: int) -> RoundTripReport:
     else:
         l = 0
     order = 2 * l
-    mom_err = 0.0
-    for a, b in zip(sigma.moments_upto(order), sigma_rec.moments_upto(order)):
-        mom_err = max(mom_err, float(np.max(np.abs(a - b))))
+    mom_err = float(np.max(np.abs(sigma.moments_upto(order) - sigma_rec.moments_upto(order))))
     residues = [h % spec.n for h in res.q_heights]
     return RoundTripReport(
         N=N,

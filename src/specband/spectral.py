@@ -91,8 +91,8 @@ class StepMeasure:
     left-continuous: sigma(t) sums the jumps strictly below t.
 
     ``points`` is the one stored form.  Array views for vectorised callers
-    (``spectral_arrays``, ``moments_upto``) are built per call and never
-    cached, so they cannot fall out of step with it.
+    (``spectral_arrays``, ``moments_upto``, ``grouped_jumps``) are built per
+    call and never cached, so they cannot fall out of step with it.
     """
 
     n: int
@@ -126,21 +126,22 @@ class StepMeasure:
         return self.lambdas(), conj_c.reshape(self.size, self.n)
 
     def moments_upto(self, K):
-        """Moments S_0..S_K as a (K+1, n, n) array, in one pass over the points.
+        """Moments S_0..S_K as a (K+1, n, n) array, in one array pass.
 
-        S_k is the sum of lambda^k C C* over the growth points, added point
-        by point in order.  ``np.float_power`` gives the same powers as
-        Python's ``float ** int``; an overflowing power raises
-        ``FloatingPointError`` rather than turning into inf.
+        S_k is 0.0 + lambda^k C C* + ..., summed over the growth points in
+        order (``_sum_in_order``), with each C C* rounded as ``np.outer``
+        rounds it (``_outer_products``).  ``np.float_power`` gives the same
+        powers as Python's ``float ** int``; an overflowing power raises
+        ``FloatingPointError`` rather than turning into inf.  The product of
+        a real power and C C* rounds fused or unfused to the same value up to
+        the sign of a zero, which the sum from +0.0 does not keep.
         """
         if K < 0:
             raise ValueError("moment order must be nonnegative")
+        lam, conj_c = self.spectral_arrays()
         with np.errstate(over="raise"):
-            powers = np.float_power(self.lambdas()[:, None], np.arange(K + 1))
-        out = np.zeros((K + 1, self.n, self.n), dtype=complex)
-        for pw, (_, c) in zip(powers, self.points):
-            out += pw[:, None, None] * np.outer(c, c.conj())
-        return out
+            powers = np.float_power(lam[:, None], np.arange(K + 1))
+        return _sum_in_order(powers[:, :, None, None] * _outer_products(conj_c)[:, None])
 
     def moment(self, k):
         """k-th moment: sum of lambda^k C C* over all growth points."""
@@ -150,20 +151,33 @@ class StepMeasure:
         return self.moment(0)
 
     def grouped_jumps(self, cluster_tol=CLUSTER_TOL):
-        """Cluster equal growth points; returns (location, jump matrix, rank)."""
-        groups = []
-        for lam, c in self.points:
-            if groups and abs(lam - groups[-1][0][-1]) <= cluster_tol * (1.0 + abs(lam)):
-                groups[-1][0].append(lam)
-                groups[-1][1].append(c)
-            else:
-                groups.append(([lam], [c]))
-        out = []
-        for lams, cs in groups:
-            jump = np.zeros((self.n, self.n), dtype=complex)
-            for c in cs:
-                jump += np.outer(c, c.conj())
-            out.append((float(np.mean(lams)), jump, jump_rank(jump)))
+        """The jumps of sigma with equal (clustered) growth points grouped.
+
+        A point joins its predecessor's cluster when their gap is at most
+        ``cluster_tol * (1 + |lambda|)``.  Returns a structured array with a
+        (location, jump) record per cluster, in order: the fields
+        ``"location"`` and ``"jump"`` hold all clusters as arrays, and a
+        record unpacks as a pair.  The location is ``np.mean`` of the
+        cluster's lambdas (lambda itself for a single point), the jump
+        0.0 + C C* + ..., summed over the cluster in order.  ``jump_rank``
+        gives a jump's numerical rank.
+        """
+        lam, conj_c = self.spectral_arrays()
+        outer = _outer_products(conj_c)
+        first = np.ones(self.size, dtype=bool)
+        first[1:] = ~(np.abs(np.diff(lam)) <= cluster_tol * (1.0 + np.abs(lam[1:])))
+        start = np.flatnonzero(first)
+        count = np.diff(start, append=self.size)
+        out = np.empty(start.size, dtype=[("location", float), ("jump", complex, outer.shape[1:])])
+        out["location"] = lam[start]
+        jumps = outer[start] + 0.0
+        # the d-th further point of every cluster that has one, so each sum runs in order
+        for d in range(1, count.max(initial=1)):
+            more = count > d
+            jumps[more] += outer[start[more] + d]
+        out["jump"] = jumps
+        for i in np.flatnonzero(count > 1):
+            out["location"][i] = np.mean(lam[start[i] : start[i] + count[i]])
         return out
 
     def weight_row(self, f: VectorPolynomial):
@@ -245,6 +259,15 @@ def _scale_columns(block, factor):
     out.real = re * f_re - im * f_im
     out.imag = re * f_im + im * f_re
     return out
+
+
+def _outer_products(conj_c):
+    """C C* for every row conj(C) of conj_c, stacked (N, n, n).
+
+    One broadcast product, equal bit for bit to ``np.outer(c, c.conj())``
+    per row: both run numpy's complex multiply once per entry.
+    """
+    return conj_c.conj()[:, :, None] * conj_c[:, None, :]
 
 
 def row_norms(x):
@@ -489,5 +512,9 @@ def q_norms_sq(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
 def _sum_in_order(terms):
     """0.0 + terms[0] + terms[1] + ..., left to right along the first axis.
 
-    ``np.add.reduce`` would sum a single column pairwise."""
-    return np.cumsum(np.vstack([np.zeros(terms.shape[1:]), terms]), axis=0)[-1]
+    ``np.add.reduce`` adds the rows in order, except that it sums a single
+    column pairwise; a single column takes a cumulative sum instead.
+    """
+    if np.prod(terms.shape[1:]) > 1:
+        return np.add.reduce(terms, axis=0, initial=0.0)
+    return np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)[-1]

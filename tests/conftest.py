@@ -13,6 +13,10 @@ per-query scans over every stored entry, as a reference for equivalence tests.
 on VectorPolynomial arithmetic and the original per-order moment loop, the
 references of the array-based sweep and moments; with ``mgs_pass`` the
 sweep runs its original modified Gram-Schmidt kernel.
+``reference_grouped_jumps`` clusters the growth points and sums each jump in
+a loop over the points, and ``reference_compare_measures`` compares two
+measures' jumps cluster by cluster, the references of the array passes in
+``StepMeasure.grouped_jumps`` and ``reconstruct.compare_measures``.
 ``reference_psi_at`` and the functions after it are the original direct
 side, which evaluated Psi one point at a time and rebuilt the interpolation
 constraints entry by entry at every height.  ``reference_eigen_decompose``,
@@ -48,7 +52,7 @@ from specband.errors import (
 )
 from specband.interpolation import LSTSQ_RCOND, expected_kernel_dimension
 from specband.reconstruct import ZERO_NORM_TOL, OrthoResult
-from specband.spectral import SpectralData
+from specband.spectral import CLUSTER_TOL, SpectralData
 from specband.vectorpoly import (
     COEFF_TRIM_TOL,
     MINUS_INF,
@@ -253,7 +257,7 @@ def reference_outcome(fn, *args):
         return outcome(fn, *args)
 
 
-# -- reference: the inverse sweep on VectorPolynomial arithmetic ------------
+# -- reference: the step measure's moments and jumps, point by point -------
 
 
 def reference_moment(mu, k):
@@ -262,6 +266,38 @@ def reference_moment(mu, k):
     for lam, c in mu.points:
         out += (lam**k) * np.outer(c, c.conj())
     return out
+
+
+def reference_grouped_jumps(mu, cluster_tol=CLUSTER_TOL):
+    """(location, jump) per cluster by one loop over the points."""
+    groups = []
+    for lam, c in mu.points:
+        if groups and abs(lam - groups[-1][0][-1]) <= cluster_tol * (1.0 + abs(lam)):
+            groups[-1][0].append(lam)
+            groups[-1][1].append(c)
+        else:
+            groups.append(([lam], [c]))
+    out = []
+    for lams, cs in groups:
+        jump = np.zeros((mu.n, mu.n), dtype=complex)
+        for c in cs:
+            jump += np.outer(c, c.conj())
+        out.append((float(np.mean(lams)), jump))
+    return out
+
+
+def reference_compare_measures(a, b, cluster_tol=CLUSTER_TOL):
+    """(max location gap, max jump-matrix gap), one cluster pair at a time."""
+    ja = reference_grouped_jumps(a, cluster_tol)
+    jb = reference_grouped_jumps(b, cluster_tol)
+    if len(ja) != len(jb):
+        return float("inf"), float("inf")
+    loc = max(abs(x[0] - y[0]) for x, y in zip(ja, jb))
+    mat = max(float(np.max(np.abs(x[1] - y[1]))) for x, y in zip(ja, jb))
+    return loc, mat
+
+
+# -- reference: the inverse sweep on VectorPolynomial arithmetic ------------
 
 
 def reference_weight_row(mu, k):

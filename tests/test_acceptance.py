@@ -39,6 +39,7 @@ from specband import (
     truncate,
     validate_class,
 )
+from specband.spectral import jump_rank
 from specband.vectorpoly import canonical_e, from_coeff_vector, height
 
 from conftest import make_fix7, random_boundary
@@ -139,10 +140,10 @@ def test_criterion_04_spectral_function_structure(instances20):
     worst_complete = 0.0
     for spec, N, m, s, t, sd, mu in instances20:
         jumps = mu.grouped_jumps()
-        ranks = [r for _, _, r in jumps]
+        ranks = [jump_rank(jump) for _, jump in jumps]
         if any(r > spec.n for r in ranks) or sum(ranks) != N:
             ok = False
-        for _, jump, _ in jumps:
+        for _, jump in jumps:
             if float(np.min(np.linalg.eigvalsh(jump))) < -1e-12:
                 ok = False
         worst_complete = max(worst_complete, completeness_defect(mu, t))

@@ -183,6 +183,19 @@ class TestPipelineCommands:
         assert len(rep["reports"]) == 4
         assert rep["all_class_ok"]
         assert rep["max_eigenvalue_error"] <= 1e-8
+        assert rep["failed"] == 0
+
+    def test_roundtrip_batch_fails_on_wrong_sizes(self, tmp_path):
+        # n=1, N=40: every recovered matrix has the wrong size and inf errors,
+        # while every class check passes
+        spec, report = tmp_path / "spec.json", tmp_path / "batch.json"
+        assert run_cli(["gen", "--n", "1", "--N-max", "10", "--seed", "7", "-o", str(spec)]) == EXIT_OK
+        code = run_cli(["roundtrip", str(spec), "--N", "40", "--batch", "3", "--report", str(report)])
+        assert code == EXIT_VALIDATION
+        rep = read_json(report)
+        assert rep["all_class_ok"]
+        assert rep["failed"] == 3
+        assert all(r["eigenvalue_error"] == float("inf") for r in rep["reports"])
 
     def test_roundtrip_batch_starts_at_seed(self, fix7_file, tmp_path):
         def batch(seed):

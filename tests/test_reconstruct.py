@@ -39,6 +39,8 @@ from conftest import (
     outcome,
     random_boundary,
     random_instance,
+    reference_compare_measures,
+    reference_moment,
     reference_orthonormalize,
     reference_outcome,
 )
@@ -234,6 +236,37 @@ class TestRoundTrip:
         mu2, _, _ = measure_of(jac5, 5)
         loc, mat = compare_measures(mu1, mu2)
         assert loc == float("inf")
+
+
+def reference_errors(spec, t, N, rep):
+    """A round trip's jump and moment errors by the per-cluster and per-order loops."""
+    sigma = step_measure(eigen_decompose(truncate(spec, N)), t)
+    sigma_rec = step_measure(eigen_decompose(rep.matrix), rep.boundary)
+    loc, mat = reference_compare_measures(sigma, sigma_rec)
+    mom = 0.0
+    for k in range(rep.moment_order + 1):
+        gap = reference_moment(sigma, k) - reference_moment(sigma_rec, k)
+        mom = max(mom, float(np.max(np.abs(gap))))
+    return loc, mat, mom
+
+
+class TestRoundTripErrorsMatchReference:
+    @pytest.mark.parametrize("N_hi", [15, 40])
+    def test_random_instances(self, N_hi):
+        compared = inf_sizes = 0
+        for seed in range(30):
+            spec, N = random_instance(seed, N_hi=N_hi)
+            t = random_boundary(spec.n, seed)
+            rep = outcome(roundtrip, spec, t, N)
+            if not isinstance(rep, reconstruct.RoundTripReport):
+                continue
+            got = (rep.jump_location_error, rep.jump_matrix_error, rep.moment_error)
+            assert list(map(repr, got)) == list(map(repr, reference_errors(spec, t, N, rep)))
+            compared += 1
+            inf_sizes += rep.jump_matrix_error == float("inf")
+        assert compared >= 20
+        if N_hi == 40:
+            assert inf_sizes > 0  # the unequal-jump-count branch is exercised
 
 
 # -- spec_from_dense against the per-query scans it replaced ----------------

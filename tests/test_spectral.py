@@ -29,7 +29,7 @@ from specband import (
     truncate,
 )
 from specband.errors import DimensionMismatch, NumericalFailure, PivotViolation
-from specband.spectral import SpectralData, StepMeasure, jump_rank
+from specband.spectral import CLUSTER_TOL, SpectralData, StepMeasure, jump_rank
 from specband.vectorpoly import COEFF_TRIM_TOL, VectorPolynomial, height
 
 from conftest import (
@@ -45,6 +45,7 @@ from conftest import (
     reference_det_theta_polynomial,
     reference_eigen_decompose,
     reference_gram_matrix,
+    reference_grouped_jumps,
     reference_moment,
     reference_multiplication_matrix,
     reference_psi_at,
@@ -327,7 +328,7 @@ class TestStepMeasure:
     def test_fix7_rank_sum(self, fix7):
         m, s, t, sd = setup(fix7, 7)
         mu = step_measure(sd, t)
-        assert sum(r for _, _, r in mu.grouped_jumps()) == 7
+        assert sum(jump_rank(j) for _, j in mu.grouped_jumps()) == 7
 
     def test_nondecreasing(self, fix7):
         m, s, t, sd = setup(fix7, 7)
@@ -358,8 +359,59 @@ class TestStepMeasure:
         t = BoundaryMatrix.identity(2)
         mu = step_measure(sd, t)
         jumps = mu.grouped_jumps()
-        assert [j[2] for j in jumps] == [2, 2]
+        assert [jump_rank(j) for _, j in jumps] == [2, 2]
         assert [round(j[0], 9) for j in jumps] == [-1.0, 1.0]
+
+
+def assert_jumps_like_reference(mu, cluster_tol=CLUSTER_TOL):
+    jumps = mu.grouped_jumps(cluster_tol)
+    ref = reference_grouped_jumps(mu, cluster_tol)
+    assert len(jumps) == len(ref)
+    for (loc, jump), (ref_loc, ref_jump) in zip(jumps, ref):
+        assert np.float64(loc).tobytes() == np.float64(ref_loc).tobytes()
+        assert jump.tobytes() == ref_jump.tobytes()
+    return jumps
+
+
+class TestJumpsMatchReference:
+    def test_acceptance_set(self):
+        for seed in range(50):
+            spec, N = random_instance(seed)
+            m, s, _, sd = setup(spec, N)
+            mu = step_measure(sd, random_boundary(spec.n, seed + 10_000))
+            # a loose tolerance joins neighbours into clusters of several points
+            for cluster_tol in (CLUSTER_TOL, 1e-2):
+                assert_jumps_like_reference(mu, cluster_tol)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gue_measures(self, n):
+        for N in (n, 20, 80, 160):
+            for seed in range(2):
+                assert_jumps_like_reference(gue_measure(seed, n, N))
+
+    def test_multiplicity_and_near_tie(self):
+        # eigenvalue 0.5 of multiplicity n = 3, a pair 2 and 2 + 1e-9 within
+        # CLUSTER_TOL * 3, and a pair 4 and 4 + 1e-7 outside CLUSTER_TOL * 5
+        rng = np.random.default_rng(7)
+        lams = [-1.0, 0.5, 0.5, 0.5, 2.0, 2.0 + 1e-9, 4.0, 4.0 + 1e-7]
+        heads = rng.normal(size=(len(lams), 3)) + 1j * rng.normal(size=(len(lams), 3))
+        mu = StepMeasure(3, tuple(zip(lams, heads)))
+        jumps = assert_jumps_like_reference(mu)
+        assert [jump_rank(j) for _, j in jumps] == [1, 3, 2, 1, 1]
+        assert jumps["location"][2] == np.mean([2.0, 2.0 + 1e-9])
+        assert jumps["location"].tolist() == [loc for loc, _ in jumps]
+        assert np.array_equal(jumps["jump"], np.array([j for _, j in jumps]))
+
+    def test_empty_measure(self):
+        jumps = StepMeasure(2, ()).grouped_jumps()
+        assert len(jumps) == 0
+        assert jumps["jump"].shape == (0, 2, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(awkward_measures(), st.sampled_from([CLUSTER_TOL, 1e-12, 1e-3]))
+def test_jumps_match_reference_on_awkward_measures(mu, cluster_tol):
+    assert_jumps_like_reference(mu, cluster_tol)
 
 
 # ---------------------------------------------------------------- L2 inner products
