@@ -1,6 +1,6 @@
 """Time the inverse sweep, the round trip and the direct side at two checkouts.
 
-    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_11.json
+    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_12.json
 
 Every cell n in {1,2,3}, N in {10,20,40,80,160} of the North-star grid
 takes seeds 0-4, and each instance comes from perfbench's builders:
@@ -114,12 +114,21 @@ def _direct_stages(spec, t, N):
     ]
 
 
+def _measure_arrays(mu):
+    """A step measure's lambda vector and C block, also from a checkout whose
+    measure stores (lambda, C) pairs and has a ``lambdas`` method."""
+    if callable(mu.lambdas):
+        return mu.lambdas(), np.array([c for _, c in mu.points])
+    return mu.lambdas, mu.c
+
+
 def _output_bytes(name, out):
     """The bytes of one direct stage's output that the digest covers."""
     if name == "eigen_decompose":
         return out.lambdas.tobytes() + out.phi.tobytes()
     if name == "step_measure":
-        return b"".join(np.float64(lam).tobytes() + c.tobytes() for lam, c in out.points)
+        lam, c = _measure_arrays(out)
+        return lam.tobytes() + c.tobytes()
     if name in ("build_p", "build_q"):
         return repr([(r.n, r.comps) for r in out]).encode()
     if name == "q_norms_sq":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NoDecomposition
-from .spectral import CLUSTER_TOL, StepMeasure, canonical_coordinates, row_norms
+from .spectral import StepMeasure, canonical_coordinates, cluster_starts, row_norms, row_vdots
 from .vectorpoly import (
     MINUS_INF,
     VectorPolynomial,
@@ -32,55 +32,45 @@ LSTSQ_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
-class InterpolationData:
-    """Annihilation data: real nodes with nonzero direction vectors."""
-
-    n: int
-    points: tuple  # ((mu, C-vector), ...)
+class InterpolationData(StepMeasure):
+    """Annihilation data: a step measure whose directions, the rows of ``c``, are
+    nonzero and whose nodes repeat at most n times (``cluster_starts`` clusters)."""
 
     def __post_init__(self):
-        pts = tuple(
-            (float(mu), np.asarray(c, dtype=complex).reshape(self.n))
-            for mu, c in self.points
-        )
-        object.__setattr__(self, "points", pts)
-        for mu, c in pts:
-            if np.linalg.norm(c) == 0.0:
-                raise ValueError(f"zero direction vector at node {mu}")
-        mus = sorted(mu for mu, _ in pts)
-        run = 1
-        for a, b in zip(mus, mus[1:]):
-            run = run + 1 if abs(b - a) <= CLUSTER_TOL * (1.0 + abs(b)) else 1
-            if run > self.n:
-                raise ValueError(f"node {b} repeats more than n={self.n} times")
+        super().__post_init__()
+        lam, n = self.lambdas, self.n
+        zero = np.flatnonzero(row_norms(self.c) == 0.0)
+        if zero.size:
+            raise ValueError(f"zero direction vector at node {float(lam[zero[0]])}")
+        start = cluster_starts(lam)
+        crowded = start[np.diff(start, append=lam.size) > n]
+        if crowded.size:
+            raise ValueError(f"node {float(lam[crowded[0] + n])} repeats more than n={n} times")
 
     @classmethod
     def from_measure(cls, mu: StepMeasure):
-        return cls(mu.n, mu.points)
+        return cls(mu.n, mu.lambdas, mu.c)
 
     def constraint_matrix(self, length):
         """Annihilation constraints on span{e_1..e_length}: entry (p, m) is
         (C^p)* e_{m+1}(mu_p), a row per node."""
-        lam, conj_c = StepMeasure(self.n, self.points).spectral_arrays()
-        return canonical_coordinates(lam, conj_c, np.arange(length))
+        return canonical_coordinates(*self.spectral_arrays(), np.arange(length))
 
 
 def is_solution(r: VectorPolynomial, data: InterpolationData, tol: float = 1e-8) -> bool:
     """Whether r is annihilated by every data point, relatively to its size.
 
     All nodes are tested at once, each rounded as a loop over the nodes
-    rounds it: r(mu_k) by ``VectorPolynomial.evaluate_at``, (C^k)* r(mu_k) by
-    the BLAS dot of ``np.vdot`` (a stacked row-by-column matmul), its modulus
-    by ``np.hypot`` (Python's ``abs``) and the norms by ``row_norms``.
+    rounds it: r(mu_k) by ``VectorPolynomial.evaluate_at`` and (C^k)* r(mu_k)
+    by ``row_vdots``, as in ``StepMeasure.weight_row``, its modulus by
+    ``np.hypot`` (Python's ``abs``) and the norms by ``row_norms``.
     """
     if r.n != data.n:
         raise DimensionMismatch("polynomial dimension does not match the data")
-    mus = np.array([mu for mu, _ in data.points])
-    cs = np.array([c for _, c in data.points], dtype=complex).reshape(-1, data.n)
-    vals = r.evaluate_at(mus)
-    dots = np.matmul(cs.conj()[:, None, :], vals[:, :, None])[:, 0, 0]
+    vals = r.evaluate_at(data.lambdas)
+    dots = row_vdots(data.c, vals)
     resid = np.hypot(dots.real, dots.imag)
-    scale = row_norms(cs) * row_norms(vals)
+    scale = row_norms(data.c) * row_norms(vals)
     return not np.any(resid > tol * (1.0 + scale))
 
 

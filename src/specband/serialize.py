@@ -86,18 +86,17 @@ def boundary_from_dict(d: dict) -> BoundaryMatrix:
 
 
 def measure_to_dict(mu: StepMeasure) -> dict:
-    return {
-        "n": mu.n,
-        "points": [{"lambda": lam, "C": complex_pairs(c)} for lam, c in mu.points],
-    }
+    pairs = zip(mu.lambdas.tolist(), complex_pairs(mu.c))
+    return {"n": mu.n, "points": [{"lambda": lam, "C": c} for lam, c in pairs]}
 
 
 def measure_from_dict(d: dict) -> StepMeasure:
-    pts = tuple(
-        (float(p["lambda"]), np.array([_unc(v) for v in p["C"]], dtype=complex))
-        for p in d["points"]
-    )
-    return StepMeasure(int(d["n"]), pts)
+    """The measure of a dict, its points sorted by lambda (``StepMeasure`` sorts them)."""
+    n, pts = int(d["n"]), d["points"]
+    # one row per point: lambda, then the [re, im] pairs of C; float() refuses a null
+    rows = np.array([[float(x) for x in chain([p["lambda"]], *p["C"])] for p in pts])
+    rows = rows.reshape(len(pts), 2 * n + 1)
+    return StepMeasure(n, rows[:, 0], np.ascontiguousarray(rows[:, 1:]).view(complex))
 
 
 def poly_to_dict(r: VectorPolynomial) -> dict:

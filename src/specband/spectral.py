@@ -86,44 +86,38 @@ class SpectralData:
 class StepMeasure:
     """Matrix-valued nondecreasing step function as growth points with vectors.
 
-    One summand C^k (C^k)* per eigenvalue-with-multiplicity; jumps at equal
-    (clustered) locations may be grouped on demand.  sigma is
-    left-continuous: sigma(t) sums the jumps strictly below t.
-
-    ``points`` is the one stored form.  Array views for vectorised callers
-    (``spectral_arrays``, ``moments_upto``, ``grouped_jumps``) are built per
-    call and never cached, so they cannot fall out of step with it.
+    ``lambdas`` holds the N growth points, sorted stably on construction, and
+    ``c`` the (N, n) block whose row k is C^k, in C order; both are read-only
+    arrays, the one stored form that every reader uses.  One summand
+    C^k (C^k)* per eigenvalue-with-multiplicity; jumps at equal (clustered)
+    locations may be grouped on demand.  sigma is left-continuous: sigma(t)
+    sums the jumps strictly below t.
     """
 
     n: int
-    points: tuple  # ((lambda, C-vector), ...) ascending in lambda
+    lambdas: np.ndarray
+    c: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(
-            (float(lam), np.asarray(c, dtype=complex).reshape(self.n))
-            for lam, c in self.points
-        )
-        object.__setattr__(self, "points", pts)
+        lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
+        c = np.asarray(self.c, dtype=complex).reshape(lam.size, self.n)
+        order = np.argsort(lam, kind="stable")
+        # indexing copies, in C order whatever the layout of the input
+        for name, a in (("lambdas", lam[order]), ("c", c[order])):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def size(self):
-        return len(self.points)
-
-    def lambdas(self):
-        return np.array([lam for lam, _ in self.points])
+        return len(self.lambdas)
 
     def evaluate(self, t):
-        """sigma(t): sum of jumps at growth points strictly below t."""
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for lam, c in self.points:
-            if lam < t:
-                out += np.outer(c, c.conj())
-        return out
+        """sigma(t): 0.0 + C C* + ..., summed in order over the points strictly below t."""
+        return _sum_in_order(_outer_products(self.c[self.lambdas < t]))
 
     def spectral_arrays(self):
         """The lambda vector and the (N, n) block of conj(C^k), a row per point."""
-        conj_c = np.array([c for _, c in self.points], dtype=complex).conj()
-        return self.lambdas(), conj_c.reshape(self.size, self.n)
+        return self.lambdas, self.c.conj()
 
     def moments_upto(self, K):
         """Moments S_0..S_K as a (K+1, n, n) array, in one array pass.
@@ -138,10 +132,9 @@ class StepMeasure:
         """
         if K < 0:
             raise ValueError("moment order must be nonnegative")
-        lam, conj_c = self.spectral_arrays()
         with np.errstate(over="raise"):
-            powers = np.float_power(lam[:, None], np.arange(K + 1))
-        return _sum_in_order(powers[:, :, None, None] * _outer_products(conj_c)[:, None])
+            powers = np.float_power(self.lambdas[:, None], np.arange(K + 1))
+        return _sum_in_order(powers[:, :, None, None] * _outer_products(self.c)[:, None])
 
     def moment(self, k):
         """k-th moment: sum of lambda^k C C* over all growth points."""
@@ -153,20 +146,17 @@ class StepMeasure:
     def grouped_jumps(self, cluster_tol=CLUSTER_TOL):
         """The jumps of sigma with equal (clustered) growth points grouped.
 
-        A point joins its predecessor's cluster when their gap is at most
-        ``cluster_tol * (1 + |lambda|)``.  Returns a structured array with a
-        (location, jump) record per cluster, in order: the fields
+        Clusters are those of ``cluster_starts``.  Returns a structured array
+        with a (location, jump) record per cluster, in order: the fields
         ``"location"`` and ``"jump"`` hold all clusters as arrays, and a
         record unpacks as a pair.  The location is ``np.mean`` of the
         cluster's lambdas (lambda itself for a single point), the jump
         0.0 + C C* + ..., summed over the cluster in order.  ``jump_rank``
         gives a jump's numerical rank.
         """
-        lam, conj_c = self.spectral_arrays()
-        outer = _outer_products(conj_c)
-        first = np.ones(self.size, dtype=bool)
-        first[1:] = ~(np.abs(np.diff(lam)) <= cluster_tol * (1.0 + np.abs(lam[1:])))
-        start = np.flatnonzero(first)
+        lam = self.lambdas
+        outer = _outer_products(self.c)
+        start = cluster_starts(lam, cluster_tol)
         count = np.diff(start, append=self.size)
         out = np.empty(start.size, dtype=[("location", float), ("jump", complex, outer.shape[1:])])
         out["location"] = lam[start]
@@ -181,10 +171,19 @@ class StepMeasure:
         return out
 
     def weight_row(self, f: VectorPolynomial):
-        """Spectral coordinates of f: the scalar (C^k)* f(lambda_k) per point."""
+        """Spectral coordinates of f: the scalar (C^k)* f(lambda_k) per point,
+        ``row_vdots`` of C and ``VectorPolynomial.evaluate_at``."""
         if f.n != self.n:
             raise DimensionMismatch("polynomial dimension does not match the measure")
-        return np.array([np.vdot(c, f.evaluate(lam)) for lam, c in self.points])
+        return row_vdots(self.c, f.evaluate_at(self.lambdas))
+
+
+def cluster_starts(lam, cluster_tol=CLUSTER_TOL):
+    """Index of the first point of each cluster of the ascending ``lam``: a point
+    joins its predecessor's when their gap is at most ``cluster_tol * (1 + |lambda|)``."""
+    first = np.ones(lam.size, dtype=bool)
+    first[1:] = ~(np.abs(np.diff(lam)) <= cluster_tol * (1.0 + np.abs(lam[1:])))
+    return np.flatnonzero(first)
 
 
 def canonical_coordinates(lam, conj_c, m) -> np.ndarray:
@@ -261,13 +260,15 @@ def _scale_columns(block, factor):
     return out
 
 
-def _outer_products(conj_c):
-    """C C* for every row conj(C) of conj_c, stacked (N, n, n).
+def _outer_products(c):
+    """C C* for every row C of the C-ordered block c, stacked (N, n, n).
 
     One broadcast product, equal bit for bit to ``np.outer(c, c.conj())``
-    per row: both run numpy's complex multiply once per entry.
+    per row: both run numpy's complex multiply once per entry.  The inner
+    loop's strides choose numpy's kernel, so a block of another layout may
+    round differently.
     """
-    return conj_c.conj()[:, :, None] * conj_c[:, None, :]
+    return c[:, :, None] * c.conj()[:, None, :]
 
 
 def row_norms(x):
@@ -280,6 +281,12 @@ def row_norms(x):
     re, im = x.real, x.imag
     sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
     return np.sqrt(sq[:, 0, 0])
+
+
+def row_vdots(a, b):
+    """``np.vdot`` of each row of a with the same row of b: a stacked
+    row-by-column matmul calls the same BLAS dot per row."""
+    return np.matmul(a.conj()[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def psi_at(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, z) -> np.ndarray:
@@ -425,8 +432,7 @@ def c_vectors(sd: SpectralData, t: BoundaryMatrix) -> np.ndarray:
 
 def step_measure(sd: SpectralData, t: BoundaryMatrix) -> StepMeasure:
     """Step spectral function of the truncation for the given boundary matrix."""
-    cs = c_vectors(sd, t)
-    return StepMeasure(t.n, tuple((lam, c) for lam, c in zip(sd.lambdas, cs)))
+    return StepMeasure(t.n, sd.lambdas, c_vectors(sd, t))
 
 
 def inner_product(f: VectorPolynomial, g: VectorPolynomial, mu: StepMeasure) -> complex:

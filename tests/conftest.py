@@ -13,6 +13,10 @@ per-query scans over every stored entry, as a reference for equivalence tests.
 on VectorPolynomial arithmetic and the original per-order moment loop, the
 references of the array-based sweep and moments; with ``mgs_pass`` the
 sweep runs its original modified Gram-Schmidt kernel.
+``points`` gives a measure's (lambda, C) pairs for the per-point references.
+``reference_evaluate`` and ``reference_point_weights`` are sigma(t) and the
+spectral coordinates of a polynomial by a loop over the points, the
+references of ``StepMeasure.evaluate`` and ``StepMeasure.weight_row``.
 ``reference_grouped_jumps`` clusters the growth points and sums each jump in
 a loop over the points, and ``reference_compare_measures`` compares two
 measures' jumps cluster by cluster, the references of the array passes in
@@ -133,12 +137,28 @@ def random_instance(seed, n=None, N=None, mtilde=False, N_hi=20):
     return spec, N
 
 
-def gue_measure(seed, n, N):
-    """Step measure (T = I) of a random N x N GUE matrix."""
+def gue_arrays(seed, n, N):
+    """Eigenvalues and the (N, n) block of eigenvector heads of a random N x N
+    GUE matrix; the block is a transposed view, so it is in Fortran order."""
     rng = np.random.default_rng([seed, n, N])
     a = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     lam, phi = np.linalg.eigh(0.5 * (a + a.conj().T))
-    return StepMeasure(n, tuple((float(x), phi[:n, k]) for k, x in enumerate(lam)))
+    return lam, phi[:n, :].T
+
+
+def gue_measure(seed, n, N):
+    """Step measure (T = I) of a random N x N GUE matrix."""
+    return StepMeasure(n, *gue_arrays(seed, n, N))
+
+
+def tie_keeping_permutation(lambdas, seed):
+    """A random permutation of the points that keeps equal lambdas in their order,
+    so that sorting the permuted points stably gives back the original ones."""
+    perm = np.random.default_rng(seed).permutation(len(lambdas))
+    for lam in np.unique(lambdas):
+        slots = np.flatnonzero(lambdas[perm] == lam)
+        perm[slots] = np.sort(perm[slots])
+    return perm
 
 
 @st.composite
@@ -161,7 +181,7 @@ def awkward_measures(draw):
     # per slot, the share of points whose head component is zero
     sparsity = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 0.9]), min_size=n, max_size=n)))
     heads[rng.random((N, n)) < sparsity] = 0.0
-    return StepMeasure(n, tuple((float(x), c) for x, c in zip(lam, heads)))
+    return StepMeasure(n, lam, heads)
 
 
 # -- reference: structural queries by rescanning every stored entry --------
@@ -260,10 +280,29 @@ def reference_outcome(fn, *args):
 # -- reference: the step measure's moments and jumps, point by point -------
 
 
+def points(mu):
+    """The (lambda, C) pairs of a measure, in its order, each lambda a Python float."""
+    return list(zip(mu.lambdas.tolist(), mu.c))
+
+
+def reference_evaluate(mu, t):
+    """sigma(t) by one loop over the points below t."""
+    out = np.zeros((mu.n, mu.n), dtype=complex)
+    for lam, c in points(mu):
+        if lam < t:
+            out += np.outer(c, c.conj())
+    return out
+
+
+def reference_point_weights(mu, f):
+    """(C^k)* f(lambda_k), one ``np.vdot`` per point."""
+    return np.array([np.vdot(c, f.evaluate(lam)) for lam, c in points(mu)])
+
+
 def reference_moment(mu, k):
     """k-th moment by one loop over the points for this order alone."""
     out = np.zeros((mu.n, mu.n), dtype=complex)
-    for lam, c in mu.points:
+    for lam, c in points(mu):
         out += (lam**k) * np.outer(c, c.conj())
     return out
 
@@ -271,7 +310,7 @@ def reference_moment(mu, k):
 def reference_grouped_jumps(mu, cluster_tol=CLUSTER_TOL):
     """(location, jump) per cluster by one loop over the points."""
     groups = []
-    for lam, c in mu.points:
+    for lam, c in points(mu):
         if groups and abs(lam - groups[-1][0][-1]) <= cluster_tol * (1.0 + abs(lam)):
             groups[-1][0].append(lam)
             groups[-1][1].append(c)
@@ -302,7 +341,7 @@ def reference_compare_measures(a, b, cluster_tol=CLUSTER_TOL):
 
 def reference_weight_row(mu, k):
     i, l = leading_slot(k - 1, mu.n)
-    return np.array([(lam**l) * np.conj(c[i - 1]) for lam, c in mu.points])
+    return np.array([(lam**l) * np.conj(c[i - 1]) for lam, c in points(mu)])
 
 
 def block_pass(w, emitted_w):
@@ -394,7 +433,7 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
         q_heights=tuple(q_heights),
         rank_exhausted=len(emitted_poly) < max_k,
         weights=np.array(emitted_w),
-        lambdas=mu.lambdas(),
+        lambdas=mu.lambdas,
         skip_residuals=tuple(skip_residuals),
     )
 
@@ -565,7 +604,7 @@ def reference_is_solution(r, data, tol=1e-8):
     """The annihilation test one node at a time, stopping at the first failing node."""
     if r.n != data.n:
         raise DimensionMismatch("polynomial dimension does not match the data")
-    for mu, c in data.points:
+    for mu, c in points(data):
         val = r.evaluate(mu)
         resid = abs(np.vdot(c, val))
         scale = np.linalg.norm(c) * np.linalg.norm(val)
@@ -577,7 +616,7 @@ def reference_is_solution(r, data, tol=1e-8):
 def reference_constraint_matrix(data, length):
     """Annihilation constraints built entry by entry, powers by ``**``."""
     rows = []
-    for mu, c in data.points:
+    for mu, c in points(data):
         powers = mu ** np.arange((length + data.n - 1) // data.n)
         row = np.empty(length, dtype=complex)
         for m in range(1, length + 1):

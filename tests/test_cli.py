@@ -11,7 +11,7 @@ from specband.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, r
 from specband.reconstruct import ZERO_NORM_TOL, orthonormalize
 from specband.spectral import CLUSTER_TOL, StepMeasure
 
-from conftest import gue_measure, make_fix7, reference_dumps
+from conftest import gue_measure, make_fix7, reference_dumps, tie_keeping_permutation
 
 #: the one subcommand that reads each tolerance flag
 FLAG_OWNER = {"--tol-zero": "reconstruct", "--cluster-tol": "staircase", "--tol": "check-solution"}
@@ -72,6 +72,13 @@ class TestPipelineCommands:
         assert len(rows) == 3  # header + one row per distinct eigenvalue
         # cumulative mass after the last jump is the full mass
         assert float(rows[-1][1]) == pytest.approx(1.0)
+
+    def test_staircase_has_no_negative_zero(self, tmp_path, capsys):
+        # C C* of C = (1 - 0i, -0 + 0i) has -0.0 in its (1, 2) entry; sigma starts at 0.0
+        sigma = tmp_path / "sigma.json"
+        ser.dump({"n": 2, "points": [{"lambda": 0.5, "C": [[1.0, -0.0], [-0.0, 0.0]]}]}, sigma)
+        assert run_cli(["staircase", str(sigma)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == "0.5,1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0"
 
     def test_spectrum_truncates_like_measure(self, tmp_path, capsys):
         # N = n needs no structure: spectrum and measure both take the 2 x 2 corner
@@ -197,6 +204,17 @@ class TestPipelineCommands:
         assert rep["failed"] == 3
         assert all(r["eigenvalue_error"] == float("inf") for r in rep["reports"])
 
+    def test_roundtrip_fails_on_wrong_size(self, tmp_path):
+        # n=1, N=30: the class check passes, but the recovered matrix has the
+        # wrong size and both errors are inf, so criterion 09 is missed
+        spec, report = tmp_path / "spec.json", tmp_path / "report.json"
+        assert run_cli(["gen", "--n", "1", "--N-max", "30", "--seed", "7", "-o", str(spec)]) == EXIT_OK
+        code = run_cli(["roundtrip", str(spec), "--N", "30", "--report", str(report)])
+        assert code == EXIT_VALIDATION
+        rep = read_json(report)
+        assert rep["class_ok"]
+        assert rep["eigenvalue_error"] == rep["jump_matrix_error"] == float("inf")
+
     def test_roundtrip_batch_starts_at_seed(self, fix7_file, tmp_path):
         def batch(seed):
             report = tmp_path / f"batch{seed}.json"
@@ -207,6 +225,60 @@ class TestPipelineCommands:
         from0, from1 = batch(0), batch(1)
         assert from0 != from1
         assert from0[1] == from1[0]
+
+
+class TestPointOrder:
+    """A measure file may list its points in any order; they are sorted when read."""
+
+    COMMANDS = (
+        ["staircase", "{sigma}"],
+        ["staircase", "{sigma}", "--cluster-tol", "1e-2"],
+        ["moments", "--k", "6", "{sigma}"],
+        ["check-solution", "{sigma}", "{zero}"],
+        ["check-solution", "{sigma}", "{e1}"],
+        ["reconstruct", "{sigma}", "--max-k", "20"],
+    )
+
+    def outputs(self, sigma, n, tmp_path, capsys):
+        zero, e1 = tmp_path / "zero.json", tmp_path / "e1.json"
+        ser.dump({"n": n, "comps": [[]] * n}, zero)
+        ser.dump({"n": n, "comps": [[[1, 0]]] + [[]] * (n - 1)}, e1)
+        files = {"sigma": str(sigma), "zero": str(zero), "e1": str(e1)}
+        got = []
+        for argv in self.COMMANDS:
+            code = run_cli([a.format(**files) for a in argv])
+            got.append((code, capsys.readouterr()))
+        return got
+
+    def reordered(self, sigma, perm, path):
+        d = read_json(sigma)
+        d["points"] = [d["points"][i] for i in perm]
+        ser.dump(d, path)
+        return path
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shuffled_points_give_the_same_outputs(self, n, tmp_path, capsys):
+        for seed in range(2):
+            spec, sigma = tmp_path / "spec.json", tmp_path / "sigma.json"
+            run_cli(["gen", "--n", str(n), "--N-max", "12", "--seed", str(seed), "-o", str(spec)])
+            assert run_cli(["measure", str(spec), "--N", "10", "-o", str(sigma)]) == EXIT_OK
+            lam = np.array([p["lambda"] for p in read_json(sigma)["points"]])
+            shuffled = self.reordered(sigma, tie_keeping_permutation(lam, seed), tmp_path / "s.json")
+            assert self.outputs(shuffled, n, tmp_path, capsys) == self.outputs(sigma, n, tmp_path, capsys)
+
+    def test_ties_keep_their_order(self, tmp_path, capsys):
+        # two points at lambda = 2 and one below them, listed out of order
+        points = [(2.0, [[1.0, 0.0], [0.5, 0.0]]), (-1.0, [[0.0, 1.0], [1.0, 0.0]]),
+                  (2.0, [[0.25, -0.5], [0.0, 2.0]])]
+        sigma, ordered = tmp_path / "sigma.json", tmp_path / "ordered.json"
+        ser.dump({"n": 2, "points": [{"lambda": x, "C": c} for x, c in points]}, sigma)
+        self.reordered(sigma, [1, 0, 2], ordered)
+        assert self.outputs(sigma, 2, tmp_path, capsys) == self.outputs(ordered, 2, tmp_path, capsys)
+        assert run_cli(["staircase", str(sigma)]) == EXIT_OK
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert [float(r[0]) for r in rows[1:]] == [-1.0, 2.0]
+        # the (1, 1) entry of sigma: |i|^2, then + |1|^2 + |0.25 - 0.5i|^2
+        assert [float(r[1]) for r in rows[1:]] == [1.0, 2.3125]
 
 
 class TestExitCodes:

@@ -34,6 +34,7 @@ from conftest import (
     reference_is_solution,
     reference_kernel_dimension,
     reference_weight_row,
+    tie_keeping_permutation,
 )
 
 
@@ -68,11 +69,36 @@ class TestIsSolution:
     def test_node_multiplicity_cap(self):
         c = np.array([1.0 + 0j])
         with pytest.raises(ValueError):
-            InterpolationData(1, ((0.5, c), (0.5, c)))
+            InterpolationData(1, [0.5, 0.5], [c, c])
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            InterpolationData(1, ((0.5, np.array([0j])),))
+            InterpolationData(1, [0.5], [[0j]])
+
+    def test_errors_name_nodes_in_sorted_order(self):
+        # the first zero direction and the (n+1)-th node of the first crowded
+        # cluster, by lambda, whatever the order of the points
+        zero = ([3.0, 1.0, 2.0], [[1, 0], [0, 0], [0, 0]])
+        crowded = ([0.7, 0.5, 0.5, -2.0, -2.0, -2.0, 0.5], [[1, 1]] * 7)
+        for (lam, c), message in ((zero, "zero direction vector at node 1.0"),
+                                  (crowded, "node -2.0 repeats more than n=2 times")):
+            for perm in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+                idx = perm + list(range(3, len(lam)))
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    InterpolationData(2, np.array(lam)[idx], np.array(c)[idx])
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_measures(), st.integers(0, 2**32 - 1))
+def test_shuffled_points_give_the_same_data(mu, seed):
+    perm = tie_keeping_permutation(mu.lambdas, seed)
+    data = outcome(InterpolationData.from_measure, mu)
+    shuffled = outcome(InterpolationData, mu.n, mu.lambdas[perm], mu.c[perm])
+    if isinstance(data, InterpolationData):
+        assert shuffled.lambdas.tobytes() == data.lambdas.tobytes()
+        assert shuffled.c.tobytes() == data.c.tobytes()
+    else:
+        assert shuffled == data
 
 
 def assert_solution_like_reference(polys, data):
@@ -106,7 +132,7 @@ class TestIsSolutionMatchesReference:
             assert_solution_like_reference(polys, data)
 
     def test_no_nodes(self):
-        data = InterpolationData(2, ())
+        data = InterpolationData(2, [], [])
         assert_solution_like_reference([VectorPolynomial.zero(2), canonical_e(3, 2)], data)
 
     def test_dimension_mismatch(self, flip2):
@@ -120,7 +146,8 @@ class TestIsSolutionMatchesReference:
 def test_is_solution_matches_reference_on_awkward_measures(mu, draw):
     data = outcome(InterpolationData.from_measure, mu)
     if not isinstance(data, InterpolationData):
-        data = InterpolationData(mu.n, [(lam, c) for lam, c in mu.points if np.any(c)][: mu.n])
+        keep = np.flatnonzero(mu.c.any(axis=1))[: mu.n]
+        data = InterpolationData(mu.n, mu.lambdas[keep], mu.c[keep])
     rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
     polys = []
     for _ in range(3):
@@ -128,7 +155,7 @@ def test_is_solution_matches_reference_on_awkward_measures(mu, draw):
         comps = [rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1) for d in degs]
         polys.append(VectorPolynomial.from_components(comps, mu.n, tol=0.0))
     # a solution: every component vanishes at every node
-    nodes = np.atleast_1d(np.poly([x for x, _ in data.points]))[::-1].astype(complex)
+    nodes = np.atleast_1d(np.poly(data.lambdas))[::-1].astype(complex)
     polys.append(VectorPolynomial.from_components([nodes] * mu.n, mu.n, tol=0.0))
     assert_solution_like_reference(polys, data)
 
@@ -322,6 +349,6 @@ class TestHeightWalkMatchesReference:
             assert_walk_like_reference(spec, N, random_boundary(n, seed))
 
     def test_no_nodes(self):
-        data = InterpolationData(2, ())
+        data = InterpolationData(2, [], [])
         assert data.constraint_matrix(3).shape == (0, 3)
         assert kernel_dimension(data, 2) == 3

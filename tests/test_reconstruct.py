@@ -129,7 +129,7 @@ class TestOrthonormalize:
 
     def test_singular_zeroth_moment(self):
         c = np.array([1.0, 0.0], dtype=complex)
-        mu = StepMeasure(2, ((0.0, c), (1.0, c)))
+        mu = StepMeasure(2, [0.0, 1.0], [c, c])
         with pytest.raises(SingularZerothMoment):
             orthonormalize(mu, 2)
 
@@ -140,7 +140,7 @@ class TestOrthonormalize:
         a = rng.normal(size=6) + 1j * rng.normal(size=6)
         eps = rng.normal(size=6)
         heads = np.stack([a, a * (1 + 1e-3 * eps)], axis=1)
-        mu = StepMeasure(2, tuple(zip(np.linspace(-1, 1, 6), heads)))
+        mu = StepMeasure(2, np.linspace(-1, 1, 6), heads)
         with pytest.raises(SingularZerothMoment, match="height 1 < n=2"):
             orthonormalize(mu, 6, zero_tol=1e-2)
         # the default threshold sees the e_2 residual (ratio about 1e-3)

@@ -22,6 +22,7 @@ from specband import (
     inner_product,
     multiplication_matrix,
     norm_sq,
+    orthonormalize,
     psi_at,
     q_norms_sq,
     step_measure,
@@ -34,6 +35,7 @@ from specband.vectorpoly import COEFF_TRIM_TOL, VectorPolynomial, height
 
 from conftest import (
     awkward_measures,
+    gue_arrays,
     gue_measure,
     outcome,
     random_boundary,
@@ -44,10 +46,12 @@ from conftest import (
     reference_det_theta,
     reference_det_theta_polynomial,
     reference_eigen_decompose,
+    reference_evaluate,
     reference_gram_matrix,
     reference_grouped_jumps,
     reference_moment,
     reference_multiplication_matrix,
+    reference_point_weights,
     reference_psi_at,
     reference_q_norms_sq,
     reference_theta_at,
@@ -395,7 +399,7 @@ class TestJumpsMatchReference:
         rng = np.random.default_rng(7)
         lams = [-1.0, 0.5, 0.5, 0.5, 2.0, 2.0 + 1e-9, 4.0, 4.0 + 1e-7]
         heads = rng.normal(size=(len(lams), 3)) + 1j * rng.normal(size=(len(lams), 3))
-        mu = StepMeasure(3, tuple(zip(lams, heads)))
+        mu = StepMeasure(3, lams, heads)
         jumps = assert_jumps_like_reference(mu)
         assert [jump_rank(j) for _, j in jumps] == [1, 3, 2, 1, 1]
         assert jumps["location"][2] == np.mean([2.0, 2.0 + 1e-9])
@@ -403,7 +407,7 @@ class TestJumpsMatchReference:
         assert np.array_equal(jumps["jump"], np.array([j for _, j in jumps]))
 
     def test_empty_measure(self):
-        jumps = StepMeasure(2, ()).grouped_jumps()
+        jumps = StepMeasure(2, [], []).grouped_jumps()
         assert len(jumps) == 0
         assert jumps["jump"].shape == (0, 2, 2)
 
@@ -412,6 +416,101 @@ class TestJumpsMatchReference:
 @given(awkward_measures(), st.sampled_from([CLUSTER_TOL, 1e-12, 1e-3]))
 def test_jumps_match_reference_on_awkward_measures(mu, cluster_tol):
     assert_jumps_like_reference(mu, cluster_tol)
+
+
+# ---------------------------------------------------------------- the measure's arrays
+
+
+def random_polys(rng, n, count=3):
+    """Vector polynomials with random complex coefficients and component degrees -1..8."""
+    polys = []
+    for _ in range(count):
+        degs = rng.integers(-1, 9, size=n)
+        comps = [rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1) for d in degs]
+        polys.append(VectorPolynomial.from_components(comps, n, tol=0.0))
+    return polys
+
+
+def assert_evaluate_and_weights_like_reference(mu, polys):
+    """sigma(t) at every point, between the points and at +-inf, and the
+    spectral coordinates of each polynomial, byte for byte."""
+    lam = mu.lambdas
+    for t in np.concatenate([lam, 0.5 * (lam[:-1] + lam[1:]), [-np.inf, np.inf]]):
+        assert mu.evaluate(t).tobytes() == reference_evaluate(mu, t).tobytes()
+    for f in polys:
+        assert mu.weight_row(f).tobytes() == reference_point_weights(mu, f).tobytes()
+
+
+class TestEvaluateAndWeightsMatchReference:
+    def test_acceptance_set(self):
+        for seed in range(50):
+            spec, N = random_instance(seed)
+            m, s, _, sd = setup(spec, N)
+            t = random_boundary(spec.n, seed + 10_000)
+            p = build_p(m, s, t)
+            polys = p[:3] + build_q(m, s, t, p) + random_polys(np.random.default_rng(seed), spec.n)
+            assert_evaluate_and_weights_like_reference(step_measure(sd, t), polys)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gue_measures(self, n):
+        for N in (n, 20, 80, 160):
+            rng = np.random.default_rng([n, N])
+            assert_evaluate_and_weights_like_reference(gue_measure(0, n, N), random_polys(rng, n))
+
+    def test_empty_measure(self):
+        mu = StepMeasure(2, [], [])
+        assert mu.evaluate(0.0).tobytes() == np.zeros((2, 2), dtype=complex).tobytes()
+        assert mu.weight_row(VectorPolynomial.zero(2)).shape == (0,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(awkward_measures(), st.integers(0, 2**32 - 1))
+def test_evaluate_and_weights_match_reference_on_awkward_measures(mu, seed):
+    polys = random_polys(np.random.default_rng(seed), mu.n)
+    assert_evaluate_and_weights_like_reference(mu, polys)
+
+
+def measure_bytes(mu):
+    return mu.lambdas.tobytes() + mu.c.tobytes()
+
+
+class TestMeasureArrays:
+    def test_points_are_sorted_stably(self):
+        c = np.arange(6).reshape(3, 2) + 1j
+        mu = StepMeasure(2, [2.0, -1.0, 2.0], c)
+        assert mu.lambdas.tolist() == [-1.0, 2.0, 2.0]
+        assert mu.c.tobytes() == c[[1, 0, 2]].astype(complex).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shuffled_points_give_the_same_measure(self, n):
+        for N in (n, 20, 160):
+            mu = gue_measure(1, n, N)
+            perm = np.random.default_rng(N).permutation(N)
+            assert measure_bytes(StepMeasure(n, mu.lambdas[perm], mu.c[perm])) == measure_bytes(mu)
+            # sorted input comes out unchanged
+            assert measure_bytes(StepMeasure(n, mu.lambdas, mu.c)) == measure_bytes(mu)
+
+    def test_arrays_are_read_only_copies(self, fix7):
+        _, _, t, sd = setup(fix7, 7)
+        mu = step_measure(sd, t)
+        for a in (mu.lambdas, mu.c):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        # the caller's arrays are copied, not frozen
+        assert sd.lambdas.flags.writeable
+        assert orthonormalize(mu, 7).lambdas is mu.lambdas
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_layout_of_c_gives_the_same_bytes(self, n):
+        # a Fortran-ordered block and its C-ordered copy make the same measure
+        for N in (n, 20, 80, 160):
+            lam, block = gue_arrays(2, n, N)
+            assert n == 1 or not block.flags.c_contiguous  # one column is C-ordered either way
+            a, b = StepMeasure(n, lam, block), StepMeasure(n, lam, np.ascontiguousarray(block))
+            assert a.c.flags.c_contiguous
+            assert a.moments_upto(20).tobytes() == b.moments_upto(20).tobytes()
+            assert a.grouped_jumps().tobytes() == b.grouped_jumps().tobytes()
+            assert orthonormalize(a, N).weights.tobytes() == orthonormalize(b, N).weights.tobytes()
 
 
 # ---------------------------------------------------------------- L2 inner products
@@ -514,7 +613,7 @@ class TestMoments:
             step_measure(sd, t).moment(-1)
 
     def test_overflowing_power_raises(self):
-        mu = StepMeasure(1, ((1e200, [1.0]),))
+        mu = StepMeasure(1, [1e200], [[1.0]])
         with pytest.raises(FloatingPointError):
             mu.moments_upto(2)
 
@@ -759,7 +858,7 @@ def awkward_matrix(mu, seed):
             q[i : i + 2, i : i + 2], _ = np.linalg.qr(
                 rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             )
-    data = q @ np.diag(mu.lambdas()) @ q.conj().T
+    data = q @ np.diag(mu.lambdas) @ q.conj().T
     return FiniteHermitian(N, 0.5 * (data + data.conj().T))
 
 
