@@ -39,7 +39,7 @@ class InterpolationData(StepMeasure):
     def __post_init__(self):
         super().__post_init__()
         lam, n = self.lambdas, self.n
-        zero = np.flatnonzero(row_norms(self.c) == 0.0)
+        zero = np.flatnonzero(~self.c.any(axis=1))
         if zero.size:
             raise ValueError(f"zero direction vector at node {float(lam[zero[0]])}")
         start = cluster_starts(lam)

@@ -186,10 +186,19 @@ class StructureInfo:
 
 @dataclass(frozen=True)
 class FiniteHermitian:
-    """Dense N x N Hermitian matrix (an upper-left truncation)."""
+    """Dense N x N Hermitian matrix (an upper-left truncation).
+
+    ``data`` is a read-only copy of the array given, so a matrix never
+    changes once made (``spectral.direct_pass`` relies on that).
+    """
 
     N: int
     data: np.ndarray
+
+    def __post_init__(self):
+        data = np.array(self.data)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     def hermiticity_defect(self):
         return float(np.max(np.abs(self.data - self.data.conj().T)))

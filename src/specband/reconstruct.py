@@ -117,8 +117,7 @@ class OrthoResult:
         if off > BAND_NOISE_TOL * float(np.max(np.abs(m.data))):
             raise NumericalFailure(f"entry {off:.3e} outside the band: a degeneration "
                                    f"at {self.q_heights} has nonzero norm; p~, q~ not derivable")
-        m.data[far] = 0.0
-        return m, s, heights
+        return FiniteHermitian(N, np.where(far, 0.0, m.data)), s, heights
 
     @functools.cached_property
     def p_tilde(self):

@@ -31,6 +31,40 @@ def _unc(pair):
     return complex(pair[0], pair[1])
 
 
+_MISSING = object()
+
+
+def _field(d, key, parse, where="", default=_MISSING):
+    """parse(d[key]), or ``default`` when given and the key is absent.
+
+    A null or another value of the wrong kind, which ``parse`` refuses with a
+    ``TypeError`` or ``AttributeError``, raises a ``ValueError`` naming the
+    field, after the prefix ``where`` (such as the point it belongs to).
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}expected an object, not {_excerpt(d)}")
+    if default is not _MISSING and key not in d:
+        return default
+    try:
+        return parse(d[key])
+    except (TypeError, AttributeError):
+        raise ValueError(f"{where}field {key!r} cannot hold {_excerpt(d[key])}") from None
+
+
+def _excerpt(value, width=60):
+    """The JSON text of a value, cut to ``width`` characters."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
+def _complex_rows(rows):
+    return [[_unc(v) for v in row] for row in rows]
+
+
+def _int_map(d):
+    return {int(k): int(v) for k, v in d.items()}
+
+
 def spec_to_dict(spec: MatrixSpec) -> dict:
     out = {
         "n": spec.n,
@@ -50,18 +84,21 @@ def spec_to_dict(spec: MatrixSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> MatrixSpec:
+    n = _field(d, "n", int)
     profile = None
     if d.get("tail_profile"):
         tp = d["tail_profile"]
         profile = TailProfile(
-            _unc(tp["edge"]),
-            {int(k): _unc(v) for k, v in tp.get("interior", {}).items()},
+            _field(tp, "edge", _unc, "tail_profile: "),
+            _field(tp, "interior", lambda i: {int(k): _unc(v) for k, v in i.items()},
+                   "tail_profile: ", default={}),
         )
     return MatrixSpec(
-        n=int(d["n"]),
-        n_max=int(d["N_max"]),
-        entries={(int(j), int(k)): complex(re, im) for j, k, re, im in d["entries"]},
-        pivot={int(c): int(r) for c, r in d.get("pivot", {}).items()},
+        n=n,
+        n_max=_field(d, "N_max", int),
+        entries=_field(d, "entries",
+                       lambda e: {(int(j), int(k)): complex(re, im) for j, k, re, im in e}),
+        pivot=_field(d, "pivot", _int_map, default={}),
         tail=tuple(d["tail"]) if d.get("tail") else None,
         tail_profile=profile,
     )
@@ -72,8 +109,8 @@ def matrix_to_dict(m: FiniteHermitian) -> dict:
 
 
 def matrix_from_dict(d: dict) -> FiniteHermitian:
-    data = np.array([[_unc(v) for v in row] for row in d["data"]], dtype=complex)
-    return FiniteHermitian(int(d["N"]), data)
+    data = np.array(_field(d, "data", _complex_rows), dtype=complex)
+    return FiniteHermitian(_field(d, "N", int), data)
 
 
 def boundary_to_dict(t: BoundaryMatrix) -> dict:
@@ -81,8 +118,8 @@ def boundary_to_dict(t: BoundaryMatrix) -> dict:
 
 
 def boundary_from_dict(d: dict) -> BoundaryMatrix:
-    t = np.array([[_unc(v) for v in row] for row in d["t"]], dtype=complex)
-    return BoundaryMatrix(int(d["n"]), t)
+    t = np.array(_field(d, "t", _complex_rows), dtype=complex)
+    return BoundaryMatrix(_field(d, "n", int), t)
 
 
 def measure_to_dict(mu: StepMeasure) -> dict:
@@ -92,9 +129,16 @@ def measure_to_dict(mu: StepMeasure) -> dict:
 
 def measure_from_dict(d: dict) -> StepMeasure:
     """The measure of a dict, its points sorted by lambda (``StepMeasure`` sorts them)."""
-    n, pts = int(d["n"]), d["points"]
+    n, pts = _field(d, "n", int), d["points"]
     # one row per point: lambda, then the [re, im] pairs of C; float() refuses a null
-    rows = np.array([[float(x) for x in chain([p["lambda"]], *p["C"])] for p in pts])
+    try:
+        rows = np.array([[float(x) for x in chain([p["lambda"]], *p["C"])] for p in pts])
+    except TypeError:
+        # the first point and field at fault, read again one by one
+        for i, p in enumerate(_field(d, "points", list)):
+            _field(p, "lambda", float, f"point {i}: ")
+            _field(p, "C", lambda c: [float(x) for x in chain(*c)], f"point {i}: ")
+        raise
     rows = rows.reshape(len(pts), 2 * n + 1)
     return StepMeasure(n, rows[:, 0], np.ascontiguousarray(rows[:, 1:]).view(complex))
 
@@ -104,8 +148,8 @@ def poly_to_dict(r: VectorPolynomial) -> dict:
 
 
 def poly_from_dict(d: dict) -> VectorPolynomial:
-    comps = [[_unc(v) for v in comp] for comp in d["comps"]]
-    return VectorPolynomial.from_components(comps, int(d["n"]), tol=0.0)
+    comps = _field(d, "comps", _complex_rows)
+    return VectorPolynomial.from_components(comps, _field(d, "n", int), tol=0.0)
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))

@@ -19,6 +19,7 @@ points it agrees with the pointwise adjoint, which is the only place the
 theory needs it.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,17 +42,21 @@ JUMP_RANK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
-    """Upper-triangular invertible n x n matrix fixing boundary values."""
+    """Upper-triangular invertible n x n matrix fixing boundary values.
+
+    ``t`` is a read-only complex copy of the array given.
+    """
 
     n: int
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=complex)
+        t = np.array(self.t, dtype=complex)
         if t.shape != (self.n, self.n):
             raise DimensionMismatch(f"boundary matrix must be {self.n}x{self.n}")
         if np.max(np.abs(np.tril(t, -1))) > 1e-12 * max(1.0, np.max(np.abs(t))):
             raise ValueError("boundary matrix must be upper triangular")
+        t.flags.writeable = False
         object.__setattr__(self, "t", t)
 
     @classmethod
@@ -314,7 +319,11 @@ def psi_at(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, z) -> np.nda
 
 def theta_at(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, z) -> np.ndarray:
     """Numeric n x n matrix Theta(z): the K rows of (M_N - zI) Psi(z), stacked like psi_at."""
-    psi = psi_at(m, s, t, z)
+    return _theta_from_psi(m, s, psi_at(m, s, t, z), z)
+
+
+def _theta_from_psi(m: FiniteHermitian, s: StructureInfo, psi, z) -> np.ndarray:
+    """The K rows of (M_N - zI) Psi(z), from psi_at's output at z."""
     rows = np.array(s.K) - 1
     mat = m.data[rows, :] @ psi
     mat -= np.asarray(z)[..., None, None] * psi[..., rows, :]
@@ -330,20 +339,14 @@ def det_theta_polynomial(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix
     """Degree-N interpolant of det Theta on Chebyshev nodes over the spectrum.
 
     Returns a ``numpy.polynomial.chebyshev.Chebyshev`` instance; use its
-    ``roots()`` for the spectrum cross-check.
+    ``roots()`` for the spectrum cross-check.  The nodes, their window and
+    Theta at them come from the ``DirectPass`` of (m, s, t).
     """
-    sd = eigen_decompose(m)
-    lo, hi = float(sd.lambdas[0]), float(sd.lambdas[-1])
-    pad = 0.25 * max(hi - lo, 1.0)
-    lo, hi = lo - pad, hi + pad
-    N = s.N
-    k = np.arange(N + 1)
-    nodes = np.cos((2 * k + 1) * np.pi / (2 * (N + 1)))
-    nodes = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    vals = np.linalg.det(theta_at(m, s, t, nodes))
+    dp = direct_pass(m, s, t)
+    vals = np.linalg.det(dp.theta_nodes)
     if np.max(np.abs(vals.imag)) <= 1e-9 * max(1.0, np.max(np.abs(vals))):
         vals = vals.real
-    return np.polynomial.chebyshev.Chebyshev.fit(nodes, vals, deg=N, domain=[lo, hi])
+    return np.polynomial.chebyshev.Chebyshev.fit(dp.nodes, vals, deg=s.N, domain=dp.window)
 
 
 def build_p(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix):
@@ -453,17 +456,91 @@ def completeness_defect(mu: StepMeasure, t: BoundaryMatrix) -> float:
     return float(np.max(np.abs(t.t.conj().T @ total @ t.t - np.eye(t.n))))
 
 
-def _eigen_rows(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
-                sd: SpectralData = None):
-    """The eigenvalues lambda_k and the rows u_k = Psi(lambda_k) C^k.
+@dataclass(frozen=True, eq=False)
+class DirectPass:
+    """The spectral pass over one truncation (m, s, t) that the direct checks share.
 
-    Each u_k is its own matrix-vector product, rounded as a loop over k
-    would round it."""
-    if sd is None:
-        sd = eigen_decompose(m)
-    cs = c_vectors(sd, t)
-    psi = psi_at(m, s, t, sd.lambdas)
-    return sd.lambdas, np.matmul(psi, cs[:, :, None])[:, :, 0]
+    Each attribute is computed once, on first read:
+
+      * ``sd``          the eigen data: the ``sd`` it was made with, else
+                        ``eigen_decompose(m)``;
+      * ``c``           the (N, n) block of the C^k, ``c_vectors(sd, t)``;
+      * ``window``      the spectrum's range padded by a quarter of its width
+                        (at least 1/4 each side), and ``nodes`` the N + 1
+                        Chebyshev nodes of ``det_theta_polynomial`` over it;
+      * ``psi``         one ``psi_at`` recursion over lambda_1..lambda_N and
+                        then the nodes, (2N + 1, N, n);
+      * ``u``           the rows u_k = Psi(lambda_k) C^k, each its own
+                        matrix-vector product, as a loop over k rounds it;
+      * ``theta_nodes`` Theta at the nodes, from the node rows of ``psi``.
+
+    Points stacked in one ``psi_at`` call give the bytes of separate calls.
+    The object relies on m.data and t.t being read-only; ``direct_pass``
+    finds it.
+    """
+
+    m: FiniteHermitian
+    s: StructureInfo
+    t: BoundaryMatrix
+    given_sd: SpectralData = None
+
+    @functools.cached_property
+    def sd(self):
+        return eigen_decompose(self.m) if self.given_sd is None else self.given_sd
+
+    @functools.cached_property
+    def c(self):
+        return c_vectors(self.sd, self.t)
+
+    @functools.cached_property
+    def window(self):
+        lo, hi = float(self.sd.lambdas[0]), float(self.sd.lambdas[-1])
+        pad = 0.25 * max(hi - lo, 1.0)
+        return lo - pad, hi + pad
+
+    @functools.cached_property
+    def nodes(self):
+        lo, hi = self.window
+        k = np.arange(self.s.N + 1)
+        nodes = np.cos((2 * k + 1) * np.pi / (2 * (self.s.N + 1)))
+        return 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+
+    @functools.cached_property
+    def psi(self):
+        return psi_at(self.m, self.s, self.t, np.concatenate([self.sd.lambdas, self.nodes]))
+
+    @functools.cached_property
+    def u(self):
+        c = self.c  # before psi: a vanished C-vector is reported before a zero edge
+        return np.matmul(self.psi[: self.s.N], c[:, :, None])[:, :, 0]
+
+    @functools.cached_property
+    def theta_nodes(self):
+        return _theta_from_psi(self.m, self.s, self.psi[self.s.N :], self.nodes)
+
+
+#: the last DirectPass made, the one slot of ``direct_pass``'s memo
+_last_pass = None
+
+
+def direct_pass(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
+                sd: SpectralData = None) -> DirectPass:
+    """The ``DirectPass`` of (m, s, t), from a one-slot memo.
+
+    The memo holds the last pass made, by strong reference.  It hits when m,
+    s and t are the very objects of that pass and ``sd`` is None or that
+    pass's eigen data; otherwise a new pass, adopting ``sd``, replaces it.
+    The direct checks take (m, s, t) as separate calls, so the slot is what
+    lets a sequence of them on one truncation share the pass: one ``eigh``
+    (the caller's, when it passes ``sd``) and one ``psi_at``.
+    """
+    global _last_pass
+    last = _last_pass
+    if (last is not None and last.m is m and last.s is s and last.t is t
+            and (sd is None or sd is last.sd)):
+        return last
+    _last_pass = DirectPass(m, s, t, sd)
+    return _last_pass
 
 
 def gram_matrix(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
@@ -471,11 +548,12 @@ def gram_matrix(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
     """Gram matrix of {p_k} under the step measure, from Psi at the eigenvalues.
 
     Evaluates Psi at each eigenvalue instead of expanding polynomial
-    coefficients, which stays accurate for truncations around N = 20.
+    coefficients, which stays accurate for truncations around N = 20.  The
+    rows u_k come from the ``DirectPass`` of (m, s, t), as in the other
+    direct checks.
     """
-    _, us = _eigen_rows(m, s, t, sd)
     gram = np.zeros((s.N, s.N), dtype=complex)
-    for u in us:
+    for u in direct_pass(m, s, t, sd).u:
         gram += np.outer(u, u.conj())
     return gram
 
@@ -483,9 +561,9 @@ def gram_matrix(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
 def multiplication_matrix(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
                           sd: SpectralData = None) -> np.ndarray:
     """Matrix elements <p_i, t * p_j> under the step measure, from Psi at the eigenvalues."""
-    lams, us = _eigen_rows(m, s, t, sd)
+    dp = direct_pass(m, s, t, sd)
     out = np.zeros((s.N, s.N), dtype=complex)
-    for lam, u in zip(lams, us):
+    for lam, u in zip(dp.sd.lambdas, dp.u):
         out += lam * np.outer(u, u.conj())
     return out
 
@@ -504,8 +582,8 @@ def q_norms_sq(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
     M - l_k I are stacked (n N^2 entries) for their row norms, |u_k| is
     ``row_norms``, and both sums run over k in order.
     """
-    lams, us = _eigen_rows(m, s, t, sd)
-    n = s.n
+    dp = direct_pass(m, s, t, sd)
+    lams, us, n = dp.sd.lambdas, dp.u, s.n
     rows = np.array(s.K) - 1
     k_rows = m.data[rows, :]
     v = np.matmul(k_rows, us[:, :, None])[:, :, 0] - lams[:, None] * us[:, rows]
