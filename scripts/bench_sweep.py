@@ -1,6 +1,6 @@
 """Time the inverse sweep, the round trip and the direct side at two checkouts.
 
-    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_12.json
+    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_13.json
 
 Every cell n in {1,2,3}, N in {10,20,40,80,160} of the North-star grid
 takes seeds 0-4, and each instance comes from perfbench's builders:
@@ -22,6 +22,12 @@ the spec and boundary matrix of ``spec_instance``: ``eigen_decompose``,
 ``step_measure``, ``build_p``, ``build_q``, ``gram_matrix``,
 ``multiplication_matrix``, ``q_norms_sq``, ``det_theta_polynomial`` and
 ``verify_generators``; the first stage that raises ends the instance.
+Every timing of a direct stage gets a new truncation, structure and
+boundary matrix of equal bytes, so that no stage reads the spectral pass
+(``spectral.direct_pass``) that an earlier call left in its one-slot memo:
+each stage time is that stage's cost alone.  The whole operation,
+perfbench's ``direct_check``, is then timed as well, and it shares the
+pass between its checks as every caller of the direct side does.
 
 Each checkout runs in its own single-threaded process, importing its own
 ``src/``; the passes alternate between the checkouts, and every pass times
@@ -39,9 +45,10 @@ between checkouts (``decisions_agree``), and whether every sweep's sha256
 of its ``weights`` and ``t_tilde`` bytes and every round trip's sha256 of
 its ``RoundTripReport.to_dict()`` JSON text and recovered matrix bytes (or
 of the error it raised) does too (``outputs_identical``).  A direct cell
-holds each stage's median scaled time and, in ``outputs_identical``,
-whether every instance's sha256 over all stage outputs (or the stage and
-exception that ended it) agrees between the checkouts.
+holds each stage's median scaled time, the median scaled time of the whole
+``direct_check`` and, in ``outputs_identical``, whether every instance's
+sha256 over all stage outputs (or the stage and exception that ended it)
+and over the ``direct_check`` output agrees between the checkouts.
 """
 
 import argparse
@@ -93,23 +100,29 @@ def _sweep_record(res):
     }
 
 
-def _direct_stages(spec, t, N):
-    """(name, call) of each direct stage; a call takes the outputs so far by name."""
-    from specband import interpolation, matrices, spectral
+def _direct_inputs(spec, t, N):
+    """A new truncation, structure and boundary matrix of one direct instance."""
+    from specband import matrices, spectral
 
-    m = matrices.truncate(spec, N)
-    s = matrices.analyze_structure(spec, N)
+    return (matrices.truncate(spec, N), matrices.analyze_structure(spec, N),
+            spectral.BoundaryMatrix(t.n, t.t))
+
+
+def _direct_stages():
+    """(name, call) of each direct stage; a call takes the outputs so far by name and (m, s, t)."""
+    from specband import interpolation, spectral
+
     return [
-        ("eigen_decompose", lambda o: spectral.eigen_decompose(m)),
-        ("step_measure", lambda o: spectral.step_measure(o["eigen_decompose"], t)),
-        ("build_p", lambda o: spectral.build_p(m, s, t)),
-        ("build_q", lambda o: spectral.build_q(m, s, t, o["build_p"])),
-        ("gram_matrix", lambda o: spectral.gram_matrix(m, s, t, o["eigen_decompose"])),
+        ("eigen_decompose", lambda o, m, s, t: spectral.eigen_decompose(m)),
+        ("step_measure", lambda o, m, s, t: spectral.step_measure(o["eigen_decompose"], t)),
+        ("build_p", lambda o, m, s, t: spectral.build_p(m, s, t)),
+        ("build_q", lambda o, m, s, t: spectral.build_q(m, s, t, o["build_p"])),
+        ("gram_matrix", lambda o, m, s, t: spectral.gram_matrix(m, s, t, o["eigen_decompose"])),
         ("multiplication_matrix",
-         lambda o: spectral.multiplication_matrix(m, s, t, o["eigen_decompose"])),
-        ("q_norms_sq", lambda o: spectral.q_norms_sq(m, s, t, o["eigen_decompose"])),
-        ("det_theta_polynomial", lambda o: spectral.det_theta_polynomial(m, s, t)),
-        ("verify_generators", lambda o: interpolation.verify_generators(
+         lambda o, m, s, t: spectral.multiplication_matrix(m, s, t, o["eigen_decompose"])),
+        ("q_norms_sq", lambda o, m, s, t: spectral.q_norms_sq(m, s, t, o["eigen_decompose"])),
+        ("det_theta_polynomial", lambda o, m, s, t: spectral.det_theta_polynomial(m, s, t)),
+        ("verify_generators", lambda o, m, s, t: interpolation.verify_generators(
             o["build_q"], interpolation.InterpolationData.from_measure(o["step_measure"]))),
     ]
 
@@ -175,17 +188,18 @@ def _roundtrip_stages(spec, t, N):
     ]
 
 
-def _run_stages(stages, repeats):
+def _run_stages(stages, repeats, inputs=tuple):
     """Each stage timed ``repeats`` times, in order, until one raises.
 
-    Returns the times per stage, the outputs by stage and (stage, exception)
-    of the stage that raised, or None.
+    A call takes the outputs so far and then what ``inputs()`` returns, made
+    anew before each timing and outside it.  Returns the times per stage, the
+    outputs by stage and (stage, exception) of the stage that raised, or None.
     """
     times, outs = {}, {}
     for name, call in stages:
         times[name] = []
         for _ in range(repeats):
-            ms, out = _timed(call, outs)
+            ms, out = _timed(call, outs, *inputs())
             times[name].append(ms)
         if isinstance(out, Exception):
             return times, outs, (name, out)
@@ -193,17 +207,33 @@ def _run_stages(stages, repeats):
     return times, outs, None
 
 
+def _direct_check_bytes(out):
+    """The bytes of perfbench's ``DirectOutput``, or the exception it raised."""
+    if isinstance(out, Exception):
+        return f"direct_check: {type(out).__name__}: {out}".encode()
+    arrays = (out.gram, out.mult, out.qnorm_ratio, out.roots)
+    return b"".join(a.tobytes() for a in arrays) + repr(list(out.solution_flags)).encode()
+
+
 def _direct_record(inst, repeats):
-    """Per-stage times of one direct instance and the sha256 over its outputs."""
-    times, outs, failed = _run_stages(_direct_stages(inst.spec, inst.t, inst.N), repeats)
+    """Per-stage and whole-operation times of one direct instance, and the
+    sha256 over its outputs."""
+    import workloads
+
+    times, outs, failed = _run_stages(
+        _direct_stages(), repeats, lambda: _direct_inputs(inst.spec, inst.t, inst.N))
     digest = hashlib.sha256()
     for name, out in outs.items():
         digest.update(_output_bytes(name, out))
-    rec = {"stage_ms": times}
+    rec = {"stage_ms": times, "direct_check_ms": []}
     if failed:
         name, exc = failed
         digest.update(f"{name}: {type(exc).__name__}: {exc}".encode())
         rec["failure"] = f"{name}: {type(exc).__name__}"
+    for _ in range(repeats):
+        ms, out = _timed(workloads.direct_check, inst)
+        rec["direct_check_ms"].append(ms)
+    digest.update(_direct_check_bytes(out))
     rec["sha256"] = digest.hexdigest()
     return rec
 
@@ -263,6 +293,8 @@ def worker(repeats):
     for rec in records:
         for key in ("gue_ms", "roundtrip_ms"):
             rec[key] = [scale * ms for ms in rec[key]]
+    for rec in direct:
+        rec["direct_check_ms"] = [scale * ms for ms in rec["direct_check_ms"]]
     for rec in records + direct:
         rec["stage_ms"] = {name: [scale * ms for ms in times]
                            for name, times in rec["stage_ms"].items()}
@@ -333,7 +365,8 @@ def summarize(passes):
 
 
 def summarize_direct(passes):
-    """Per direct cell: each stage's median scaled time per checkout, and the digests."""
+    """Per direct cell: each stage's and the whole operation's median scaled time
+    per checkout, and the digests."""
     cells = []
     for n, N in DIRECT_GRID:
         cell = {"n": n, "N": N, "seeds": len(SEEDS)}
@@ -345,6 +378,8 @@ def summarize_direct(passes):
                 f"{name}_ms": _median([t for r in recs for t in r["stage_ms"].get(name, [])])
                 for name in DIRECT_STAGES
             }
+            cell[side]["direct_check_ms"] = _median(
+                [t for r in recs for t in r["direct_check_ms"]])
             cell[side]["failures"] = sorted(r["failure"] for r in last[side] if "failure" in r)
         before, after = last["before"], last["after"]
         cell["inputs_agree"] = all(a["digest"] == b["digest"] for a, b in zip(before, after))

@@ -3,6 +3,9 @@
 Complex numbers are always written as two-element [re, im] arrays.  Matrix
 entries store the upper triangle only; Hermitian symmetry is implied.
 Every file is ``json.dumps(obj, indent=2)`` text, written by :func:`dumps`.
+A decoder refuses a value of the wrong kind, such as a null where a number
+belongs, with a ``ValueError`` that names the field (and, in a measure, the
+point), which the command line prints as an ``error:`` line.
 """
 
 import functools
@@ -99,7 +102,7 @@ def spec_from_dict(d: dict) -> MatrixSpec:
         entries=_field(d, "entries",
                        lambda e: {(int(j), int(k)): complex(re, im) for j, k, re, im in e}),
         pivot=_field(d, "pivot", _int_map, default={}),
-        tail=tuple(d["tail"]) if d.get("tail") else None,
+        tail=_field(d, "tail", lambda v: tuple(map(int, v)) if v else None, default=None),
         tail_profile=profile,
     )
 

@@ -17,6 +17,13 @@ The associated objects:
 "Formal adjoint" means coefficients are conjugated; evaluated at real
 points it agrees with the pointwise adjoint, which is the only place the
 theory needs it.
+
+The direct checks ``gram_matrix``, ``multiplication_matrix``, ``q_norms_sq``
+and ``det_theta_polynomial`` read one ``DirectPass`` per truncation: its
+eigen data, C and one Psi recursion over the eigenvalues and the det Theta
+nodes.  ``direct_pass`` keeps the last pass and hands it out again while m, s
+and t are the same objects, so a sequence of checks on one truncation runs
+``eigh`` and ``psi_at`` once each.
 """
 
 import functools

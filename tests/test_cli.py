@@ -305,6 +305,29 @@ class TestExitCodes:
         )
         assert run_cli(["reconstruct", str(sigma)]) == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["staircase"], {"n": 1, "points": [{"lambda": None, "C": [[1, 0]]}]},
+         "point 0: field 'lambda' cannot hold null"),
+        (["staircase"], {"n": 1, "points": [{"lambda": 0, "C": [[1, 0]]},
+                                            {"lambda": 1, "C": [[None, 0]]}]},
+         "point 1: field 'C' cannot hold [[null, 0]]"),
+        (["moments", "--k", "2"], {"n": None, "points": []}, "field 'n' cannot hold null"),
+        (["reconstruct"], {"n": 1, "points": None}, "field 'points' cannot hold null"),
+        (["staircase"], {"n": 1, "points": [[0, [1, 0]]]},
+         "point 0: expected an object, not [0, [1, 0]]"),
+        (["spectrum"], {"N": 1, "data": [[None]]}, "field 'data' cannot hold [[null]]"),
+        (["validate", "--class", "m"], {"n": 1, "N_max": 2, "entries": [[1, 1, None, 0]]},
+         "field 'entries' cannot hold [[1, 1, null, 0]]"),
+        (["validate", "--class", "m"], {"n": 1, "N_max": 2, "entries": [], "tail": [None, 2]},
+         "field 'tail' cannot hold [null, 2]"),
+        (["height"], {"n": 1, "comps": [[None]]}, "field 'comps' cannot hold [[null]]"),
+    ])
+    def test_null_in_a_file_is_an_error_line(self, argv, payload, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        ser.dump(payload, path)
+        assert run_cli(argv + [str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_tol_env_override(self, flip2_file, tmp_path, monkeypatch, capsys):
         sigma = tmp_path / "sigma.json"
         run_cli(["measure", flip2_file, "-o", str(sigma)])

@@ -75,6 +75,15 @@ class TestIsSolution:
         with pytest.raises(ValueError):
             InterpolationData(1, [0.5], [[0j]])
 
+    def test_exact_zero_row_named(self):
+        with pytest.raises(ValueError, match=r"^zero direction vector at node 0\.5$"):
+            InterpolationData(1, [0.5], [[0.0]])
+
+    def test_tiny_direction_accepted(self):
+        # its norm underflows to 0.0, yet the direction is nonzero
+        data = InterpolationData(1, [0.5], [[1e-170]])
+        assert data.c[0, 0] == 1e-170
+
     def test_errors_name_nodes_in_sorted_order(self):
         # the first zero direction and the (n+1)-th node of the first crowded
         # cluster, by lambda, whatever the order of the points

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specband import spectral
 from specband import (
     BoundaryMatrix,
     FiniteHermitian,
@@ -30,6 +31,7 @@ from specband import (
     truncate,
 )
 from specband.errors import DimensionMismatch, NumericalFailure, PivotViolation
+from specband.interpolation import InterpolationData, verify_generators
 from specband.spectral import CLUSTER_TOL, SpectralData, StepMeasure, jump_rank
 from specband.vectorpoly import COEFF_TRIM_TOL, VectorPolynomial, height
 
@@ -845,6 +847,92 @@ class TestDirectSideMatchesReference:
         data = m.data.copy()
         data[0, 3] = data[3, 0] = 0.0  # the edge of column 4
         assert_points_like_reference(FiniteHermitian(7, data), s, t, np.array([0.5, -1.0]))
+
+
+def direct_outputs(m, s, t, sd):
+    """The four direct checks on (m, s, t) as bytes, in the order perfbench calls them."""
+    return as_bytes((
+        gram_matrix(m, s, t, sd),
+        multiplication_matrix(m, s, t, sd),
+        q_norms_sq(m, s, t, sd),
+        det_theta_polynomial(m, s, t).coef,
+    ))
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of np.linalg.eigh and spectral.psi_at calls made from here on."""
+    counts = {"eigh": 0, "psi_at": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(spectral, "psi_at", counting("psi_at", spectral.psi_at))
+    return counts
+
+
+class TestDirectPass:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_eigh_and_one_psi_per_direct_check(self, n, counted):
+        spec = generate_random(GenProfile(n=n, n_max=20), n)
+        t = random_boundary(n, n)
+        # the sequence of perfbench's direct check
+        m, s = truncate(spec, 20), analyze_structure(spec, 20)
+        sd = eigen_decompose(m)
+        mu = step_measure(sd, t)
+        q = build_q(m, s, t, build_p(m, s, t))
+        direct_outputs(m, s, t, sd)
+        verify_generators(q, InterpolationData.from_measure(mu))
+        assert counted == {"eigh": 1, "psi_at": 1}
+
+    def test_det_theta_polynomial_first(self, fix7, counted):
+        m, s, t, _ = setup(fix7, 7)
+        det_theta_polynomial(m, s, t)
+        gram_matrix(m, s, t)
+        q_norms_sq(m, s, t)
+        assert counted == {"eigh": 2, "psi_at": 1}  # setup's eigh and the pass's
+
+    def test_other_inputs_recompute(self, fix7, counted):
+        m, s, t, sd = setup(fix7, 7, random_boundary(3, 1))
+        first = direct_outputs(m, s, t, sd)
+        others = (
+            (analyze_structure(fix7, 7), t, sd),
+            (s, BoundaryMatrix(3, t.t), sd),
+            (s, t, eigen_decompose(m)),
+        )
+        for s2, t2, sd2 in others:
+            gram_matrix(m, s, t, sd)  # the memo holds the pass of (m, s, t, sd) again
+            before = counted["psi_at"]
+            assert direct_outputs(m, s2, t2, sd2) == first
+            assert counted["psi_at"] == before + 1
+        # without sd the last pass serves again, and every pass took the sd given
+        gram_matrix(m, s, t)
+        assert counted == {"eigh": 2, "psi_at": before + 1}
+
+    def test_fresh_matrix_with_equal_bytes(self, fix7, counted):
+        m, s, t, sd = setup(fix7, 7, random_boundary(3, 2))
+        first = direct_outputs(m, s, t, sd)
+        m2 = FiniteHermitian(7, m.data.copy())
+        assert direct_outputs(m2, s, t, sd) == first
+        assert counted["psi_at"] == 2
+
+    def test_inputs_are_read_only_copies(self, fix7):
+        data = truncate(fix7, 7).data.copy()
+        t_mat = random_boundary(3, 3).t.copy()
+        m, t = FiniteHermitian(7, data), BoundaryMatrix(3, t_mat)
+        before = m.data.tobytes(), t.t.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            m.data[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            t.t[0, 0] = 1.0
+        # the arrays given stay the caller's: writing them changes neither object
+        data[0, 0] += 1.0
+        t_mat[0, 0] += 1.0
+        assert (m.data.tobytes(), t.t.tobytes()) == before
 
 
 def awkward_matrix(mu, seed):
