@@ -64,10 +64,6 @@ def _complex_rows(rows):
     return [[_unc(v) for v in row] for row in rows]
 
 
-def _int_map(d):
-    return {int(k): int(v) for k, v in d.items()}
-
-
 def spec_to_dict(spec: MatrixSpec) -> dict:
     out = {
         "n": spec.n,
@@ -87,7 +83,7 @@ def spec_to_dict(spec: MatrixSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> MatrixSpec:
-    n = _field(d, "n", int)
+    n = _field(d, "n", int)  # first: it refuses a d that is no object before d.get
     profile = None
     if d.get("tail_profile"):
         tp = d["tail_profile"]
@@ -101,7 +97,7 @@ def spec_from_dict(d: dict) -> MatrixSpec:
         n_max=_field(d, "N_max", int),
         entries=_field(d, "entries",
                        lambda e: {(int(j), int(k)): complex(re, im) for j, k, re, im in e}),
-        pivot=_field(d, "pivot", _int_map, default={}),
+        pivot=_field(d, "pivot", lambda p: {int(c): int(r) for c, r in p.items()}, default={}),
         tail=_field(d, "tail", lambda v: tuple(map(int, v)) if v else None, default=None),
         tail_profile=profile,
     )
