@@ -1,6 +1,6 @@
 """Time the inverse sweep, the round trip and the direct side at two checkouts.
 
-    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_13.json
+    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_14.json
 
 Every cell n in {1,2,3}, N in {10,20,40,80,160} of the North-star grid
 takes seeds 0-4, and each instance comes from perfbench's builders:
@@ -46,9 +46,15 @@ of its ``weights`` and ``t_tilde`` bytes and every round trip's sha256 of
 its ``RoundTripReport.to_dict()`` JSON text and recovered matrix bytes (or
 of the error it raised) does too (``outputs_identical``).  A direct cell
 holds each stage's median scaled time, the median scaled time of the whole
-``direct_check`` and, in ``outputs_identical``, whether every instance's
-sha256 over all stage outputs (or the stage and exception that ended it)
-and over the ``direct_check`` output agrees between the checkouts.
+``direct_check`` and each seed's ``minimal`` flag per checkout, and
+compares the checkouts.  ``gate_outputs_identical`` says whether
+every instance's sha256 over the outputs that perfbench's ``direct`` gate
+reads agrees: the stage outputs up to ``det_theta_polynomial`` (or the stage
+and exception that ended the instance) and the ``direct_check`` output
+(Gram and multiplication matrices, q-norm ratios, det Theta roots and
+``solution_flags``).  The generator report is compared on its own:
+``generator_reports_identical`` over the sha256 of its JSON, and
+``height_tables_changed`` lists the seeds whose height table differs.
 """
 
 import argparse
@@ -222,19 +228,24 @@ def _direct_record(inst, repeats):
 
     times, outs, failed = _run_stages(
         _direct_stages(), repeats, lambda: _direct_inputs(inst.spec, inst.t, inst.N))
-    digest = hashlib.sha256()
-    for name, out in outs.items():
-        digest.update(_output_bytes(name, out))
+    gate = hashlib.sha256()
     rec = {"stage_ms": times, "direct_check_ms": []}
+    for name, out in outs.items():
+        if name == "verify_generators":
+            rec["generators_sha256"] = hashlib.sha256(_output_bytes(name, out)).hexdigest()
+            rec["height_table"] = out.height_table
+            rec["minimal"] = out.minimal
+        else:
+            gate.update(_output_bytes(name, out))
     if failed:
         name, exc = failed
-        digest.update(f"{name}: {type(exc).__name__}: {exc}".encode())
+        gate.update(f"{name}: {type(exc).__name__}: {exc}".encode())
         rec["failure"] = f"{name}: {type(exc).__name__}"
     for _ in range(repeats):
         ms, out = _timed(workloads.direct_check, inst)
         rec["direct_check_ms"].append(ms)
-    digest.update(_direct_check_bytes(out))
-    rec["sha256"] = digest.hexdigest()
+    gate.update(_direct_check_bytes(out))
+    rec["gate_sha256"] = gate.hexdigest()
     return rec
 
 
@@ -381,11 +392,18 @@ def summarize_direct(passes):
             cell[side]["direct_check_ms"] = _median(
                 [t for r in recs for t in r["direct_check_ms"]])
             cell[side]["failures"] = sorted(r["failure"] for r in last[side] if "failure" in r)
+            cell[side]["minimal"] = [r.get("minimal") for r in last[side]]
         before, after = last["before"], last["after"]
         cell["inputs_agree"] = all(a["digest"] == b["digest"] for a, b in zip(before, after))
-        cell["outputs_identical"] = all(
-            a["sha256"] == b["sha256"] for a, b in zip(before, after)
+        cell["gate_outputs_identical"] = all(
+            a["gate_sha256"] == b["gate_sha256"] for a, b in zip(before, after)
         )
+        cell["generator_reports_identical"] = all(
+            a.get("generators_sha256") == b.get("generators_sha256") for a, b in zip(before, after)
+        )
+        cell["height_tables_changed"] = [
+            a["seed"] for a, b in zip(before, after) if a.get("height_table") != b.get("height_table")
+        ]
         cells.append(cell)
     return cells
 

@@ -10,15 +10,25 @@ scalar polynomials with n generators; the degeneration polynomials q_j of a
 band matrix are always solutions and, for the band-with-degenerations
 subclass, they are exactly the generators.
 
-The constraints are the canonical coordinates (C^k)* e_m(mu_k) that the
-inverse sweep reads too, one table from ``spectral.canonical_coordinates``.
+The solutions of height <= h form a space of dimension (h + 1) minus the
+rank of the constraints on e_1..e_{h+1}.  ``verify_generators`` reads that
+rank, for every h at once, off one Gram-Schmidt sweep over the data
+(``reconstruct._sweep``, the sweep of the inverse problem): it is the number
+of rows the sweep emits at heights <= h.  ``kernel_dimension`` computes one
+such dimension by an SVD of the constraint table
+``InterpolationData.constraint_matrix``, the canonical coordinates
+(C^k)* e_m(mu_k) of ``spectral.canonical_coordinates``; that monomial table
+is exponentially ill-conditioned, so the SVD count is trustworthy only at
+small N.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NoDecomposition
+from .reconstruct import ZERO_NORM_TOL, _sweep
 from .spectral import StepMeasure, canonical_coordinates, cluster_starts, row_norms, row_vdots
 from .vectorpoly import (
     MINUS_INF,
@@ -165,12 +175,9 @@ def recompose(dec: Decomposition, p, q) -> VectorPolynomial:
 
 
 def kernel_dimension(data: InterpolationData, h: int) -> int:
-    """Dimension of the annihilated subspace among polynomials of height <= h."""
-    return _null_dimension(data.constraint_matrix(h + 1))  # h < 0: empty span
-
-
-def _null_dimension(B) -> int:
-    """Number of columns of B minus its numerical rank."""
+    """Dimension of the annihilated subspace among polynomials of height <= h,
+    by one SVD of the constraint table (a reference for small N)."""
+    B = data.constraint_matrix(h + 1)  # h < 0: empty span
     svals = np.linalg.svd(B, compute_uv=False)
     if svals.size == 0:
         return B.shape[1]
@@ -197,7 +204,7 @@ class GeneratorReport:
     solution_flags: list
     minimal: bool
     height_table: list = field(default_factory=list)  # (h, observed, expected)
-    proportional_ties: bool = True
+    proportional_ties: bool = True  # holds by construction; kept in the report's schema
 
     def to_dict(self):
         return {
@@ -214,13 +221,23 @@ class GeneratorReport:
 def verify_generators(q, data: InterpolationData) -> GeneratorReport:
     """Check whether the q_j generate the solution module minimally.
 
-    Walks every height up to max h(q_j), comparing the observed kernel
-    dimension of the annihilation constraints with the count the claimed
-    generators would produce.  A surplus at some height means a solution of
-    smaller height exists outside the span, i.e. the q's are not the
-    generators (expected for the general class, never for the band
-    subclass).  The constraint table is built once, for the top height; the
-    constraints up to height h are its first h + 1 columns.
+    For every height h up to max h(q_j), compares the observed dimension of
+    the solutions of height <= h with the count the claimed generators would
+    produce (``expected_kernel_dimension``).  The observed dimension is
+    (h + 1) minus the number of rows that one Gram-Schmidt sweep over the
+    data emits at heights <= h.  Under the height-lattice rule the rows
+    emitted up to height h span the constraints of e_1..e_{h+1}, so this is
+    the kernel dimension, decided residual by residual against
+    ``ZERO_NORM_TOL`` as ``reconstruct.orthonormalize`` decides it.  The
+    sweep needs no invertible S_0: a solution of height below n is counted
+    like any other.  A surplus at some height means a solution of smaller
+    height exists outside the span, i.e. the q's are not the generators
+    (expected for the general class, never for the band subclass).
+    ``minimal`` also asks every q_j to pass ``is_solution``.
+
+    ``proportional_ties`` holds by construction: each height adds one
+    canonical vector, which is either emitted or annihilated, so the observed
+    dimension grows by at most one per height.
     """
     n = data.n
     heights = [height(qj) for qj in q]
@@ -229,26 +246,16 @@ def verify_generators(q, data: InterpolationData) -> GeneratorReport:
     distinct = len(set(finite)) == len(finite) == n
     flags = [is_solution(qj, data) for qj in q]
     h_max = max((int(h) for h in heights if h != MINUS_INF), default=-1)
-    B = data.constraint_matrix(h_max + 1)
+    _, emitted, _, _, _ = _sweep(data, data.size, ZERO_NORM_TOL)
     table = []
-    minimal = all(flags)
-    ties_ok = True
-    prev = 0
     for h in range(0, h_max + 1):
-        obs = _null_dimension(B[:, : h + 1])
-        exp = expected_kernel_dimension(heights, h, n)
-        table.append((h, obs, exp))
-        if obs != exp:
-            minimal = False
-        if obs - prev > 1:
-            ties_ok = False
-        prev = obs
+        obs = h + 1 - bisect_right(emitted, h)  # emitted heights ascend
+        table.append((h, obs, expected_kernel_dimension(heights, h, n)))
     return GeneratorReport(
         heights=heights,
         residues=residues,
         distinct_residues=distinct,
         solution_flags=flags,
-        minimal=minimal,
+        minimal=all(flags) and all(obs == exp for _, obs, exp in table),
         height_table=table,
-        proportional_ties=ties_ok,
     )

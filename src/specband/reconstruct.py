@@ -24,7 +24,9 @@ the first n emitted vectors, the constants, also carry their coefficients
 of e_1..e_n, an n x n block that takes the same multipliers with Python's
 complex rounding (``spectral._subtract_in_order``, shared with
 ``build_p``/``build_q``); T~ is read off it.  p~ and q~ are the p_k and q_j
-of the recovered matrix, built when asked for.
+of the recovered matrix, built when asked for.  The sweep itself,
+``_sweep``, also gives ``interpolation.verify_generators`` its kernel
+dimensions; the checks that the matrix needs are ``orthonormalize``'s.
 """
 
 import functools
@@ -149,13 +151,39 @@ def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL)
         raise SingularZerothMoment(
             f"zeroth moment has eigenvalue {eig[0]:.3e}; cannot start"
         )
+    weights, _, heads, q_heights, skip_log = _sweep(mu, max(min(max_k, mu.size), 0), zero_tol)
+    if q_heights and q_heights[0] < n:
+        raise SingularZerothMoment(f"degeneration at height {q_heights[0]} < n={n}; T~ is singular")
+    if len(weights) < n:
+        raise SingularZerothMoment("fewer than n orthonormal constants emerged")
+    return OrthoResult(
+        t_tilde=BoundaryMatrix(n, heads.T),
+        skip_log=tuple(skip_log),
+        q_heights=tuple(q_heights),
+        rank_exhausted=len(weights) < max_k,
+        weights=weights,
+        lambdas=mu.lambdas,
+    )
+
+
+def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
+    """The Gram-Schmidt sweep over e_1, e_2, ... with the height-lattice skip rule.
+
+    Emits at most ``cap`` rows and stops when n degenerations have closed
+    every residue class mod n, or at the first direction past the cap that
+    is not degenerate.  A degeneration below height n is recorded like any
+    other, so the sweep also runs on data whose S_0 is singular.  Returns
+    the emitted spectral coordinates (a row each), their heights, the n x n
+    block of the constants' e_1..e_n coefficients (a row each), the
+    degeneration heights and the skipped canonical indices.
+    """
+    n = mu.n
     lam, conj_c = mu.spectral_arrays()
-    cap = max(min(max_k, mu.size), 0)
     # the first m rows of ``basis`` hold the emitted p~'s spectral coordinates,
     # row j of ``heads`` the j-th constant's coefficients of e_1..e_n
     basis = np.zeros((cap, mu.size), dtype=complex)
     heads = np.zeros((n, n), dtype=complex)
-    m = 0
+    emitted = []
     q_heights = []
     skip_log = []
     k = 0
@@ -165,33 +193,23 @@ def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL)
         if any((h - hq) > 0 and (h - hq) % n == 0 for hq in q_heights):  # lattice hit
             skip_log.append(k)
             continue
+        m = len(emitted)
         w, passes, e_norm = _residual(lam, conj_c, k, basis[:m])
         norm = float(np.linalg.norm(w))
         if norm <= zero_tol * max(e_norm, 1e-300):
-            if h < n:
-                raise SingularZerothMoment(f"degeneration at height {h} < n={n}; T~ is singular")
             q_heights.append(h)
         elif m < cap:
-            if m < n:  # a constant (h == m): e_k's e_1..e_n part, reduced as w was
+            if m < n:  # a constant: e_k's e_1..e_n part, reduced as w was
                 head = np.eye(1, n, h, dtype=complex)[0]
                 for cs in passes:
                     head = _subtract_in_order(head, cs, heads[:m])
                 heads[m] = head * (1.0 / norm)
             basis[m] = w / norm
-            m += 1
+            emitted.append(h)
         else:
             # cap reached and the next direction is not degenerate: stop
             break
-    if m < n:
-        raise SingularZerothMoment("fewer than n orthonormal constants emerged")
-    return OrthoResult(
-        t_tilde=BoundaryMatrix(n, heads.T),
-        skip_log=tuple(skip_log),
-        q_heights=tuple(q_heights),
-        rank_exhausted=m < max_k,
-        weights=basis[:m],
-        lambdas=lam,
-    )
+    return basis[: len(emitted)], emitted, heads, q_heights, skip_log
 
 
 def _residual(lam, conj_c, k, basis):

@@ -54,15 +54,13 @@ from specband.errors import (
     PivotViolation,
     SingularZerothMoment,
 )
-from specband.interpolation import LSTSQ_RCOND, expected_kernel_dimension
+from specband.interpolation import LSTSQ_RCOND
 from specband.reconstruct import ZERO_NORM_TOL, OrthoResult
 from specband.spectral import CLUSTER_TOL, SpectralData
 from specband.vectorpoly import (
     COEFF_TRIM_TOL,
-    MINUS_INF,
     VectorPolynomial,
     canonical_e,
-    height,
     leading_slot,
 )
 
@@ -634,16 +632,6 @@ def reference_kernel_dimension(data, h):
         return h + 1
     cutoff = LSTSQ_RCOND * svals[0] if svals[0] > 0 else 0.0
     return h + 1 - int(np.sum(svals > cutoff))
-
-
-def reference_height_table(q, data):
-    """(h, observed, expected) per height, the constraints rebuilt for every h."""
-    heights = [height(qj) for qj in q]
-    h_max = max((int(h) for h in heights if h != MINUS_INF), default=-1)
-    return [
-        (h, reference_kernel_dimension(data, h), expected_kernel_dimension(heights, h, data.n))
-        for h in range(h_max + 1)
-    ]
 
 
 def reference_dumps(obj):

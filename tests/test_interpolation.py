@@ -8,6 +8,7 @@ from specband import (
     GenProfile,
     InterpolationData,
     NoDecomposition,
+    SingularZerothMoment,
     analyze_structure,
     build_p,
     build_q,
@@ -16,6 +17,7 @@ from specband import (
     generate_random,
     is_solution,
     kernel_dimension,
+    orthonormalize,
     recompose,
     step_measure,
     truncate,
@@ -30,7 +32,6 @@ from conftest import (
     outcome,
     random_boundary,
     random_instance,
-    reference_height_table,
     reference_is_solution,
     reference_kernel_dimension,
     reference_weight_row,
@@ -329,35 +330,80 @@ class TestHeightCoverage:
             assert set(range(top + 1)) <= covered
 
 
-# -- the height walk against rebuilding the constraints at every height ----
+# -- the SVD kernel dimension against rebuilding the constraints ------------
 
 
-def assert_walk_like_reference(spec, N, t):
-    _, _, _, mu, p, q = pipeline(spec, N, t)
+def assert_table_like_reference(spec, N, t):
+    _, _, _, mu, _, q = pipeline(spec, N, t)
     data = InterpolationData.from_measure(mu)
-    table = reference_height_table(q, data)
-    assert verify_generators(q, data).height_table == table
-    for h in range(-1, len(table) + 1):
+    rows = len(verify_generators(q, data).height_table)
+    for h in range(-1, rows + 1):
         assert kernel_dimension(data, h) == reference_kernel_dimension(data, h)
-    B = data.constraint_matrix(len(table) + 1)
+    B = data.constraint_matrix(rows + 1)
     for k in range(1, B.shape[1] + 1):
         assert B[:, k - 1].tobytes() == reference_weight_row(mu, k).tobytes()
 
 
-class TestHeightWalkMatchesReference:
+class TestConstraintTableMatchesReference:
     def test_acceptance_set(self):
         for seed in range(50):
             spec, N = random_instance(seed)
-            assert_walk_like_reference(spec, N, random_boundary(spec.n, seed + 10_000))
+            assert_table_like_reference(spec, N, random_boundary(spec.n, seed + 10_000))
 
     @pytest.mark.parametrize("N", [10, 20, 40])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_direct_cells(self, n, N):
         for seed in range(2):
             spec = generate_random(GenProfile(n=n, n_max=N), seed)
-            assert_walk_like_reference(spec, N, random_boundary(n, seed))
+            assert_table_like_reference(spec, N, random_boundary(n, seed))
 
     def test_no_nodes(self):
         data = InterpolationData(2, [], [])
         assert data.constraint_matrix(3).shape == (0, 3)
         assert kernel_dimension(data, 2) == 3
+
+
+# -- the generator check's kernel dimensions against the right answer -------
+
+
+class TestKernelDimensionsAreExact:
+    @pytest.mark.parametrize("mtilde", [False, True])
+    @pytest.mark.parametrize("N", [10, 15, 20])
+    def test_scalar_solutions_vanish_at_the_nodes(self, N, mtilde):
+        # n=1: the scalar polynomials of degree <= h that vanish at P distinct
+        # nodes form a space of dimension max(0, h + 1 - P)
+        for seed in range(6):
+            spec = generate_random(GenProfile(n=1, n_max=N, mtilde=mtilde), seed)
+            _, _, _, mu, _, q = pipeline(spec, N, random_boundary(1, seed))
+            data = InterpolationData.from_measure(mu)
+            table = verify_generators(q, data).height_table
+            assert table
+            assert [obs for _, obs, _ in table] == [max(0, h + 1 - data.size) for h, _, _ in table]
+
+    @pytest.mark.parametrize("N", [30, 40])
+    def test_mtilde_q_are_minimal_generators(self, N):
+        for seed in range(8):
+            spec = generate_random(GenProfile(n=3, n_max=N, mtilde=True), seed)
+            _, _, _, mu, _, q = pipeline(spec, N, random_boundary(3, seed))
+            rep = verify_generators(q, InterpolationData.from_measure(mu))
+            assert rep.minimal, (seed, rep.height_table)
+
+    def test_no_nodes(self):
+        data = InterpolationData(2, [], [])
+        q = [canonical_e(4, 2), canonical_e(5, 2)]
+        rep = verify_generators(q, data)
+        assert [obs for _, obs, _ in rep.height_table] == [1, 2, 3, 4, 5]
+        assert all(rep.solution_flags) and not rep.minimal
+
+    def test_singular_zeroth_moment_is_counted(self):
+        # every direction is e_1, so e_2 is a solution of height 1 < n; with
+        # z(z - 1) e_1 of height 4 it generates the module
+        data = InterpolationData(2, [0.0, 1.0], [[1.0, 0.0], [1.0, 0.0]])
+        q = [VectorPolynomial.from_components([[], [1.0]], 2),
+             VectorPolynomial.from_components([[0.0, -1.0, 1.0], []], 2)]
+        rep = verify_generators(q, data)
+        assert rep.heights == [1, 4]
+        assert rep.height_table == [(0, 0, 0), (1, 1, 1), (2, 1, 1), (3, 2, 2), (4, 3, 3)]
+        assert rep.minimal
+        with pytest.raises(SingularZerothMoment, match="zeroth moment has eigenvalue"):
+            orthonormalize(data, 2)

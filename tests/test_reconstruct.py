@@ -130,8 +130,13 @@ class TestOrthonormalize:
     def test_singular_zeroth_moment(self):
         c = np.array([1.0, 0.0], dtype=complex)
         mu = StepMeasure(2, [0.0, 1.0], [c, c])
-        with pytest.raises(SingularZerothMoment):
+        with pytest.raises(SingularZerothMoment, match="zeroth moment has eigenvalue"):
             orthonormalize(mu, 2)
+
+    def test_fewer_than_n_constants(self):
+        # max_k = 1 caps the sweep before the second constant
+        with pytest.raises(SingularZerothMoment, match="fewer than n orthonormal constants"):
+            orthonormalize(gue_measure(0, 2, 5), 1)
 
     def test_degeneration_below_n_is_singular(self, tmp_path):
         # nearly parallel heads: at zero_tol=1e-2 the residual of e_2 counts
