@@ -1,6 +1,6 @@
-"""Time the inverse sweep, the round trip and the direct side at two checkouts.
+"""Time the inverse sweep, the round trip, the direct side and the generator at two checkouts.
 
-    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_14.json
+    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_15.json
 
 Every cell n in {1,2,3}, N in {10,20,40,80,160} of the North-star grid
 takes seeds 0-4, and each instance comes from perfbench's builders:
@@ -14,7 +14,9 @@ takes seeds 0-4, and each instance comes from perfbench's builders:
   recovered matrix's structure, its class check and its step measure),
   ``compare_measures`` and ``moment_gap`` (both measures' ``moments_upto``
   and the largest entry of their difference); the first stage that raises
-  ends the instance.
+  ends the instance;
+* ``generate_random(GenProfile(n, N), s)`` with the spec seed s of
+  ``spec_instance``, the generation that builds the round trip's spec.
 
 The direct cells, n in {1,2,3}, N in {10,20,40}, take the same seeds and
 run the stages of perfbench's ``direct`` operation one after the other on
@@ -44,10 +46,14 @@ cell, whether the inputs, q heights, skip logs and emitted counts agree
 between checkouts (``decisions_agree``), and whether every sweep's sha256
 of its ``weights`` and ``t_tilde`` bytes and every round trip's sha256 of
 its ``RoundTripReport.to_dict()`` JSON text and recovered matrix bytes (or
-of the error it raised) does too (``outputs_identical``).  A direct cell
-holds each stage's median scaled time, the median scaled time of the whole
-``direct_check`` and each seed's ``minimal`` flag per checkout, and
-compares the checkouts.  ``gate_outputs_identical`` says whether
+of the error it raised) does too (``outputs_identical``).  A round-trip
+cell also holds the median scaled time of ``generate_random`` per
+checkout, and ``specs_identical`` says whether every generated spec's
+sha256 of its ``serialize.dumps(spec_to_dict(spec))`` text agrees between
+checkouts.  A direct cell holds each stage's median scaled time, the
+median scaled time of the whole ``direct_check`` and each seed's
+``minimal`` flag per checkout, and compares the checkouts.
+``gate_outputs_identical`` says whether
 every instance's sha256 over the outputs that perfbench's ``direct`` gate
 reads agrees: the stage outputs up to ``det_theta_polynomial`` (or the stage
 and exception that ended the instance) and the ``direct_check`` output
@@ -264,7 +270,7 @@ def worker(repeats):
     """One pass over the grids with the specband on sys.path; JSON on stdout."""
     import measure
     import workloads
-    from specband import BoundaryMatrix, orthonormalize
+    from specband import BoundaryMatrix, GenProfile, generate_random, orthonormalize
     from specband import reconstruct
     from specband import serialize as ser
 
@@ -287,7 +293,14 @@ def worker(repeats):
                 inst = workloads.spec_instance(seed, n, N, 0)
                 rec = {"n": n, "N": N, "seed": seed,
                        "digest": (gue.digest + inst.digest).hex(),
-                       "gue_ms": [], "roundtrip_ms": []}
+                       "gue_ms": [], "roundtrip_ms": [], "generate_ms": []}
+                # the spec seed that spec_instance draws for this cell
+                spec_seed = int(np.random.SeedSequence([seed, n, N, 0]).generate_state(2)[0])
+                for _ in range(repeats):
+                    ms, spec = _timed(generate_random, GenProfile(n, N), spec_seed)
+                    rec["generate_ms"].append(ms)
+                text = ser.dumps(ser.spec_to_dict(spec))
+                rec["spec_sha256"] = hashlib.sha256(text.encode()).hexdigest()
                 for _ in range(repeats):
                     ms, res = _timed(orthonormalize, mu, N)
                     rec["gue_ms"].append(ms)
@@ -302,7 +315,7 @@ def worker(repeats):
                 records.append(rec)
     scale = 1e3 * measure.PROBE_REF_S / statistics.median(probes)
     for rec in records:
-        for key in ("gue_ms", "roundtrip_ms"):
+        for key in ("gue_ms", "roundtrip_ms", "generate_ms"):
             rec[key] = [scale * ms for ms in rec[key]]
     for rec in direct:
         rec["direct_check_ms"] = [scale * ms for ms in rec["direct_check_ms"]]
@@ -350,6 +363,7 @@ def summarize(passes):
             cell[side] = {
                 "orthonormalize_gue_ms": _median([t for r in recs for t in r["gue_ms"]]),
                 "roundtrip_ms": _median([t for r in recs for t in r["roundtrip_ms"]]),
+                "generate_ms": _median([t for r in recs for t in r["generate_ms"]]),
                 "roundtrip_stage_ms": {
                     name: _median([t for r in recs for t in r["stage_ms"].get(name, [])])
                     for name in ROUNDTRIP_STAGES
@@ -363,6 +377,9 @@ def summarize(passes):
             }
         before, after = last["before"], last["after"]
         cell["inputs_agree"] = all(a["digest"] == b["digest"] for a, b in zip(before, after))
+        cell["specs_identical"] = all(
+            a["spec_sha256"] == b["spec_sha256"] for a, b in zip(before, after)
+        )
         pairs = [(a.get(part, {}), b.get(part, {}))
                  for a, b in zip(before, after) for part in ("gue", "stage")]
         cell["decisions_agree"] = all(_decisions(a) == _decisions(b) for a, b in pairs)

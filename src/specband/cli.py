@@ -9,8 +9,8 @@ error.  ``reconstruct --tol-zero`` sets the zero-norm threshold of the
 reconstruction sweep; without it the environment variable SPECBAND_TOL
 does.  ``staircase --cluster-tol`` sets the gap under which growth points
 join one jump, ``check-solution --tol`` the membership check's threshold.
-Tolerances are positive finite numbers, ``--k`` and ``--batch`` are >= 0,
-and ``--N`` is >= 1.
+Tolerances are positive finite numbers, ``--k``, ``--batch`` and ``--seed``
+are >= 0, and ``--N`` and ``gen --n`` are >= 1.
 Flags must be spelled out in full; an abbreviation is a usage error.
 ``reconstruct -v`` writes the sweep's emitted count, q heights, skip count
 and orthogonality loss to stderr.  ``roundtrip`` exits 1 when its round
@@ -338,14 +338,14 @@ def build_parser():
     p.add_argument("--report", default=None)
     p.add_argument("--batch", type=_count, default=0,
                    help="round-trip B generated instances with seeds S..S+B-1 instead")
-    p.add_argument("--seed", type=int, default=0, help="first seed S of a batch")
+    p.add_argument("--seed", type=_count, default=0, help="first seed S of a batch")
     p.add_argument("file")
 
     p = add("gen", cmd_gen, help="random instance in the matrix class")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     p.add_argument("--N-max", type=int, required=True)
     p.add_argument("--tail", type=int, nargs=2, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--mtilde", action="store_true")
     p.add_argument("--real", action="store_true")
     return parser

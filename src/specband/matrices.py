@@ -18,7 +18,7 @@ built, so the structural queries behind validation cost O(1)
 call instead of a scan over all E stored entries.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -505,12 +505,10 @@ def _assign_pivots(profile, tail, rng):
         assignment = dict(zip(columns, rows))
     else:
         assignment = {}
-        used = set()
+        free = rows_pool.copy()
         for c in columns:
-            options = [r for r in rows_pool if r not in used and r < c]
-            r = int(options[rng.integers(0, len(options))])
-            assignment[c] = r
-            used.add(r)
+            # the unused rows below c are a prefix of the increasing free rows
+            assignment[c] = free.pop(int(rng.integers(0, bisect_left(free, c))))
     for c, r in assignment.items():
         if not 1 <= r < c:
             raise InconsistentProfile(f"pivot row {r} invalid for column {c}")
@@ -539,25 +537,31 @@ def _assign_pivots(profile, tail, rng):
     return assignment, degens
 
 
-def _sample_value(rng, complex_entries, lo=0.0, hi=1.0):
-    mag = rng.uniform(lo, hi)
-    if complex_entries:
-        phase = np.exp(2j * np.pi * rng.uniform())
-        return mag * phase
-    return mag * (1.0 if rng.uniform() < 0.5 else -1.0)
-
-
 def generate_random(profile: GenProfile, seed: int) -> MatrixSpec:
     """Deterministic random instance passing the class validator.
 
     Edge entries are sampled with magnitude in [0.5, 1.5]; interior entries
     stay within the support allowed by the declared structure, so the
     result always validates (for "mtilde" when the profile forces it).
+
+    Draw order: the tail (unless given) and then the pivots take their
+    integers first.  Every uniform after them comes, in order, from one
+    ``rng.random`` block: a magnitude and then a phase (or, for real
+    entries, a sign) per pivot edge, column by column; then, row by row and
+    left to right, for every allowed pair (j, k), k >= j, that is no pivot
+    edge, a density test and, if it passes, one diagonal value or a
+    magnitude and a phase (sign); last, a magnitude and a phase (sign) per
+    degeneration row's anchor, row by row.  No pair right of its row's last
+    allowed column draws.  ``Generator.uniform(lo, hi)`` is
+    ``lo + (hi - lo) * random()``, so the spec is the one that scalar
+    ``rng.uniform`` calls in this order give.
     """
     rng = np.random.default_rng(seed)
     n, n_max = profile.n, profile.n_max
     if n < 1 or n_max < n + 1:
         raise InconsistentProfile("need n >= 1 and declared size > n")
+    if not 0.0 <= profile.density <= 1.0:
+        raise InconsistentProfile(f"density {profile.density!r} must lie in [0, 1]")
     tail = tuple(profile.tail) if profile.tail is not None else _random_tail(profile, rng)
     j0, k0 = tail
     t = k0 - j0
@@ -585,22 +589,35 @@ def generate_random(profile: GenProfile, seed: int) -> MatrixSpec:
             return False
         return True
 
+    # allowed(j, k) fails right of j's edge, and from k0 on right of j + t
+    last = [0] + [min(edge_col.get(j, n_max), max(k0 - 1, j + t), n_max)
+                  for j in range(1, n_max + 1)]
+    edges = [(r, c) for c, r in pivot.items() if c <= n_max]
+    pairs = sum(last[j] - j + 1 for j in range(1, n_max + 1))
+    # an upper bound on the uniforms drawn; the rest of the block goes unused
+    draw = iter(rng.random(3 * pairs + 2 * (len(edges) + len(degens))).tolist()).__next__
+
+    def value(lo, hi):
+        mag = lo + (hi - lo) * draw()
+        if profile.complex_entries:
+            return mag * np.exp(2j * np.pi * draw())
+        return mag * (1.0 if draw() < 0.5 else -1.0)
+
     entries = {}
-    for c, r in pivot.items():
-        if c <= n_max:
-            entries[(r, c)] = _sample_value(rng, profile.complex_entries, 0.5, 1.5)
+    for r, c in edges:
+        entries[(r, c)] = value(0.5, 1.5)
     for j in range(1, n_max + 1):
-        for k in range(j, n_max + 1):
+        for k in range(j, last[j] + 1):
             if (j, k) in entries or not allowed(j, k):
                 continue
-            if rng.uniform() > profile.density:
+            if draw() > profile.density:
                 continue
             if j == k:
-                entries[(j, k)] = complex(rng.uniform(-1.0, 1.0))
+                entries[(j, k)] = complex(-1.0 + 2.0 * draw())
             else:
-                entries[(j, k)] = _sample_value(rng, profile.complex_entries, 0.05, 1.0)
+                entries[(j, k)] = value(0.05, 1.0)
     for j in degens:
-        anchor = max((k for k in range(j, n_max + 1) if allowed(j, k)), default=None)
-        if anchor is not None and anchor > j:
-            entries[(j, anchor)] = _sample_value(rng, profile.complex_entries, 0.5, 1.5)
+        anchor = next((k for k in range(last[j], j, -1) if allowed(j, k)), None)
+        if anchor is not None:
+            entries[(j, anchor)] = value(0.5, 1.5)
     return MatrixSpec(n, n_max, entries, pivot, tail, None)

@@ -35,6 +35,9 @@ encoder, and ``reference_from_coeff_vector`` the original per-coefficient
 slot loop with its trimming loop, the references of ``serialize.dumps`` and
 of ``vectorpoly.from_coeff_vector``; ``_reference_trim`` is the trailing-zero
 walk that ``vectorpoly._trim`` replaced.
+``reference_generate_random`` is the generator that drew each uniform with
+its own ``rng.uniform`` call, scanned every pair (j, k) with k >= j and
+rescanned the free rows for each pivot, the reference of ``generate_random``.
 """
 
 import contextlib
@@ -50,6 +53,7 @@ from specband import BoundaryMatrix, GenProfile, MatrixSpec, StepMeasure, genera
 from specband import matrices
 from specband.errors import (
     DimensionMismatch,
+    InconsistentProfile,
     NumericalFailure,
     PivotViolation,
     SingularZerothMoment,
@@ -656,3 +660,127 @@ def reference_from_coeff_vector(coords, n, tol=COEFF_TRIM_TOL):
             comp.append(0j)
         comp[k] = complex(c)
     return VectorPolynomial(n, tuple(_reference_trim(c, tol) for c in comps))
+
+
+# -- reference: the generator with one scalar draw per uniform --------------
+
+
+def _reference_assign_pivots(profile, tail, rng):
+    """Injection columns (n, k0) -> rows [1, j0) with r(c) < c."""
+    n = profile.n
+    j0, k0 = tail
+    columns = list(range(n + 1, k0))
+    rows_pool = list(range(1, j0))
+    if len(columns) > len(rows_pool):
+        raise InconsistentProfile("not enough rows before the tail to pivot every column")
+    if profile.pivot_rows is not None:
+        rows = [int(r) for r in profile.pivot_rows]
+        if len(rows) != len(columns):
+            raise InconsistentProfile(
+                f"expected {len(columns)} pivot rows for columns {n + 1}..{k0 - 1}"
+            )
+        assignment = dict(zip(columns, rows))
+    elif profile.mtilde:
+        rows = sorted(rng.choice(rows_pool, size=len(columns), replace=False).tolist())
+        assignment = dict(zip(columns, rows))
+    else:
+        assignment = {}
+        used = set()
+        for c in columns:
+            options = [r for r in rows_pool if r not in used and r < c]
+            r = int(options[rng.integers(0, len(options))])
+            assignment[c] = r
+            used.add(r)
+    for c, r in assignment.items():
+        if not 1 <= r < c:
+            raise InconsistentProfile(f"pivot row {r} invalid for column {c}")
+    if len(set(assignment.values())) != len(assignment):
+        raise InconsistentProfile("pivot rows repeat")
+    # avoid an accidental simultaneous-edge diagonal gluing onto the tail
+    if (
+        columns
+        and profile.pivot_rows is None
+        and assignment[k0 - 1] == j0 - 1
+        and len(rows_pool) > len(columns)
+    ):
+        spare = max(r for r in rows_pool if r not in assignment.values())
+        if profile.mtilde:
+            # replace the largest row and renumber increasingly
+            rows = sorted(set(assignment.values()) - {j0 - 1} | {spare})
+            assignment = dict(zip(columns, rows))
+        else:
+            assignment[k0 - 1] = spare
+    degens = sorted(set(rows_pool) - set(assignment.values()))
+    if profile.degeneration_rows is not None:
+        if sorted(int(r) for r in profile.degeneration_rows) != degens:
+            raise InconsistentProfile(
+                f"degeneration rows {degens} implied by pivots do not match the profile"
+            )
+    return assignment, degens
+
+
+def _reference_sample_value(rng, complex_entries, lo=0.0, hi=1.0):
+    mag = rng.uniform(lo, hi)
+    if complex_entries:
+        phase = np.exp(2j * np.pi * rng.uniform())
+        return mag * phase
+    return mag * (1.0 if rng.uniform() < 0.5 else -1.0)
+
+
+def reference_generate_random(profile: GenProfile, seed: int) -> MatrixSpec:
+    """Deterministic random instance passing the class validator.
+
+    Edge entries are sampled with magnitude in [0.5, 1.5]; interior entries
+    stay within the support allowed by the declared structure, so the
+    result always validates (for "mtilde" when the profile forces it).
+    """
+    rng = np.random.default_rng(seed)
+    n, n_max = profile.n, profile.n_max
+    if n < 1 or n_max < n + 1:
+        raise InconsistentProfile("need n >= 1 and declared size > n")
+    tail = tuple(profile.tail) if profile.tail is not None else matrices._random_tail(profile, rng)
+    j0, k0 = tail
+    t = k0 - j0
+    if not 1 <= t <= n:
+        raise InconsistentProfile("tail offset must lie in 1..n")
+    if k0 < n + 1:
+        raise InconsistentProfile("tail must start beyond the boundary columns")
+    assignment, degens = _reference_assign_pivots(profile, tail, rng)
+    pivot = dict(assignment)
+    for c in range(max(k0, n + 1), n_max + 1):
+        pivot[c] = c - t
+    if len(pivot) != n_max - n:
+        raise InconsistentProfile("pivot columns do not cover the declared size")
+
+    edge_col = {r: c for c, r in pivot.items()}
+
+    def allowed(j, k):
+        e = edge_col.get(j)
+        if e is not None and k > e:
+            return False
+        if k >= k0:
+            if j < k - t:
+                return False
+        elif profile.mtilde and k in pivot and j < pivot[k]:
+            return False
+        return True
+
+    entries = {}
+    for c, r in pivot.items():
+        if c <= n_max:
+            entries[(r, c)] = _reference_sample_value(rng, profile.complex_entries, 0.5, 1.5)
+    for j in range(1, n_max + 1):
+        for k in range(j, n_max + 1):
+            if (j, k) in entries or not allowed(j, k):
+                continue
+            if rng.uniform() > profile.density:
+                continue
+            if j == k:
+                entries[(j, k)] = complex(rng.uniform(-1.0, 1.0))
+            else:
+                entries[(j, k)] = _reference_sample_value(rng, profile.complex_entries, 0.05, 1.0)
+    for j in degens:
+        anchor = max((k for k in range(j, n_max + 1) if allowed(j, k)), default=None)
+        if anchor is not None and anchor > j:
+            entries[(j, anchor)] = _reference_sample_value(rng, profile.complex_entries, 0.5, 1.5)
+    return MatrixSpec(n, n_max, entries, pivot, tail, None)

@@ -387,23 +387,28 @@ class TestToleranceAndLimitChecks:
         assert f"unrecognized arguments: {flag} 1e-3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["moments", "f.json", "--k"],
-                                      ["roundtrip", "f.json", "--N", "8", "--batch"]])
+                                      ["roundtrip", "f.json", "--N", "8", "--batch"],
+                                      ["roundtrip", "f.json", "--N", "8", "--batch", "2", "--seed"],
+                                      ["gen", "--n", "2", "--N-max", "10", "--seed"]])
     @pytest.mark.parametrize("value", ["-1", "-2", "1.5", "abc"])
     def test_bad_count_is_a_usage_error(self, argv, value, capsys):
+        # a negative seed is refused by its flag, not by numpy's seeding
         with pytest.raises(SystemExit) as exc:
             run_cli(argv + [value])
         assert exc.value.code == EXIT_USAGE
         assert f"argument {argv[-1]}: must be a nonnegative integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command",
-                             ["truncate", "spectrum", "measure", "generators", "roundtrip"])
+                             ["truncate", "spectrum", "measure", "generators", "roundtrip", "gen"])
     @pytest.mark.parametrize("value", ["0", "-3", "1.5", "abc"])
     def test_bad_size_is_a_usage_error(self, fix7_file, command, value, capsys):
-        # --N 0 is no request for N_max, and no size reaches truncate unchecked
+        # --N 0 is no request for N_max, and no size reaches truncate unchecked;
+        # gen's boundary order --n is a size too
+        argv = ["gen", "--N-max", "10", "--n"] if command == "gen" else [command, fix7_file, "--N"]
         with pytest.raises(SystemExit) as exc:
-            run_cli([command, fix7_file, "--N", value])
+            run_cli(argv + [value])
         assert exc.value.code == EXIT_USAGE
-        assert "argument --N: must be a positive integer" in capsys.readouterr().err
+        assert f"argument {argv[-1]}: must be a positive integer" in capsys.readouterr().err
 
     def test_size_one_runs(self, fix7_file, capsys):
         assert run_cli(["truncate", "--N", "1", fix7_file]) == EXIT_OK

@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,11 +21,14 @@ from specband import (
     truncate,
     validate_class,
 )
+from specband import matrices, serialize
+from specband.errors import InconsistentProfile
 from specband.matrices import STRUCT_TOL
 from conftest import (
     make_fix7,
     outcome,
     random_instance,
+    reference_generate_random,
     reference_outcome,
     scan_column_topmost,
     scan_row_rightmost,
@@ -237,6 +242,127 @@ class TestEntriesReadOnly:
             assert clone.row_rightmost(2) == 6 and clone.column_topmost(5) == 2
             with pytest.raises(TypeError):
                 clone.entries[(1, 1)] = 5.0
+
+
+# -- the block-draw generator against the scalar-draw reference -------------
+
+
+def generated(profile, seed, generate=generate_random):
+    """Entry bytes, pivot and tail of a generated spec, or what generation raised."""
+
+    def summary():
+        spec = generate(profile, seed)
+        entries = sorted((key, np.complex128(v).tobytes()) for key, v in spec.entries.items())
+        return entries, spec.pivot, spec.tail
+
+    return outcome(summary)
+
+
+def explicit_profiles(profile, seed):
+    """The profile with the tail, pivot rows and degeneration rows of its spec spelled
+    out, and with each of them made inconsistent."""
+    spec = generate_random(profile, seed)
+    (j0, k0), n = spec.tail, profile.n
+    rows = tuple(spec.pivot[c] for c in range(n + 1, k0))
+    degens = tuple(sorted(set(range(1, j0)) - set(rows)))
+    return [
+        replace(profile, tail=(j0, k0)),
+        replace(profile, tail=(j0, k0), pivot_rows=rows),
+        replace(profile, tail=(j0, k0), pivot_rows=rows, degeneration_rows=degens),
+        replace(profile, tail=(j0, k0), degeneration_rows=degens),
+        replace(profile, tail=(j0, k0), pivot_rows=rows[:-1]),
+        replace(profile, tail=(j0, k0), pivot_rows=(n + 1,) + rows[1:]),
+        replace(profile, tail=(j0, k0), pivot_rows=rows[:1] * len(rows)),
+        replace(profile, tail=(j0, k0), pivot_rows=rows, degeneration_rows=degens + (j0,)),
+        replace(profile, tail=(j0, k0 + n)),
+        replace(profile, tail=(1, n + 1)),
+        replace(profile, tail=(1, n)),
+        replace(profile, tail=(k0, k0 + 1)),
+    ]
+
+
+#: sha256 of serialize.dumps(spec_to_dict(generate_random(profile, seed))) as the
+#: scalar-draw generator wrote it; a drift in the draw order changes them
+PINNED_DIGESTS = [
+    (GenProfile(n=1, n_max=10), 0,
+     "bbafa85f5ba2cd64142a1f100b7fafef872a970859e4719a7ca1aeedd69c4689"),
+    (GenProfile(n=2, n_max=20, mtilde=True), 1,
+     "421992657895196905425bce20c2104a5e2e743a2ae7ec6dd6ae842a03f7eeec"),
+    (GenProfile(n=2, n_max=40), 2,
+     "4d6a46232e5224d471cf498b4114e345a70517f847abcb182bf67721fd433ac7"),
+    (GenProfile(n=3, n_max=80, mtilde=True), 3,
+     "da00d8f4f8da10b6c8212ead43f060dcb381c6d0d9e46ad4ec153f28625f335f"),
+    (GenProfile(n=3, n_max=160), 4,
+     "ad9ba136ecec3db2ebd832429190adc7073a0d5ddb745aa8ca547c1e74332914"),
+    (GenProfile(n=1, n_max=160, mtilde=True, complex_entries=False, density=0.5), 5,
+     "1faba8eff1a9afded93ea157e7e88006f1738634674fc6bf0023e639206803ee"),
+]
+
+
+class NoScalarUniform:
+    """A generator that refuses ``uniform`` calls and passes the rest on."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("scalar uniform draw")
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestGenerateRandomMatchesReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mtilde", [False, True])
+    def test_every_size(self, n, mtilde):
+        # every N from n+1 to 160, each with one density and entry kind
+        for N in range(n + 1, 161):
+            profile = GenProfile(n=n, n_max=N, mtilde=mtilde, complex_entries=N % 3 != 0,
+                                 density=(0.0, 0.5, 0.9, 1.0)[N % 4])
+            seed = 31 * N + n
+            assert generated(profile, seed) == generated(
+                profile, seed, reference_generate_random
+            ), (N, seed)
+
+    @pytest.mark.parametrize("density", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("mtilde", [False, True])
+    def test_explicit_tail_pivots_and_degenerations(self, density, complex_entries, mtilde):
+        for seed in range(6):
+            n = 1 + seed % 4
+            base = GenProfile(n=n, n_max=n + 4 + 7 * seed, mtilde=mtilde,
+                              complex_entries=complex_entries, density=density)
+            for profile in explicit_profiles(base, seed):
+                assert generated(profile, seed) == generated(
+                    profile, seed, reference_generate_random
+                ), profile
+
+    @pytest.mark.parametrize("n, n_max", [(0, 4), (2, 2), (3, 1)])
+    def test_same_refusal_of_a_bad_size(self, n, n_max):
+        profile = GenProfile(n=n, n_max=n_max)
+        got = generated(profile, 0)
+        assert got[0] is InconsistentProfile
+        assert got == generated(profile, 0, reference_generate_random)
+
+    @pytest.mark.parametrize("profile, seed, digest", PINNED_DIGESTS)
+    def test_pinned_digest(self, profile, seed, digest):
+        text = serialize.dumps(serialize.spec_to_dict(generate_random(profile, seed)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mtilde", [False, True])
+    def test_no_scalar_uniform_draw(self, mtilde, monkeypatch):
+        profile = GenProfile(n=3, n_max=40, mtilde=mtilde)
+        expected = generated(profile, 9)
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(matrices.np.random, "default_rng",
+                            lambda seed: NoScalarUniform(default_rng(seed)))
+        assert generated(profile, 9) == expected
+
+    @pytest.mark.parametrize("density", [1.5, -1.0, float("nan"), float("inf")])
+    def test_invalid_density_is_refused(self, density):
+        with pytest.raises(InconsistentProfile, match=f"density {density!r}"):
+            generate_random(GenProfile(n=2, n_max=8, density=density), 0)
 
 
 # -- the structural index against brute-force scans of every entry ----------
