@@ -1,6 +1,6 @@
 """Time the inverse sweep, the round trip, the direct side and the generator at two checkouts.
 
-    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_15.json
+    python3 scripts/bench_sweep.py --before ../parent --after . -o BENCH_16.json
 
 Every cell n in {1,2,3}, N in {10,20,40,80,160} of the North-star grid
 takes seeds 0-4, and each instance comes from perfbench's builders:
@@ -61,6 +61,21 @@ and exception that ended the instance) and the ``direct_check`` output
 ``solution_flags``).  The generator report is compared on its own:
 ``generator_reports_identical`` over the sha256 of its JSON, and
 ``height_tables_changed`` lists the seeds whose height table differs.
+
+The inverse cells, n in {1,2,3}, N in {20,40,80,160}, hold every instance
+of perfbench's ``inverse`` pools (32 rounds) of the seeds ``INVERSE_SEEDS``.
+Each instance times perfbench's ``inverse`` operation, the ``specband
+reconstruct`` call that writes the recovered matrix, and then
+``serialize.dumps`` of the payload it wrote (read back from the file, whose
+JSON text it is).  A cell holds per checkout the median and 90th-percentile
+scaled time of the operation, the median scaled time of ``dumps`` and the
+count of instances that perfbench's gate refuses; ``outputs_identical``
+says whether the sha256 of every written file (or of the exit code and
+error line) agrees between checkouts.  ``payloads`` holds, per checkout,
+the median scaled time of ``serialize.dumps`` of one payload of each other
+kind that the command line writes: a ``measure`` of n=3 N=160, a ``gen``
+spec of n=3 N=160, a ``generators`` report of n=3 N=40 and a ``roundtrip
+--batch 16`` report, each with ``identical`` over the sha256 of its text.
 """
 
 import argparse
@@ -87,6 +102,7 @@ DIRECT_STAGES = ("eigen_decompose", "step_measure", "build_p", "build_q", "gram_
 ROUNDTRIP_STAGES = ("truncate", "structure", "eigen", "measure", "orthonormalize", "recover",
                     "verify", "compare_measures", "moment_gap")
 SEEDS = range(5)
+INVERSE_SEEDS = (530, 531)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -266,6 +282,68 @@ def _roundtrip_record(rep):
             "sha256": hashlib.sha256(text + rep.matrix.data.tobytes()).hexdigest()}
 
 
+def _inverse_records(repeats, tmp, probes):
+    """Per instance of perfbench's inverse pools: the operation's and the
+    writer's times, the sha256 of the written file and the gate's verdict."""
+    import measure
+    import workloads
+    from specband import serialize as ser
+
+    wl = workloads.Inverse(tmp)
+    records = []
+    for seed in INVERSE_SEEDS:
+        for inst in (i for rnd in wl.make_pool(seed) for i in rnd):
+            probes.append(1e3 * measure.probe())
+            rec = {"n": inst.n, "N": inst.N, "seed": seed, "digest": inst.digest.hex(),
+                   "op_ms": [], "dumps_ms": []}
+            for _ in range(repeats):
+                ms, out = _timed(wl.op, inst)
+                rec["op_ms"].append(ms)
+            code, err = out
+            if code == 0:
+                with open(wl.out_path, "rb") as fh:
+                    written = fh.read()
+                doc = json.loads(written)
+                for _ in range(repeats):
+                    rec["dumps_ms"].append(_timed(ser.dumps, doc)[0])
+            else:
+                written = f"{code}: {err}".encode()
+            rec["sha256"] = hashlib.sha256(written).hexdigest()
+            rec["failure"] = wl.gate(inst, out)[0]
+            records.append(rec)
+    return records
+
+
+def _payload_records(repeats, tmp):
+    """Times and sha256 of ``serialize.dumps`` of one payload per other kind the CLI writes."""
+    import workloads
+    from specband import cli
+    from specband import serialize as ser
+
+    def written(*argv):
+        path = os.path.join(tmp, "payload.json")
+        with contextlib.redirect_stdout(None), contextlib.redirect_stderr(None):
+            cli.run_cli([*argv, "-o", path])
+        return ser.load(path)
+
+    mtilde, small = os.path.join(tmp, "mtilde.json"), os.path.join(tmp, "small.json")
+    cli.run_cli(["gen", "--n", "3", "--N-max", "40", "--mtilde", "--seed", "0", "-o", mtilde])
+    cli.run_cli(["gen", "--n", "2", "--N-max", "10", "--seed", "7", "-o", small])
+    gue = workloads.measure_instance(0, 3, 160, 0, tmp)
+    docs = {
+        "measure": ser.measure_to_dict(ser.measure_from_dict(ser.load(gue.path))),
+        "gen": written("gen", "--n", "3", "--N-max", "160", "--seed", "0"),
+        "generators": written("generators", mtilde),
+        "roundtrip_batch": written("roundtrip", small, "--N", "8", "--batch", "16", "--seed", "0"),
+    }
+    records = {}
+    for kind, doc in docs.items():
+        times = [_timed(ser.dumps, doc)[0] for _ in range(3 * repeats)]
+        records[kind] = {"dumps_ms": times,
+                         "sha256": hashlib.sha256(ser.dumps(doc).encode()).hexdigest()}
+    return records
+
+
 def worker(repeats):
     """One pass over the grids with the specband on sys.path; JSON on stdout."""
     import measure
@@ -313,6 +391,8 @@ def worker(repeats):
                 if "orthonormalize" in outs:
                     rec["stage"] = _sweep_record(outs["orthonormalize"])
                 records.append(rec)
+        inverse = _inverse_records(repeats, tmp, probes)
+        payloads = _payload_records(repeats, tmp)
     scale = 1e3 * measure.PROBE_REF_S / statistics.median(probes)
     for rec in records:
         for key in ("gue_ms", "roundtrip_ms", "generate_ms"):
@@ -322,8 +402,13 @@ def worker(repeats):
     for rec in records + direct:
         rec["stage_ms"] = {name: [scale * ms for ms in times]
                            for name, times in rec["stage_ms"].items()}
-    json.dump({"probe_ms": statistics.median(probes), "records": records, "direct": direct},
-              sys.stdout)
+    for rec in inverse:
+        for key in ("op_ms", "dumps_ms"):
+            rec[key] = [scale * ms for ms in rec[key]]
+    for rec in payloads.values():
+        rec["dumps_ms"] = [scale * ms for ms in rec["dumps_ms"]]
+    json.dump({"probe_ms": statistics.median(probes), "records": records, "direct": direct,
+               "inverse": inverse, "payloads": payloads}, sys.stdout)
 
 
 def run_side(checkout, repeats):
@@ -425,6 +510,51 @@ def summarize_direct(passes):
     return cells
 
 
+def _quantile(values, q):
+    return round(statistics.quantiles(values, n=10)[int(10 * q) - 1], 3) if len(values) > 1 else None
+
+
+def summarize_inverse(passes):
+    """Per inverse cell: the operation's and the writer's scaled times per
+    checkout, the gate's refusals and whether every written file agrees."""
+    import workloads
+
+    cells = []
+    for n, N in workloads.Inverse.grid:
+        cell = {"n": n, "N": N, "seeds": list(INVERSE_SEEDS),
+                "rounds": workloads.Inverse.pool_rounds}
+        last = {}
+        for side, runs in passes.items():
+            recs = [r for run in runs for r in run["inverse"] if (r["n"], r["N"]) == (n, N)]
+            last[side] = [r for r in runs[-1]["inverse"] if (r["n"], r["N"]) == (n, N)]
+            op = [t for r in recs for t in r["op_ms"]]
+            cell[side] = {
+                "op_ms": _median(op),
+                "op_p90_ms": _quantile(op, 0.9),
+                "dumps_ms": _median([t for r in recs for t in r["dumps_ms"]]),
+                "gate_failures": sum(r["failure"] is not None for r in last[side]),
+            }
+        before, after = last["before"], last["after"]
+        cell["inputs_agree"] = all(a["digest"] == b["digest"] for a, b in zip(before, after))
+        cell["outputs_identical"] = all(
+            a["sha256"] == b["sha256"] and a["failure"] == b["failure"]
+            for a, b in zip(before, after)
+        )
+        cells.append(cell)
+    return cells
+
+
+def summarize_payloads(passes):
+    """Per payload kind: the median scaled ``dumps`` time per checkout and whether the texts agree."""
+    out = {}
+    for kind in passes["before"][-1]["payloads"]:
+        out[kind] = {side: _median([t for run in runs for t in run["payloads"][kind]["dumps_ms"]])
+                     for side, runs in passes.items()}
+        out[kind]["identical"] = len({run["payloads"][kind]["sha256"]
+                                      for runs in passes.values() for run in runs}) == 1
+    return out
+
+
 def _cpu_model():
     with contextlib.suppress(OSError):
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -457,6 +587,8 @@ def main(argv=None):
                     f"--passes {args.passes} --repeats {args.repeats}"),
         "grid": {"n": [1, 2, 3], "N": [10, 20, 40, 80, 160], "seeds": list(SEEDS)},
         "direct_grid": {"n": [1, 2, 3], "N": [10, 20, 40], "seeds": list(SEEDS)},
+        "inverse_grid": {"n": [1, 2, 3], "N": [20, 40, 80, 160], "seeds": list(INVERSE_SEEDS),
+                         "rounds": 32},
         "times": "ms, each pass scaled by perfbench's PROBE_REF_S over its median probe",
         "passes": args.passes,
         "repeats": args.repeats,
@@ -467,6 +599,8 @@ def main(argv=None):
                      for side, runs in passes.items()},
         "cells": summarize(passes),
         "direct_cells": summarize_direct(passes),
+        "inverse_cells": summarize_inverse(passes),
+        "payloads": summarize_payloads(passes),
     }
     text = json.dumps(doc, indent=1)
     if args.output:

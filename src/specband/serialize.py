@@ -3,14 +3,17 @@
 Complex numbers are always written as two-element [re, im] arrays.  Matrix
 entries store the upper triangle only; Hermitian symmetry is implied.
 Every file is ``json.dumps(obj, indent=2)`` text, written by :func:`dumps`.
-A decoder refuses a value of the wrong kind, such as a null where a number
-belongs, with a ``ValueError`` that names the field (and, in a measure, the
-point), which the command line prints as an ``error:`` line.
+A decoder refuses a missing field or a value of the wrong kind, such as a
+null where a number belongs, with a ``ValueError`` that names the field (and,
+in a measure, the point), which the command line prints as an ``error:``
+line.
 """
 
 import functools
 import json
+import math
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -40,17 +43,21 @@ _MISSING = object()
 def _field(d, key, parse, where="", default=_MISSING):
     """parse(d[key]), or ``default`` when given and the key is absent.
 
-    A null or another value of the wrong kind, which ``parse`` refuses with a
-    ``TypeError`` or ``AttributeError``, raises a ``ValueError`` naming the
-    field, after the prefix ``where`` (such as the point it belongs to).
+    An absent key without a default, or a null or another value of the wrong
+    kind or length, which ``parse`` refuses with a ``TypeError``,
+    ``AttributeError``, ``IndexError`` or ``KeyError`` (a [re] pair, say),
+    raises a ``ValueError`` naming the field, after the prefix ``where``
+    (such as the point it belongs to).
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where}expected an object, not {_excerpt(d)}")
-    if default is not _MISSING and key not in d:
+    if key not in d:
+        if default is _MISSING:
+            raise ValueError(f"{where}missing field {key!r}")
         return default
     try:
         return parse(d[key])
-    except (TypeError, AttributeError):
+    except (TypeError, AttributeError, IndexError, KeyError):
         raise ValueError(f"{where}field {key!r} cannot hold {_excerpt(d[key])}") from None
 
 
@@ -128,13 +135,13 @@ def measure_to_dict(mu: StepMeasure) -> dict:
 
 def measure_from_dict(d: dict) -> StepMeasure:
     """The measure of a dict, its points sorted by lambda (``StepMeasure`` sorts them)."""
-    n, pts = _field(d, "n", int), d["points"]
+    n, pts = _field(d, "n", int), _field(d, "points", list)
     # one row per point: lambda, then the [re, im] pairs of C; float() refuses a null
     try:
         rows = np.array([[float(x) for x in chain([p["lambda"]], *p["C"])] for p in pts])
-    except TypeError:
+    except (TypeError, KeyError):
         # the first point and field at fault, read again one by one
-        for i, p in enumerate(_field(d, "points", list)):
+        for i, p in enumerate(pts):
             _field(p, "lambda", float, f"point {i}: ")
             _field(p, "C", lambda c: [float(x) for x in chain(*c)], f"point {i}: ")
         raise
@@ -154,6 +161,12 @@ def poly_from_dict(d: dict) -> VectorPolynomial:
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _SEQUENCES = frozenset((list, tuple))
 _CONTAINERS = (list, tuple, dict)
+# Smallest block of finite floats whose distinct magnitudes are formatted
+# once; a smaller one formats each float.  On random Hermitian N x N blocks
+# of [re, im] pairs, about half of whose magnitudes are distinct, the dedupe
+# broke even between 72 and 200 floats (N = 6 to 10; 2-core Xeon, Python
+# 3.11, numpy 2.4): below, numpy's set-up costs more than the reprs it saves.
+DEDUPE_MIN_LEAVES = 128
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,31 +180,78 @@ def _scalars(items):
     return _SCALARS.issuperset(map(type, items))
 
 
-def _is_rows(o):
-    """True for a list of non-empty lists (or tuples) of JSON scalars."""
-    return _SEQUENCES.issuperset(map(type, o)) and all(o) and _scalars(chain.from_iterable(o))
+def _block_leaves(o):
+    """Shape and leaves of a rectangular nesting of o, or None.
 
-
-def _rows(rows, level):
-    r"""A list of non-empty scalar lists at ``level``, in one C-encoder call.
-
-    Encoded scalars hold no raw newline, so "],\n[" only occurs between two
-    inner lists and ",\n" only between two items.
+    The nesting is two or more deep, of non-empty lists (or tuples), such as
+    the [re, im] pairs of a matrix; the leaves are what it holds at the
+    bottom.  The shape is read down the first items; a list that holds
+    itself there ends the walk, and the encoder reports the cycle.
     """
-    outer, inner = "  " * (level + 1), "  " * (level + 2)
-    body = (
-        _flat(0)(rows)[2:-2]
-        .replace(",\n", ",\n" + inner)
-        .replace("],\n" + inner + "[", f"\n{outer}],\n{outer}[\n{inner}")
-    )
-    return f"[\n{outer}[\n{inner}{body}\n{outer}]\n{'  ' * level}]"
+    shape, seen, x = [], set(), o
+    while type(x) in _SEQUENCES and x and id(x) not in seen:
+        seen.add(id(x))
+        shape.append(len(x))
+        x = x[0]
+    if len(shape) < 2:
+        return None
+    items = o
+    for width in shape[1:]:
+        if not (_SEQUENCES.issuperset(map(type, items)) and {width} == set(map(len, items))):
+            return None
+        items = list(chain.from_iterable(items))
+    return shape, items
+
+
+def _deduped_reprs(x):
+    """The repr of each float of x, each distinct magnitude formatted once.
+
+    ``repr(-v) == "-" + repr(v)`` for every finite v >= 0, -0.0 included.
+    """
+    magnitudes, at = np.unique(np.abs(x), return_inverse=True)
+    texts = list(map(float.__repr__, magnitudes.tolist()))
+    texts += ["-" + t for t in texts]
+    return map(texts.__getitem__, (at + len(texts) // 2 * np.signbit(x)).tolist())
+
+
+def _block(o, level):
+    """``json.dumps(o, indent=2)`` text of a block at ``level``, or None for no block.
+
+    A block is a rectangular nesting (``_block_leaves``) of JSON scalars.
+    The leaves' texts fill one %-template of the block's layout.  Finite
+    floats are their reprs, each distinct magnitude formatted once in a
+    block of ``DEDUPE_MIN_LEAVES`` or more; the texts of other leaves come
+    from one C-encoder call, whose encoded scalars hold no raw newline, so
+    ",\n" only occurs between two of them.
+    """
+    found = _block_leaves(o)
+    if found is None:
+        return None
+    shape, leaves = found
+    types = set(map(type, leaves))
+    # a sum of floats is finite only if every float is; one that overflows
+    # takes the C encoder, which is as exact
+    if types == {float} and math.isfinite(sum(leaves)):
+        if len(leaves) < DEDUPE_MIN_LEAVES:
+            texts = map(float.__repr__, leaves)
+        else:
+            texts = _deduped_reprs(np.array(leaves))
+    elif _SCALARS.issuperset(types):
+        texts = _flat(0)(leaves)[1:-1].split(",\n")
+    else:
+        return None
+    template = "%s"
+    for depth, width in reversed(list(enumerate(shape))):
+        pad = "\n" + "  " * (level + depth)
+        template = f"[{pad}  " + f",{pad}  ".join([template] * width) + f"{pad}]"
+    return template % tuple(texts)
 
 
 def _mixed(o, level, path):
     """Items of a container at ``level`` that holds containers, as texts.
 
     Each run of scalar items takes one C-encoder call; a dict key before a
-    container goes through the C encoder on its own.
+    container is encoded on its own.
     """
     is_dict = isinstance(o, dict)
     parts, run = [], []
@@ -205,7 +265,12 @@ def _mixed(o, level, path):
             parts.append(_flat(level)(dict(run) if is_dict else run)[1:-1])
             run = []
         text = _encode(value, level, path)
-        parts.append(_flat(0)({item[0]: 0})[1:-4] + ": " + text if is_dict else text)
+        if is_dict:
+            key = item[0]
+            # json writes a str key as encode_basestring_ascii does, and turns others into str
+            key = encode_basestring_ascii(key) if type(key) is str else _flat(0)({key: 0})[1:-4]
+            text = key + ": " + text
+        parts.append(text)
     if run:
         parts.append(_flat(level)(dict(run) if is_dict else run)[1:-1])
     path.discard(id(o))
@@ -223,8 +288,8 @@ def _encode(o, level, path):
     is_dict = isinstance(o, dict)
     if _scalars(o.values() if is_dict else o):
         body = _flat(level + 1)(o)[1:-1]
-    elif not is_dict and _is_rows(o):
-        return _rows(o, level)
+    elif not is_dict and (text := _block(o, level)) is not None:
+        return text
     else:
         body = (",\n" + "  " * (level + 1)).join(_mixed(o, level + 1, path))
     opening, closing = "{}" if is_dict else "[]"
@@ -234,10 +299,13 @@ def _encode(o, level, path):
 def dumps(obj):
     """``json.dumps(obj, indent=2)``, byte for byte, with the same errors.
 
-    Dicts and lists are walked here.  Each run of scalars, and each list of
-    scalar lists such as a matrix row of [re, im] pairs, takes one call of
-    the C encoder, which formats NaN, infinities, ints and strings exactly as
-    json does.
+    Dicts and lists are walked here, and each run of scalars takes one call
+    of the C encoder, which formats NaN, infinities, ints and strings exactly
+    as json does.  A block, a rectangular nesting of scalar lists such as the
+    [re, im] pairs of a matrix, is one %-template filled with its leaves'
+    texts: in a large block of finite floats each distinct magnitude is
+    formatted once, so the mirrored entries of a Hermitian matrix cost one
+    repr.
     """
     return _encode(obj, 0, set())
 

@@ -328,6 +328,26 @@ class TestExitCodes:
         assert run_cli(argv + [str(path)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["staircase"], {"n": 1}, "missing field 'points'"),
+        (["reconstruct"], {"points": []}, "missing field 'n'"),
+        (["staircase"], {"n": 1, "points": [{"C": [[1, 0]]}]}, "point 0: missing field 'lambda'"),
+        (["staircase"], {"n": 1, "points": [{"lambda": 0, "C": [[1, 0]]}, {"lambda": 1}]},
+         "point 1: missing field 'C'"),
+        (["validate", "--class", "m"], {"n": 1, "N_max": 2}, "missing field 'entries'"),
+        (["truncate", "--N", "1"], {"n": 1, "entries": []}, "missing field 'N_max'"),
+        (["spectrum"], {"data": [[[1, 0]]]}, "missing field 'N'"),
+        (["validate", "--class", "m"], {"n": 1, "N_max": 2, "entries": [],
+                                        "tail_profile": {"interior": {}}},
+         "tail_profile: missing field 'edge'"),
+        (["height"], {"n": 1, "comps": [[[1]]]}, "field 'comps' cannot hold [[[1]]]"),
+    ])
+    def test_missing_field_is_an_error_line(self, argv, payload, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        ser.dump(payload, path)
+        assert run_cli(argv + [str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_tol_env_override(self, flip2_file, tmp_path, monkeypatch, capsys):
         sigma = tmp_path / "sigma.json"
         run_cli(["measure", flip2_file, "-o", str(sigma)])

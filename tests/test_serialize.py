@@ -1,4 +1,6 @@
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from specband import BoundaryMatrix, MatrixSpec, TailProfile, truncate
 from specband import serialize as ser
+from specband.cli import EXIT_OK, run_cli
 from specband.spectral import StepMeasure
 from specband.vectorpoly import VectorPolynomial
 
@@ -188,6 +191,107 @@ class TestDumpsMatchesReference:
         ser.dump(d, path)
         assert path.read_text(encoding="utf-8") == reference_dumps(d) + "\n"
         assert ser.dump(d) == reference_dumps(d)
+
+
+# Blocks for the dedupe: rectangular 2- and 3-deep nestings of at least
+# DEDUPE_MIN_LEAVES floats drawn from a small pool of magnitudes with random
+# signs (so -0.0 too), each magnitude formatted once for many leaves.
+MAGNITUDES = [0.0, 5e-324, 1e-5, 0.1, 1 / 3, 1.0, 2.5, 123456.789, 1e16, 1e22]
+pool_floats = st.tuples(st.sampled_from(MAGNITUDES), st.booleans()).map(
+    lambda mv: -mv[0] if mv[1] else mv[0]
+)
+
+
+@st.composite
+def float_blocks(draw):
+    outer = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    last = -(-ser.DEDUPE_MIN_LEAVES // math.prod(outer)) + draw(st.integers(0, 3))
+    shape = [*outer, last]
+    leaves = draw(st.lists(pool_floats, min_size=math.prod(shape), max_size=math.prod(shape)))
+    block = np.array(leaves).reshape(shape).tolist()
+    if draw(st.booleans()):  # tuple rows at the bottom
+        block = [tuple(row) for row in block] if len(shape) == 2 else [
+            [tuple(row) for row in plane] for plane in block]
+    return block
+
+
+def _large_block(rows=20, cols=10):
+    """A rows x cols block of distinct finite floats, large enough to be deduped."""
+    assert rows * cols >= ser.DEDUPE_MIN_LEAVES
+    return [[(-1) ** k * (j + 0.5 * k) / 7 for k in range(cols)] for j in range(rows)]
+
+
+def _with(block, j, k, value):
+    block = [list(row) for row in block]
+    block[j][k] = value
+    return block
+
+
+class TestBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(float_blocks(), st.integers(0, 3))
+    def test_deduped_blocks(self, block, level):
+        nested = block
+        for _ in range(level):
+            nested = {"x": [nested]}
+        with mock.patch.object(ser, "_deduped_reprs", wraps=ser._deduped_reprs) as dedupe:
+            assert ser.dumps(nested) == reference_dumps(nested)
+        assert dedupe.call_count == 1
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            _with(_large_block(), 3, 4, float("nan")),
+            _with(_large_block(), 0, 0, float("inf")),
+            _with(_large_block(), 19, 9, -float("inf")),
+            _with(_large_block(), 5, 5, np.float64(0.1)),
+            _with(_large_block(), 5, 5, 7),
+            _with(_large_block(), 5, 5, True),
+            _with(_large_block(), 5, 5, None),
+            _with(_large_block(), 5, 5, "x"),
+            _with(_large_block(), 5, 5, 2**70),
+            [[j, k] for j in range(100) for k in range(2)],
+            [[True, False]] * 100,
+            [[1e308, 1e308]] * 100,  # finite, but their sum overflows
+            _large_block()[:-1] + [_large_block()[-1][:-1]],  # ragged
+            _large_block()[:-1] + [_large_block()[-1] + [1.0]],
+            _large_block()[:-1] + [[]],
+            _large_block()[:-1] + [[[1.0]] * 10],
+            [tuple(row) for row in _large_block()],
+            tuple(_large_block()),
+            [[[1.0, 2.0]] * 10, [[3.0, 4.0]] * 10] * 10,  # rows shared, not circular
+            _with([[1.0, 2.0]] * 100, 50, 1, [2.0]),  # a leaf that is a list
+        ],
+    )
+    def test_fallbacks(self, block):
+        assert ser.dumps(block) == reference_dumps(block)
+        assert ser.dumps({"a": [block]}) == reference_dumps({"a": [block]})
+
+    def test_self_containing_lists(self):
+        a = []
+        a.append(a)
+        b = [1.0]
+        b.append(b)
+        for obj in (a, [[1.0, 2.0], b], [a, a]):
+            with pytest.raises(ValueError, match="Circular reference detected"):
+                reference_dumps(obj)
+            with pytest.raises(ValueError, match="Circular reference detected"):
+                ser.dumps(obj)
+
+    def test_reconstruct_output(self, tmp_path):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(80, 80)) + 1j * rng.normal(size=(80, 80))
+        lam, phi = np.linalg.eigh(a + a.conj().T)
+        sigma, out = tmp_path / "sigma.json", tmp_path / "out.json"
+        ser.dump(ser.measure_to_dict(StepMeasure(3, lam, phi[:3].T)), sigma)
+        with mock.patch.object(ser, "_deduped_reprs", wraps=ser._deduped_reprs) as dedupe:
+            assert run_cli(["reconstruct", str(sigma), "--max-k", "80", "-o", str(out)]) == EXIT_OK
+        assert dedupe.call_count == 1  # the matrix; the 3 x 3 boundary is too small
+        text = out.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert len(doc["matrix"]["data"]) == doc["emitted"] >= 60
+        assert text == reference_dumps(doc) + "\n"
+        assert sigma.read_text(encoding="utf-8") == reference_dumps(json.loads(sigma.read_text())) + "\n"
 
 
 complex_entries = st.complex_numbers(allow_nan=True, allow_infinity=True) | st.sampled_from(
