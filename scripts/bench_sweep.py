@@ -102,7 +102,9 @@ DIRECT_STAGES = ("eigen_decompose", "step_measure", "build_p", "build_q", "gram_
 ROUNDTRIP_STAGES = ("truncate", "structure", "eigen", "measure", "orthonormalize", "recover",
                     "verify", "compare_measures", "moment_gap")
 SEEDS = range(5)
+INVERSE_GRID = [(n, N) for n in (1, 2, 3) for N in (20, 40, 80, 160)]  # perfbench's inverse
 INVERSE_SEEDS = (530, 531)
+INVERSE_ROUNDS = 32  # perfbench's Inverse.pool_rounds
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -290,6 +292,7 @@ def _inverse_records(repeats, tmp, probes):
     from specband import serialize as ser
 
     wl = workloads.Inverse(tmp)
+    assert list(wl.grid) == INVERSE_GRID and wl.pool_rounds == INVERSE_ROUNDS
     records = []
     for seed in INVERSE_SEEDS:
         for inst in (i for rnd in wl.make_pool(seed) for i in rnd):
@@ -517,12 +520,9 @@ def _quantile(values, q):
 def summarize_inverse(passes):
     """Per inverse cell: the operation's and the writer's scaled times per
     checkout, the gate's refusals and whether every written file agrees."""
-    import workloads
-
     cells = []
-    for n, N in workloads.Inverse.grid:
-        cell = {"n": n, "N": N, "seeds": list(INVERSE_SEEDS),
-                "rounds": workloads.Inverse.pool_rounds}
+    for n, N in INVERSE_GRID:
+        cell = {"n": n, "N": N, "seeds": list(INVERSE_SEEDS), "rounds": INVERSE_ROUNDS}
         last = {}
         for side, runs in passes.items():
             recs = [r for run in runs for r in run["inverse"] if (r["n"], r["N"]) == (n, N)]
@@ -588,7 +588,7 @@ def main(argv=None):
         "grid": {"n": [1, 2, 3], "N": [10, 20, 40, 80, 160], "seeds": list(SEEDS)},
         "direct_grid": {"n": [1, 2, 3], "N": [10, 20, 40], "seeds": list(SEEDS)},
         "inverse_grid": {"n": [1, 2, 3], "N": [20, 40, 80, 160], "seeds": list(INVERSE_SEEDS),
-                         "rounds": 32},
+                         "rounds": INVERSE_ROUNDS},
         "times": "ms, each pass scaled by perfbench's PROBE_REF_S over its median probe",
         "passes": args.passes,
         "repeats": args.repeats,
