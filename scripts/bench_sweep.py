@@ -72,8 +72,9 @@ scaled time of the operation, the median scaled time of ``dumps`` and the
 count of instances that perfbench's gate refuses; ``outputs_identical``
 says whether the sha256 of every written file (or of the exit code and
 error line) agrees between checkouts.  ``payloads`` holds, per checkout,
-the median scaled time of ``serialize.dumps`` of one payload of each other
-kind that the command line writes: a ``measure`` of n=3 N=160, a ``gen``
+the median scaled time (over ``10 * --repeats`` timings per pass) of
+``serialize.dumps`` of one payload of each other kind that the command line
+writes: a ``measure`` of n=3 N=160, a ``gen``
 spec of n=3 N=160, a ``generators`` report of n=3 N=40 and a ``roundtrip
 --batch 16`` report, each with ``identical`` over the sha256 of its text.
 """
@@ -341,7 +342,7 @@ def _payload_records(repeats, tmp):
     }
     records = {}
     for kind, doc in docs.items():
-        times = [_timed(ser.dumps, doc)[0] for _ in range(3 * repeats)]
+        times = [_timed(ser.dumps, doc)[0] for _ in range(10 * repeats)]
         records[kind] = {"dumps_ms": times,
                          "sha256": hashlib.sha256(ser.dumps(doc).encode()).hexdigest()}
     return records

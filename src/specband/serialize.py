@@ -2,7 +2,10 @@
 
 Complex numbers are always written as two-element [re, im] arrays.  Matrix
 entries store the upper triangle only; Hermitian symmetry is implied.
-Every file is ``json.dumps(obj, indent=2)`` text, written by :func:`dumps`.
+Every file is ``json.dumps(obj, indent=2)`` text, written by :func:`dumps`,
+which fills one text template per block of scalar lists (such as a matrix's
+[re, im] pairs) and formats each distinct float magnitude of a large block
+once.
 A decoder refuses a missing field or a value of the wrong kind, such as a
 null where a number belongs, with a ``ValueError`` that names the field (and,
 in a measure, the point), which the command line prints as an ``error:``
@@ -211,7 +214,7 @@ def _deduped_reprs(x):
     magnitudes, at = np.unique(np.abs(x), return_inverse=True)
     texts = list(map(float.__repr__, magnitudes.tolist()))
     texts += ["-" + t for t in texts]
-    return map(texts.__getitem__, (at + len(texts) // 2 * np.signbit(x)).tolist())
+    return map(texts.__getitem__, (at + len(magnitudes) * np.signbit(x)).tolist())
 
 
 def _block(o, level):
