@@ -77,6 +77,12 @@ the median scaled time (over ``10 * --repeats`` timings per pass) of
 writes: a ``measure`` of n=3 N=160, a ``gen``
 spec of n=3 N=160, a ``generators`` report of n=3 N=40 and a ``roundtrip
 --batch 16`` report, each with ``identical`` over the sha256 of its text.
+Between processes, the same code ran these payloads at two speeds about
+1.6 times apart, which the probe does not undo, so ``payloads_ab`` also
+times both checkouts' ``serialize.dumps`` in one process (the after
+checkout's ``src/`` on the path), alternating ``AB_ROUNDS`` times: the
+median times, the share of rounds the after checkout was faster and the
+quartiles of its time ratio.
 """
 
 import argparse
@@ -106,6 +112,7 @@ SEEDS = range(5)
 INVERSE_GRID = [(n, N) for n in (1, 2, 3) for N in (20, 40, 80, 160)]  # perfbench's inverse
 INVERSE_SEEDS = (530, 531)
 INVERSE_ROUNDS = 32  # perfbench's Inverse.pool_rounds
+AB_ROUNDS = 200
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -318,8 +325,8 @@ def _inverse_records(repeats, tmp, probes):
     return records
 
 
-def _payload_records(repeats, tmp):
-    """Times and sha256 of ``serialize.dumps`` of one payload per other kind the CLI writes."""
+def _payload_docs(tmp):
+    """One payload of each other kind the CLI writes, read back from the written file."""
     import workloads
     from specband import cli
     from specband import serialize as ser
@@ -334,14 +341,20 @@ def _payload_records(repeats, tmp):
     cli.run_cli(["gen", "--n", "3", "--N-max", "40", "--mtilde", "--seed", "0", "-o", mtilde])
     cli.run_cli(["gen", "--n", "2", "--N-max", "10", "--seed", "7", "-o", small])
     gue = workloads.measure_instance(0, 3, 160, 0, tmp)
-    docs = {
+    return {
         "measure": ser.measure_to_dict(ser.measure_from_dict(ser.load(gue.path))),
         "gen": written("gen", "--n", "3", "--N-max", "160", "--seed", "0"),
         "generators": written("generators", mtilde),
         "roundtrip_batch": written("roundtrip", small, "--N", "8", "--batch", "16", "--seed", "0"),
     }
+
+
+def _payload_records(repeats, tmp):
+    """Times and sha256 of ``serialize.dumps`` of one payload per other kind the CLI writes."""
+    from specband import serialize as ser
+
     records = {}
-    for kind, doc in docs.items():
+    for kind, doc in _payload_docs(tmp).items():
         times = [_timed(ser.dumps, doc)[0] for _ in range(10 * repeats)]
         records[kind] = {"dumps_ms": times,
                          "sha256": hashlib.sha256(ser.dumps(doc).encode()).hexdigest()}
@@ -415,10 +428,40 @@ def worker(repeats):
                "inverse": inverse, "payloads": payloads}, sys.stdout)
 
 
-def run_side(checkout, repeats):
+def ab_worker(before, after, rounds):
+    """Both checkouts' ``serialize.dumps`` of each payload, alternating in this one process."""
+    import importlib.util
+
+    dumps = {}
+    for side, checkout in (("before", before), ("after", after)):
+        path = os.path.join(checkout, "src", "specband", "serialize.py")
+        spec = importlib.util.spec_from_file_location(f"specband._{side}_serialize", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        dumps[side] = module.dumps
+    with tempfile.TemporaryDirectory() as tmp:
+        docs = _payload_docs(tmp)
+    out = {}
+    for kind, doc in docs.items():
+        times = {"before": [], "after": []}
+        for i in range(rounds):
+            for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
+                times[side].append(_timed(dumps[side], doc)[0])
+        ratios = [a / b for a, b in zip(times["after"], times["before"])]
+        out[kind] = {
+            "before_ms": _median(times["before"]),
+            "after_ms": _median(times["after"]),
+            "after_faster": f"{sum(r < 1 for r in ratios)}/{rounds}",
+            "ratio_quartiles": [round(q, 3) for q in statistics.quantiles(ratios, n=4)],
+            "identical": dumps["before"](doc) == dumps["after"](doc),
+        }
+    json.dump(out, sys.stdout)
+
+
+def run_side(checkout, repeats, *extra):
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.abspath(checkout), "src"), PERFBENCH])
-    out = subprocess.run([sys.executable, __file__, "--worker", "--repeats", str(repeats)],
+    out = subprocess.run([sys.executable, __file__, "--worker", "--repeats", str(repeats), *extra],
                          env=env, check=True, capture_output=True, text=True)
     return json.loads(out.stdout)
 
@@ -573,7 +616,10 @@ def main(argv=None):
     ap.add_argument("--repeats", type=int, default=3, help="timings per instance and pass")
     ap.add_argument("-o", "--output", default=None)
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--ab", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.worker and args.ab:
+        return ab_worker(*args.ab, rounds=AB_ROUNDS)
     if args.worker:
         return worker(args.repeats)
     if args.before is None:
@@ -602,6 +648,8 @@ def main(argv=None):
         "direct_cells": summarize_direct(passes),
         "inverse_cells": summarize_inverse(passes),
         "payloads": summarize_payloads(passes),
+        "payloads_ab": run_side(args.after, args.repeats, "--ab",
+                                os.path.abspath(args.before), os.path.abspath(args.after)),
     }
     text = json.dumps(doc, indent=1)
     if args.output:
