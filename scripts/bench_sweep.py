@@ -77,12 +77,12 @@ the median scaled time (over ``10 * --repeats`` timings per pass) of
 writes: a ``measure`` of n=3 N=160, a ``gen``
 spec of n=3 N=160, a ``generators`` report of n=3 N=40 and a ``roundtrip
 --batch 16`` report, each with ``identical`` over the sha256 of its text.
-Between processes, the same code ran these payloads at two speeds about
-1.6 times apart, which the probe does not undo, so ``payloads_ab`` also
-times both checkouts' ``serialize.dumps`` in one process (the after
-checkout's ``src/`` on the path), alternating ``AB_ROUNDS`` times: the
-median times, the share of rounds the after checkout was faster and the
-quartiles of its time ratio.
+On a shared 2-core host the same code's time for these payloads moved by
+up to 1.6 times within seconds, which the probe does not undo, so
+``payloads_ab`` also times both checkouts' ``serialize.dumps`` in one
+process (the after checkout's ``src/`` on the path), alternating
+``AB_ROUNDS`` times: the median times, the share of rounds the after
+checkout was faster and the quartiles of its time ratio.
 """
 
 import argparse
