@@ -557,8 +557,8 @@ def summarize_direct(passes):
     return cells
 
 
-def _quantile(values, q):
-    return round(statistics.quantiles(values, n=10)[int(10 * q) - 1], 3) if len(values) > 1 else None
+def _p90(values):
+    return round(statistics.quantiles(values, n=10)[8], 3) if len(values) > 1 else None
 
 
 def summarize_inverse(passes):
@@ -574,7 +574,7 @@ def summarize_inverse(passes):
             op = [t for r in recs for t in r["op_ms"]]
             cell[side] = {
                 "op_ms": _median(op),
-                "op_p90_ms": _quantile(op, 0.9),
+                "op_p90_ms": _p90(op),
                 "dumps_ms": _median([t for r in recs for t in r["dumps_ms"]]),
                 "gate_failures": sum(r["failure"] is not None for r in last[side]),
             }
