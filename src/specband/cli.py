@@ -4,8 +4,9 @@ Every command reads/writes the JSON formats of :mod:`specband.serialize`;
 complex values are [re, im] pairs throughout, a step measure's points are
 sorted by lambda when read, and every JSON output is
 ``json.dumps(payload, indent=2)`` text, written by ``serialize.dumps``.
-Exit codes: 0 success, 1 validation failure, 2 numerical failure, 64 usage
-error.  ``reconstruct --tol-zero`` sets the zero-norm threshold of the
+Exit codes: 0 success, 1 validation failure (a malformed file included), 2
+numerical failure (an overflow included), 64 usage error.
+``reconstruct --tol-zero`` sets the zero-norm threshold of the
 reconstruction sweep; without it the environment variable SPECBAND_TOL
 does.  ``staircase --cluster-tol`` sets the gap under which growth points
 join one jump, ``check-solution --tol`` the membership check's threshold.
@@ -56,7 +57,8 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
-_NUMERICAL = (NumericalFailure, SingularBoundary, SingularZerothMoment, NoDecomposition)
+_NUMERICAL = (NumericalFailure, SingularBoundary, SingularZerothMoment, NoDecomposition,
+              FloatingPointError)
 
 
 class UsageError(Exception):

@@ -11,15 +11,10 @@ band matrix are always solutions and, for the band-with-degenerations
 subclass, they are exactly the generators.
 
 The solutions of height <= h form a space of dimension (h + 1) minus the
-rank of the constraints on e_1..e_{h+1}.  ``verify_generators`` reads that
-rank, for every h at once, off one Gram-Schmidt sweep over the data
-(``reconstruct._sweep``, the sweep of the inverse problem): it is the number
-of rows the sweep emits at heights <= h.  ``kernel_dimension`` computes one
-such dimension by an SVD of the constraint table
-``InterpolationData.constraint_matrix``, the canonical coordinates
-(C^k)* e_m(mu_k) of ``spectral.canonical_coordinates``; that monomial table
-is exponentially ill-conditioned, so the SVD count is trustworthy only at
-small N.
+rank of the constraints (C^k)* e_m(mu_k) on e_1..e_{h+1}.  That rank is read
+off one Gram-Schmidt sweep over the data (``reconstruct._sweep``, the sweep
+of the inverse problem): it is the number of rows the sweep emits at heights
+<= h.  ``kernel_dimension`` and ``verify_generators`` both count this way.
 """
 
 from bisect import bisect_right
@@ -29,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoDecomposition
 from .reconstruct import ZERO_NORM_TOL, _sweep
-from .spectral import StepMeasure, canonical_coordinates, cluster_starts, row_norms, row_vdots
+from .spectral import StepMeasure, cluster_starts, row_norms, row_vdots
 from .vectorpoly import (
     MINUS_INF,
     VectorPolynomial,
@@ -37,7 +32,7 @@ from .vectorpoly import (
     to_coeff_vector,
 )
 
-#: relative singular-value cutoff for least-squares / kernel computations
+#: relative singular-value cutoff of ``decompose``'s least squares
 LSTSQ_RCOND = 1e-10
 
 
@@ -60,11 +55,6 @@ class InterpolationData(StepMeasure):
     @classmethod
     def from_measure(cls, mu: StepMeasure):
         return cls(mu.n, mu.lambdas, mu.c)
-
-    def constraint_matrix(self, length):
-        """Annihilation constraints on span{e_1..e_length}: entry (p, m) is
-        (C^p)* e_{m+1}(mu_p), a row per node."""
-        return canonical_coordinates(*self.spectral_arrays(), np.arange(length))
 
 
 def is_solution(r: VectorPolynomial, data: InterpolationData, tol: float = 1e-8) -> bool:
@@ -174,15 +164,19 @@ def recompose(dec: Decomposition, p, q) -> VectorPolynomial:
     return acc
 
 
+def _kernel_dimensions(data: InterpolationData, heights):
+    """Dimension of the solutions of height <= h, for each h of ``heights``.
+
+    It is (h + 1) minus the number of rows that one sweep over the data emits
+    at heights <= h, and 0 for h < 0.
+    """
+    _, emitted, _, _, _ = _sweep(data, data.size, ZERO_NORM_TOL)
+    return [max(0, h + 1 - bisect_right(emitted, h)) for h in heights]  # emitted heights ascend
+
+
 def kernel_dimension(data: InterpolationData, h: int) -> int:
-    """Dimension of the annihilated subspace among polynomials of height <= h,
-    by one SVD of the constraint table (a reference for small N)."""
-    B = data.constraint_matrix(h + 1)  # h < 0: empty span
-    svals = np.linalg.svd(B, compute_uv=False)
-    if svals.size == 0:
-        return B.shape[1]
-    cutoff = LSTSQ_RCOND * svals[0] if svals[0] > 0 else 0.0
-    return B.shape[1] - int(np.sum(svals > cutoff))
+    """Dimension of the annihilated subspace among polynomials of height <= h."""
+    return _kernel_dimensions(data, [h])[0]
 
 
 def expected_kernel_dimension(heights, h, n):
@@ -246,11 +240,8 @@ def verify_generators(q, data: InterpolationData) -> GeneratorReport:
     distinct = len(set(finite)) == len(finite) == n
     flags = [is_solution(qj, data) for qj in q]
     h_max = max((int(h) for h in heights if h != MINUS_INF), default=-1)
-    _, emitted, _, _, _ = _sweep(data, data.size, ZERO_NORM_TOL)
-    table = []
-    for h in range(0, h_max + 1):
-        obs = h + 1 - bisect_right(emitted, h)  # emitted heights ascend
-        table.append((h, obs, expected_kernel_dimension(heights, h, n)))
+    observed = _kernel_dimensions(data, range(h_max + 1))
+    table = [(h, obs, expected_kernel_dimension(heights, h, n)) for h, obs in enumerate(observed)]
     return GeneratorReport(
         heights=heights,
         residues=residues,

@@ -166,6 +166,7 @@ def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL)
     )
 
 
+@np.errstate(over="raise")
 def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
     """The Gram-Schmidt sweep over e_1, e_2, ... with the height-lattice skip rule.
 
@@ -175,7 +176,9 @@ def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
     other, so the sweep also runs on data whose S_0 is singular.  Returns
     the emitted spectral coordinates (a row each), their heights, the n x n
     block of the constants' e_1..e_n coefficients (a row each), the
-    degeneration heights and the skipped canonical indices.
+    degeneration heights and the skipped canonical indices.  An overflow,
+    such as a norm of e_k past the largest float, raises
+    ``FloatingPointError`` rather than passing for a degeneration.
     """
     n = mu.n
     lam, conj_c = mu.spectral_arrays()
@@ -367,7 +370,8 @@ def roundtrip(spec: MatrixSpec, t: BoundaryMatrix, N: int) -> RoundTripReport:
     else:
         l = 0
     order = 2 * l
-    mom_err = float(np.max(np.abs(sigma.moments_upto(order) - sigma_rec.moments_upto(order))))
+    mom_err = _stage("verify", lambda: float(np.max(np.abs(
+        sigma.moments_upto(order) - sigma_rec.moments_upto(order)))))
     residues = [h % spec.n for h in res.q_heights]
     return RoundTripReport(
         N=N,

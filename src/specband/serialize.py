@@ -6,10 +6,11 @@ Every file is ``json.dumps(obj, indent=2)`` text, written by :func:`dumps`,
 which fills one text template per block of scalar lists (such as a matrix's
 [re, im] pairs) and formats each distinct float magnitude of a large block
 once.
-A decoder refuses a missing field or a value of the wrong kind, such as a
-null where a number belongs, with a ``ValueError`` that names the field (and,
-in a measure, the point), which the command line prints as an ``error:``
-line.
+A decoder refuses a missing field or a value of the wrong kind, shape or
+size, such as a null or NaN where a finite number belongs, an ``n`` that is
+no integer >= 1 or a matrix whose ``data`` is not N x N pairs, with a
+``ValueError`` that names the field (and, in a measure, the point), which
+the command line prints as an ``error:`` line.
 """
 
 import functools
@@ -36,21 +37,19 @@ def complex_pairs(a):
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _unc(pair):
-    return complex(pair[0], pair[1])
-
-
 _MISSING = object()
+
+#: what a parser raises for a value of the wrong kind, length, shape or size
+_REFUSALS = (TypeError, ValueError, AttributeError, LookupError, ArithmeticError)
 
 
 def _field(d, key, parse, where="", default=_MISSING):
     """parse(d[key]), or ``default`` when given and the key is absent.
 
-    An absent key without a default, or a null or another value of the wrong
-    kind or length, which ``parse`` refuses with a ``TypeError``,
-    ``AttributeError``, ``IndexError`` or ``KeyError`` (a [re] pair, say),
-    raises a ``ValueError`` naming the field, after the prefix ``where``
-    (such as the point it belongs to).
+    An absent key without a default, or a null or another value that
+    ``parse`` refuses with one of ``_REFUSALS`` (a [re] pair, say), raises a
+    ``ValueError`` naming the field, after the prefix ``where`` (such as the
+    point it belongs to).
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where}expected an object, not {_excerpt(d)}")
@@ -60,7 +59,7 @@ def _field(d, key, parse, where="", default=_MISSING):
         return default
     try:
         return parse(d[key])
-    except (TypeError, AttributeError, IndexError, KeyError):
+    except _REFUSALS:
         raise ValueError(f"{where}field {key!r} cannot hold {_excerpt(d[key])}") from None
 
 
@@ -70,8 +69,39 @@ def _excerpt(value, width=60):
     return text if len(text) <= width else text[: width - 3] + "..."
 
 
-def _complex_rows(rows):
-    return [[_unc(v) for v in row] for row in rows]
+def _index(v, low=1):
+    """v if it is an integer >= ``low``; a float, a bool or a string is refused."""
+    if type(v) is not int or v < low:
+        raise ValueError(f"not an integer >= {low}")
+    return v
+
+
+def _finite(v):
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
+
+
+def _unc(pair):
+    """The complex number of a [re, im] pair of finite numbers."""
+    re, im = pair
+    return complex(_finite(re), _finite(im))
+
+
+def _floats(v, shape):
+    """v as a float array of ``shape`` with finite entries; [] is the empty one."""
+    a = np.array(v, dtype=float)  # a null is NaN here, and refused
+    if a.size == 0:
+        a = a.reshape(shape)
+    if a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"not finite numbers of shape {shape}")
+    return a
+
+
+def _complex_array(v, shape):
+    """The complex array of ``shape`` whose entries are the [re, im] pairs of v."""
+    return _floats(v, (*shape, 2)).view(complex)[..., 0]
 
 
 def spec_to_dict(spec: MatrixSpec) -> dict:
@@ -92,25 +122,33 @@ def spec_to_dict(spec: MatrixSpec) -> dict:
     return out
 
 
+def _tail(v):
+    j0, k0 = map(_index, v)
+    if k0 <= j0:
+        raise ValueError("not k0 > j0")
+    return j0, k0
+
+
 def spec_from_dict(d: dict) -> MatrixSpec:
-    n = _field(d, "n", int)  # first: it refuses a d that is no object before d.get
+    n = _field(d, "n", _index)  # first: it refuses a d that is no object before d.get
     profile = None
     if d.get("tail_profile"):
         tp = d["tail_profile"]
         profile = TailProfile(
             _field(tp, "edge", _unc, "tail_profile: "),
-            _field(tp, "interior", lambda i: {int(k): _unc(v) for k, v in i.items()},
+            _field(tp, "interior", lambda i: {_index(int(k)): _unc(v) for k, v in i.items()},
                    "tail_profile: ", default={}),
         )
-    return MatrixSpec(
-        n=n,
-        n_max=_field(d, "N_max", int),
-        entries=_field(d, "entries",
-                       lambda e: {(int(j), int(k)): complex(re, im) for j, k, re, im in e}),
-        pivot=_field(d, "pivot", lambda p: {int(c): int(r) for c, r in p.items()}, default={}),
-        tail=_field(d, "tail", lambda v: tuple(map(int, v)) if v else None, default=None),
-        tail_profile=profile,
-    )
+    n_max = _field(d, "N_max", lambda v: _index(v, n))
+    entries = _field(d, "entries", lambda e: {
+        (_index(j), _index(k)): complex(_finite(re), _finite(im)) for j, k, re, im in e})
+    pivot = _field(d, "pivot", lambda p: {_index(int(c)): _index(r) for c, r in p.items()},
+                   default={})
+    tail = _field(d, "tail", lambda v: None if v is None else _tail(v), default=None)
+    try:
+        return MatrixSpec(n, n_max, entries, pivot, tail, profile)
+    except ValueError as exc:  # the one check left to MatrixSpec: mirrored entries that differ
+        raise ValueError(f"field 'entries': {exc}") from None
 
 
 def matrix_to_dict(m: FiniteHermitian) -> dict:
@@ -118,8 +156,8 @@ def matrix_to_dict(m: FiniteHermitian) -> dict:
 
 
 def matrix_from_dict(d: dict) -> FiniteHermitian:
-    data = np.array(_field(d, "data", _complex_rows), dtype=complex)
-    return FiniteHermitian(_field(d, "N", int), data)
+    N = _field(d, "N", _index)
+    return FiniteHermitian(N, _field(d, "data", lambda v: _complex_array(v, (N, N))))
 
 
 def boundary_to_dict(t: BoundaryMatrix) -> dict:
@@ -127,8 +165,8 @@ def boundary_to_dict(t: BoundaryMatrix) -> dict:
 
 
 def boundary_from_dict(d: dict) -> BoundaryMatrix:
-    t = np.array(_field(d, "t", _complex_rows), dtype=complex)
-    return BoundaryMatrix(_field(d, "n", int), t)
+    n = _field(d, "n", _index)
+    return _field(d, "t", lambda v: BoundaryMatrix(n, _complex_array(v, (n, n))))
 
 
 def measure_to_dict(mu: StepMeasure) -> dict:
@@ -137,28 +175,36 @@ def measure_to_dict(mu: StepMeasure) -> dict:
 
 
 def measure_from_dict(d: dict) -> StepMeasure:
-    """The measure of a dict, its points sorted by lambda (``StepMeasure`` sorts them)."""
-    n, pts = _field(d, "n", int), _field(d, "points", list)
-    # one row per point: lambda, then the [re, im] pairs of C; float() refuses a null
-    try:
-        rows = np.array([[float(x) for x in chain([p["lambda"]], *p["C"])] for p in pts])
-    except (TypeError, KeyError):
-        # the first point and field at fault, read again one by one
-        for i, p in enumerate(pts):
-            _field(p, "lambda", float, f"point {i}: ")
-            _field(p, "C", lambda c: [float(x) for x in chain(*c)], f"point {i}: ")
+    """The measure of a dict, its points sorted by lambda (``StepMeasure`` sorts them).
+
+    Each point holds a finite lambda and a C of n [re, im] pairs of finite
+    numbers; the first point and field at fault are named.
+    """
+    n, pts = _field(d, "n", _index), _field(d, "points", list)
+    try:  # all lambdas as one array, all C as another
+        lam = _floats([p["lambda"] for p in pts], (len(pts),))
+        c = _complex_array([p["C"] for p in pts], (len(pts), n))
+    except _REFUSALS:
+        for i, p in enumerate(pts):  # read again one by one
+            _field(p, "lambda", _finite, f"point {i}: ")
+            _field(p, "C", lambda v: _floats(v, (n, 2)), f"point {i}: ")
         raise
-    rows = rows.reshape(len(pts), 2 * n + 1)
-    return StepMeasure(n, rows[:, 0], np.ascontiguousarray(rows[:, 1:]).view(complex))
+    return StepMeasure(n, lam, c)
 
 
 def poly_to_dict(r: VectorPolynomial) -> dict:
     return {"n": r.n, "comps": [[_c(v) for v in comp] for comp in r.comps]}
 
 
+def _comps(c, n):
+    if len(c) != n:
+        raise ValueError(f"not {n} components")
+    return [[_unc(v) for v in comp] for comp in c]
+
+
 def poly_from_dict(d: dict) -> VectorPolynomial:
-    comps = _field(d, "comps", _complex_rows)
-    return VectorPolynomial.from_components(comps, _field(d, "n", int), tol=0.0)
+    n = _field(d, "n", _index)
+    return VectorPolynomial.from_components(_field(d, "comps", lambda c: _comps(c, n)), n, tol=0.0)
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))

@@ -22,8 +22,7 @@ a loop over the points, and ``reference_compare_measures`` compares two
 measures' jumps cluster by cluster, the references of the array passes in
 ``StepMeasure.grouped_jumps`` and ``reconstruct.compare_measures``.
 ``reference_psi_at`` and the functions after it are the original direct
-side, which evaluated Psi one point at a time and rebuilt the interpolation
-constraints entry by entry at every height.  ``reference_eigen_decompose``,
+side, which evaluated Psi one point at a time.  ``reference_eigen_decompose``,
 ``reference_c_vectors`` and ``reference_is_solution`` fix phases, check
 C-vectors and test nodes in a loop over the columns or nodes, the references
 of their array forms; the gram, multiplication and q-norm references take
@@ -58,7 +57,6 @@ from specband.errors import (
     PivotViolation,
     SingularZerothMoment,
 )
-from specband.interpolation import LSTSQ_RCOND
 from specband.reconstruct import ZERO_NORM_TOL, OrthoResult
 from specband.spectral import CLUSTER_TOL, SpectralData
 from specband.vectorpoly import (
@@ -613,29 +611,6 @@ def reference_is_solution(r, data, tol=1e-8):
         if resid > tol * (1.0 + scale):
             return False
     return True
-
-
-def reference_constraint_matrix(data, length):
-    """Annihilation constraints built entry by entry, powers by ``**``."""
-    rows = []
-    for mu, c in points(data):
-        powers = mu ** np.arange((length + data.n - 1) // data.n)
-        row = np.empty(length, dtype=complex)
-        for m in range(1, length + 1):
-            i, k = leading_slot(m - 1, data.n)
-            row[m - 1] = powers[k] * np.conj(c[i - 1])
-        rows.append(row)
-    return np.array(rows)
-
-
-def reference_kernel_dimension(data, h):
-    if h < 0:
-        return 0
-    svals = np.linalg.svd(reference_constraint_matrix(data, h + 1), compute_uv=False)
-    if svals.size == 0:
-        return h + 1
-    cutoff = LSTSQ_RCOND * svals[0] if svals[0] > 0 else 0.0
-    return h + 1 - int(np.sum(svals > cutoff))
 
 
 def reference_dumps(obj):

@@ -6,7 +6,7 @@ import pytest
 
 from specband import cli
 from specband import serialize as ser
-from specband import truncate
+from specband import GenProfile, generate_random, truncate
 from specband.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run_cli
 from specband.reconstruct import ZERO_NORM_TOL, orthonormalize
 from specband.spectral import CLUSTER_TOL, StepMeasure
@@ -347,6 +347,68 @@ class TestExitCodes:
         ser.dump(payload, path)
         assert run_cli(argv + [str(path)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["staircase"], {"n": 1, "points": [{"lambda": 0, "C": [[1]]}]},
+         "point 0: field 'C' cannot hold [[1]]"),
+        (["reconstruct"], {"n": 1, "points": [{"lambda": 0, "C": [[1, 0], [1, 0]]}]},
+         "point 0: field 'C' cannot hold [[1, 0], [1, 0]]"),
+        (["reconstruct"], {"n": 0, "points": [{"lambda": 0, "C": []}]},
+         "field 'n' cannot hold 0"),
+        (["reconstruct"], {"n": 1.7, "points": [{"lambda": 0, "C": [[1, 0]]}]},
+         "field 'n' cannot hold 1.7"),
+        (["reconstruct"], {"n": 1, "points": [{"lambda": 0, "C": [[1, 0]]},
+                                              {"lambda": float("nan"), "C": [[1, 0]]}]},
+         "point 1: field 'lambda' cannot hold NaN"),
+        (["moments", "--k", "1"], {"n": 1, "points": [{"lambda": 0, "C": [[float("inf"), 0]]}]},
+         "point 0: field 'C' cannot hold [[Infinity, 0]]"),
+        (["spectrum"], {"N": 3, "data": [[[1, 0]]]}, "field 'data' cannot hold [[[1, 0]]]"),
+        (["spectrum"], {"N": 2, "data": [[[1, 0], [0, 0]]]},
+         "field 'data' cannot hold [[[1, 0], [0, 0]]]"),
+        (["spectrum"], {"N": 2, "data": [[[1, 0], [0, 0]], [[0, 0]]]},
+         "field 'data' cannot hold [[[1, 0], [0, 0]], [[0, 0]]]"),
+        (["validate", "--class", "m"], {"n": 1, "N_max": 2, "entries": [[1, 1, 0]]},
+         "field 'entries' cannot hold [[1, 1, 0]]"),
+        (["validate", "--class", "m"], {"n": 1, "N_max": 2, "entries": [[1, 2, 1, 0], [2, 1, 3, 0]]},
+         "field 'entries': conflicting Hermitian values for entry (1, 2)"),
+        (["height"], {"n": 2, "comps": [[[1, 0]]]}, "field 'comps' cannot hold [[[1, 0]]]"),
+    ])
+    def test_malformed_value_is_an_error_line(self, argv, payload, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        ser.dump(payload, path)
+        assert run_cli(argv + [str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_finite_boundary_is_an_error_line(self, fix7_file, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        t = [[[float("nan") if j == k == 1 else float(j == k), 0.0] for k in range(3)]
+             for j in range(3)]
+        ser.dump({"n": 3, "t": t}, path)
+        assert run_cli(["measure", fix7_file, "--boundary", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: field 't' cannot hold [[[1.0, 0.0]")
+
+    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        # |e_2| overflows in the sweep: no warning, no false degeneration at height 1
+        path = tmp_path / "big.json"
+        pts = [{"lambda": lam, "C": [[1.0, 0.0]]} for lam in (1e200, -1e200, 0.0)]
+        ser.dump({"n": 1, "points": pts}, path)
+        assert run_cli(["reconstruct", str(path), "--max-k", "3"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: overflow")
+
+    def test_overflowing_moment_is_a_numerical_failure(self, fix7_file, tmp_path, capsys):
+        sigma = tmp_path / "sigma.json"
+        assert run_cli(["measure", fix7_file, "-o", str(sigma)]) == EXIT_OK
+        assert run_cli(["moments", str(sigma), "--k", "2000"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: overflow")
+
+    def test_overflowing_moment_gap_is_a_verify_failure(self, tmp_path, capsys):
+        # scaled by 1e16, the sweep stays finite but a moment of order 2l does not
+        spec = ser.spec_to_dict(generate_random(GenProfile(n=2, n_max=14), 1))
+        spec["entries"] = [[j, k, 1e16 * re, 1e16 * im] for j, k, re, im in spec["entries"]]
+        path = tmp_path / "big.json"
+        ser.dump(spec, path)
+        assert run_cli(["roundtrip", str(path), "--N", "14"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("error in verify: overflow")
 
     def test_tol_env_override(self, flip2_file, tmp_path, monkeypatch, capsys):
         sigma = tmp_path / "sigma.json"

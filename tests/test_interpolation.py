@@ -33,8 +33,6 @@ from conftest import (
     random_boundary,
     random_instance,
     reference_is_solution,
-    reference_kernel_dimension,
-    reference_weight_row,
     tie_keeping_permutation,
 )
 
@@ -330,39 +328,6 @@ class TestHeightCoverage:
             assert set(range(top + 1)) <= covered
 
 
-# -- the SVD kernel dimension against rebuilding the constraints ------------
-
-
-def assert_table_like_reference(spec, N, t):
-    _, _, _, mu, _, q = pipeline(spec, N, t)
-    data = InterpolationData.from_measure(mu)
-    rows = len(verify_generators(q, data).height_table)
-    for h in range(-1, rows + 1):
-        assert kernel_dimension(data, h) == reference_kernel_dimension(data, h)
-    B = data.constraint_matrix(rows + 1)
-    for k in range(1, B.shape[1] + 1):
-        assert B[:, k - 1].tobytes() == reference_weight_row(mu, k).tobytes()
-
-
-class TestConstraintTableMatchesReference:
-    def test_acceptance_set(self):
-        for seed in range(50):
-            spec, N = random_instance(seed)
-            assert_table_like_reference(spec, N, random_boundary(spec.n, seed + 10_000))
-
-    @pytest.mark.parametrize("N", [10, 20, 40])
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_direct_cells(self, n, N):
-        for seed in range(2):
-            spec = generate_random(GenProfile(n=n, n_max=N), seed)
-            assert_table_like_reference(spec, N, random_boundary(n, seed))
-
-    def test_no_nodes(self):
-        data = InterpolationData(2, [], [])
-        assert data.constraint_matrix(3).shape == (0, 3)
-        assert kernel_dimension(data, 2) == 3
-
-
 # -- the generator check's kernel dimensions against the right answer -------
 
 
@@ -378,21 +343,27 @@ class TestKernelDimensionsAreExact:
             data = InterpolationData.from_measure(mu)
             table = verify_generators(q, data).height_table
             assert table
-            assert [obs for _, obs, _ in table] == [max(0, h + 1 - data.size) for h, _, _ in table]
+            exact = [max(0, h + 1 - data.size) for h, _, _ in table]
+            assert [obs for _, obs, _ in table] == exact
+            assert [kernel_dimension(data, h) for h, _, _ in table] == exact
 
     @pytest.mark.parametrize("N", [30, 40])
     def test_mtilde_q_are_minimal_generators(self, N):
         for seed in range(8):
             spec = generate_random(GenProfile(n=3, n_max=N, mtilde=True), seed)
             _, _, _, mu, _, q = pipeline(spec, N, random_boundary(3, seed))
-            rep = verify_generators(q, InterpolationData.from_measure(mu))
+            data = InterpolationData.from_measure(mu)
+            rep = verify_generators(q, data)
             assert rep.minimal, (seed, rep.height_table)
+            for h, _, expected in rep.height_table:
+                assert kernel_dimension(data, h) == expected, (seed, h)
 
     def test_no_nodes(self):
         data = InterpolationData(2, [], [])
         q = [canonical_e(4, 2), canonical_e(5, 2)]
         rep = verify_generators(q, data)
         assert [obs for _, obs, _ in rep.height_table] == [1, 2, 3, 4, 5]
+        assert [kernel_dimension(data, h) for h in range(-2, 5)] == [0, 0, 1, 2, 3, 4, 5]
         assert all(rep.solution_flags) and not rep.minimal
 
     def test_singular_zeroth_moment_is_counted(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from specband import (
     BoundaryMatrix,
     GenProfile,
+    InterpolationData,
     MatrixSpec,
     NumericalFailure,
     PivotViolation,
@@ -18,6 +19,7 @@ from specband import (
     eigen_decompose,
     generate_random,
     inner_product,
+    kernel_dimension,
     norm_sq,
     orthonormalize,
     recover_matrix,
@@ -153,6 +155,15 @@ class TestOrthonormalize:
         sigma = tmp_path / "sigma.json"
         ser.dump(ser.measure_to_dict(mu), sigma)
         assert run_cli(["reconstruct", str(sigma), "--tol-zero", "1e-2"]) == EXIT_NUMERICAL
+
+
+def test_overflow_is_no_degeneration():
+    # |e_2| overflows: a numerical failure, not a degeneration at height 1
+    mu = StepMeasure(1, [1e200, -1e200, 0.0], [[1.0], [1.0], [1.0]])
+    with pytest.raises(FloatingPointError, match="overflow"):
+        orthonormalize(mu, 3)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        kernel_dimension(InterpolationData.from_measure(mu), 2)
 
 
 class TestRecoverMatrix:

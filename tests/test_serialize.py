@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -80,6 +82,99 @@ class TestOtherRoundTrips:
         assert kind == "matrix"
         with pytest.raises(ValueError):
             ser.sniff_matrix_or_spec({"bogus": 1})
+
+
+# Malformed documents for the decoders: a well-formed document of each kind
+# with one to three of its nodes, reached by a walk from the top, replaced by
+# junk or removed.
+WELL_FORMED = {
+    "measure": {"n": 2, "points": [{"lambda": 0.5, "C": [[1, 0], [0, 1]]},
+                                   {"lambda": -1, "C": [[0.5, 0], [0, 0]]}]},
+    "matrix": {"N": 2, "data": [[[1, 0], [0.5, 1]], [[0.5, -1], [2, 0]]]},
+    "boundary": {"n": 2, "t": [[[1, 0], [0.5, 0]], [[0, 0], [2, 0]]]},
+    "spec": {"n": 1, "N_max": 2, "entries": [[1, 2, 0.5, 0], [1, 1, 1, 0]], "pivot": {"2": 1},
+             "tail": [1, 2], "tail_profile": {"edge": [1, 0], "interior": {"1": [0, 0.5]}}},
+    "poly": {"n": 2, "comps": [[[1, 0]], [[0, 1], [2, 0]]]},
+}
+DECODERS = {
+    "measure": ser.measure_from_dict,
+    "matrix": ser.matrix_from_dict,
+    "boundary": ser.boundary_from_dict,
+    "spec": ser.spec_from_dict,
+    "poly": ser.poly_from_dict,
+}
+junk = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 3), st.integers(2**63, 2**1100),
+        st.floats(), st.sampled_from(["", "1", "nan", "1e400", "abc", "2.5"]),
+        st.lists(st.floats(-2, 2), min_size=1, max_size=3),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["n", "N", "lambda", "C", "edge", "1", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def _mutated(data, node, top=True):
+    if top and not node:  # a document stays an object
+        return node
+    if isinstance(node, (dict, list)) and node and (top or data.draw(st.booleans())):
+        out = copy.copy(node)
+        key = data.draw(st.sampled_from(list(out) if isinstance(out, dict) else range(len(out))))
+        if isinstance(out, dict) and data.draw(st.integers(0, 3)) == 0:
+            del out[key]
+        else:
+            out[key] = _mutated(data, out[key], top=False)
+        return out
+    return data.draw(junk)
+
+
+def _finite(a):
+    return np.isfinite(np.asarray(a, dtype=complex).view(float)).all()
+
+
+def _decoded_object_holds(kind, doc, obj):
+    """Whether a decoded object has the document's n or N, its shape and finite values."""
+    if kind == "measure":
+        n = doc["n"]
+        return (type(n) is int and obj.n == n and obj.c.shape == (len(doc["points"]), n)
+                and _finite(obj.lambdas) and _finite(obj.c))
+    if kind == "matrix":
+        N = doc["N"]
+        return type(N) is int and obj.N == N and obj.data.shape == (N, N) and _finite(obj.data)
+    if kind == "boundary":
+        n = doc["n"]
+        return type(n) is int and obj.n == n and obj.t.shape == (n, n) and _finite(obj.t)
+    if kind == "poly":
+        n = doc["n"]
+        return (type(n) is int and obj.n == n and len(obj.comps) == n
+                and all(_finite(list(c)) for c in obj.comps))
+    profile = obj.tail_profile
+    return (
+        obj.n == doc["n"] and type(obj.n) is int and obj.n_max >= obj.n >= 1
+        and all(min(key) >= 1 for key in obj.entries) and _finite(list(obj.entries.values()))
+        and (obj.tail is None or obj.tail[1] > obj.tail[0] >= 1)
+        and (profile is None or _finite([profile.edge, *profile.interior.values()]))
+    )
+
+
+class TestDecodersRefuseMalformedDocuments:
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from(sorted(DECODERS)), st.integers(1, 3), st.data())
+    def test_object_holds_or_error_names_a_field(self, kind, mutations, data):
+        doc = WELL_FORMED[kind]
+        for _ in range(mutations):
+            doc = _mutated(data, doc)
+        try:
+            obj = DECODERS[kind](doc)
+        except ValueError as exc:
+            assert re.search(r"field '\w+'|^(point \d+|tail_profile): ", str(exc)), str(exc)
+        else:
+            assert _decoded_object_holds(kind, doc, obj), (doc, obj)
+
+    @pytest.mark.parametrize("kind", sorted(DECODERS))
+    def test_well_formed_documents_decode(self, kind):
+        assert _decoded_object_holds(kind, WELL_FORMED[kind], DECODERS[kind](WELL_FORMED[kind]))
 
 
 # JSON trees for the emitter: every scalar json writes (NaN, infinities,
