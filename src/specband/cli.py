@@ -11,7 +11,8 @@ reconstruction sweep; without it the environment variable SPECBAND_TOL
 does.  ``staircase --cluster-tol`` sets the gap under which growth points
 join one jump, ``check-solution --tol`` the membership check's threshold.
 Tolerances are positive finite numbers, ``--k``, ``--batch`` and ``--seed``
-are >= 0, and ``--N`` and ``gen --n`` are >= 1.
+are >= 0, and ``--N``, ``--n`` and ``gen --N-max`` are >= 1.  ``measure --n``
+may not exceed a dense input's N, nor differ from a spec's n.
 Flags must be spelled out in full; an abbreviation is a usage error.
 ``reconstruct -v`` writes the sweep's emitted count, q heights, skip count
 and orthogonality loss to stderr.  ``roundtrip`` exits 1 when its round
@@ -136,6 +137,8 @@ def cmd_measure(args):
     d = ser.load(args.file)
     obj, kind = ser.sniff_matrix_or_spec(d)
     if kind == "spec":
+        if args.n not in (None, obj.n):
+            raise UsageError(f"--n {args.n} differs from the spec's n={obj.n}")
         N = args.N or obj.n_max
         m = truncate(obj, N)
         n = obj.n
@@ -143,6 +146,8 @@ def cmd_measure(args):
         m = obj
         if args.n is None:
             raise SpecbandError("dense input needs --n to fix the boundary order")
+        if args.n > m.N:
+            raise UsageError(f"--n {args.n} exceeds the dense matrix's size N={m.N}")
         n = args.n
     sd = eigen_decompose(m)
     t = _load_boundary(args.boundary, n)
@@ -303,7 +308,7 @@ def build_parser():
 
     p = add("measure", cmd_measure, help="step spectral function")
     p.add_argument("--N", type=_size, default=None)
-    p.add_argument("--n", type=int, default=None, help="boundary order for dense input")
+    p.add_argument("--n", type=_size, default=None, help="boundary order for dense input")
     p.add_argument("--boundary", default=None, help="boundary matrix JSON")
     p.add_argument("file")
 
@@ -345,7 +350,7 @@ def build_parser():
 
     p = add("gen", cmd_gen, help="random instance in the matrix class")
     p.add_argument("--n", type=_size, required=True)
-    p.add_argument("--N-max", type=int, required=True)
+    p.add_argument("--N-max", type=_size, required=True)
     p.add_argument("--tail", type=int, nargs=2, default=None)
     p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--mtilde", action="store_true")

@@ -18,7 +18,7 @@ of the inverse problem): it is the number of rows the sweep emits at heights
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -198,18 +198,10 @@ class GeneratorReport:
     solution_flags: list
     minimal: bool
     height_table: list = field(default_factory=list)  # (h, observed, expected)
-    proportional_ties: bool = True  # holds by construction; kept in the report's schema
 
     def to_dict(self):
-        return {
-            "heights": self.heights,
-            "residues": self.residues,
-            "distinct_residues": self.distinct_residues,
-            "solution_flags": self.solution_flags,
-            "minimal": self.minimal,
-            "height_table": self.height_table,
-            "proportional_ties": self.proportional_ties,
-        }
+        # proportional_ties holds by construction; it stays in the report's schema
+        return {**asdict(self), "proportional_ties": True}
 
 
 def verify_generators(q, data: InterpolationData) -> GeneratorReport:

@@ -126,10 +126,10 @@ class MatrixSpec:
     def is_structural_nonzero(self, j, k):
         return abs(self.entry(j, k)) > self.struct_tol()
 
-    def row_rightmost(self, j, upto=None):
-        """Largest column <= upto holding a structural nonzero of row j (0 if none)."""
+    def row_rightmost(self, j):
+        """Largest column <= n_max holding a structural nonzero of row j (0 if none)."""
         row = self._partners.get(j, ())
-        i = bisect_right(row, self.n_max if upto is None else upto)
+        i = bisect_right(row, self.n_max)
         return row[i - 1] if i else 0
 
     def column_topmost(self, k):
@@ -171,17 +171,16 @@ class StructureInfo:
     K_perp: tuple
     gamma: dict
     pivot: dict
-    tail: tuple = None
 
     @classmethod
-    def from_pivot(cls, n, N, pivot, tail=None):
+    def from_pivot(cls, n, N, pivot):
         """K, K_perp and gamma of the N x N truncation with pivot map {column: row}."""
         rows = list(pivot.values())
         if len(set(rows)) != len(rows):
             raise PivotViolation("pivot map is not injective on the truncation")
         k_rows = tuple(sorted(set(range(1, N + 1)) - set(rows)))
         gamma = {k: i + 1 for i, k in enumerate(k_rows)}
-        return cls(n, N, k_rows, tuple(sorted(rows)), gamma, pivot, tail)
+        return cls(n, N, k_rows, tuple(sorted(rows)), gamma, pivot)
 
 
 @dataclass(frozen=True)
@@ -288,7 +287,7 @@ def analyze_structure(spec: MatrixSpec, N: int) -> StructureInfo:
                 f"(found column {rightmost})"
             )
         pivot[c] = r
-    return StructureInfo.from_pivot(spec.n, N, pivot, spec.tail)
+    return StructureInfo.from_pivot(spec.n, N, pivot)
 
 
 def truncate(spec: MatrixSpec, N: int) -> FiniteHermitian:
@@ -456,16 +455,14 @@ def validate_class(spec: MatrixSpec, which: str = "m") -> ValidationReport:
 
 @dataclass(frozen=True)
 class GenProfile:
-    """Shape parameters for :func:`generate_random`."""
+    """Shape parameters for :func:`generate_random`: the tail (j0, k0) is drawn
+    unless given, the pivot rows always are, and the interior density is 0.9."""
 
     n: int
     n_max: int
     tail: tuple = None
-    pivot_rows: tuple = None
-    degeneration_rows: tuple = None
     mtilde: bool = False
     complex_entries: bool = True
-    density: float = 0.9
 
 
 def _random_tail(profile, rng):
@@ -486,21 +483,15 @@ def _random_tail(profile, rng):
 
 
 def _assign_pivots(profile, tail, rng):
-    """Injection columns (n, k0) -> rows [1, j0) with r(c) < c."""
+    """Random injection columns (n, k0) -> rows [1, j0) with r(c) < c (both
+    branches and the spare-row swap keep it), and the rows left over."""
     n = profile.n
     j0, k0 = tail
     columns = list(range(n + 1, k0))
     rows_pool = list(range(1, j0))
     if len(columns) > len(rows_pool):
         raise InconsistentProfile("not enough rows before the tail to pivot every column")
-    if profile.pivot_rows is not None:
-        rows = [int(r) for r in profile.pivot_rows]
-        if len(rows) != len(columns):
-            raise InconsistentProfile(
-                f"expected {len(columns)} pivot rows for columns {n + 1}..{k0 - 1}"
-            )
-        assignment = dict(zip(columns, rows))
-    elif profile.mtilde:
+    if profile.mtilde:
         rows = sorted(rng.choice(rows_pool, size=len(columns), replace=False).tolist())
         assignment = dict(zip(columns, rows))
     else:
@@ -509,18 +500,8 @@ def _assign_pivots(profile, tail, rng):
         for c in columns:
             # the unused rows below c are a prefix of the increasing free rows
             assignment[c] = free.pop(int(rng.integers(0, bisect_left(free, c))))
-    for c, r in assignment.items():
-        if not 1 <= r < c:
-            raise InconsistentProfile(f"pivot row {r} invalid for column {c}")
-    if len(set(assignment.values())) != len(assignment):
-        raise InconsistentProfile("pivot rows repeat")
     # avoid an accidental simultaneous-edge diagonal gluing onto the tail
-    if (
-        columns
-        and profile.pivot_rows is None
-        and assignment[k0 - 1] == j0 - 1
-        and len(rows_pool) > len(columns)
-    ):
+    if columns and assignment[k0 - 1] == j0 - 1 and len(rows_pool) > len(columns):
         spare = max(r for r in rows_pool if r not in assignment.values())
         if profile.mtilde:
             # replace the largest row and renumber increasingly
@@ -529,11 +510,6 @@ def _assign_pivots(profile, tail, rng):
         else:
             assignment[k0 - 1] = spare
     degens = sorted(set(rows_pool) - set(assignment.values()))
-    if profile.degeneration_rows is not None:
-        if sorted(int(r) for r in profile.degeneration_rows) != degens:
-            raise InconsistentProfile(
-                f"degeneration rows {degens} implied by pivots do not match the profile"
-            )
     return assignment, degens
 
 
@@ -542,7 +518,8 @@ def generate_random(profile: GenProfile, seed: int) -> MatrixSpec:
 
     Edge entries are sampled with magnitude in [0.5, 1.5]; interior entries
     stay within the support allowed by the declared structure, so the
-    result always validates (for "mtilde" when the profile forces it).
+    result always validates (for "mtilde" when the profile forces it).  An
+    allowed interior entry is stored when its density test draws <= 0.9.
 
     Draw order: the tail (unless given) and then the pivots take their
     integers first.  Every uniform after them comes, in order, from one
@@ -560,8 +537,6 @@ def generate_random(profile: GenProfile, seed: int) -> MatrixSpec:
     n, n_max = profile.n, profile.n_max
     if n < 1 or n_max < n + 1:
         raise InconsistentProfile("need n >= 1 and declared size > n")
-    if not 0.0 <= profile.density <= 1.0:
-        raise InconsistentProfile(f"density {profile.density!r} must lie in [0, 1]")
     tail = tuple(profile.tail) if profile.tail is not None else _random_tail(profile, rng)
     j0, k0 = tail
     t = k0 - j0
@@ -610,7 +585,7 @@ def generate_random(profile: GenProfile, seed: int) -> MatrixSpec:
         for k in range(j, last[j] + 1):
             if (j, k) in entries or not allowed(j, k):
                 continue
-            if draw() > profile.density:
+            if draw() > 0.9:
                 continue
             if j == k:
                 entries[(j, k)] = complex(-1.0 + 2.0 * draw())

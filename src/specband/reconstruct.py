@@ -240,7 +240,7 @@ def recover_matrix(res: OrthoResult) -> FiniteHermitian:
     return FiniteHermitian(w.shape[0], 0.5 * (mat + mat.conj().T))
 
 
-def spec_from_dense(data: np.ndarray, n: int, rel_tol: float = RECOVER_STRUCT_TOL) -> MatrixSpec:
+def spec_from_dense(data: np.ndarray, n: int) -> MatrixSpec:
     """Read the structural description off a dense band-with-degenerations matrix.
 
     Pivots are identified as entries that are simultaneously the rightmost
@@ -250,7 +250,7 @@ def spec_from_dense(data: np.ndarray, n: int, rel_tol: float = RECOVER_STRUCT_TO
     data = np.asarray(data, dtype=complex)
     N = data.shape[0]
     scale = float(np.max(np.abs(data))) or 1.0
-    upper = np.triu(np.abs(data) > rel_tol * scale)
+    upper = np.triu(np.abs(data) > RECOVER_STRUCT_TOL * scale)
     entries = {(j + 1, k + 1): complex(data[j, k]) for j, k in np.argwhere(upper).tolist()}
     # 1-based rightmost column per row and topmost row per column, 0 where
     # empty; the upper triangle decides every edge a pivot can sit on
@@ -331,13 +331,13 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def compare_measures(a: StepMeasure, b: StepMeasure, cluster_tol=CLUSTER_TOL):
+def compare_measures(a: StepMeasure, b: StepMeasure):
     """(max jump-location gap, max entrywise jump-matrix gap) between measures.
 
     Both are inf where the measures have different numbers of jumps.
     """
-    ja = a.grouped_jumps(cluster_tol)
-    jb = b.grouped_jumps(cluster_tol)
+    ja = a.grouped_jumps(CLUSTER_TOL)
+    jb = b.grouped_jumps(CLUSTER_TOL)
     if len(ja) != len(jb):
         return float("inf"), float("inf")
     loc = float(np.max(np.abs(ja["location"] - jb["location"])))

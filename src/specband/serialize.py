@@ -188,6 +188,8 @@ def measure_from_dict(d: dict) -> StepMeasure:
         for i, p in enumerate(pts):  # read again one by one
             _field(p, "lambda", _finite, f"point {i}: ")
             _field(p, "C", lambda v: _floats(v, (n, 2)), f"point {i}: ")
+        if not pts:  # no (0, n) array: n exceeds numpy's largest dimension
+            raise ValueError(f"field 'n' cannot hold {_excerpt(n)}") from None
         raise
     return StepMeasure(n, lam, c)
 
@@ -204,7 +206,7 @@ def _comps(c, n):
 
 def poly_from_dict(d: dict) -> VectorPolynomial:
     n = _field(d, "n", _index)
-    return VectorPolynomial.from_components(_field(d, "comps", lambda c: _comps(c, n)), n, tol=0.0)
+    return VectorPolynomial.from_components(_field(d, "comps", lambda c: _comps(c, n)), n)
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))

@@ -58,6 +58,8 @@ class BoundaryMatrix:
     t: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"boundary order n must be >= 1, got {self.n}")
         t = np.array(self.t, dtype=complex)
         if t.shape != (self.n, self.n):
             raise DimensionMismatch(f"boundary matrix must be {self.n}x{self.n}")
@@ -211,12 +213,12 @@ def canonical_coordinates(lam, conj_c, m) -> np.ndarray:
     return power * conj_c[:, m % n]
 
 
-def jump_rank(jump, tol=JUMP_RANK_TOL):
+def jump_rank(jump):
     """Numerical rank of a jump matrix via its singular values."""
     svals = np.linalg.svd(jump, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > tol * svals[0]))
+    return int(np.sum(svals > JUMP_RANK_TOL * svals[0]))
 
 
 def eigen_decompose(m: FiniteHermitian) -> SpectralData:
@@ -378,7 +380,7 @@ def build_p(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix):
         acc = _subtract_in_order(coeffs[r - 1, :w], data[r - 1, cols].conj(), coeffs[cols, n:])
         scale = 1.0 / edge.conjugate()
         coeffs[c - 1, n:] = acc * scale.real + acc * (1j * scale.imag)
-    return from_coeff_rows(coeffs[:, n:], n, tol=0.0)
+    return from_coeff_rows(coeffs[:, n:], n)
 
 
 def build_q(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, p):
@@ -397,7 +399,7 @@ def build_q(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, p):
         rows = np.vstack([coeffs[cols], np.roll(coeffs[k - 1], s.n)])
         cs = np.append(-m.data[k - 1, cols].conj(), 1.0)
         q[j] = _subtract_in_order(q[j], cs, rows)
-    return from_coeff_rows(q, s.n, tol=0.0)
+    return from_coeff_rows(q, s.n)
 
 
 def _subtract_in_order(row, cs, rows):

@@ -9,6 +9,9 @@ which interleaves the component degrees so that exactly one slot/degree
 pair realizes each nonnegative integer.  The canonical family
 ``e_1, e_2, ...`` (``e_{n*k+i} = z^k * unit_i``) realizes height m-1 at
 index m and is the working basis for coefficient-space computations.
+
+Building one from coefficients drops the trailing ones equal to 0 (of
+either sign) and no others: there is no trimming tolerance.
 """
 
 from dataclasses import dataclass
@@ -21,28 +24,28 @@ from .errors import DimensionMismatch
 # comparisons and h + n*l arithmetic behave without special cases.
 MINUS_INF = float("-inf")
 
-#: default absolute tolerance for trimming trailing coefficients
+#: absolute magnitude at or below which ``spectral.build_p`` sets an entry of
+#: the boundary matrix to 0 in the rows of p_1..p_n
 COEFF_TRIM_TOL = 1e-12
 
 
-def _trim(coeffs, tol):
-    """Drop trailing coefficients of magnitude <= tol; a tuple of Python complex."""
-    return _trimmed_slots([coeffs], 1, tol)[0][0]
+def _trim(coeffs):
+    """Drop trailing zero coefficients; a tuple of Python complex."""
+    return _trimmed_slots([coeffs], 1)[0][0]
 
 
-def _trimmed_slots(rows, n, tol):
+def _trimmed_slots(rows, n):
     """Per row of the 2-D rows, its slots i = 0..n-1 (every n-th entry from i),
-    each without trailing coefficients of magnitude <= tol.
+    each without trailing zero coefficients.
 
-    One array pass finds the last kept coefficient of every slot of every row.
-    ``np.hypot`` is Python's complex ``abs`` bit for bit (``np.abs`` on
-    complex is not), and a NaN is kept, as ``abs(nan) <= tol`` is false.
+    One array pass finds the last kept coefficient of every slot of every row;
+    a NaN is kept, as ``nan != 0`` holds.
     """
     rows = np.asarray(rows, dtype=complex)
     count, size = rows.shape
     depth = -(-size // n)
     keep = np.zeros((count, depth * n), dtype=bool)
-    keep[:, :size] = ~(np.hypot(rows.real, rows.imag) <= tol)
+    keep[:, :size] = rows != 0
     grid = keep.reshape(count, depth, n)  # [row, d, i]: z^d in slot i
     lengths = np.max(grid * np.arange(1, depth + 1)[:, None], axis=1, initial=0)
     return [
@@ -56,21 +59,21 @@ class VectorPolynomial:
     """Immutable n-dimensional vector of scalar polynomials.
 
     ``comps[j]`` holds the ascending-degree coefficients of component
-    j+1; trailing (near-)zero coefficients are trimmed on construction,
-    so an empty tuple is the zero component.
+    j+1; trailing zero coefficients are trimmed on construction, so an
+    empty tuple is the zero component.
     """
 
     n: int
     comps: tuple
 
     @classmethod
-    def from_components(cls, comps, n=None, tol=COEFF_TRIM_TOL):
+    def from_components(cls, comps, n=None):
         comps = [list(c) for c in comps]
         if n is None:
             n = len(comps)
         if len(comps) != n:
             raise DimensionMismatch(f"expected {n} components, got {len(comps)}")
-        return cls(n, tuple(_trim(c, tol) for c in comps))
+        return cls(n, tuple(_trim(c) for c in comps))
 
     @classmethod
     def zero(cls, n):
@@ -148,7 +151,7 @@ class VectorPolynomial:
                     for i in range(length)
                 ]
             )
-        return VectorPolynomial.from_components(comps, self.n, tol=0.0)
+        return VectorPolynomial.from_components(comps, self.n)
 
     def __sub__(self, other):
         return self + (other * (-1.0))
@@ -156,7 +159,7 @@ class VectorPolynomial:
     def __mul__(self, scalar):
         scalar = complex(scalar)
         return VectorPolynomial(
-            self.n, tuple(_trim([c * scalar for c in comp], 0.0) for comp in self.comps)
+            self.n, tuple(_trim([c * scalar for c in comp]) for comp in self.comps)
         )
 
     __rmul__ = __mul__
@@ -174,7 +177,7 @@ class VectorPolynomial:
                 for j, b in enumerate(s):
                     prod[i + j] += a * b
             comps.append(prod)
-        return VectorPolynomial.from_components(comps, self.n, tol=0.0)
+        return VectorPolynomial.from_components(comps, self.n)
 
     def z_mul(self, power=1):
         """Multiply every component by z**power (shift coefficients)."""
@@ -210,7 +213,7 @@ def canonical_e(index, n):
     i, k = leading_slot(index - 1, n)
     comps = [[] for _ in range(n)]
     comps[i - 1] = [0j] * k + [1.0 + 0j]
-    return VectorPolynomial.from_components(comps, n, tol=0.0)
+    return VectorPolynomial.from_components(comps, n)
 
 
 def to_coeff_vector(r: VectorPolynomial, length):
@@ -227,14 +230,14 @@ def to_coeff_vector(r: VectorPolynomial, length):
     return out
 
 
-def from_coeff_vector(coords, n, tol=COEFF_TRIM_TOL):
+def from_coeff_vector(coords, n):
     """Inverse of :func:`to_coeff_vector`: slot i holds every n-th coordinate."""
-    return from_coeff_rows([coords], n, tol)[0]
+    return from_coeff_rows([coords], n)[0]
 
 
-def from_coeff_rows(rows, n, tol=COEFF_TRIM_TOL):
+def from_coeff_rows(rows, n):
     """:func:`from_coeff_vector` of each row of a 2-D array, trimmed in one pass."""
-    return [VectorPolynomial(n, comps) for comps in _trimmed_slots(rows, n, tol)]
+    return [VectorPolynomial(n, comps) for comps in _trimmed_slots(rows, n)]
 
 
 def poly_allclose(a: VectorPolynomial, b: VectorPolynomial, tol=1e-9):

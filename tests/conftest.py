@@ -195,16 +195,15 @@ def _scan_struct_tol(spec):
     return matrices.STRUCT_TOL * max(_scan_max_abs(spec), 1.0)
 
 
-def scan_row_rightmost(spec, j, upto=None):
-    upto = spec.n_max if upto is None else upto
+def scan_row_rightmost(spec, j):
     tol = _scan_struct_tol(spec)
     best = 0
     for (a, b), v in spec.entries.items():
         if abs(v) <= tol:
             continue
-        if a == j and b <= upto:
+        if a == j and b <= spec.n_max:
             best = max(best, b)
-        if b == j and a <= upto:
+        if b == j and a <= spec.n_max:
             best = max(best, a)
     return best
 
@@ -325,10 +324,10 @@ def reference_grouped_jumps(mu, cluster_tol=CLUSTER_TOL):
     return out
 
 
-def reference_compare_measures(a, b, cluster_tol=CLUSTER_TOL):
+def reference_compare_measures(a, b):
     """(max location gap, max jump-matrix gap), one cluster pair at a time."""
-    ja = reference_grouped_jumps(a, cluster_tol)
-    jb = reference_grouped_jumps(b, cluster_tol)
+    ja = reference_grouped_jumps(a)
+    jb = reference_grouped_jumps(b)
     if len(ja) != len(jb):
         return float("inf"), float("inf")
     loc = max(abs(x[0] - y[0]) for x, y in zip(ja, jb))
@@ -465,7 +464,9 @@ def reference_build_p(m, s, t):
     data = m.data
     p = []
     for k in range(1, n + 1):
-        p.append(VectorPolynomial.from_components([[t.t[i, k - 1]] for i in range(n)], n))
+        # a boundary entry of magnitude <= COEFF_TRIM_TOL is 0
+        col = [v if abs(v) > COEFF_TRIM_TOL else 0j for v in t.t[:, k - 1].tolist()]
+        p.append(VectorPolynomial.from_components([[v] for v in col], n))
     for c in sorted(s.pivot):
         r = s.pivot[c]
         edge = data[r - 1, c - 1]
@@ -618,14 +619,14 @@ def reference_dumps(obj):
     return json.dumps(obj, indent=2)
 
 
-def _reference_trim(coeffs, tol):
+def _reference_trim(coeffs):
     last = len(coeffs)
-    while last > 0 and abs(coeffs[last - 1]) <= tol:
+    while last > 0 and abs(coeffs[last - 1]) <= 0.0:
         last -= 1
     return tuple(complex(c) for c in coeffs[:last])
 
 
-def reference_from_coeff_vector(coords, n, tol=COEFF_TRIM_TOL):
+def reference_from_coeff_vector(coords, n):
     """Vector polynomial of canonical coordinates, one coefficient at a time."""
     comps = [[] for _ in range(n)]
     for m, c in enumerate(coords):
@@ -634,7 +635,7 @@ def reference_from_coeff_vector(coords, n, tol=COEFF_TRIM_TOL):
         while len(comp) <= k:
             comp.append(0j)
         comp[k] = complex(c)
-    return VectorPolynomial(n, tuple(_reference_trim(c, tol) for c in comps))
+    return VectorPolynomial(n, tuple(_reference_trim(c) for c in comps))
 
 
 # -- reference: the generator with one scalar draw per uniform --------------
@@ -648,14 +649,7 @@ def _reference_assign_pivots(profile, tail, rng):
     rows_pool = list(range(1, j0))
     if len(columns) > len(rows_pool):
         raise InconsistentProfile("not enough rows before the tail to pivot every column")
-    if profile.pivot_rows is not None:
-        rows = [int(r) for r in profile.pivot_rows]
-        if len(rows) != len(columns):
-            raise InconsistentProfile(
-                f"expected {len(columns)} pivot rows for columns {n + 1}..{k0 - 1}"
-            )
-        assignment = dict(zip(columns, rows))
-    elif profile.mtilde:
+    if profile.mtilde:
         rows = sorted(rng.choice(rows_pool, size=len(columns), replace=False).tolist())
         assignment = dict(zip(columns, rows))
     else:
@@ -666,18 +660,8 @@ def _reference_assign_pivots(profile, tail, rng):
             r = int(options[rng.integers(0, len(options))])
             assignment[c] = r
             used.add(r)
-    for c, r in assignment.items():
-        if not 1 <= r < c:
-            raise InconsistentProfile(f"pivot row {r} invalid for column {c}")
-    if len(set(assignment.values())) != len(assignment):
-        raise InconsistentProfile("pivot rows repeat")
     # avoid an accidental simultaneous-edge diagonal gluing onto the tail
-    if (
-        columns
-        and profile.pivot_rows is None
-        and assignment[k0 - 1] == j0 - 1
-        and len(rows_pool) > len(columns)
-    ):
+    if columns and assignment[k0 - 1] == j0 - 1 and len(rows_pool) > len(columns):
         spare = max(r for r in rows_pool if r not in assignment.values())
         if profile.mtilde:
             # replace the largest row and renumber increasingly
@@ -686,11 +670,6 @@ def _reference_assign_pivots(profile, tail, rng):
         else:
             assignment[k0 - 1] = spare
     degens = sorted(set(rows_pool) - set(assignment.values()))
-    if profile.degeneration_rows is not None:
-        if sorted(int(r) for r in profile.degeneration_rows) != degens:
-            raise InconsistentProfile(
-                f"degeneration rows {degens} implied by pivots do not match the profile"
-            )
     return assignment, degens
 
 
@@ -748,7 +727,7 @@ def reference_generate_random(profile: GenProfile, seed: int) -> MatrixSpec:
         for k in range(j, n_max + 1):
             if (j, k) in entries or not allowed(j, k):
                 continue
-            if rng.uniform() > profile.density:
+            if rng.uniform() > 0.9:
                 continue
             if j == k:
                 entries[(j, k)] = complex(rng.uniform(-1.0, 1.0))

@@ -548,6 +548,42 @@ class TestToleranceAndLimitChecks:
         assert np.array(out["matrix"]["data"]).shape == (3, 3, 2)
 
 
+class TestBoundaryOrderFlags:
+    """``measure --n`` and ``gen --N-max`` on gen --n 2 --N-max 6 --seed 1, truncated to 6 x 6."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["gen", "--n", "2", "--N-max", "6", "--seed", "1", "-o", "spec.json"]) == EXIT_OK
+        assert run_cli(["truncate", "spec.json", "--N", "6", "-o", "dense.json"]) == EXIT_OK
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, line", [
+        (["measure", "dense.json", "--n", "0"],
+         "error: argument --n: must be a positive integer, got '0'"),
+        (["measure", "dense.json", "--n", "-1"],
+         "error: argument --n: must be a positive integer, got '-1'"),
+        (["measure", "dense.json", "--n", "7"], "error: --n 7 exceeds the dense matrix's size N=6"),
+        (["measure", "spec.json", "--n", "3"], "error: --n 3 differs from the spec's n=2"),
+        (["gen", "--n", "2", "--N-max", "0"],
+         "error: argument --N-max: must be a positive integer, got '0'"),
+    ])
+    def test_refusal_is_a_usage_error(self, workdir, argv, line, capsys):
+        capsys.readouterr()
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:  # argparse's refusal
+            code = exc.code
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == line
+
+    @pytest.mark.parametrize("argv", [["measure", "dense.json", "--n", "6"],
+                                      ["measure", "spec.json", "--n", "2"]])
+    def test_n_up_to_the_dense_size_or_equal_to_the_spec_runs(self, workdir, argv, capsys):
+        assert run_cli(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n"] == int(argv[-1])
+
+
 class TestOutputText:
     """Every JSON output file is the reference text of its payload."""
 

@@ -161,10 +161,10 @@ def test_is_solution_matches_reference_on_awkward_measures(mu, draw):
     for _ in range(3):
         degs = rng.integers(-1, 8, size=mu.n)
         comps = [rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1) for d in degs]
-        polys.append(VectorPolynomial.from_components(comps, mu.n, tol=0.0))
+        polys.append(VectorPolynomial.from_components(comps, mu.n))
     # a solution: every component vanishes at every node
     nodes = np.atleast_1d(np.poly(data.lambdas))[::-1].astype(complex)
-    polys.append(VectorPolynomial.from_components([nodes] * mu.n, mu.n, tol=0.0))
+    polys.append(VectorPolynomial.from_components([nodes] * mu.n, mu.n))
     assert_solution_like_reference(polys, data)
 
 

@@ -288,12 +288,12 @@ class TestRoundTripErrorsMatchReference:
 # -- spec_from_dense against the per-query scans it replaced ----------------
 
 
-def scan_spec_from_dense(data, n, rel_tol=RECOVER_STRUCT_TOL):
+def scan_spec_from_dense(data, n):
     """Reference: entries by a double loop, edges by rescanning the entries."""
     data = np.asarray(data, dtype=complex)
     N = data.shape[0]
     scale = float(np.max(np.abs(data))) or 1.0
-    tol = rel_tol * scale
+    tol = RECOVER_STRUCT_TOL * scale
     entries = {}
     for j in range(1, N + 1):
         for k in range(j, N + 1):

@@ -172,6 +172,10 @@ class TestDecodersRefuseMalformedDocuments:
         else:
             assert _decoded_object_holds(kind, doc, obj), (doc, obj)
 
+    def test_empty_measure_of_too_large_an_order_names_n(self):
+        with pytest.raises(ValueError, match="^field 'n' cannot hold 9223372036854775808$"):
+            ser.measure_from_dict({"n": 2**63, "points": []})
+
     @pytest.mark.parametrize("kind", sorted(DECODERS))
     def test_well_formed_documents_decode(self, kind):
         assert _decoded_object_holds(kind, WELL_FORMED[kind], DECODERS[kind](WELL_FORMED[kind]))

@@ -311,6 +311,11 @@ class TestCVectors:
         with pytest.raises(SingularBoundary):
             c_vectors(sd, t)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_boundary_order_below_one_is_refused(self, n):
+        with pytest.raises(ValueError, match=f"^boundary order n must be >= 1, got {n}$"):
+            BoundaryMatrix(n, np.zeros((0, 0)))
+
 
 # ---------------------------------------------------------------- measure
 
@@ -429,7 +434,7 @@ def random_polys(rng, n, count=3):
     for _ in range(count):
         degs = rng.integers(-1, 9, size=n)
         comps = [rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1) for d in degs]
-        polys.append(VectorPolynomial.from_components(comps, n, tol=0.0))
+        polys.append(VectorPolynomial.from_components(comps, n))
     return polys
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from specband.errors import DimensionMismatch
 from specband.vectorpoly import (
-    COEFF_TRIM_TOL,
     MINUS_INF,
     VectorPolynomial,
     _trim,
@@ -161,7 +160,7 @@ def test_height_shift_law(n_comps, l):
 def test_coeff_vector_round_trip(n, length):
     rng = np.random.default_rng(length * 7 + n)
     coords = rng.normal(size=length) + 1j * rng.normal(size=length)
-    r = from_coeff_vector(coords, n, tol=0.0)
+    r = from_coeff_vector(coords, n)
     assert np.allclose(to_coeff_vector(r, length), coords)
 
 
@@ -183,12 +182,9 @@ class TestFromCoeffVectorMatchesReference:
             [float("nan"), 1.0, float("inf"), 0.0],
         ],
     )
-    @pytest.mark.parametrize("tol", [0.0, 1e-12, 0.5])
-    def test_listed(self, n, coords, tol):
+    def test_listed(self, n, coords):
         for c in (coords, np.asarray(coords, dtype=complex)):
-            assert _same_poly(
-                from_coeff_vector(c, n, tol=tol), reference_from_coeff_vector(c, n, tol=tol)
-            )
+            assert _same_poly(from_coeff_vector(c, n), reference_from_coeff_vector(c, n))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_real_and_integer_arrays(self, n):
@@ -199,17 +195,10 @@ class TestFromCoeffVectorMatchesReference:
     @given(
         st.integers(min_value=1, max_value=3),
         st.lists(st.one_of(coeff, st.sampled_from([0j, -0.0 + 0j, 1e-13, -2e-12j])), max_size=14),
-        st.sampled_from([0.0, COEFF_TRIM_TOL, 1e-3]),
     )
-    def test_random(self, n, coords, tol):
+    def test_random(self, n, coords):
         a = np.asarray(coords, dtype=complex)
-        assert _same_poly(from_coeff_vector(a, n, tol=tol), reference_from_coeff_vector(a, n, tol=tol))
-
-    def test_default_tolerance_trims(self):
-        coords = [1.0, 0.0, 5e-13, 2e-13]
-        r = from_coeff_vector(coords, 2)
-        assert r.comps == ((1 + 0j,), ())
-        assert _same_poly(r, reference_from_coeff_vector(coords, 2))
+        assert _same_poly(from_coeff_vector(a, n), reference_from_coeff_vector(a, n))
 
 
 special = st.sampled_from(
@@ -222,32 +211,30 @@ class TestTrimMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.one_of(coeff, special), max_size=12),
-        st.sampled_from([0.0, COEFF_TRIM_TOL, 0.5, -1.0]),
         st.sampled_from([list, tuple, lambda c: np.asarray(c, dtype=complex)]),
     )
-    def test_random(self, coeffs, tol, kind):
-        got, ref = _trim(kind(coeffs), tol), _reference_trim(kind(coeffs), tol)
+    def test_random(self, coeffs, kind):
+        got, ref = _trim(kind(coeffs)), _reference_trim(kind(coeffs))
         assert repr(got) == repr(ref)
         assert all(type(c) is complex for c in got)
 
     def test_real_and_integer_entries(self):
         for coeffs in ([1, 0, 0], [2.5, -0.0, 0.0], np.array([3, 0, 1, 0])):
-            assert repr(_trim(coeffs, 0.0)) == repr(_reference_trim(coeffs, 0.0))
+            assert repr(_trim(coeffs)) == repr(_reference_trim(coeffs))
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(1, 3),
         st.integers(0, 4),
         st.lists(st.one_of(coeff, special), min_size=0, max_size=24),
-        st.sampled_from([0.0, COEFF_TRIM_TOL]),
     )
-    def test_rows_match_single_vectors(self, n, count, flat, tol):
+    def test_rows_match_single_vectors(self, n, count, flat):
         width = len(flat) // max(count, 1)
         rows = np.asarray(flat[: count * width], dtype=complex).reshape(count, width)
-        got = from_coeff_rows(rows, n, tol)
+        got = from_coeff_rows(rows, n)
         assert len(got) == count
         for poly, row in zip(got, rows):
-            assert _same_poly(poly, reference_from_coeff_vector(row, n, tol=tol))
+            assert _same_poly(poly, reference_from_coeff_vector(row, n))
 
 
 def nan_signless(values):
@@ -273,7 +260,7 @@ class TestEvaluateAt:
         ),
     )
     def test_matches_evaluate_up_to_nan_signs(self, comps, ts):
-        r = VectorPolynomial.from_components(comps, len(comps), tol=0.0)
+        r = VectorPolynomial.from_components(comps, len(comps))
         got = r.evaluate_at(np.array(ts))
         assert got.shape == (len(ts), r.n)
         for row, t in zip(got, ts):
