@@ -314,11 +314,11 @@ class TestGenerateRandomMatchesReference:
                 profile, seed, reference_generate_random
             ), (N, seed)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("complex_entries", [False, True])
     @pytest.mark.parametrize("mtilde", [False, True])
-    def test_explicit_tail(self, complex_entries, mtilde):
+    def test_explicit_tail(self, n, complex_entries, mtilde):
         for seed in range(6):
-            n = 1 + seed % 4
             base = GenProfile(n=n, n_max=n + 4 + 7 * seed, mtilde=mtilde,
                               complex_entries=complex_entries)
             for profile in explicit_profiles(base, seed):
@@ -331,6 +331,24 @@ class TestGenerateRandomMatchesReference:
         profile = GenProfile(n=n, n_max=n_max)
         got = generated(profile, 0)
         assert got[0] is InconsistentProfile
+        assert got == generated(profile, 0, reference_generate_random)
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            ((3, 3), "tail offset must lie in 1..n"),
+            ((3, 6), "tail offset must lie in 1..n"),
+            ((2, 1), "tail offset must lie in 1..n"),
+            ((1, 2), "tail must start beyond the boundary columns"),
+            ((0, 2), "tail must start beyond the boundary columns"),
+            ((9, 10), "pivot columns do not cover the declared size"),
+            ((8, 10), "pivot columns do not cover the declared size"),
+        ],
+    )
+    def test_same_refusal_of_a_bad_tail(self, tail, message):
+        profile = GenProfile(n=2, n_max=8, tail=tail)
+        got = generated(profile, 0)
+        assert got == (InconsistentProfile, message)
         assert got == generated(profile, 0, reference_generate_random)
 
     @pytest.mark.parametrize("profile, seed, digest", PINNED_DIGESTS)

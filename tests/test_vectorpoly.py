@@ -169,22 +169,38 @@ def _same_poly(a, b):
     return repr((a.n, a.comps)) == repr((b.n, b.comps))
 
 
+LISTED_COORDS = [
+    [],
+    [0.0],
+    [1 + 2j, -0.0, 3.5, 0j, 0j, 0j, 0j],
+    [0.0, -0.0j, 1e-13, 2e-13, -5e-13j, 0.0, 1e-12, 0.0],
+    [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+    [float("nan"), 1.0, float("inf"), 0.0],
+]
+
+
 class TestFromCoeffVectorMatchesReference:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "coords",
-        [
-            [],
-            [0.0],
-            [1 + 2j, -0.0, 3.5, 0j, 0j, 0j, 0j],
-            [0.0, -0.0j, 1e-13, 2e-13, -5e-13j, 0.0, 1e-12, 0.0],
-            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-            [float("nan"), 1.0, float("inf"), 0.0],
-        ],
-    )
+    @pytest.mark.parametrize("coords", LISTED_COORDS)
     def test_listed(self, n, coords):
         for c in (coords, np.asarray(coords, dtype=complex)):
             assert _same_poly(from_coeff_vector(c, n), reference_from_coeff_vector(c, n))
+
+    @pytest.mark.parametrize("scale", [1e-12, -0.5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("coords", LISTED_COORDS)
+    def test_listed_scaled(self, n, coords, scale):
+        # only exact zeros are trimmed, so a nonzero scale keeps every component's length
+        a = np.array([complex(c.real * scale, c.imag * scale) for c in map(complex, coords)])
+        r = from_coeff_vector(a, n)
+        assert _same_poly(r, reference_from_coeff_vector(a, n))
+        assert [len(c) for c in r.comps] == [len(c) for c in from_coeff_vector(coords, n).comps]
+
+    def test_tiny_coefficients_are_kept(self):
+        coords = [1.0, 0.0, 5e-13, 2e-13]
+        r = from_coeff_vector(coords, 2)
+        assert r.comps == ((1 + 0j, 5e-13 + 0j), (0j, 2e-13 + 0j))
+        assert _same_poly(r, reference_from_coeff_vector(coords, 2))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_real_and_integer_arrays(self, n):
