@@ -165,21 +165,12 @@ def _direct_stages():
     ]
 
 
-def _measure_arrays(mu):
-    """A step measure's lambda vector and C block, also from a checkout whose
-    measure stores (lambda, C) pairs and has a ``lambdas`` method."""
-    if callable(mu.lambdas):
-        return mu.lambdas(), np.array([c for _, c in mu.points])
-    return mu.lambdas, mu.c
-
-
 def _output_bytes(name, out):
     """The bytes of one direct stage's output that the digest covers."""
     if name == "eigen_decompose":
         return out.lambdas.tobytes() + out.phi.tobytes()
     if name == "step_measure":
-        lam, c = _measure_arrays(out)
-        return lam.tobytes() + c.tobytes()
+        return out.lambdas.tobytes() + out.c.tobytes()
     if name in ("build_p", "build_q"):
         return repr([(r.n, r.comps) for r in out]).encode()
     if name == "q_norms_sq":

@@ -11,8 +11,11 @@ reconstruction sweep; without it the environment variable SPECBAND_TOL
 does.  ``staircase --cluster-tol`` sets the gap under which growth points
 join one jump, ``check-solution --tol`` the membership check's threshold.
 Tolerances are positive finite numbers, ``--k``, ``--batch`` and ``--seed``
-are >= 0, and ``--N``, ``--n`` and ``gen --N-max`` are >= 1.  ``measure --n``
-may not exceed a dense input's N, nor differ from a spec's n.
+are >= 0, and ``--N``, ``--n`` and ``gen --N-max`` are >= 1.  ``spectrum`` and
+``measure`` truncate a spec at ``--N`` (default N_max); a dense input's own N
+is the only ``--N`` they take.  ``measure --n`` may not exceed a dense
+input's N, nor differ from a spec's n.  ``validate --class`` is ``m`` or
+``mtilde``, and ``-o`` names every command's output file.
 Flags must be spelled out in full; an abbreviation is a usage error.
 ``reconstruct -v`` writes the sweep's emitted count, q heights, skip count
 and orthogonality loss to stderr.  ``roundtrip`` exits 1 when its round
@@ -102,8 +105,7 @@ def _load_boundary(path, n):
 
 def cmd_validate(args):
     spec = ser.spec_from_dict(ser.load(args.file))
-    which = "mtilde" if args.klass in ("mtilde", "m_tilde") else "m"
-    report = validate_class(spec, which)
+    report = validate_class(spec, args.klass)
     _emit(report.to_dict(), args.output)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
@@ -115,14 +117,25 @@ def cmd_truncate(args):
     return EXIT_OK
 
 
-def cmd_spectrum(args):
-    obj, kind = ser.sniff_matrix_or_spec(ser.load(args.file))
+def _read_truncation(path, N, n=None):
+    """The matrix that ``--N`` selects from a spec or dense file, and its order n.
+
+    A spec is truncated at N (default N_max) and ``n`` may only repeat its n; a
+    dense matrix's N is the only N it takes, and ``n`` may not exceed it."""
+    obj, kind = ser.sniff_matrix_or_spec(ser.load(path))
     if kind == "spec":
-        m = truncate(obj, args.N or obj.n_max)
-    elif args.N is not None and args.N != obj.N:
+        if n not in (None, obj.n):
+            raise UsageError(f"--n {n} differs from the spec's n={obj.n}")
+        return truncate(obj, N or obj.n_max), obj.n
+    if N not in (None, obj.N):
         raise SpecbandError("cannot retruncate a dense matrix; pass the structural file")
-    else:
-        m = obj
+    if n is not None and n > obj.N:
+        raise UsageError(f"--n {n} exceeds the dense matrix's size N={obj.N}")
+    return obj, n
+
+
+def cmd_spectrum(args):
+    m, _ = _read_truncation(args.file, args.N)
     sd = eigen_decompose(m)
     payload = {
         "N": m.N,
@@ -134,21 +147,9 @@ def cmd_spectrum(args):
 
 
 def cmd_measure(args):
-    d = ser.load(args.file)
-    obj, kind = ser.sniff_matrix_or_spec(d)
-    if kind == "spec":
-        if args.n not in (None, obj.n):
-            raise UsageError(f"--n {args.n} differs from the spec's n={obj.n}")
-        N = args.N or obj.n_max
-        m = truncate(obj, N)
-        n = obj.n
-    else:
-        m = obj
-        if args.n is None:
-            raise SpecbandError("dense input needs --n to fix the boundary order")
-        if args.n > m.N:
-            raise UsageError(f"--n {args.n} exceeds the dense matrix's size N={m.N}")
-        n = args.n
+    m, n = _read_truncation(args.file, args.N, args.n)
+    if n is None:
+        raise SpecbandError("dense input needs --n to fix the boundary order")
     sd = eigen_decompose(m)
     t = _load_boundary(args.boundary, n)
     mu = step_measure(sd, t)
@@ -261,10 +262,10 @@ def cmd_roundtrip(args):
             "failed": sum(not r.passed for r in reports),
             "reports": [r.to_dict() for r in reports],
         }
-        _emit(payload, args.report or args.output)
+        _emit(payload, args.output)
         return EXIT_OK if payload["failed"] == 0 else EXIT_VALIDATION
     report = rec.roundtrip(spec, t, args.N)
-    _emit(report.to_dict(), args.report or args.output)
+    _emit(report.to_dict(), args.output)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -295,7 +296,7 @@ def build_parser():
         return p
 
     p = add("validate", cmd_validate, help="check class membership")
-    p.add_argument("--class", dest="klass", choices=["m", "mtilde", "m_tilde"], default="m")
+    p.add_argument("--class", dest="klass", choices=["m", "mtilde"], default="m")
     p.add_argument("file")
 
     p = add("truncate", cmd_truncate, help="emit a dense truncation")
@@ -342,7 +343,6 @@ def build_parser():
     p = add("roundtrip", cmd_roundtrip, help="full direct+inverse pipeline report")
     p.add_argument("--N", type=_size, required=True)
     p.add_argument("--boundary", default=None)
-    p.add_argument("--report", default=None)
     p.add_argument("--batch", type=_count, default=0,
                    help="round-trip B generated instances with seeds S..S+B-1 instead")
     p.add_argument("--seed", type=_count, default=0, help="first seed S of a batch")

@@ -102,7 +102,6 @@ class MatrixSpec:
             if abs(v) > tol:
                 partners.setdefault(j, set()).add(k)
                 partners.setdefault(k, set()).add(j)
-        object.__setattr__(self, "_max_abs", scale)
         object.__setattr__(self, "_struct_tol", tol)
         object.__setattr__(self, "_partners", {i: tuple(sorted(p)) for i, p in partners.items()})
 
@@ -116,9 +115,6 @@ class MatrixSpec:
         if j > k:
             return self.entries.get((k, j), 0j).conjugate()
         return self.entries.get((j, k), 0j)
-
-    def max_abs(self):
-        return self._max_abs
 
     def struct_tol(self):
         return self._struct_tol
@@ -136,24 +132,6 @@ class MatrixSpec:
         """Smallest row holding a structural nonzero of column k (0 if none)."""
         col = self._partners.get(k)
         return col[0] if col else 0
-
-    def resolved_tail_profile(self):
-        """Tail profile with defaults filled in from the stored tail row."""
-        if self.tail is None:
-            raise TailUndefined("no tail declared")
-        j0, k0 = self.tail
-        if self.tail_profile is not None:
-            interior = {int(d): complex(v) for d, v in self.tail_profile.interior.items()}
-            return TailProfile(complex(self.tail_profile.edge), interior)
-        edge = self.entry(j0, k0)
-        if abs(edge) == 0.0:
-            edge = 1.0 + 0j
-        interior = {}
-        for d in range(1, k0 - j0 + 1):
-            v = self.entry(j0, k0 - d)
-            if abs(v) > 0.0:
-                interior[d] = v
-        return TailProfile(edge, interior)
 
 
 @dataclass(frozen=True)
@@ -241,15 +219,21 @@ def extend_tail(spec: MatrixSpec, N: int) -> MatrixSpec:
     """Extend the stored entries out to size N following the banded tail.
 
     New rows j0+m get their edge at column k0+m and interior values from
-    the tail profile; the pivot map gains pivot(k0+m) = j0+m.  Already
-    stored entries are never overwritten.
+    the tail profile or, without one, from row j0 (edge 1 where its stored
+    edge is 0); the pivot map gains pivot(k0+m) = j0+m.  Stored entries are
+    never overwritten, and a spec of size N or more is returned as it is.
     """
     if N <= spec.n_max:
         return spec
     if spec.tail is None:
         raise TailUndefined(f"cannot extend to N={N}: no tail declared")
     j0, k0 = spec.tail
-    profile = spec.resolved_tail_profile()
+    if spec.tail_profile is not None:
+        edge = complex(spec.tail_profile.edge)
+        interior = {int(d): complex(v) for d, v in spec.tail_profile.interior.items()}
+    else:
+        edge = spec.entry(j0, k0) or 1.0 + 0j
+        interior = {d: v for d in range(1, k0 - j0 + 1) if abs(v := spec.entry(j0, k0 - d)) > 0.0}
     entries = dict(spec.entries)
     pivot = dict(spec.pivot)
     for c_edge in range(max(k0, spec.n_max + 1), N + 1):
@@ -259,7 +243,7 @@ def extend_tail(spec: MatrixSpec, N: int) -> MatrixSpec:
             pivot.setdefault(c_edge, r)
         for c in range(max(r, spec.n_max + 1), c_edge + 1):
             d = c_edge - c
-            val = profile.edge if d == 0 else profile.interior.get(d, 0j)
+            val = edge if d == 0 else interior.get(d, 0j)
             if (r, c) not in entries and val != 0:
                 entries[(r, c)] = val
     return MatrixSpec(spec.n, N, entries, pivot, spec.tail, spec.tail_profile)
@@ -269,8 +253,7 @@ def analyze_structure(spec: MatrixSpec, N: int) -> StructureInfo:
     """Split the rows of the N x N truncation into pivot duty and its complement."""
     if N <= spec.n:
         raise ValueError(f"truncation size must exceed n={spec.n}")
-    if N > spec.n_max:
-        spec = extend_tail(spec, N)
+    spec = extend_tail(spec, N)
     pivot = {}
     for c in range(spec.n + 1, N + 1):
         if c not in spec.pivot:
@@ -294,8 +277,7 @@ def truncate(spec: MatrixSpec, N: int) -> FiniteHermitian:
     """Dense Hermitian N x N upper-left corner, extending the tail if needed."""
     if N < 1:
         raise ValueError("truncation size must be >= 1")
-    if N > spec.n_max:
-        spec = extend_tail(spec, N)
+    spec = extend_tail(spec, N)
     data = np.zeros((N, N), dtype=complex)
     for (j, k), v in spec.entries.items():
         if k <= N:
@@ -437,10 +419,9 @@ def validate_class(spec: MatrixSpec, which: str = "m") -> ValidationReport:
     column edge).  Violations are reported, never raised; failed minimality
     of n or of the tail start only downgrades the report via warnings.
     """
-    which = which.lower()
-    if which not in ("m", "mtilde", "m_tilde"):
+    if which not in ("m", "mtilde"):
         raise ValueError("class must be 'm' or 'mtilde'")
-    report = ValidationReport(target="mtilde" if which != "m" else "m")
+    report = ValidationReport(target=which)
     for (j, k), v in spec.entries.items():
         if j == k and abs(v.imag) > 1e-9 * max(1.0, abs(v)):
             report.add("hermitian", (j, k), f"diagonal entry ({j},{j}) is not real")
@@ -448,7 +429,7 @@ def validate_class(spec: MatrixSpec, which: str = "m") -> ValidationReport:
     _check_condition2(spec, report)
     _check_n_minimality(spec, report)
     _check_tail_minimality(spec, report)
-    if which != "m":
+    if which == "mtilde":
         _check_mtilde(spec, report)
     return report
 
@@ -456,7 +437,8 @@ def validate_class(spec: MatrixSpec, which: str = "m") -> ValidationReport:
 @dataclass(frozen=True)
 class GenProfile:
     """Shape parameters for :func:`generate_random`: the tail (j0, k0) is drawn
-    unless given, the pivot rows always are, and the interior density is 0.9."""
+    unless given, the pivot rows always are, and the interior density is 0.9.
+    A given tail needs 1 <= k0 - j0 <= n and n + 1 <= k0 <= n_max + 1."""
 
     n: int
     n_max: int
@@ -466,31 +448,23 @@ class GenProfile:
 
 
 def _random_tail(profile, rng):
+    """(j0, j0 + t), t uniform in 1..n, then j0 uniform so that n + 2 <= k0 <= n_max + 1
+    (n + 1 <= k0 if t = n): for t < n the unpivoted rows anchor right of column n.
+    As generate_random has refused n_max < n + 1, both ranges are non-empty."""
     n, n_max = profile.n, profile.n_max
     t = int(rng.integers(1, n + 1))
-    j0_lo = max(1, n + 1 - t)
-    j0_hi = n_max + 1 - t
-    if t < n:
-        # keep k0 >= n+2 so the unpivoted rows anchor right of column n
-        j0_lo = max(j0_lo, n + 2 - t)
-    if j0_hi < j0_lo:
-        j0_lo, t = 1, n
-        j0_hi = n_max + 1 - t
-        if j0_hi < 1:
-            raise InconsistentProfile("declared size too small for any tail")
-    j0 = int(rng.integers(j0_lo, j0_hi + 1))
+    j0 = int(rng.integers(n + 2 - t if t < n else 1, n_max + 2 - t))
     return j0, j0 + t
 
 
 def _assign_pivots(profile, tail, rng):
     """Random injection columns (n, k0) -> rows [1, j0) with r(c) < c (both
-    branches and the spare-row swap keep it), and the rows left over."""
+    branches and the spare-row swap keep it), and the rows left over.  The
+    k0 - 1 - n columns never outnumber the j0 - 1 rows, as k0 - j0 <= n."""
     n = profile.n
     j0, k0 = tail
     columns = list(range(n + 1, k0))
     rows_pool = list(range(1, j0))
-    if len(columns) > len(rows_pool):
-        raise InconsistentProfile("not enough rows before the tail to pivot every column")
     if profile.mtilde:
         rows = sorted(rng.choice(rows_pool, size=len(columns), replace=False).tolist())
         assignment = dict(zip(columns, rows))
@@ -554,17 +528,11 @@ def generate_random(profile: GenProfile, seed: int) -> MatrixSpec:
     edge_col = {r: c for c, r in pivot.items()}
 
     def allowed(j, k):
-        e = edge_col.get(j)
-        if e is not None and k > e:
-            return False
-        if k >= k0:
-            if j < k - t:
-                return False
-        elif profile.mtilde and k in pivot and j < pivot[k]:
-            return False
-        return True
+        """For k <= last[j]: in mtilde, no column k < k0 holds an entry above its pivot row."""
+        return k >= k0 or not (profile.mtilde and j < pivot.get(k, 0))
 
-    # allowed(j, k) fails right of j's edge, and from k0 on right of j + t
+    # the only pairs that may hold an entry: j <= k <= last[j], so none right of
+    # j's edge nor, from column k0 on, right of j + t
     last = [0] + [min(edge_col.get(j, n_max), max(k0 - 1, j + t), n_max)
                   for j in range(1, n_max + 1)]
     edges = [(r, c) for c, r in pivot.items() if c <= n_max]

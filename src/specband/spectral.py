@@ -72,11 +72,8 @@ class BoundaryMatrix:
     def identity(cls, n):
         return cls(n, np.eye(n, dtype=complex))
 
-    def min_diag(self):
-        return float(np.min(np.abs(np.diag(self.t))))
-
     def require_invertible(self):
-        if self.min_diag() <= 1e-12 * max(1.0, float(np.max(np.abs(self.t)))):
+        if np.min(np.abs(np.diag(self.t))) <= 1e-12 * max(1.0, float(np.max(np.abs(self.t)))):
             raise SingularBoundary("boundary matrix has a (near-)zero diagonal entry")
 
 

@@ -251,7 +251,6 @@ def brute_force_scans():
     """Answer every structural query by a full scan of the stored entries."""
     with mock.patch.multiple(
         MatrixSpec,
-        max_abs=_scan_max_abs,
         struct_tol=_scan_struct_tol,
         row_rightmost=scan_row_rightmost,
         column_topmost=scan_column_topmost,

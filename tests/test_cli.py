@@ -159,7 +159,7 @@ class TestPipelineCommands:
 
     def test_roundtrip(self, flip2_file, tmp_path):
         report = tmp_path / "report.json"
-        code = run_cli(["roundtrip", flip2_file, "--N", "2", "--report", str(report)])
+        code = run_cli(["roundtrip", flip2_file, "--N", "2", "-o", str(report)])
         assert code == EXIT_OK
         rep = read_json(report)
         assert rep["eigenvalue_error"] <= 1e-12
@@ -182,7 +182,7 @@ class TestPipelineCommands:
     def test_roundtrip_batch(self, fix7_file, tmp_path):
         report = tmp_path / "batch.json"
         code = run_cli(
-            ["roundtrip", fix7_file, "--N", "8", "--batch", "4", "--report", str(report)]
+            ["roundtrip", fix7_file, "--N", "8", "--batch", "4", "-o", str(report)]
         )
         assert code == EXIT_OK
         rep = read_json(report)
@@ -197,7 +197,7 @@ class TestPipelineCommands:
         # while every class check passes
         spec, report = tmp_path / "spec.json", tmp_path / "batch.json"
         assert run_cli(["gen", "--n", "1", "--N-max", "10", "--seed", "7", "-o", str(spec)]) == EXIT_OK
-        code = run_cli(["roundtrip", str(spec), "--N", "40", "--batch", "3", "--report", str(report)])
+        code = run_cli(["roundtrip", str(spec), "--N", "40", "--batch", "3", "-o", str(report)])
         assert code == EXIT_VALIDATION
         rep = read_json(report)
         assert rep["all_class_ok"]
@@ -209,7 +209,7 @@ class TestPipelineCommands:
         # wrong size and both errors are inf, so criterion 09 is missed
         spec, report = tmp_path / "spec.json", tmp_path / "report.json"
         assert run_cli(["gen", "--n", "1", "--N-max", "30", "--seed", "7", "-o", str(spec)]) == EXIT_OK
-        code = run_cli(["roundtrip", str(spec), "--N", "30", "--report", str(report)])
+        code = run_cli(["roundtrip", str(spec), "--N", "30", "-o", str(report)])
         assert code == EXIT_VALIDATION
         rep = read_json(report)
         assert rep["class_ok"]
@@ -219,7 +219,7 @@ class TestPipelineCommands:
         def batch(seed):
             report = tmp_path / f"batch{seed}.json"
             run_cli(["roundtrip", fix7_file, "--N", "8", "--batch", "2", "--seed", str(seed),
-                     "--report", str(report)])
+                     "-o", str(report)])
             return read_json(report)["reports"]
 
         from0, from1 = batch(0), batch(1)
@@ -582,6 +582,48 @@ class TestBoundaryOrderFlags:
     def test_n_up_to_the_dense_size_or_equal_to_the_spec_runs(self, workdir, argv, capsys):
         assert run_cli(argv) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["n"] == int(argv[-1])
+
+
+class TestDenseSizeAndRemovedSpellings:
+    """``--N`` on the 8 x 8 truncation of gen --n 2 --N-max 10 --seed 7, and the
+    spellings ``roundtrip --report`` and ``validate --class m_tilde``, now refused."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["gen", "--n", "2", "--N-max", "10", "--seed", "7", "-o", "spec.json"]) == EXIT_OK
+        assert run_cli(["truncate", "spec.json", "--N", "8", "-o", "mat.json"]) == EXIT_OK
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [["measure", "mat.json", "--n", "2"], ["spectrum", "mat.json"]])
+    @pytest.mark.parametrize("N", ["3", "9"])
+    def test_other_size_of_a_dense_matrix_is_refused(self, workdir, argv, N, capsys):
+        capsys.readouterr()
+        assert run_cli([*argv, "--N", N, "-o", "out.json"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot retruncate a dense matrix; pass the structural file"]
+        assert not (workdir / "out.json").exists()
+
+    @pytest.mark.parametrize("argv", [["measure", "mat.json", "--n", "2"], ["spectrum", "mat.json"]])
+    def test_own_size_of_a_dense_matrix_runs(self, workdir, argv):
+        assert run_cli([*argv, "--N", "8", "-o", "with_N.json"]) == EXIT_OK
+        assert run_cli([*argv, "-o", "without_N.json"]) == EXIT_OK
+        assert (workdir / "with_N.json").read_bytes() == (workdir / "without_N.json").read_bytes()
+
+    @pytest.mark.parametrize("argv, line", [
+        (["roundtrip", "spec.json", "--N", "8", "--report", "x.json"],
+         "error: unrecognized arguments: --report x.json"),
+        # the text after the refused value is argparse's list of the choices
+        (["validate", "--class", "m_tilde", "spec.json"],
+         "error: argument --class: invalid choice: 'm_tilde'"),
+    ])
+    def test_removed_spelling_is_a_usage_error(self, workdir, argv, line, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1].startswith(line)
+        assert not (workdir / "x.json").exists()
 
 
 class TestOutputText:

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import pickle
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from specband import (
     MissingPivot,
     PivotViolation,
     StructureInfo,
+    TailProfile,
     TailUndefined,
     analyze_structure,
     extend_tail,
@@ -22,6 +24,7 @@ from specband import (
     validate_class,
 )
 from specband import matrices, serialize
+from specband.cli import run_cli
 from specband.errors import InconsistentProfile
 from specband.matrices import STRUCT_TOL
 from conftest import (
@@ -113,6 +116,11 @@ class TestAnalyzeStructure:
 
 
 class TestValidateClass:
+    @pytest.mark.parametrize("which", ["MTILDE", "m_tilde", "M"])
+    def test_only_the_exact_class_names(self, fix7, which):
+        with pytest.raises(ValueError, match="^class must be 'm' or 'mtilde'$"):
+            validate_class(fix7, which)
+
     def test_fix7_m_passes_mtilde_fails(self, fix7):
         assert validate_class(fix7, "m").passed
         rep = validate_class(fix7, "mtilde")
@@ -172,6 +180,12 @@ class TestTruncate:
         m = truncate(spec, N)
         assert m.hermiticity_defect() == 0.0
 
+    def test_n_max_gives_the_stored_corner(self, fix7):
+        expected = np.zeros((fix7.n_max, fix7.n_max), dtype=complex)
+        for (j, k), v in fix7.entries.items():
+            expected[j - 1, k - 1], expected[k - 1, j - 1] = v, v.conjugate()
+        assert np.array_equal(truncate(fix7, fix7.n_max).data, expected)
+
 
 class TestExtendTail:
     def test_jac5_extends_to_free_jacobi(self, jac5):
@@ -198,6 +212,49 @@ class TestExtendTail:
             a = truncate(spec, small).data
             b = truncate(extend_tail(spec, big), big).data[:small, :small]
             assert np.array_equal(a, b)
+
+    @staticmethod
+    def band6(profile=None, edge=2.0):
+        """n = 2, N_max = 6, tail (1, 3): diagonal 0.5, first superdiagonal 0.25 and
+        the edge on the second; (6, 7), right of N_max, is stored too."""
+        entries = {(j, j): 0.5 for j in range(1, 7)}
+        entries.update({(j, j + 1): 0.25 for j in range(1, 6)})
+        entries.update({(j, j + 2): edge for j in range(1, 5)})
+        entries[(6, 7)] = 0.125
+        return MatrixSpec(2, 6, entries, {c: c - 2 for c in range(3, 7)}, (1, 3), profile)
+
+    @staticmethod
+    def new_entries(spec):
+        """Entries that truncate(spec, N_max + 5) adds: the stored ones stay as they are."""
+        data = truncate(spec, spec.n_max + 5).data
+        assert all(data[j - 1, k - 1] == v for (j, k), v in spec.entries.items())
+        assert extend_tail(spec, 11).pivot == {**spec.pivot, 7: 5, 8: 6, 9: 7, 10: 8, 11: 9}
+        return {(j + 1, k + 1): data[j, k] for j, k in zip(*np.triu(data).nonzero())
+                if (j + 1, k + 1) not in spec.entries}
+
+    @staticmethod
+    def tail_rows(edge, d1, d2):
+        """Rows j0+m = 5..9 with their edge at column k0+m = 7..11, and the values
+        d1 and d2 columns to its left where those lie right of N_max; (6, 7) is stored."""
+        return ({(r, r + 2): edge for r in range(5, 10)} | {(r, r + 1): d1 for r in range(7, 10)}
+                | {(r, r): d2 for r in range(7, 10)})
+
+    def test_profile_fills_the_rows_past_n_max(self):
+        spec = self.band6(TailProfile(-1.5, {1: 0.75j, 2: 3}))
+        assert self.new_entries(spec) == self.tail_rows(-1.5, 0.75j, 3)
+
+    @pytest.mark.parametrize("edge, new_edge", [(2.0, 2.0), (0.0, 1.0)])
+    def test_without_a_profile_rows_repeat_row_j0(self, edge, new_edge):
+        assert self.new_entries(self.band6(edge=edge)) == self.tail_rows(new_edge, 0.25, 0.5)
+
+    def test_truncate_command_writes_the_profile(self, tmp_path, capsys):
+        spec = self.band6(TailProfile(-1.5, {1: 0.75j, 2: 3}))
+        path = tmp_path / "spec.json"
+        serialize.dump(serialize.spec_to_dict(spec), path)
+        assert run_cli(["truncate", str(path), "--N", "11"]) == 0
+        data = serialize.matrix_from_dict(json.loads(capsys.readouterr().out)).data
+        assert np.array_equal(data, truncate(spec, 11).data)
+        assert (data[4, 6], data[7, 8], data[8, 8], data[5, 6]) == (-1.5, 0.75j, 3, 0.125)
 
 
 class TestGenerateRandom:
