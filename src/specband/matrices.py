@@ -215,12 +215,22 @@ class ValidationReport:
         }
 
 
+def _tail_values(spec):
+    """The values at offsets 0..k0-j0 left of each tail edge past N_max: the
+    tail profile's or, without one, row j0's (edge 1 where its stored edge is 0)."""
+    j0, k0 = spec.tail
+    offsets = range(1, k0 - j0 + 1)
+    if spec.tail_profile is None:
+        return [spec.entry(j0, k0) or 1.0 + 0j] + [spec.entry(j0, k0 - d) for d in offsets]
+    interior = {int(d): complex(v) for d, v in spec.tail_profile.interior.items()}
+    return [complex(spec.tail_profile.edge)] + [interior.get(d, 0j) for d in offsets]
+
+
 def extend_tail(spec: MatrixSpec, N: int) -> MatrixSpec:
     """Extend the stored entries out to size N following the banded tail.
 
-    New rows j0+m get their edge at column k0+m and interior values from
-    the tail profile or, without one, from row j0 (edge 1 where its stored
-    edge is 0); the pivot map gains pivot(k0+m) = j0+m.  Stored entries are
+    New rows j0+m get their edge at column k0+m and the ``_tail_values``
+    left of it; the pivot map gains pivot(k0+m) = j0+m.  Stored entries are
     never overwritten, and a spec of size N or more is returned as it is.
     """
     if N <= spec.n_max:
@@ -228,22 +238,14 @@ def extend_tail(spec: MatrixSpec, N: int) -> MatrixSpec:
     if spec.tail is None:
         raise TailUndefined(f"cannot extend to N={N}: no tail declared")
     j0, k0 = spec.tail
-    if spec.tail_profile is not None:
-        edge = complex(spec.tail_profile.edge)
-        interior = {int(d): complex(v) for d, v in spec.tail_profile.interior.items()}
-    else:
-        edge = spec.entry(j0, k0) or 1.0 + 0j
-        interior = {d: v for d in range(1, k0 - j0 + 1) if abs(v := spec.entry(j0, k0 - d)) > 0.0}
+    values = _tail_values(spec)
     entries = dict(spec.entries)
     pivot = dict(spec.pivot)
     for c_edge in range(max(k0, spec.n_max + 1), N + 1):
-        m = c_edge - k0
-        r = j0 + m
-        if c_edge > spec.n:
-            pivot.setdefault(c_edge, r)
+        r = j0 + c_edge - k0
+        pivot.setdefault(c_edge, r)
         for c in range(max(r, spec.n_max + 1), c_edge + 1):
-            d = c_edge - c
-            val = edge if d == 0 else interior.get(d, 0j)
+            val = values[c_edge - c]
             if (r, c) not in entries and val != 0:
                 entries[(r, c)] = val
     return MatrixSpec(spec.n, N, entries, pivot, spec.tail, spec.tail_profile)
@@ -323,8 +325,7 @@ def _check_condition2(spec, report):
     j0, k0 = spec.tail
     if k0 - j0 > spec.n:
         report.add("2", (j0, k0), f"tail offset {k0 - j0} exceeds boundary order {spec.n}")
-    m = 0
-    while k0 + m <= spec.n_max:
+    for m in range(spec.n_max - k0 + 1):
         r, c = j0 + m, k0 + m
         if c > spec.n and spec.pivot.get(c) != r:
             report.add("2", (r, c), f"tail column {c} is not pivoted by row {r}")
@@ -340,23 +341,14 @@ def _check_condition2(spec, report):
                     (r, c),
                     f"tail entry ({r},{c}) is not a column edge (nonzero at row {top})",
                 )
-        m += 1
 
 
 def _check_n_minimality(spec, report):
     pivot_rows = set(spec.pivot.values())
     for l in range(1, spec.n):
-        viable = True
-        for c in range(l + 1, spec.n + 1):
-            cands = [
-                j
-                for j in _row_edge_candidates(spec, c)
-                if j not in pivot_rows and j < c
-            ]
-            if len(cands) != 1:
-                viable = False
-                break
-        if viable:
+        # l is viable if each column l+1..n is the edge of exactly one unpivoted row above it
+        if all(sum(j not in pivot_rows and j < c for j in _row_edge_candidates(spec, c)) == 1
+               for c in range(l + 1, spec.n + 1)):
             report.warn(
                 "minimality-n",
                 (l,),
@@ -411,6 +403,35 @@ def _check_mtilde(spec, report):
             )
 
 
+def _check_extension(spec, report):
+    """What ``extend_tail`` reads past the corner: no entry or pivot beyond
+    N_max, a tail that starts by column N_max + 1, no stored pivot row that
+    the tail pivots again, and an edge value that is a structural nonzero,
+    beside which every stored structural nonzero stays one."""
+    n_max, tol = spec.n_max, spec.struct_tol()
+    beyond = [(f"entry ({j},{k})", (j, k)) for j, k in spec.entries if k > n_max]
+    beyond += [(f"pivot of column {c}", (r, c)) for c, r in spec.pivot.items() if c > n_max]
+    for what, where in beyond:
+        report.add("size", where, f"{what} lies beyond N_max={n_max}")
+    if spec.tail is None:
+        return
+    j0, k0 = spec.tail
+    if k0 > n_max + 1:
+        report.add("size", (j0, k0), f"tail ({j0},{k0}) starts beyond column {n_max + 1}")
+        return
+    for c, r in spec.pivot.items():
+        if spec.n < c <= n_max and r > j0 + n_max - k0:
+            report.add("tail", (r, c), f"row {r} pivots column {c} and tail column {k0 + r - j0}")
+    values = _tail_values(spec)
+    tail_tol = max(tol, STRUCT_TOL * max(map(abs, values)))
+    # a stored edge (j0, k0) is condition 2's to read
+    if (spec.tail_profile is not None or k0 > n_max) and abs(values[0]) <= tail_tol:
+        report.add("tail", (j0, k0), f"the tail's edge value {values[0]} is zero")
+    for (j, k), v in spec.entries.items():
+        if tol < abs(v) <= tail_tol:
+            report.add("tail", (j, k), f"entry ({j},{k}) is zero beside the tail's values")
+
+
 def validate_class(spec: MatrixSpec, which: str = "m") -> ValidationReport:
     """Check membership conditions for the base class or its band subclass.
 
@@ -425,6 +446,7 @@ def validate_class(spec: MatrixSpec, which: str = "m") -> ValidationReport:
     for (j, k), v in spec.entries.items():
         if j == k and abs(v.imag) > 1e-9 * max(1.0, abs(v)):
             report.add("hermitian", (j, k), f"diagonal entry ({j},{j}) is not real")
+    _check_extension(spec, report)
     _check_condition1(spec, report)
     _check_condition2(spec, report)
     _check_n_minimality(spec, report)

@@ -3,9 +3,10 @@
 Complex numbers are always written as two-element [re, im] arrays.  Matrix
 entries store the upper triangle only; Hermitian symmetry is implied.
 Every file is ``json.dumps(obj, indent=2)`` text, written by :func:`dumps`,
-which fills one text template per block of scalar lists (such as a matrix's
-[re, im] pairs) and formats each distinct float magnitude of a large block
-once.
+which hands each scalar and each dict or list of scalars to json's C
+encoder, fills one text template per block of scalar lists (such as a
+matrix's [re, im] pairs) and formats each distinct float magnitude of a
+large block once.
 A decoder refuses a missing field or a value of the wrong kind, shape or
 size, such as a null or NaN where a finite number belongs, an ``n`` that is
 no integer >= 1 or a matrix whose ``data`` is not N x N pairs, with a
@@ -226,11 +227,6 @@ def _flat(level):
     return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
 
 
-def _scalars(items):
-    """True if every item is exactly one of the JSON scalar types."""
-    return _SCALARS.issuperset(map(type, items))
-
-
 def _block_leaves(o):
     """Shape and leaves of a rectangular nesting of o, or None.
 
@@ -298,34 +294,10 @@ def _block(o, level):
     return template % tuple(texts)
 
 
-def _mixed(o, level, path):
-    """Items of a container at ``level`` that holds containers, as texts.
-
-    Each run of scalar items takes one C-encoder call; a dict key before a
-    container is encoded on its own.
-    """
-    is_dict = isinstance(o, dict)
-    parts, run = [], []
-    path.add(id(o))
-    for item in o.items() if is_dict else o:
-        value = item[1] if is_dict else item
-        if not isinstance(value, _CONTAINERS):
-            run.append(item)
-            continue
-        if run:
-            parts.append(_flat(level)(dict(run) if is_dict else run)[1:-1])
-            run = []
-        text = _encode(value, level, path)
-        if is_dict:
-            key = item[0]
-            # json writes a str key as encode_basestring_ascii does, and turns others into str
-            key = encode_basestring_ascii(key) if type(key) is str else _flat(0)({key: 0})[1:-4]
-            text = key + ": " + text
-        parts.append(text)
-    if run:
-        parts.append(_flat(level)(dict(run) if is_dict else run)[1:-1])
-    path.discard(id(o))
-    return parts
+def _key(key):
+    """json's text of a dict key; a key that is no str, int, float, bool or None
+    raises the C encoder's ``TypeError``, as json does."""
+    return encode_basestring_ascii(key) if type(key) is str else _flat(0)({key: 0})[1:-4]
 
 
 def _encode(o, level, path):
@@ -337,12 +309,16 @@ def _encode(o, level, path):
     if id(o) in path:
         raise ValueError("Circular reference detected")
     is_dict = isinstance(o, dict)
-    if _scalars(o.values() if is_dict else o):
+    if _SCALARS.issuperset(map(type, o.values() if is_dict else o)):
         body = _flat(level + 1)(o)[1:-1]
     elif not is_dict and (text := _block(o, level)) is not None:
         return text
     else:
-        body = (",\n" + "  " * (level + 1)).join(_mixed(o, level + 1, path))
+        path.add(id(o))
+        items = ((_key(k) + ": " + _encode(v, level + 1, path) for k, v in o.items())
+                 if is_dict else (_encode(v, level + 1, path) for v in o))
+        body = (",\n" + "  " * (level + 1)).join(items)
+        path.discard(id(o))
     opening, closing = "{}" if is_dict else "[]"
     return f"{opening}\n{'  ' * (level + 1)}{body}\n{'  ' * level}{closing}"
 
@@ -350,13 +326,13 @@ def _encode(o, level, path):
 def dumps(obj):
     """``json.dumps(obj, indent=2)``, byte for byte, with the same errors.
 
-    Dicts and lists are walked here, and each run of scalars takes one call
-    of the C encoder, which formats NaN, infinities, ints and strings exactly
-    as json does.  A block, a rectangular nesting of scalar lists such as the
-    [re, im] pairs of a matrix, is one %-template filled with its leaves'
-    texts: in a large block of finite floats each distinct magnitude is
-    formatted once, so the mirrored entries of a Hermitian matrix cost one
-    repr.
+    Dicts and lists are walked here.  Each scalar, and each dict or list that
+    holds only scalars, takes one call of the C encoder, which formats NaN,
+    infinities, ints and strings exactly as json does.  A block, a
+    rectangular nesting of scalar lists such as the [re, im] pairs of a
+    matrix, is one %-template filled with its leaves' texts: in a large block
+    of finite floats each distinct magnitude is formatted once, so the
+    mirrored entries of a Hermitian matrix cost one repr.
     """
     return _encode(obj, 0, set())
 

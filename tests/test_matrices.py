@@ -559,3 +559,76 @@ def test_index_matches_scans_near_threshold(spec):
 @given(sparse_specs())
 def test_index_matches_scans_on_sparse_specs(spec):
     assert_index_matches_scans(spec)
+
+
+def _band_spec(entries=(), pivot=(), tail=(1, 3), profile=None):
+    """n=2, N_max=6, tail (1, 3): edges (j, j+2), a real diagonal, and what is given."""
+    stored = {(j, j + 2): 1.0 for j in range(1, 5)} | {(j, j): 0.5 for j in range(1, 7)}
+    return MatrixSpec(2, 6, stored | dict(entries), {c: c - 2 for c in range(3, 7)} | dict(pivot),
+                      tail, profile)
+
+
+class TestValidateWhatTruncationsUse:
+    """validate_class reads what extend_tail reads past the corner."""
+
+    def test_base_spec_validates_and_extends(self):
+        spec = _band_spec()
+        assert validate_class(spec, "m").passed and validate_class(spec, "mtilde").passed
+        assert analyze_structure(spec, 9).K == (8, 9)
+
+    @pytest.mark.parametrize("spec, clause, message", [
+        (_band_spec({(1, 9): 1.0}), "size", "entry (1,9) lies beyond N_max=6"),
+        (_band_spec(tail=(20, 21)), "size", "tail (20,21) starts beyond column 7"),
+        (_band_spec(profile=TailProfile(0.0)), "tail", "the tail's edge value 0j is zero"),
+        (_band_spec({(7, 8): 1.0}, {8: 6}), "size", "pivot of column 8 lies beyond N_max=6"),
+        # the tail's first row, 2, already pivots column 4
+        (MatrixSpec(3, 4, {(2, 4): 1.0}, {4: 2}, (2, 5)), "tail",
+         "row 2 pivots column 4 and tail column 5"),
+        # beside an edge of 1e15 the stored edges of 1 read as zeros
+        (_band_spec(profile=TailProfile(1e15)), "tail",
+         "entry (1,3) is zero beside the tail's values"),
+    ])
+    @pytest.mark.parametrize("which", ["m", "mtilde"])
+    def test_reports_what_the_extension_breaks(self, spec, clause, message, which):
+        violations = validate_class(spec, which).violations
+        assert (clause, message) in {(v.clause, v.message) for v in violations}
+
+    def test_a_tail_at_column_n_max_plus_1_takes_edge_1(self):
+        # without a profile the edge past N_max is 1, a structural zero beside 1e15
+        spec = MatrixSpec(1, 2, {(1, 2): 1e15}, {2: 1}, (2, 3))
+        assert [v.message for v in validate_class(spec).violations] == [
+            "the tail's edge value (1+0j) is zero"]
+
+
+@st.composite
+def perturbed_specs(draw):
+    """Generated specs with stray entries, pivots, tails and tail profiles up to N_max + 3."""
+    n = draw(st.integers(1, 3))
+    n_max = draw(st.integers(n + 1, n + 6))
+    base = generate_random(GenProfile(n, n_max, mtilde=draw(st.booleans())),
+                           draw(st.integers(0, 10_000)))
+    entries, pivot, tail, profile = dict(base.entries), dict(base.pivot), base.tail, None
+    hi = n_max + 3
+    values = st.sampled_from([0.0, 1e-20, 0.3, 1.0, 1e15])
+    for _ in range(draw(st.integers(0, 1))):
+        j = draw(st.integers(1, hi))
+        entries[(j, draw(st.integers(j, hi)))] = draw(values)
+    if draw(st.booleans()):
+        pivot[draw(st.integers(n + 1, hi))] = draw(st.integers(1, hi))
+    if draw(st.booleans()):  # near column N_max + 1, with an offset in 1..n as condition 2 asks
+        k0 = draw(st.integers(max(n + 1, n_max - 1), n_max + 2))
+        tail = (max(k0 - draw(st.integers(1, n)), 1), k0)
+    if draw(st.booleans()):
+        offsets = draw(st.sets(st.integers(1, 4)))
+        profile = TailProfile(draw(values), {d: draw(values) for d in offsets})
+    return MatrixSpec(n, n_max, entries, pivot, tail, profile)
+
+
+@settings(max_examples=600, deadline=None)
+@given(perturbed_specs())
+def test_a_spec_that_validates_truncates_and_analyzes(spec):
+    if not validate_class(spec, "m").passed:
+        return
+    for N in range(spec.n_max, spec.n_max + 2 * spec.n + 3):
+        assert truncate(spec, N).N == N
+        analyze_structure(spec, N)
