@@ -89,12 +89,11 @@ class Decomposition:
 
 
 def _system_columns(r, p, q, min_s_degree):
-    """Column polynomials (p's, then z^l q_j) and the s-degree bounds."""
+    """Column polynomials (the p's, then z^0..z^d q_j per q_j) and the s-degree bounds d."""
     h_r = height(r)
     cols = list(p)
-    meta = []  # (j, power) bookkeeping for the q-columns
     degs = []
-    for j, qj in enumerate(q):
+    for qj in q:
         h_q = height(qj)
         if h_q == MINUS_INF:
             degs.append(-1)
@@ -106,8 +105,7 @@ def _system_columns(r, p, q, min_s_degree):
         degs.append(d)
         for l in range(d + 1):
             cols.append(qj.z_mul(l) if l else qj)
-            meta.append((j, l))
-    return cols, meta, degs
+    return cols, degs
 
 
 def decompose(r: VectorPolynomial, p, q, tol: float = 1e-8,
@@ -121,7 +119,7 @@ def decompose(r: VectorPolynomial, p, q, tol: float = 1e-8,
     degree budget.  Raises :class:`NoDecomposition` when the
     coefficient-space residual exceeds ``tol`` relative to the size of r.
     """
-    cols, meta, degs = _system_columns(r, p, q, min_s_degree)
+    cols, degs = _system_columns(r, p, q, min_s_degree)
     heights = [height(c) for c in cols] + [height(r)]
     finite = [h for h in heights if h != MINUS_INF]
     length = int(max(finite)) + 1 if finite else 1
@@ -135,15 +133,11 @@ def decompose(r: VectorPolynomial, p, q, tol: float = 1e-8,
     residual = float(np.linalg.norm(A @ x - b))
     scale = float(np.linalg.norm(b))
     a = x[: len(p)]
-    qcoeffs = x[len(p):].tolist()
-    s = []
-    for j, d in enumerate(degs):
-        coeffs = [0j] * (d + 1)
-        for (jj, l), val in zip(meta, qcoeffs):
-            if jj == j:
-                coeffs[l] = val
-        s.append(tuple(coeffs))
-    if residual > tol * max(scale, 1e-30):
+    s, start = [], len(p)
+    for d in degs:
+        s.append(tuple(x[start:start + d + 1].tolist()))
+        start += d + 1
+    if residual > tol * max(scale, 1e-300):
         raise NoDecomposition(
             f"residual {residual:.3e} exceeds tolerance for scale {scale:.3e}",
             residual=residual,

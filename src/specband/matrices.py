@@ -12,6 +12,10 @@ serves as a pivot is indistinguishable from a true row edge, so the pivot
 designation is explicit input data rather than something inferred from the
 stored entries.
 
+Condition 1 (each column past n has its own pivot row, whose entry there is
+a nonzero row edge) is stated once, in ``_pivot_faults``: ``analyze_structure``
+raises the first breach of it that ``validate_class`` reports, in its words.
+
 Every :class:`MatrixSpec` indexes its structural nonzeros once, when it is
 built, so the structural queries behind validation cost O(1)
 (``struct_tol``, ``column_topmost``) or O(log E) (``row_rightmost``) per
@@ -252,26 +256,14 @@ def extend_tail(spec: MatrixSpec, N: int) -> MatrixSpec:
 
 
 def analyze_structure(spec: MatrixSpec, N: int) -> StructureInfo:
-    """Split the rows of the N x N truncation into pivot duty and its complement."""
+    """Split the rows of the N x N truncation into pivot duty and its complement,
+    raising the first breach of condition 1 in its columns n+1..N."""
     if N <= spec.n:
         raise ValueError(f"truncation size must exceed n={spec.n}")
     spec = extend_tail(spec, N)
-    pivot = {}
-    for c in range(spec.n + 1, N + 1):
-        if c not in spec.pivot:
-            raise MissingPivot(f"column {c} has no designated pivot row")
-        r = spec.pivot[c]
-        if not 1 <= r < c:
-            raise PivotViolation(f"pivot row {r} of column {c} must satisfy 1 <= r < c")
-        if not spec.is_structural_nonzero(r, c):
-            raise PivotViolation(f"pivot entry ({r},{c}) is zero")
-        rightmost = spec.row_rightmost(r)
-        if rightmost != c:
-            raise PivotViolation(
-                f"pivot entry ({r},{c}) is not the rightmost nonzero of row {r} "
-                f"(found column {rightmost})"
-            )
-        pivot[c] = r
+    for error, _, message in _pivot_faults(spec, N):
+        raise error(message)
+    pivot = {c: spec.pivot[c] for c in range(spec.n + 1, N + 1)}
     return StructureInfo.from_pivot(spec.n, N, pivot)
 
 
@@ -294,28 +286,33 @@ def _row_edge_candidates(spec, column):
     return [j for j in spec._partners.get(column, ()) if spec.row_rightmost(j) == column]
 
 
-def _check_condition1(spec, report):
+def _pivot_faults(spec, upto):
+    """Condition 1 in columns n+1..upto, column by column: an (error type, where,
+    message) for a missing pivot, a row out of range, a zero pivot entry, a
+    nonzero right of the edge and a row that pivots two columns."""
     seen_rows = {}
-    for c in range(spec.n + 1, spec.n_max + 1):
+    for c in range(spec.n + 1, upto + 1):
         if c not in spec.pivot:
-            report.add("1", (c,), f"column {c} lacks a pivot row")
+            yield MissingPivot, (c,), f"column {c} lacks a pivot row"
             continue
         r = spec.pivot[c]
         if not 1 <= r < c:
-            report.add("1", (r, c), f"pivot row {r} of column {c} out of range")
+            yield PivotViolation, (r, c), f"pivot row {r} of column {c} out of range"
             continue
         if not spec.is_structural_nonzero(r, c):
-            report.add("1", (r, c), f"pivot entry ({r},{c}) is zero")
+            yield PivotViolation, (r, c), f"pivot entry ({r},{c}) is zero"
         rightmost = spec.row_rightmost(r)
         if rightmost > c:
-            report.add(
-                "1",
-                (r, c),
-                f"row {r} has a nonzero at column {rightmost}, right of its edge {c}",
-            )
+            yield (PivotViolation, (r, c),
+                   f"row {r} has a nonzero at column {rightmost}, right of its edge {c}")
         if r in seen_rows:
-            report.add("1", (r, c), f"row {r} pivots both columns {seen_rows[r]} and {c}")
+            yield PivotViolation, (r, c), f"row {r} pivots both columns {seen_rows[r]} and {c}"
         seen_rows[r] = c
+
+
+def _check_condition1(spec, report):
+    for _, where, message in _pivot_faults(spec, spec.n_max):
+        report.add("1", where, message)
 
 
 def _check_condition2(spec, report):
@@ -405,9 +402,10 @@ def _check_mtilde(spec, report):
 
 def _check_extension(spec, report):
     """What ``extend_tail`` reads past the corner: no entry or pivot beyond
-    N_max, a tail that starts by column N_max + 1, no stored pivot row that
-    the tail pivots again, and an edge value that is a structural nonzero,
-    beside which every stored structural nonzero stays one."""
+    N_max, no tail-profile offset outside the 1..k0-j0 that it reads, a tail
+    that starts by column N_max + 1, no stored pivot row that the tail pivots
+    again, and an edge value that is a structural nonzero, beside which every
+    stored structural nonzero stays one."""
     n_max, tol = spec.n_max, spec.struct_tol()
     beyond = [(f"entry ({j},{k})", (j, k)) for j, k in spec.entries if k > n_max]
     beyond += [(f"pivot of column {c}", (r, c)) for c, r in spec.pivot.items() if c > n_max]
@@ -416,6 +414,9 @@ def _check_extension(spec, report):
     if spec.tail is None:
         return
     j0, k0 = spec.tail
+    for d in map(int, spec.tail_profile.interior if spec.tail_profile else ()):
+        if not 1 <= d <= k0 - j0:
+            report.add("tail", (d,), f"tail profile offset {d} lies outside 1..{k0 - j0}")
     if k0 > n_max + 1:
         report.add("size", (j0, k0), f"tail ({j0},{k0}) starts beyond column {n_max + 1}")
         return

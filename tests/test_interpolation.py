@@ -236,12 +236,14 @@ class TestDecompose:
             dec = decompose(r, p, q)
             assert dec.relative_residual < 1e-8
 
-    def test_no_decomposition_raises(self, flip2):
+    # the residual is relative at any scale: a tiny r is refused as a large one
+    @pytest.mark.parametrize("scale", [1.0, 1e-40])
+    def test_no_decomposition_raises(self, flip2, scale):
         # e_1 of a 1-dim system cannot be built from p_1 alone with q absent
         _, _, _, _, p, q = pipeline(flip2, 2)
         stray = canonical_e(4, 1) + canonical_e(1, 1) * 0.5  # z^3 + 0.5
         with pytest.raises(NoDecomposition) as err:
-            decompose(stray, p[:1], [], tol=1e-10)
+            decompose(stray * scale, p[:1], [], tol=1e-10)
         assert err.value.residual > 0
 
 

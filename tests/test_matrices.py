@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from specband import (
 )
 from specband import matrices, serialize
 from specband.cli import run_cli
-from specband.errors import InconsistentProfile
+from specband.errors import InconsistentProfile, SpecbandError
 from specband.matrices import STRUCT_TOL
 from conftest import (
     make_fix7,
@@ -97,22 +98,61 @@ class TestAnalyzeStructure:
         with pytest.raises(PivotViolation, match="not injective"):
             StructureInfo.from_pivot(1, 3, {2: 1, 3: 1})
 
+    @staticmethod
+    def assert_first_breach(spec, error, message):
+        """analyze_structure raises condition 1's first breach, in validate_class's words."""
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            analyze_structure(spec, spec.n_max)
+        first = next(v for v in validate_class(spec).violations if v.clause == "1")
+        assert first.message == message
+
     def test_missing_pivot(self, flip2):
         broken = MatrixSpec(1, 3, dict(flip2.entries) | {(2, 3): 1.0}, {2: 1}, (1, 2))
-        with pytest.raises(MissingPivot):
-            analyze_structure(broken, 3)
+        self.assert_first_breach(broken, MissingPivot, "column 3 lacks a pivot row")
 
     def test_zero_pivot_entry(self):
         spec = MatrixSpec(1, 2, {(1, 1): 1.0, (2, 2): 1.0}, {2: 1}, (1, 2))
-        with pytest.raises(PivotViolation):
-            analyze_structure(spec, 2)
+        self.assert_first_breach(spec, PivotViolation, "pivot entry (1,2) is zero")
 
     def test_pivot_not_rightmost(self):
         spec = MatrixSpec(
             1, 3, {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0}, {2: 1, 3: 2}, (2, 3)
         )
-        with pytest.raises(PivotViolation):
-            analyze_structure(spec, 3)
+        self.assert_first_breach(
+            spec, PivotViolation, "row 1 has a nonzero at column 3, right of its edge 2")
+
+
+@st.composite
+def broken_pivot_specs(draw):
+    """Generated specs with one pivot dropped, moved to another row or pointed at a zero."""
+    n = draw(st.integers(1, 3))
+    n_max = draw(st.integers(n + 1, n + 8))
+    base = generate_random(GenProfile(n, n_max, mtilde=draw(st.booleans())),
+                           draw(st.integers(0, 10_000)))
+    entries, pivot = dict(base.entries), dict(base.pivot)
+    c = draw(st.integers(n + 1, n_max))
+    how = draw(st.sampled_from(["drop", "move", "zero"]))
+    if how == "drop":
+        del pivot[c]
+    elif how == "move":
+        pivot[c] = draw(st.integers(1, n_max).filter(lambda r: r != pivot[c]))
+    else:
+        entries[(pivot[c], c)] = 0.0
+    return MatrixSpec(n, n_max, entries, pivot, base.tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(broken_pivot_specs())
+def test_analyze_structure_raises_exactly_what_condition_1_reports_first(spec):
+    breaches = [v for v in validate_class(spec).violations if v.clause == "1"]
+    if not breaches:
+        analyze_structure(spec, spec.n_max)
+        return
+    first = breaches[0]
+    error = MissingPivot if len(first.where) == 1 else PivotViolation
+    with pytest.raises(SpecbandError) as caught:
+        analyze_structure(spec, spec.n_max)
+    assert (type(caught.value), str(caught.value)) == (error, first.message)
 
 
 class TestValidateClass:
@@ -580,6 +620,11 @@ class TestValidateWhatTruncationsUse:
         (_band_spec({(1, 9): 1.0}), "size", "entry (1,9) lies beyond N_max=6"),
         (_band_spec(tail=(20, 21)), "size", "tail (20,21) starts beyond column 7"),
         (_band_spec(profile=TailProfile(0.0)), "tail", "the tail's edge value 0j is zero"),
+        # extend_tail reads the profile's offsets 1..k0-j0 only
+        (_band_spec(profile=TailProfile(1.0, {5: 7.0})), "tail",
+         "tail profile offset 5 lies outside 1..2"),
+        (_band_spec(profile=TailProfile(1.0, {0: 3.0})), "tail",
+         "tail profile offset 0 lies outside 1..2"),
         (_band_spec({(7, 8): 1.0}, {8: 6}), "size", "pivot of column 8 lies beyond N_max=6"),
         # the tail's first row, 2, already pivots column 4
         (MatrixSpec(3, 4, {(2, 4): 1.0}, {4: 2}, (2, 5)), "tail",
