@@ -37,7 +37,11 @@ each instance ``--repeats`` times.  Before each instance the pass takes one
 of perfbench's speed probes, and every time of a pass is scaled by
 ``PROBE_REF_S`` over the median of its probes, as perfbench scales its
 rounds: unscaled, a cell moved by about 30 % between two runs of this
-script on the same checkouts.  The output holds, per cell and checkout,
+script on the same checkouts.  The scaled per-cell times still moved by
+10-30 % on unchanged code, as the probe carries the host's noise too, so
+every timing also records the process CPU time of the call
+(``time.process_time``, unscaled), and each median time ``*_ms`` of the
+output has a ``*_cpu_ms`` beside it.  The output holds, per cell and checkout,
 the median scaled times in ms (of each round-trip stage too), the emitted
 counts and the round trip's eigenvalue errors per seed ("inf" where the
 recovered size is wrong, null where it raised), the stages that raised,
@@ -78,15 +82,23 @@ writes: a ``measure`` of n=3 N=160, a ``gen``
 spec of n=3 N=160, a ``generators`` report of n=3 N=40 and a ``roundtrip
 --batch 16`` report, each with ``identical`` over the sha256 of its text.
 On a shared 2-core host the same code's time for these payloads moved by
-up to 1.6 times within seconds, which the probe does not undo, so
-``payloads_ab`` also times both checkouts' ``serialize.dumps`` in one
-process (the after checkout's ``src/`` on the path), alternating
-``AB_ROUNDS`` times: the median times, the share of rounds the after
-checkout was faster and the quartiles of its time ratio.
+up to 1.6 times within seconds, which the probe does not undo, and so did
+the CPU time of unchanged code (``generate_random``'s by -22 % to +30 %
+between the checkouts of one run).  So both checkouts' packages are also
+imported into one process, which alternates between them: ``payloads_ab``
+times their ``serialize.dumps`` of each payload ``AB_ROUNDS`` times, and
+``sweep_ab`` their ``orthonormalize(mu, N)`` of each grid cell's five GUE
+measures, all five in one timing, ``SWEEP_AB_ROUNDS`` times.  Each holds
+the median times (the wall times unscaled), the share of rounds in which
+the after checkout took less CPU time, the quartiles of its CPU-time ratio
+and whether both checkouts' outputs are identical (for a sweep, its
+record: decisions, orthogonality loss and the sha256 of its ``weights``
+and ``t_tilde`` bytes).
 """
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -113,16 +125,18 @@ INVERSE_GRID = [(n, N) for n in (1, 2, 3) for N in (20, 40, 80, 160)]  # perfben
 INVERSE_SEEDS = (530, 531)
 INVERSE_ROUNDS = 32  # perfbench's Inverse.pool_rounds
 AB_ROUNDS = 200
+SWEEP_AB_ROUNDS = 40
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _timed(fn, *args):
-    start = time.perf_counter()
+    """((wall ms, process CPU ms), output or the exception raised) of one call."""
+    start, cpu = time.perf_counter(), time.process_time()
     try:
         out = fn(*args)
     except Exception as exc:  # noqa: BLE001 - a failure is recorded, not raised
         out = exc
-    return 1e3 * (time.perf_counter() - start), out
+    return (1e3 * (time.perf_counter() - start), 1e3 * (time.process_time() - cpu)), out
 
 
 def _sweep_record(res):
@@ -402,51 +416,84 @@ def worker(repeats):
         inverse = _inverse_records(repeats, tmp, probes)
         payloads = _payload_records(repeats, tmp)
     scale = 1e3 * measure.PROBE_REF_S / statistics.median(probes)
+
+    def scaled(times):  # the wall time of each (wall, CPU) pair scaled, the CPU time kept
+        return [(scale * ms, cpu) for ms, cpu in times]
+
     for rec in records:
         for key in ("gue_ms", "roundtrip_ms", "generate_ms"):
-            rec[key] = [scale * ms for ms in rec[key]]
+            rec[key] = scaled(rec[key])
     for rec in direct:
-        rec["direct_check_ms"] = [scale * ms for ms in rec["direct_check_ms"]]
+        rec["direct_check_ms"] = scaled(rec["direct_check_ms"])
     for rec in records + direct:
-        rec["stage_ms"] = {name: [scale * ms for ms in times]
-                           for name, times in rec["stage_ms"].items()}
+        rec["stage_ms"] = {name: scaled(times) for name, times in rec["stage_ms"].items()}
     for rec in inverse:
         for key in ("op_ms", "dumps_ms"):
-            rec[key] = [scale * ms for ms in rec[key]]
+            rec[key] = scaled(rec[key])
     for rec in payloads.values():
-        rec["dumps_ms"] = [scale * ms for ms in rec["dumps_ms"]]
+        rec["dumps_ms"] = scaled(rec["dumps_ms"])
     json.dump({"probe_ms": statistics.median(probes), "records": records, "direct": direct,
                "inverse": inverse, "payloads": payloads}, sys.stdout)
 
 
-def ab_worker(before, after, rounds):
-    """Both checkouts' ``serialize.dumps`` of each payload, alternating in this one process."""
-    import importlib.util
+def _fresh_specband(checkout):
+    """The checkout's specband package, imported anew: every specband module
+    imported so far is dropped from ``sys.modules`` first."""
+    for name in [m for m in sys.modules if m.partition(".")[0] == "specband"]:
+        del sys.modules[name]
+    sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
+    try:
+        import specband.reconstruct
+        import specband.serialize  # noqa: F401 - read through the package
+        return specband
+    finally:
+        sys.path.pop(0)
 
-    dumps = {}
-    for side, checkout in (("before", before), ("after", after)):
-        path = os.path.join(checkout, "src", "specband", "serialize.py")
-        spec = importlib.util.spec_from_file_location(f"specband._{side}_serialize", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        dumps[side] = module.dumps
+
+def _ab(calls, rounds):
+    """Each checkout's call, alternating ``rounds`` times in this one process:
+    the median times, the share of rounds the after checkout took less CPU time
+    and the quartiles of its CPU-time ratio."""
+    times = {"before": [], "after": []}
+    for i in range(rounds):
+        for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
+            times[side].append(_timed(calls[side])[0])
+    ratios = [a[1] / b[1] for a, b in zip(times["after"], times["before"])]
+    return {**_medians("before", times["before"]), **_medians("after", times["after"]),
+            "after_faster": f"{sum(r < 1 for r in ratios)}/{rounds}",
+            "ratio_quartiles": [round(q, 3) for q in statistics.quantiles(ratios, n=4)]}
+
+
+def _orthonormalize_each(reconstruct, mus, N):
+    return [reconstruct.orthonormalize(mu, N) for mu in mus]
+
+
+def ab_worker(before, after):
+    """Both checkouts in this one process, alternating: ``serialize.dumps`` of
+    each payload and ``orthonormalize`` of each grid cell's GUE measures."""
+    import workloads
+
     with tempfile.TemporaryDirectory() as tmp:
         docs = _payload_docs(tmp)
-    out = {}
+        paths = {(n, N): [workloads.measure_instance(seed, n, N, 0, tmp).path for seed in SEEDS]
+                 for n, N in GRID}
+        pkgs = {"before": _fresh_specband(before), "after": _fresh_specband(after)}
+        measures = {cell: {side: [pkg.serialize.measure_from_dict(pkg.serialize.load(path))
+                                  for path in cell_paths] for side, pkg in pkgs.items()}
+                    for cell, cell_paths in paths.items()}
+    payloads = {}
     for kind, doc in docs.items():
-        times = {"before": [], "after": []}
-        for i in range(rounds):
-            for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
-                times[side].append(_timed(dumps[side], doc)[0])
-        ratios = [a / b for a, b in zip(times["after"], times["before"])]
-        out[kind] = {
-            "before_ms": _median(times["before"]),
-            "after_ms": _median(times["after"]),
-            "after_faster": f"{sum(r < 1 for r in ratios)}/{rounds}",
-            "ratio_quartiles": [round(q, 3) for q in statistics.quantiles(ratios, n=4)],
-            "identical": dumps["before"](doc) == dumps["after"](doc),
-        }
-    json.dump(out, sys.stdout)
+        calls = {side: functools.partial(pkg.serialize.dumps, doc) for side, pkg in pkgs.items()}
+        texts = {c() for c in calls.values()}
+        payloads[kind] = dict(_ab(calls, AB_ROUNDS), identical=len(texts) == 1)
+    sweeps = []
+    for (n, N), mus in measures.items():
+        calls = {side: functools.partial(_orthonormalize_each, pkg.reconstruct, mus[side], N)
+                 for side, pkg in pkgs.items()}
+        records = {side: [_sweep_record(r) for r in call()] for side, call in calls.items()}
+        sweeps.append(dict(_ab(calls, SWEEP_AB_ROUNDS), n=n, N=N,
+                           identical=records["before"] == records["after"]))
+    json.dump({"payloads_ab": payloads, "sweep_ab": sweeps}, sys.stdout)
 
 
 def run_side(checkout, repeats, *extra):
@@ -459,6 +506,13 @@ def run_side(checkout, repeats, *extra):
 
 def _median(values):
     return round(statistics.median(values), 3) if values else None
+
+
+def _medians(key, times):
+    """``{key}_ms``, the median wall time, and ``{key}_cpu_ms``, the median
+    process CPU time, of (wall, CPU) pairs."""
+    return {f"{key}_ms": _median([ms for ms, _ in times]),
+            f"{key}_cpu_ms": _median([cpu for _, cpu in times])}
 
 
 def _finite(value):
@@ -483,14 +537,14 @@ def summarize(passes):
             gue = [r["gue"] for r in final]
             stage = [r["stage"] for r in final if "stage" in r]
             trips = [r["roundtrip"] for r in final]
+            stages = {name: _medians(name, [t for r in recs for t in r["stage_ms"].get(name, [])])
+                      for name in ROUNDTRIP_STAGES}
             cell[side] = {
-                "orthonormalize_gue_ms": _median([t for r in recs for t in r["gue_ms"]]),
-                "roundtrip_ms": _median([t for r in recs for t in r["roundtrip_ms"]]),
-                "generate_ms": _median([t for r in recs for t in r["generate_ms"]]),
-                "roundtrip_stage_ms": {
-                    name: _median([t for r in recs for t in r["stage_ms"].get(name, [])])
-                    for name in ROUNDTRIP_STAGES
-                },
+                **_medians("orthonormalize_gue", [t for r in recs for t in r["gue_ms"]]),
+                **_medians("roundtrip", [t for r in recs for t in r["roundtrip_ms"]]),
+                **_medians("generate", [t for r in recs for t in r["generate_ms"]]),
+                "roundtrip_stage_ms": {name: m[f"{name}_ms"] for name, m in stages.items()},
+                "roundtrip_stage_cpu_ms": {name: m[f"{name}_cpu_ms"] for name, m in stages.items()},
                 "emitted_gue": [g.get("emitted") for g in gue],
                 "emitted_roundtrip": [s.get("emitted") for s in stage],
                 "orthogonality_loss_max": max((s["loss"] for s in gue + stage if "loss" in s),
@@ -525,12 +579,12 @@ def summarize_direct(passes):
         for side, runs in passes.items():
             recs = [r for run in runs for r in run["direct"] if (r["n"], r["N"]) == (n, N)]
             last[side] = [r for r in runs[-1]["direct"] if (r["n"], r["N"]) == (n, N)]
-            cell[side] = {
-                f"{name}_ms": _median([t for r in recs for t in r["stage_ms"].get(name, [])])
-                for name in DIRECT_STAGES
-            }
-            cell[side]["direct_check_ms"] = _median(
-                [t for r in recs for t in r["direct_check_ms"]])
+            cell[side] = {}
+            for name in DIRECT_STAGES:
+                times = [t for r in recs for t in r["stage_ms"].get(name, [])]
+                cell[side].update(_medians(name, times))
+            times = [t for r in recs for t in r["direct_check_ms"]]
+            cell[side].update(_medians("direct_check", times))
             cell[side]["failures"] = sorted(r["failure"] for r in last[side] if "failure" in r)
             cell[side]["minimal"] = [r.get("minimal") for r in last[side]]
         before, after = last["before"], last["after"]
@@ -564,9 +618,10 @@ def summarize_inverse(passes):
             last[side] = [r for r in runs[-1]["inverse"] if (r["n"], r["N"]) == (n, N)]
             op = [t for r in recs for t in r["op_ms"]]
             cell[side] = {
-                "op_ms": _median(op),
-                "op_p90_ms": _p90(op),
-                "dumps_ms": _median([t for r in recs for t in r["dumps_ms"]]),
+                **_medians("op", op),
+                "op_p90_ms": _p90([ms for ms, _ in op]),
+                "op_p90_cpu_ms": _p90([cpu for _, cpu in op]),
+                **_medians("dumps", [t for r in recs for t in r["dumps_ms"]]),
                 "gate_failures": sum(r["failure"] is not None for r in last[side]),
             }
         before, after = last["before"], last["after"]
@@ -583,8 +638,10 @@ def summarize_payloads(passes):
     """Per payload kind: the median scaled ``dumps`` time per checkout and whether the texts agree."""
     out = {}
     for kind in passes["before"][-1]["payloads"]:
-        out[kind] = {side: _median([t for run in runs for t in run["payloads"][kind]["dumps_ms"]])
-                     for side, runs in passes.items()}
+        out[kind] = {}
+        for side, runs in passes.items():
+            times = [t for run in runs for t in run["payloads"][kind]["dumps_ms"]]
+            out[kind].update(_medians(side, times))
         out[kind]["identical"] = len({run["payloads"][kind]["sha256"]
                                       for runs in passes.values() for run in runs}) == 1
     return out
@@ -610,7 +667,7 @@ def main(argv=None):
     ap.add_argument("--ab", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker and args.ab:
-        return ab_worker(*args.ab, rounds=AB_ROUNDS)
+        return ab_worker(*args.ab)
     if args.worker:
         return worker(args.repeats)
     if args.before is None:
@@ -627,7 +684,8 @@ def main(argv=None):
         "direct_grid": {"n": [1, 2, 3], "N": [10, 20, 40], "seeds": list(SEEDS)},
         "inverse_grid": {"n": [1, 2, 3], "N": [20, 40, 80, 160], "seeds": list(INVERSE_SEEDS),
                          "rounds": INVERSE_ROUNDS},
-        "times": "ms, each pass scaled by perfbench's PROBE_REF_S over its median probe",
+        "times": ("ms; *_ms wall-clock, each pass scaled by perfbench's PROBE_REF_S over its "
+                  "median probe; *_cpu_ms process CPU time (time.process_time), unscaled"),
         "passes": args.passes,
         "repeats": args.repeats,
         "threads": 1,
@@ -639,8 +697,8 @@ def main(argv=None):
         "direct_cells": summarize_direct(passes),
         "inverse_cells": summarize_inverse(passes),
         "payloads": summarize_payloads(passes),
-        "payloads_ab": run_side(args.after, args.repeats, "--ab",
-                                os.path.abspath(args.before), os.path.abspath(args.after)),
+        **run_side(args.after, args.repeats, "--ab",
+                   os.path.abspath(args.before), os.path.abspath(args.after)),
     }
     text = json.dumps(doc, indent=1)
     if args.output:

@@ -14,9 +14,14 @@ assembles a matrix in the band-with-degenerations class whose step
 spectral function reproduces sigma.
 
 Working representation: the sweep reads the measure once into a lambda
-vector and the block of conj(C^p), so the spectral coordinates of e_k,
-w[p] = (C^p)* e_k(lambda_p), are one array expression.  The emitted
-coordinates are the rows of one array V.  A residual is reduced by
+vector and the n rows conj(C^p)_i over the points p.  The spectral
+coordinates of e_k, w[p] = (C^p)* e_k(lambda_p), are row i of the
+coordinate block lambda^l conj(C)_i of level l, where k - 1 = l n + i.  A
+level's block is formed once, at its first height that the lattice rule
+does not skip, so that an overflowing power raises at the height where it
+is first read.  Norms are sqrt(x.x + y.y) over the real and imaginary
+parts, the sum that ``np.linalg.norm`` takes, without its wrapper.  The
+emitted coordinates are the rows of one array V.  A residual is reduced by
 classical Gram-Schmidt, twice: each pass takes every multiplier at once,
 cs = V* w, and subtracts cs V, so w is orthogonal to V at working precision
 (Giraud, Langou, Rozloznik & van den Eshof, Numer. Math. 101, 2005).  Only
@@ -30,6 +35,7 @@ dimensions; the checks that the matrix needs are ``orthonormalize``'s.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +56,6 @@ from .spectral import (
     _subtract_in_order,
     build_p,
     build_q,
-    canonical_coordinates,
     eigen_decompose,
     step_measure,
 )
@@ -182,55 +187,60 @@ def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
     """
     n = mu.n
     lam, conj_c = mu.spectral_arrays()
+    cols = conj_c.T.copy()  # row i: conj(C^p)_i over the points p
     # the first m rows of ``basis`` hold the emitted p~'s spectral coordinates,
     # row j of ``heads`` the j-th constant's coefficients of e_1..e_n
     basis = np.zeros((cap, mu.size), dtype=complex)
     heads = np.zeros((n, n), dtype=complex)
+    b = basis[:0]
     emitted = []
     q_heights = []
+    closed = set()  # residues mod n of the degeneration heights
     skip_log = []
+    level = None
     k = 0
     while len(q_heights) < n:
         k += 1
         h = k - 1
-        if any((h - hq) > 0 and (h - hq) % n == 0 for hq in q_heights):  # lattice hit
+        l, i = divmod(h, n)
+        if i in closed:  # h lies on the lattice of an earlier degeneration
             skip_log.append(k)
             continue
+        if l != level:
+            # lambda^l, formed at the level's first height that is not skipped;
+            # np.float_power gives Python's float ** int bit for bit
+            level, power = l, np.float_power(lam, l)
+            try:
+                block = power * cols
+            except FloatingPointError:
+                block = None  # some row overflows: form each row where it is read
+        w = power * cols[i] if block is None else block[i]
+        x, y = w.real, w.imag  # np.linalg.norm's sum; its dot raises on overflow
+        e_norm = math.sqrt(x.dot(x) + y.dot(y))
         m = len(emitted)
-        w, passes, e_norm = _residual(lam, conj_c, k, basis[:m])
-        norm = float(np.linalg.norm(w))
+        passes = []
+        for _ in range(2 if m else 0):  # nothing to subtract before the first emitted row
+            cs = (b @ w.conj()).conj()
+            w = w - cs @ b
+            passes.append(cs)
+        x, y = w.real, w.imag
+        norm = math.sqrt(x.dot(x) + y.dot(y))
         if norm <= zero_tol * max(e_norm, 1e-300):
             q_heights.append(h)
+            closed.add(i)
         elif m < cap:
             if m < n:  # a constant: e_k's e_1..e_n part, reduced as w was
                 head = np.eye(1, n, h, dtype=complex)[0]
                 for cs in passes:
                     head = _subtract_in_order(head, cs, heads[:m])
                 heads[m] = head * (1.0 / norm)
-            basis[m] = w / norm
+            np.divide(w, norm, out=basis[m])
             emitted.append(h)
+            b = basis[: m + 1]
         else:
             # cap reached and the next direction is not degenerate: stop
             break
-    return basis[: len(emitted)], emitted, heads, q_heights, skip_log
-
-
-def _residual(lam, conj_c, k, basis):
-    """Classical Gram-Schmidt step for e_k against the emitted system, run twice.
-
-    ``basis`` holds the emitted spectral coordinates, a row per emitted p~.
-    Each pass takes all multipliers at once, cs = basis* w, and subtracts
-    cs basis from w.  Returns the residual's spectral coordinates, the
-    multipliers of the two passes and the norm of e_k's coordinates.
-    """
-    w = canonical_coordinates(lam, conj_c, k - 1)
-    e_norm = float(np.linalg.norm(w))
-    passes = []
-    for _ in range(2):
-        cs = (basis @ w.conj()).conj()
-        w = w - cs @ basis
-        passes.append(cs)
-    return w, passes, e_norm
+    return b, emitted, heads, q_heights, skip_log
 
 
 def recover_matrix(res: OrthoResult) -> FiniteHermitian:
@@ -251,7 +261,7 @@ def spec_from_dense(data: np.ndarray, n: int) -> MatrixSpec:
     N = data.shape[0]
     scale = float(np.max(np.abs(data))) or 1.0
     upper = np.triu(np.abs(data) > RECOVER_STRUCT_TOL * scale)
-    entries = {(j + 1, k + 1): complex(data[j, k]) for j, k in np.argwhere(upper).tolist()}
+    entries = dict(zip(map(tuple, (np.argwhere(upper) + 1).tolist()), data[upper].tolist()))
     # 1-based rightmost column per row and topmost row per column, 0 where
     # empty; the upper triangle decides every edge a pivot can sit on
     rightmost = np.where(upper.any(axis=1), N - np.argmax(upper[:, ::-1], axis=1), 0)

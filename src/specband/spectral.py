@@ -197,19 +197,6 @@ def cluster_starts(lam, cluster_tol=CLUSTER_TOL):
     return np.flatnonzero(first)
 
 
-def canonical_coordinates(lam, conj_c, m) -> np.ndarray:
-    """(C^p)* e_{m+1}(lambda_p), an entry per point p, for a 0-based index m.
-
-    ``lam`` and ``conj_c`` are a measure's ``spectral_arrays()``.  Unlike
-    ``**`` on arrays, ``np.float_power`` gives Python's ``float ** int`` bit
-    for bit; an overflowing power raises ``FloatingPointError``.
-    """
-    n = conj_c.shape[1]
-    with np.errstate(over="raise"):
-        power = np.float_power(lam, m // n)
-    return power * conj_c[:, m % n]
-
-
 def jump_rank(jump):
     """Numerical rank of a jump matrix via its singular values."""
     svals = np.linalg.svd(jump, compute_uv=False)

@@ -166,6 +166,23 @@ def test_overflow_is_no_degeneration():
         kernel_dimension(InterpolationData.from_measure(mu), 2)
 
 
+def test_overflow_at_a_skipped_first_height_of_its_level():
+    # e_1 has zero norm (degeneration at height 0), so the even heights 2, 4,
+    # ... are skipped; lambda^2 overflows, and the first height of level 2
+    # that the sweep reaches is 5
+    mu = StepMeasure(2, [-1e200, 0.0, 1e200], [[0.0, 1e-150]] * 3)
+    with pytest.raises(FloatingPointError, match="overflow encountered in float_power"):
+        kernel_dimension(InterpolationData.from_measure(mu), 5)
+
+
+def test_overflow_in_a_skipped_row_raises_nothing():
+    # e_2 is a multiple of e_1 (degeneration at height 1), so the odd heights
+    # are skipped; lambda^2 * 1e150 overflows, but only at the skipped height 5
+    mu = StepMeasure(2, [1e80, 2e80, 3e80], [[1e-150, 1e150]] * 3)
+    data = InterpolationData.from_measure(mu)
+    assert [kernel_dimension(data, h) for h in range(8)] == [0, 1, 1, 2, 2, 3, 4, 5]
+
+
 class TestRecoverMatrix:
     def test_flip2_self_reconstruction(self, flip2):
         mu, m, _ = measure_of(flip2, 2)
@@ -445,7 +462,7 @@ class TestSweepMatchesReference:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gue_measures(self, n):
-        for N in (n + 1, 10, 20, 40, 80):
+        for N in (n + 1, 10, 20, 40, 80, 160):
             mu = gue_measure(N, n, N)
             assert_sweep_like_reference(mu, N // 3 + n)
             res = assert_sweep_like_reference(mu, N)
@@ -538,8 +555,9 @@ def test_emitted_coordinates_are_orthonormal(mu, zero_tol):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_coefficients_are_reduced_only_for_the_constants(monkeypatch, n):
-    # two classical Gram-Schmidt passes for each of the n constants, none for
-    # the rows after them, whose coefficients T~ never reads
+    # two classical Gram-Schmidt passes for each of the n constants but the
+    # first, which has no emitted row to subtract, and none for the rows after
+    # them, whose coefficients T~ never reads
     calls = []
 
     def counted(*args):
@@ -549,7 +567,7 @@ def test_coefficients_are_reduced_only_for_the_constants(monkeypatch, n):
     monkeypatch.setattr(reconstruct, "_subtract_in_order", counted)
     res = orthonormalize(gue_measure(0, n, 40), 40)
     assert len(res.weights) > n
-    assert calls == [m for m in range(n) for _ in range(2)]
+    assert calls == [m for m in range(1, n) for _ in range(2)]
 
 
 def test_orthogonality_loss_is_computed_when_read(fix7):
