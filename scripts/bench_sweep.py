@@ -37,11 +37,7 @@ each instance ``--repeats`` times.  Before each instance the pass takes one
 of perfbench's speed probes, and every time of a pass is scaled by
 ``PROBE_REF_S`` over the median of its probes, as perfbench scales its
 rounds: unscaled, a cell moved by about 30 % between two runs of this
-script on the same checkouts.  The scaled per-cell times still moved by
-10-30 % on unchanged code, as the probe carries the host's noise too, so
-every timing also records the process CPU time of the call
-(``time.process_time``, unscaled), and each median time ``*_ms`` of the
-output has a ``*_cpu_ms`` beside it.  The output holds, per cell and checkout,
+script on the same checkouts.  The output holds, per cell and checkout,
 the median scaled times in ms (of each round-trip stage too), the emitted
 counts and the round trip's eigenvalue errors per seed ("inf" where the
 recovered size is wrong, null where it raised), the stages that raised,
@@ -82,9 +78,9 @@ writes: a ``measure`` of n=3 N=160, a ``gen``
 spec of n=3 N=160, a ``generators`` report of n=3 N=40 and a ``roundtrip
 --batch 16`` report, each with ``identical`` over the sha256 of its text.
 On a shared 2-core host the same code's time for these payloads moved by
-up to 1.6 times within seconds, which the probe does not undo, and so did
-the CPU time of unchanged code (``generate_random``'s by -22 % to +30 %
-between the checkouts of one run).  So both checkouts' packages are also
+up to 1.6 times within seconds, which the probe does not undo, and the
+process CPU time of unchanged code moved about as much between two
+subprocesses (``generate_random``'s by -22 % to +30 %).  So both checkouts' packages are also
 imported into one process, which alternates between them: ``payloads_ab``
 times their ``serialize.dumps`` of each payload ``AB_ROUNDS`` times, and
 ``sweep_ab`` their ``orthonormalize(mu, N)`` of each grid cell's five GUE
@@ -130,13 +126,12 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _timed(fn, *args):
-    """((wall ms, process CPU ms), output or the exception raised) of one call."""
-    start, cpu = time.perf_counter(), time.process_time()
+    start = time.perf_counter()
     try:
         out = fn(*args)
     except Exception as exc:  # noqa: BLE001 - a failure is recorded, not raised
         out = exc
-    return (1e3 * (time.perf_counter() - start), 1e3 * (time.process_time() - cpu)), out
+    return 1e3 * (time.perf_counter() - start), out
 
 
 def _sweep_record(res):
@@ -416,22 +411,19 @@ def worker(repeats):
         inverse = _inverse_records(repeats, tmp, probes)
         payloads = _payload_records(repeats, tmp)
     scale = 1e3 * measure.PROBE_REF_S / statistics.median(probes)
-
-    def scaled(times):  # the wall time of each (wall, CPU) pair scaled, the CPU time kept
-        return [(scale * ms, cpu) for ms, cpu in times]
-
     for rec in records:
         for key in ("gue_ms", "roundtrip_ms", "generate_ms"):
-            rec[key] = scaled(rec[key])
+            rec[key] = [scale * ms for ms in rec[key]]
     for rec in direct:
-        rec["direct_check_ms"] = scaled(rec["direct_check_ms"])
+        rec["direct_check_ms"] = [scale * ms for ms in rec["direct_check_ms"]]
     for rec in records + direct:
-        rec["stage_ms"] = {name: scaled(times) for name, times in rec["stage_ms"].items()}
+        rec["stage_ms"] = {name: [scale * ms for ms in times]
+                           for name, times in rec["stage_ms"].items()}
     for rec in inverse:
         for key in ("op_ms", "dumps_ms"):
-            rec[key] = scaled(rec[key])
+            rec[key] = [scale * ms for ms in rec[key]]
     for rec in payloads.values():
-        rec["dumps_ms"] = scaled(rec["dumps_ms"])
+        rec["dumps_ms"] = [scale * ms for ms in rec["dumps_ms"]]
     json.dump({"probe_ms": statistics.median(probes), "records": records, "direct": direct,
                "inverse": inverse, "payloads": payloads}, sys.stdout)
 
@@ -457,7 +449,10 @@ def _ab(calls, rounds):
     times = {"before": [], "after": []}
     for i in range(rounds):
         for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
-            times[side].append(_timed(calls[side])[0])
+            start, cpu = time.perf_counter(), time.process_time()
+            calls[side]()
+            times[side].append((1e3 * (time.perf_counter() - start),
+                                1e3 * (time.process_time() - cpu)))
     ratios = [a[1] / b[1] for a, b in zip(times["after"], times["before"])]
     return {**_medians("before", times["before"]), **_medians("after", times["after"]),
             "after_faster": f"{sum(r < 1 for r in ratios)}/{rounds}",
@@ -537,14 +532,14 @@ def summarize(passes):
             gue = [r["gue"] for r in final]
             stage = [r["stage"] for r in final if "stage" in r]
             trips = [r["roundtrip"] for r in final]
-            stages = {name: _medians(name, [t for r in recs for t in r["stage_ms"].get(name, [])])
-                      for name in ROUNDTRIP_STAGES}
             cell[side] = {
-                **_medians("orthonormalize_gue", [t for r in recs for t in r["gue_ms"]]),
-                **_medians("roundtrip", [t for r in recs for t in r["roundtrip_ms"]]),
-                **_medians("generate", [t for r in recs for t in r["generate_ms"]]),
-                "roundtrip_stage_ms": {name: m[f"{name}_ms"] for name, m in stages.items()},
-                "roundtrip_stage_cpu_ms": {name: m[f"{name}_cpu_ms"] for name, m in stages.items()},
+                "orthonormalize_gue_ms": _median([t for r in recs for t in r["gue_ms"]]),
+                "roundtrip_ms": _median([t for r in recs for t in r["roundtrip_ms"]]),
+                "generate_ms": _median([t for r in recs for t in r["generate_ms"]]),
+                "roundtrip_stage_ms": {
+                    name: _median([t for r in recs for t in r["stage_ms"].get(name, [])])
+                    for name in ROUNDTRIP_STAGES
+                },
                 "emitted_gue": [g.get("emitted") for g in gue],
                 "emitted_roundtrip": [s.get("emitted") for s in stage],
                 "orthogonality_loss_max": max((s["loss"] for s in gue + stage if "loss" in s),
@@ -579,12 +574,12 @@ def summarize_direct(passes):
         for side, runs in passes.items():
             recs = [r for run in runs for r in run["direct"] if (r["n"], r["N"]) == (n, N)]
             last[side] = [r for r in runs[-1]["direct"] if (r["n"], r["N"]) == (n, N)]
-            cell[side] = {}
-            for name in DIRECT_STAGES:
-                times = [t for r in recs for t in r["stage_ms"].get(name, [])]
-                cell[side].update(_medians(name, times))
-            times = [t for r in recs for t in r["direct_check_ms"]]
-            cell[side].update(_medians("direct_check", times))
+            cell[side] = {
+                f"{name}_ms": _median([t for r in recs for t in r["stage_ms"].get(name, [])])
+                for name in DIRECT_STAGES
+            }
+            cell[side]["direct_check_ms"] = _median(
+                [t for r in recs for t in r["direct_check_ms"]])
             cell[side]["failures"] = sorted(r["failure"] for r in last[side] if "failure" in r)
             cell[side]["minimal"] = [r.get("minimal") for r in last[side]]
         before, after = last["before"], last["after"]
@@ -618,10 +613,9 @@ def summarize_inverse(passes):
             last[side] = [r for r in runs[-1]["inverse"] if (r["n"], r["N"]) == (n, N)]
             op = [t for r in recs for t in r["op_ms"]]
             cell[side] = {
-                **_medians("op", op),
-                "op_p90_ms": _p90([ms for ms, _ in op]),
-                "op_p90_cpu_ms": _p90([cpu for _, cpu in op]),
-                **_medians("dumps", [t for r in recs for t in r["dumps_ms"]]),
+                "op_ms": _median(op),
+                "op_p90_ms": _p90(op),
+                "dumps_ms": _median([t for r in recs for t in r["dumps_ms"]]),
                 "gate_failures": sum(r["failure"] is not None for r in last[side]),
             }
         before, after = last["before"], last["after"]
@@ -638,10 +632,8 @@ def summarize_payloads(passes):
     """Per payload kind: the median scaled ``dumps`` time per checkout and whether the texts agree."""
     out = {}
     for kind in passes["before"][-1]["payloads"]:
-        out[kind] = {}
-        for side, runs in passes.items():
-            times = [t for run in runs for t in run["payloads"][kind]["dumps_ms"]]
-            out[kind].update(_medians(side, times))
+        out[kind] = {side: _median([t for run in runs for t in run["payloads"][kind]["dumps_ms"]])
+                     for side, runs in passes.items()}
         out[kind]["identical"] = len({run["payloads"][kind]["sha256"]
                                       for runs in passes.values() for run in runs}) == 1
     return out
@@ -684,8 +676,9 @@ def main(argv=None):
         "direct_grid": {"n": [1, 2, 3], "N": [10, 20, 40], "seeds": list(SEEDS)},
         "inverse_grid": {"n": [1, 2, 3], "N": [20, 40, 80, 160], "seeds": list(INVERSE_SEEDS),
                          "rounds": INVERSE_ROUNDS},
-        "times": ("ms; *_ms wall-clock, each pass scaled by perfbench's PROBE_REF_S over its "
-                  "median probe; *_cpu_ms process CPU time (time.process_time), unscaled"),
+        "times": ("ms, each pass scaled by perfbench's PROBE_REF_S over its median probe; "
+                  "payloads_ab and sweep_ab: unscaled wall time (*_ms) and process CPU time "
+                  "(*_cpu_ms, time.process_time)"),
         "passes": args.passes,
         "repeats": args.repeats,
         "threads": 1,

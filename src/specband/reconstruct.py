@@ -15,11 +15,11 @@ spectral function reproduces sigma.
 
 Working representation: the sweep reads the measure once into a lambda
 vector and the n rows conj(C^p)_i over the points p.  The spectral
-coordinates of e_k, w[p] = (C^p)* e_k(lambda_p), are row i of the
-coordinate block lambda^l conj(C)_i of level l, where k - 1 = l n + i.  A
-level's block is formed once, at its first height that the lattice rule
-does not skip, so that an overflowing power raises at the height where it
-is first read.  Norms are sqrt(x.x + y.y) over the real and imaginary
+coordinates of e_k, w[p] = (C^p)* e_k(lambda_p), are lambda^l conj(C)_i,
+where k - 1 = l n + i.  A level's power lambda^l is formed once, at its
+first height that the lattice rule does not skip, and each w at the
+height that reads it, so an overflow raises where it did when every e_k
+was formed anew.  Norms are sqrt(x.x + y.y) over the real and imaginary
 parts, the sum that ``np.linalg.norm`` takes, without its wrapper.  The
 emitted coordinates are the rows of one array V.  A residual is reduced by
 classical Gram-Schmidt, twice: each pass takes every multiplier at once,
@@ -210,16 +210,12 @@ def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
             # lambda^l, formed at the level's first height that is not skipped;
             # np.float_power gives Python's float ** int bit for bit
             level, power = l, np.float_power(lam, l)
-            try:
-                block = power * cols
-            except FloatingPointError:
-                block = None  # some row overflows: form each row where it is read
-        w = power * cols[i] if block is None else block[i]
+        w = power * cols[i]
         x, y = w.real, w.imag  # np.linalg.norm's sum; its dot raises on overflow
         e_norm = math.sqrt(x.dot(x) + y.dot(y))
         m = len(emitted)
         passes = []
-        for _ in range(2 if m else 0):  # nothing to subtract before the first emitted row
+        for _ in range(2):
             cs = (b @ w.conj()).conj()
             w = w - cs @ b
             passes.append(cs)

@@ -555,9 +555,8 @@ def test_emitted_coordinates_are_orthonormal(mu, zero_tol):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_coefficients_are_reduced_only_for_the_constants(monkeypatch, n):
-    # two classical Gram-Schmidt passes for each of the n constants but the
-    # first, which has no emitted row to subtract, and none for the rows after
-    # them, whose coefficients T~ never reads
+    # two classical Gram-Schmidt passes for each of the n constants, none for
+    # the rows after them, whose coefficients T~ never reads
     calls = []
 
     def counted(*args):
@@ -567,7 +566,7 @@ def test_coefficients_are_reduced_only_for_the_constants(monkeypatch, n):
     monkeypatch.setattr(reconstruct, "_subtract_in_order", counted)
     res = orthonormalize(gue_measure(0, n, 40), 40)
     assert len(res.weights) > n
-    assert calls == [m for m in range(1, n) for _ in range(2)]
+    assert calls == [m for m in range(n) for _ in range(2)]
 
 
 def test_orthogonality_loss_is_computed_when_read(fix7):
