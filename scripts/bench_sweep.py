@@ -82,14 +82,22 @@ up to 1.6 times within seconds, which the probe does not undo, and the
 process CPU time of unchanged code moved about as much between two
 subprocesses (``generate_random``'s by -22 % to +30 %).  So both checkouts' packages are also
 imported into one process, which alternates between them: ``payloads_ab``
-times their ``serialize.dumps`` of each payload ``AB_ROUNDS`` times, and
+times their ``serialize.dumps`` of each payload ``AB_ROUNDS`` times,
 ``sweep_ab`` their ``orthonormalize(mu, N)`` of each grid cell's five GUE
-measures, all five in one timing, ``SWEEP_AB_ROUNDS`` times.  Each holds
-the median times (the wall times unscaled), the share of rounds in which
-the after checkout took less CPU time, the quartiles of its CPU-time ratio
-and whether both checkouts' outputs are identical (for a sweep, its
-record: decisions, orthogonality loss and the sha256 of its ``weights``
-and ``t_tilde`` bytes).
+measures, all five in one timing, and ``roundtrip_ab`` their
+``reconstruct.roundtrip(spec, I, N)`` of each grid cell's five specs (those
+of the round-trip cells, decoded by each checkout from one
+``serialize.spec_to_dict``), all five in one timing, each ``CELL_AB_ROUNDS``
+times.  Each holds the median times (the wall times unscaled), the share of
+rounds in which the after checkout took less CPU time, the quartiles of its
+CPU-time ratio and whether both checkouts' outputs are identical (for a
+sweep, its record: decisions, orthogonality loss and the sha256 of its
+``weights`` and ``t_tilde`` bytes; for a round trip, the sha256 of its
+``RoundTripReport.to_dict()`` JSON text and recovered matrix bytes, or the
+stage and error it raised).  The after checkout is imported second, and
+the second import of identical code read 1-3 % faster in such an A/B, so
+``roundtrip_aa`` repeats ``roundtrip_ab`` with the after checkout on both
+sides, imported twice in the same order: its ratios are the A/B's bias.
 """
 
 import argparse
@@ -121,7 +129,7 @@ INVERSE_GRID = [(n, N) for n in (1, 2, 3) for N in (20, 40, 80, 160)]  # perfben
 INVERSE_SEEDS = (530, 531)
 INVERSE_ROUNDS = 32  # perfbench's Inverse.pool_rounds
 AB_ROUNDS = 200
-SWEEP_AB_ROUNDS = 40
+CELL_AB_ROUNDS = 40
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -463,15 +471,40 @@ def _orthonormalize_each(reconstruct, mus, N):
     return [reconstruct.orthonormalize(mu, N) for mu in mus]
 
 
+def _roundtrip_each(reconstruct, inputs, N):
+    """Each (spec, t) pair's round trip, or the exception it raised."""
+    return [_timed(reconstruct.roundtrip, spec, t, N)[1] for spec, t in inputs]
+
+
+def _roundtrip_ab(pkgs, spec_docs):
+    """Per grid cell, both packages' round trips of its specs with T = I, alternating."""
+    cells = []
+    for (n, N), docs in spec_docs.items():
+        calls = {}
+        for side, pkg in pkgs.items():
+            inputs = [(pkg.serialize.spec_from_dict(d), pkg.BoundaryMatrix.identity(n))
+                      for d in docs]
+            calls[side] = functools.partial(_roundtrip_each, pkg.reconstruct, inputs, N)
+        records = {side: [_roundtrip_record(r) for r in call()] for side, call in calls.items()}
+        cells.append(dict(_ab(calls, CELL_AB_ROUNDS), n=n, N=N,
+                          identical=records["before"] == records["after"]))
+    return cells
+
+
 def ab_worker(before, after):
     """Both checkouts in this one process, alternating: ``serialize.dumps`` of
-    each payload and ``orthonormalize`` of each grid cell's GUE measures."""
+    each payload, and ``orthonormalize`` of each grid cell's GUE measures and
+    ``roundtrip`` of its specs; the round trips once more with the after
+    checkout on both sides."""
     import workloads
+    from specband import serialize as ser
 
     with tempfile.TemporaryDirectory() as tmp:
         docs = _payload_docs(tmp)
         paths = {(n, N): [workloads.measure_instance(seed, n, N, 0, tmp).path for seed in SEEDS]
                  for n, N in GRID}
+        spec_docs = {(n, N): [ser.spec_to_dict(workloads.spec_instance(seed, n, N, 0).spec)
+                              for seed in SEEDS] for n, N in GRID}
         pkgs = {"before": _fresh_specband(before), "after": _fresh_specband(after)}
         measures = {cell: {side: [pkg.serialize.measure_from_dict(pkg.serialize.load(path))
                                   for path in cell_paths] for side, pkg in pkgs.items()}
@@ -486,9 +519,12 @@ def ab_worker(before, after):
         calls = {side: functools.partial(_orthonormalize_each, pkg.reconstruct, mus[side], N)
                  for side, pkg in pkgs.items()}
         records = {side: [_sweep_record(r) for r in call()] for side, call in calls.items()}
-        sweeps.append(dict(_ab(calls, SWEEP_AB_ROUNDS), n=n, N=N,
+        sweeps.append(dict(_ab(calls, CELL_AB_ROUNDS), n=n, N=N,
                            identical=records["before"] == records["after"]))
-    json.dump({"payloads_ab": payloads, "sweep_ab": sweeps}, sys.stdout)
+    roundtrips = _roundtrip_ab(pkgs, spec_docs)
+    twice = {"before": _fresh_specband(after), "after": _fresh_specband(after)}
+    json.dump({"payloads_ab": payloads, "sweep_ab": sweeps, "roundtrip_ab": roundtrips,
+               "roundtrip_aa": _roundtrip_ab(twice, spec_docs)}, sys.stdout)
 
 
 def run_side(checkout, repeats, *extra):
@@ -677,8 +713,8 @@ def main(argv=None):
         "inverse_grid": {"n": [1, 2, 3], "N": [20, 40, 80, 160], "seeds": list(INVERSE_SEEDS),
                          "rounds": INVERSE_ROUNDS},
         "times": ("ms, each pass scaled by perfbench's PROBE_REF_S over its median probe; "
-                  "payloads_ab and sweep_ab: unscaled wall time (*_ms) and process CPU time "
-                  "(*_cpu_ms, time.process_time)"),
+                  "payloads_ab, sweep_ab, roundtrip_ab and roundtrip_aa: unscaled wall time "
+                  "(*_ms) and process CPU time (*_cpu_ms, time.process_time)"),
         "passes": args.passes,
         "repeats": args.repeats,
         "threads": 1,

@@ -21,10 +21,13 @@ first height that the lattice rule does not skip, and each w at the
 height that reads it, so an overflow raises where it did when every e_k
 was formed anew.  Norms are sqrt(x.x + y.y) over the real and imaginary
 parts, the sum that ``np.linalg.norm`` takes, without its wrapper.  The
-emitted coordinates are the rows of one array V.  A residual is reduced by
-classical Gram-Schmidt, twice: each pass takes every multiplier at once,
-cs = V* w, and subtracts cs V, so w is orthogonal to V at working precision
-(Giraud, Langou, Rozloznik & van den Eshof, Numer. Math. 101, 2005).  Only
+emitted coordinates are the rows of one array V, and their conjugates,
+written once as each row is emitted, the rows of a second.  A residual is
+reduced by classical Gram-Schmidt, twice: each pass takes every multiplier
+at once, cs = conj(V) w, from the conjugated rows, and subtracts cs V, so w
+is orthogonal to V at working precision (Giraud, Langou, Rozloznik & van
+den Eshof, Numer. Math. 101, 2005); before the first row is emitted there
+is nothing to project against, and no pass runs.  Only
 the first n emitted vectors, the constants, also carry their coefficients
 of e_1..e_n, an n x n block that takes the same multipliers with Python's
 complex rounding (``spectral._subtract_in_order``, shared with
@@ -188,11 +191,13 @@ def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
     n = mu.n
     lam, conj_c = mu.spectral_arrays()
     cols = conj_c.T.copy()  # row i: conj(C^p)_i over the points p
-    # the first m rows of ``basis`` hold the emitted p~'s spectral coordinates,
-    # row j of ``heads`` the j-th constant's coefficients of e_1..e_n
-    basis = np.zeros((cap, mu.size), dtype=complex)
+    # the first m rows of ``basis`` hold the emitted p~'s spectral coordinates
+    # and those of ``basis_conj`` their conjugates, row j of ``heads`` the j-th
+    # constant's coefficients of e_1..e_n; one allocation holds both, as a
+    # second one cost more than the conjugations it saves at N = 160
+    basis, basis_conj = np.zeros((2, cap, mu.size), dtype=complex)
     heads = np.zeros((n, n), dtype=complex)
-    b = basis[:0]
+    b, bc = basis[:0], basis_conj[:0]
     emitted = []
     q_heights = []
     closed = set()  # residues mod n of the degeneration heights
@@ -215,8 +220,8 @@ def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
         e_norm = math.sqrt(x.dot(x) + y.dot(y))
         m = len(emitted)
         passes = []
-        for _ in range(2):
-            cs = (b @ w.conj()).conj()
+        for _ in range(2 if m else 0):  # nothing to project against before the first row
+            cs = bc @ w
             w = w - cs @ b
             passes.append(cs)
         x, y = w.real, w.imag
@@ -231,8 +236,9 @@ def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
                     head = _subtract_in_order(head, cs, heads[:m])
                 heads[m] = head * (1.0 / norm)
             np.divide(w, norm, out=basis[m])
+            np.conjugate(basis[m], out=basis_conj[m])
             emitted.append(h)
-            b = basis[: m + 1]
+            b, bc = basis[: m + 1], basis_conj[: m + 1]
         else:
             # cap reached and the next direction is not degenerate: stop
             break

@@ -100,9 +100,11 @@ class StepMeasure:
     ``lambdas`` holds the N growth points, sorted stably on construction, and
     ``c`` the (N, n) block whose row k is C^k, in C order; both are read-only
     arrays, the one stored form that every reader uses.  One summand
-    C^k (C^k)* per eigenvalue-with-multiplicity; jumps at equal (clustered)
-    locations may be grouped on demand.  sigma is left-continuous: sigma(t)
-    sums the jumps strictly below t.
+    C^k (C^k)* per eigenvalue-with-multiplicity; ``outer`` stacks them, formed
+    once and read by ``evaluate``, ``moments_upto`` (and so ``total_mass``)
+    and ``grouped_jumps``.  Jumps at equal (clustered) locations may be
+    grouped on demand.  sigma is left-continuous: sigma(t) sums the jumps
+    strictly below t.
     """
 
     n: int
@@ -122,9 +124,17 @@ class StepMeasure:
     def size(self):
         return len(self.lambdas)
 
+    @functools.cached_property
+    def outer(self):
+        """The (N, n, n) block of C^k (C^k)*, ``_outer_products(c)``: formed on
+        first read, then kept read-only for every later reader."""
+        outer = _outer_products(self.c)
+        outer.flags.writeable = False
+        return outer
+
     def evaluate(self, t):
         """sigma(t): 0.0 + C C* + ..., summed in order over the points strictly below t."""
-        return _sum_in_order(_outer_products(self.c[self.lambdas < t]))
+        return _sum_in_order(self.outer[self.lambdas < t])
 
     def spectral_arrays(self):
         """The lambda vector and the (N, n) block of conj(C^k), a row per point."""
@@ -145,7 +155,7 @@ class StepMeasure:
             raise ValueError("moment order must be nonnegative")
         with np.errstate(over="raise"):
             powers = np.float_power(self.lambdas[:, None], np.arange(K + 1))
-        return _sum_in_order(powers[:, :, None, None] * _outer_products(self.c)[:, None])
+        return _sum_in_order(powers[:, :, None, None] * self.outer[:, None])
 
     def moment(self, k):
         """k-th moment: sum of lambda^k C C* over all growth points."""
@@ -162,23 +172,24 @@ class StepMeasure:
         ``"location"`` and ``"jump"`` hold all clusters as arrays, and a
         record unpacks as a pair.  The location is ``np.mean`` of the
         cluster's lambdas (lambda itself for a single point), the jump
-        0.0 + C C* + ..., summed over the cluster in order.  ``jump_rank``
-        gives a jump's numerical rank.
+        0.0 + C C* + ..., summed over the cluster in order; the clusters are
+        counted and summed only when one holds two or more points.
+        ``jump_rank`` gives a jump's numerical rank.
         """
-        lam = self.lambdas
-        outer = _outer_products(self.c)
+        lam, outer = self.lambdas, self.outer
         start = cluster_starts(lam, cluster_tol)
-        count = np.diff(start, append=self.size)
         out = np.empty(start.size, dtype=[("location", float), ("jump", complex, outer.shape[1:])])
         out["location"] = lam[start]
         jumps = outer[start] + 0.0
-        # the d-th further point of every cluster that has one, so each sum runs in order
-        for d in range(1, count.max(initial=1)):
-            more = count > d
-            jumps[more] += outer[start[more] + d]
+        if start.size < self.size:  # some cluster holds two or more points
+            count = np.diff(start, append=self.size)
+            # the d-th further point of every cluster that has one, so each sum runs in order
+            for d in range(1, count.max()):
+                more = count > d
+                jumps[more] += outer[start[more] + d]
+            for i in np.flatnonzero(count > 1):
+                out["location"][i] = np.mean(lam[start[i] : start[i] + count[i]])
         out["jump"] = jumps
-        for i in np.flatnonzero(count > 1):
-            out["location"][i] = np.mean(lam[start[i] : start[i] + count[i]])
         return out
 
     def weight_row(self, f: VectorPolynomial):
@@ -209,10 +220,11 @@ def eigen_decompose(m: FiniteHermitian) -> SpectralData:
     """Hermitian eigendecomposition with a deterministic column phase.
 
     Eigenvalues come out ascending with multiplicity; each eigenvector is
-    rotated so its first significant entry is real positive.  The rotation
-    runs on all columns at once and rounds as a loop over the columns would:
-    ``np.hypot`` is Python's ``abs`` of the pivot, the quotient is the same
-    elementwise division, and ``_scale_columns`` rounds the product.
+    rotated so its first significant entry is real positive.  A unit
+    eigenvector always has a nonzero pivot, so every column turns, all in one
+    product that rounds as a loop over the columns would: ``np.hypot`` is
+    Python's ``abs`` of the pivot, the quotient is the same elementwise
+    division, and ``_scale_columns`` rounds the product.
     """
     defect = m.hermiticity_defect()
     scale = max(1.0, float(np.max(np.abs(m.data))))
@@ -221,9 +233,7 @@ def eigen_decompose(m: FiniteHermitian) -> SpectralData:
     lams, phi = np.linalg.eigh(m.data)
     phi = np.asarray(phi, dtype=complex)
     pivot, _ = _first_significant(phi)
-    mag = np.hypot(pivot.real, pivot.imag)
-    turn = mag > 0
-    phi[:, turn] = _scale_columns(phi[:, turn], mag[turn] / pivot[turn])
+    phi = _scale_columns(phi, np.hypot(pivot.real, pivot.imag) / pivot)
     sd = SpectralData(np.asarray(lams, dtype=float), phi)
     if sd.unitarity_defect() > 1e-10 * max(1, m.N):
         raise NumericalFailure("eigenvector matrix lost unitarity")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specband import spectral
@@ -419,8 +419,16 @@ class TestJumpsMatchReference:
         assert jumps["jump"].shape == (0, 2, 2)
 
 
+#: clusters of 2 and 3 points among single ones, and points that are all apart
+CLUSTERED = StepMeasure(2, [-1.0, 0.5, 0.5, 2.0, 2.0 + 1e-12, 2.0 - 1e-12, 4.0],
+                        np.arange(14).reshape(7, 2) + 1j)
+UNCLUSTERED = StepMeasure(3, [-3.0, -1.0, 0.0, 2.5, 7.0], np.arange(15).reshape(5, 3) - 2j)
+
+
 @settings(max_examples=100, deadline=None)
 @given(awkward_measures(), st.sampled_from([CLUSTER_TOL, 1e-12, 1e-3]))
+@example(CLUSTERED, CLUSTER_TOL)
+@example(UNCLUSTERED, CLUSTER_TOL)
 def test_jumps_match_reference_on_awkward_measures(mu, cluster_tol):
     assert_jumps_like_reference(mu, cluster_tol)
 
@@ -506,6 +514,19 @@ class TestMeasureArrays:
         # the caller's arrays are copied, not frozen
         assert sd.lambdas.flags.writeable
         assert orthonormalize(mu, 7).lambdas is mu.lambdas
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_outer_products_are_kept_read_only(self, n):
+        mu = gue_measure(0, n, 20)
+        for sigma in (mu, InterpolationData.from_measure(mu)):
+            outer = sigma.outer
+            assert outer is sigma.outer
+            assert outer.tobytes() == spectral._outer_products(sigma.c).tobytes()
+            moments, jumps = sigma.moments_upto(6).tobytes(), sigma.grouped_jumps().tobytes()
+            with pytest.raises(ValueError):
+                outer[0] = 0.0
+            assert sigma.moments_upto(6).tobytes() == moments
+            assert sigma.grouped_jumps().tobytes() == jumps
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_layout_of_c_gives_the_same_bytes(self, n):
