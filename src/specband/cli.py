@@ -292,7 +292,6 @@ def build_parser():
         p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("-o", "--output", default=None, help="write result here")
-        p.add_argument("--verbose", "-v", action="count", default=0)
         return p
 
     p = add("validate", cmd_validate, help="check class membership")
@@ -335,6 +334,7 @@ def build_parser():
     p.add_argument("file")
 
     p = add("reconstruct", cmd_reconstruct, help="matrix from a step measure")
+    p.add_argument("--verbose", "-v", action="count", default=0)
     p.add_argument("--max-k", type=int, default=20)
     p.add_argument("--tol-zero", type=_tolerance, default=None,
                    help="zero-norm threshold (default: SPECBAND_TOL, else 1e-8)")

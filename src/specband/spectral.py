@@ -541,8 +541,9 @@ def direct_pass(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
     if (last is not None and last.m is m and last.s is s and last.t is t
             and (sd is None or sd is last.sd)):
         return last
-    _last_pass = DirectPass(m, s, t, sd)
-    return _last_pass
+    made = DirectPass(m, s, t, sd)
+    _last_pass = made
+    return made
 
 
 def gram_matrix(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,

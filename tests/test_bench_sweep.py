@@ -1,0 +1,97 @@
+"""Negative controls for ``scripts/bench_sweep.py``'s identity comparison.
+
+Two checkouts' identical records raise every flag; one record that differs in
+its sha256, its decisions or its failure lowers the flags that cover it, and
+only those.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_spec = importlib.util.spec_from_file_location("bench_sweep", ROOT / "scripts" / "bench_sweep.py")
+bench_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_sweep)
+
+SUMMARIES = {"records": bench_sweep.summarize, "direct": bench_sweep.summarize_direct,
+             "inverse": bench_sweep.summarize_inverse}
+FLAGS = ("inputs_agree", "specs_identical", "decisions_agree", "outputs_identical",
+         "gate_outputs_identical", "generator_reports_identical")
+CELL, SEED = 3, 2
+
+
+def sweep():
+    return {"emitted": 4, "q_heights": [4], "skip_log": [], "loss": 2e-16, "sha256": "w"}
+
+
+def records():
+    """One checkout's identity records: every cell of each grid, every seed alike."""
+    seeds = bench_sweep.SEEDS
+    return {
+        "records": [[{"digest": "d", "spec_sha256": "s", "gue": sweep(), "stage": sweep(),
+                      "roundtrip": {"eigenvalue_error": 1e-15, "sha256": "r"}} for _ in seeds]
+                    for _ in bench_sweep.GRID],
+        "direct": [[{"digest": "d", "gate_sha256": "g", "generators_sha256": "h",
+                     "height_table": [[0, 0, 0], [1, 1, 0]], "minimal": True} for _ in seeds]
+                   for _ in bench_sweep.DIRECT_GRID],
+        "inverse": [[{"digest": "d", "sha256": "f", "failure": None} for _ in range(64)]
+                    for _ in bench_sweep.INVERSE_GRID],
+        "payloads": {"measure": "m", "gen": "p"},
+    }
+
+
+def lowered(runs):
+    """(section, cell, flag) of every flag that is not true, and ("payloads", kind)."""
+    out = set()
+    for key, summarize in SUMMARIES.items():
+        for i, cell in enumerate(summarize(runs)):
+            out |= {(key, i, flag) for flag in FLAGS if cell.get(flag, True) is not True}
+            if cell.get("height_tables_changed"):
+                out.add((key, i, "height_tables_changed"))
+    payloads = bench_sweep.summarize_payloads(runs)
+    return out | {("payloads", kind) for kind, entry in payloads.items() if not entry["identical"]}
+
+
+def test_identical_records_raise_every_flag():
+    runs = {"before": records(), "after": records()}
+    assert lowered(runs) == set()
+    cells = bench_sweep.summarize(runs)
+    assert len(cells) == 15 and cells[CELL]["after"]["emitted_gue"] == [4] * 5
+    assert [len(bench_sweep.summarize_direct(runs)), len(bench_sweep.summarize_inverse(runs))] == [9, 12]
+
+
+@pytest.mark.parametrize("key, path, value, flags", [
+    ("records", ("digest",), "e", ["inputs_agree"]),
+    ("records", ("spec_sha256",), "t", ["specs_identical"]),
+    ("records", ("gue", "sha256"), "x", ["outputs_identical"]),
+    ("records", ("stage", "sha256"), "x", ["outputs_identical"]),
+    ("records", ("roundtrip", "sha256"), "x", ["outputs_identical"]),
+    ("records", ("gue", "q_heights"), [3], ["decisions_agree", "outputs_identical"]),
+    ("records", ("stage", "skip_log"), [2], ["decisions_agree", "outputs_identical"]),
+    ("records", ("gue", "emitted"), 3, ["decisions_agree", "outputs_identical"]),
+    ("records", ("gue", "failure"), "NumericalFailure", ["decisions_agree", "outputs_identical"]),
+    ("records", ("roundtrip", "failure"), "measure", ["outputs_identical"]),
+    ("direct", ("digest",), "e", ["inputs_agree"]),
+    ("direct", ("gate_sha256",), "x", ["gate_outputs_identical"]),
+    ("direct", ("generators_sha256",), "x", ["generator_reports_identical"]),
+    ("direct", ("height_table",), [[0, 0, 0]], ["height_tables_changed"]),
+    ("inverse", ("digest",), "e", ["inputs_agree"]),
+    ("inverse", ("sha256",), "x", ["outputs_identical"]),
+    ("inverse", ("failure",), "gate", ["outputs_identical"]),
+])
+def test_one_differing_record_lowers_its_flags(key, path, value, flags):
+    after = records()
+    rec = after[key][CELL][SEED]
+    for part in path[:-1]:
+        rec = rec[part]
+    rec[path[-1]] = value
+    assert lowered({"before": records(), "after": after}) == {(key, CELL, f) for f in flags}
+
+
+def test_one_differing_payload_lowers_its_flag():
+    after = records()
+    after["payloads"]["gen"] = "q"
+    assert lowered({"before": records(), "after": after}) == {("payloads", "gen")}

@@ -586,7 +586,8 @@ class TestBoundaryOrderFlags:
 
 class TestDenseSizeAndRemovedSpellings:
     """``--N`` on the 8 x 8 truncation of gen --n 2 --N-max 10 --seed 7, and the
-    spellings ``roundtrip --report`` and ``validate --class m_tilde``, now refused."""
+    spellings ``roundtrip --report``, ``roundtrip -v`` and ``validate --class m_tilde``,
+    now refused."""
 
     @pytest.fixture
     def workdir(self, tmp_path, monkeypatch):
@@ -613,6 +614,9 @@ class TestDenseSizeAndRemovedSpellings:
     @pytest.mark.parametrize("argv, line", [
         (["roundtrip", "spec.json", "--N", "8", "--report", "x.json"],
          "error: unrecognized arguments: --report x.json"),
+        # only reconstruct reads -v
+        (["roundtrip", "spec.json", "--N", "8", "-v", "-o", "x.json"],
+         "error: unrecognized arguments: -v"),
         # the text after the refused value is argparse's list of the choices
         (["validate", "--class", "m_tilde", "spec.json"],
          "error: argument --class: invalid choice: 'm_tilde'"),
@@ -716,11 +720,12 @@ class TestParserReuse:
 
     def test_fresh_namespace_per_parse(self):
         parser = cli.build_parser()
-        first = parser.parse_args(["gen", "--n", "2", "--N-max", "5", "--tail", "1", "2", "--real", "-v"])
+        first = parser.parse_args(["gen", "--n", "2", "--N-max", "5", "--tail", "1", "2", "--real",
+                                   "--mtilde"])
         second = parser.parse_args(["gen", "--n", "1", "--N-max", "3"])
         assert first is not second
-        assert (first.tail, first.real, first.verbose) == ([1, 2], True, 1)
-        assert (second.tail, second.real, second.verbose) == (None, False, 0)
+        assert (first.tail, first.real, first.mtilde) == ([1, 2], True, True)
+        assert (second.tail, second.real, second.mtilde) == (None, False, False)
 
     def test_settings_do_not_leak(self, sigma_file, configs, monkeypatch, capsys):
         sweep = ["reconstruct", "--max-k", "6", sigma_file]

@@ -42,3 +42,11 @@ def test_committed_scorecard_holds_the_floor():
     committed = json.loads((ROOT / "GRID.json").read_text())
     assert committed["passed"] >= FLOOR
     assert sum(committed["outcomes"].values()) == committed["of"] == 75
+
+
+def test_committed_scorecard_is_the_recomputed_one(scorecard):
+    committed = json.loads((ROOT / "GRID.json").read_text())
+    assert len(committed["cells"]) == len(scorecard["cells"])
+    for got, want in zip(scorecard["cells"], committed["cells"]):
+        assert got == want, (got["n"], got["N"])
+    assert scorecard == committed

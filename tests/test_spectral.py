@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -938,6 +940,37 @@ class TestDirectPass:
         # without sd the last pass serves again, and every pass took the sd given
         gram_matrix(m, s, t)
         assert counted == {"eigh": 2, "psi_at": before + 1}
+
+    def test_returns_the_pass_it_made(self, fix7, monkeypatch):
+        # truncations may run concurrently: another caller's store may land in
+        # the slot between any two lines of direct_pass, here by a line trace
+        m, s, t, _ = setup(fix7, 7)
+        other = spectral.DirectPass(*setup(fix7, 6)[:3])
+        made = []
+
+        def factory(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        def store_other(frame, event, arg):
+            if event == "line" and made and spectral._last_pass is made[-1]:
+                spectral._last_pass = other
+            return store_other
+
+        def trace(frame, event, arg):
+            return store_other if frame.f_code is spectral.direct_pass.__code__ else None
+
+        real = spectral.DirectPass
+        monkeypatch.setattr(spectral, "DirectPass", factory)
+        monkeypatch.setattr(spectral, "_last_pass", None)
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            got = spectral.direct_pass(m, s, t)
+        finally:
+            sys.settrace(previous)
+        assert spectral._last_pass is other
+        assert got.m is m
 
     def test_fresh_matrix_with_equal_bytes(self, fix7, counted):
         m, s, t, sd = setup(fix7, 7, random_boundary(3, 2))
