@@ -31,10 +31,13 @@ shares the pass between its checks, as every caller of the direct side
 does.  The inverse cells, n in {1,2,3}, N in {20,40,80,160}, hold every
 instance of perfbench's ``inverse`` pools (32 rounds) of the seeds
 ``INVERSE_SEEDS``: the ``specband reconstruct`` call of perfbench's
-``inverse`` operation, and ``serialize.dumps`` of the payload it wrote.
-The payloads are one of each other kind the command line writes: a
-``measure`` of n=3 N=160, a ``gen`` spec of n=3 N=160, a ``generators``
-report of n=3 N=40 and a ``roundtrip --batch 16`` report.
+``inverse`` operation, and ``serialize.dumps`` of the payload it handed to
+the writer.  The payloads are one of each other kind the command line
+writes: a ``measure`` of n=3 N=160, a ``gen`` spec of n=3 N=160, a
+``generators`` report of n=3 N=40, a ``roundtrip --batch 16`` report, a
+40 x 40 ``truncate`` of an n=3 spec and the ``moments --k 12`` of the n=3
+N=160 measure.  Each checkout builds its own, as its command hands it to
+``serialize.dumps``.
 
 Identity: each checkout runs every instance once, untimed, in a
 single-threaded process of its own that imports its own ``src/``.  Per
@@ -65,7 +68,8 @@ its five round trips (each checkout decodes the specs from one
 ``serialize.spec_to_dict``), their ``generate_random`` and each stage;
 ``direct_ab`` each direct cell's five ``direct_check`` calls and each stage
 (the fresh inputs made outside the timing); ``inverse_ab`` the inverse
-operation on one pool instance per round, and ``dumps`` of what it wrote.
+operation on one pool instance per round, and ``dumps`` of the payload it
+handed to the writer.
 A stage's timing holds the instances that reached it, and is null where
 none did.  Each checkout runs its own modules: perfbench's operations come
 from a copy of ``workloads`` bound to that checkout.  An entry holds the
@@ -316,22 +320,39 @@ def _direct_side(pkg, wl, insts):
     return timed, [_direct_record(run, check) for run, check in zip(runs, timed["checks"]())]
 
 
+@contextlib.contextmanager
+def _handed_to_writer(pkg):
+    """A list of every payload that the checkout hands to ``serialize.dumps`` meanwhile."""
+    ser, payloads = pkg.serialize, []
+    dumps = ser.dumps
+
+    def spy(obj):
+        payloads.append(obj)
+        return dumps(obj)
+
+    ser.dumps = spy
+    try:
+        yield payloads
+    finally:
+        ser.dumps = dumps
+
+
 def _inverse_side(pkg, wl, workdir, insts):
     """The inverse operation on each instance, writing into ``workdir``, and the payloads
-    it wrote; per instance, the sha256 of the written file (or of the exit code and
-    error line) and the gate's verdict."""
+    it handed to the writer; per instance, the sha256 of the written file (or of the
+    exit code and error line) and the gate's verdict."""
     op = wl.Inverse(workdir)
-    records, docs = [], []
-    for inst in insts:
-        out = op.op(inst)
-        code, err = out
-        written = f"{code}: {err}".encode()
-        if code == 0:
-            with open(op.out_path, "rb") as fh:
-                written = fh.read()
-            docs.append(json.loads(written))
-        records.append({"sha256": _sha256(written), "failure": op.gate(inst, out)[0]})
-    return {"op": op.op, "docs": docs}, records
+    records = []
+    with _handed_to_writer(pkg) as payloads:
+        for inst in insts:
+            out = op.op(inst)
+            code, err = out
+            written = f"{code}: {err}".encode()
+            if code == 0:
+                with open(op.out_path, "rb") as fh:
+                    written = fh.read()
+            records.append({"sha256": _sha256(written), "failure": op.gate(inst, out)[0]})
+    return {"op": op.op, "payloads": payloads}, records
 
 
 def _inputs(tmp):
@@ -340,8 +361,8 @@ def _inputs(tmp):
     Its instances are portable: each holds its spec as ``serialize.spec_to_dict``
     makes it.  Returns per grid cell the digest of each seed's inputs, its GUE
     measure's doc (the five measure files share one path) and its spec instance,
-    which a direct cell of the same n and N shares; the inverse pools, each seed's
-    measure files in a directory of their own; and the payloads.
+    which a direct cell of the same n and N shares; and the inverse pools, each
+    seed's measure files in a directory of their own.
     """
     import workloads
     from specband import serialize as ser
@@ -361,30 +382,32 @@ def _inputs(tmp):
         os.makedirs(wl.workdir)
         assert list(wl.grid) == INVERSE_GRID and wl.pool_rounds == INVERSE_ROUNDS
         pool += [inst for rnd in wl.make_pool(seed) for inst in rnd]
-    return grid, pool, _payload_docs(tmp)
+    return grid, pool
 
 
-def _payload_docs(tmp):
-    """One payload of each other kind the CLI writes, read back from the written file."""
-    import workloads
-    from specband import cli
-    from specband import serialize as ser
+def _payloads(pkg, wl, tmp):
+    """One payload of each other kind the CLI writes, as the checkout builds it: a
+    command's is the object that it hands to ``serialize.dumps``."""
+    ser, cli = pkg.serialize, pkg.cli
 
-    def written(*argv):
-        path = os.path.join(tmp, "payload.json")
-        with contextlib.redirect_stdout(None), contextlib.redirect_stderr(None):
-            cli.run_cli([*argv, "-o", path])
-        return ser.load(path)
+    def handed(*argv):
+        with (_handed_to_writer(pkg) as payloads, contextlib.redirect_stdout(None),
+              contextlib.redirect_stderr(None)):
+            cli.run_cli([*argv, "-o", os.path.join(tmp, "payload.json")])
+        (payload,) = payloads
+        return payload
 
     mtilde, small = os.path.join(tmp, "mtilde.json"), os.path.join(tmp, "small.json")
     cli.run_cli(["gen", "--n", "3", "--N-max", "40", "--mtilde", "--seed", "0", "-o", mtilde])
     cli.run_cli(["gen", "--n", "2", "--N-max", "10", "--seed", "7", "-o", small])
-    gue = workloads.measure_instance(0, 3, 160, 0, tmp)
+    gue = wl.measure_instance(0, 3, 160, 0, tmp)
     return {
         "measure": ser.measure_to_dict(ser.measure_from_dict(ser.load(gue.path))),
-        "gen": written("gen", "--n", "3", "--N-max", "160", "--seed", "0"),
-        "generators": written("generators", mtilde),
-        "roundtrip_batch": written("roundtrip", small, "--N", "8", "--batch", "16", "--seed", "0"),
+        "gen": handed("gen", "--n", "3", "--N-max", "160", "--seed", "0"),
+        "generators": handed("generators", mtilde),
+        "roundtrip_batch": handed("roundtrip", small, "--N", "8", "--batch", "16", "--seed", "0"),
+        "truncate": handed("truncate", mtilde, "--N", "40"),
+        "moments": handed("moments", gue.path, "--k", "12"),
     }
 
 
@@ -397,7 +420,7 @@ def worker():
     side = (specband, workloads)
     doc = {"direct": [], "records": []}
     with tempfile.TemporaryDirectory() as tmp:
-        grid, pool, payloads = _inputs(tmp)
+        grid, pool = _inputs(tmp)
         for cell in DIRECT_GRID:
             insts = grid[cell]["specs"]
             records = _direct_side(*side, insts)[1]
@@ -408,12 +431,14 @@ def worker():
             trips = _roundtrip_side(*side, cell["specs"], n, N)[1]
             doc["records"].append([dict(trip, digest=digest, gue=sweep)
                                    for digest, sweep, trip in zip(cell["digests"], sweeps, trips)])
-        records = _inverse_side(*side, tmp, pool)[1]
-        doc["inverse"] = [[dict(rec, digest=inst.digest.hex())
-                           for inst, rec in zip(pool, records) if (inst.n, inst.N) == cell]
-                          for cell in INVERSE_GRID]
+        doc["inverse"] = []
+        for cell in INVERSE_GRID:  # one cell at a time, so that one cell's payloads are held
+            insts = [inst for inst in pool if (inst.n, inst.N) == cell]
+            records = _inverse_side(*side, tmp, insts)[1]
+            doc["inverse"].append([dict(rec, digest=inst.digest.hex())
+                                   for inst, rec in zip(insts, records)])
         doc["payloads"] = {kind: _sha256(specband.serialize.dumps(payload).encode())
-                           for kind, payload in payloads.items()}
+                           for kind, payload in _payloads(*side, tmp).items()}
     json.dump(doc, sys.stdout)
 
 
@@ -503,11 +528,12 @@ def ab_worker(before, after, rounds):
     and the round trips once more with the after checkout on both sides."""
     doc = {"payloads_ab": {}, "sweep_ab": [], "direct_ab": [], "inverse_ab": []}
     with tempfile.TemporaryDirectory() as tmp:
-        grid, pool, payloads = _inputs(tmp)
+        grid, pool = _inputs(tmp)
         specs = {cell: inputs["specs"] for cell, inputs in grid.items()}
         sides = {"before": _fresh_specband(before), "after": _fresh_specband(after)}
-        for kind, payload in payloads.items():
-            calls = {side: functools.partial(pkg.serialize.dumps, payload)
+        payloads = {side: _payloads(*pkg_wl, tmp) for side, pkg_wl in sides.items()}
+        for kind in payloads["after"]:
+            calls = {side: functools.partial(pkg.serialize.dumps, payloads[side][kind])
                      for side, (pkg, _) in sides.items()}
             doc["payloads_ab"][kind] = dict(_ab(calls, PAYLOAD_ROUND_FACTOR * rounds),
                                             identical=len({c() for c in calls.values()}) == 1)
@@ -524,12 +550,12 @@ def ab_worker(before, after, rounds):
         for n, N in INVERSE_GRID:
             insts = [inst for inst in pool if (inst.n, inst.N) == (n, N)][:rounds]
             timed, identical = _sides(_inverse_side, sides, tmp, insts)
-            docs = timed["docs"]
+            handed = timed["payloads"]
             dumps = {side: pkg.serialize.dumps for side, (pkg, _) in sides.items()}
             cell = dict(_ab(timed["op"], rounds, lambda side, i: (insts[i % len(insts)],),
                             p90=True), n=n, N=N)
             cell["dumps"] = _ab(dumps, rounds, lambda side, i: (
-                docs[side][i % len(docs[side])],)) if all(docs.values()) else None
+                handed[side][i % len(handed[side])],)) if all(handed.values()) else None
             doc["inverse_ab"].append(dict(cell, identical=identical))
     twice = {"before": _fresh_specband(after), "after": _fresh_specband(after)}
     doc["roundtrip_aa"] = _roundtrip_ab(twice, specs, rounds)

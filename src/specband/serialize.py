@@ -5,8 +5,8 @@ entries store the upper triangle only; Hermitian symmetry is implied.
 Every file is ``json.dumps(obj, indent=2)`` text, written by :func:`dumps`,
 which hands each scalar and each dict or list of scalars to json's C
 encoder, fills one text template per block of scalar lists (such as a
-matrix's [re, im] pairs) and formats each distinct float magnitude of a
-large block once.
+matrix's [re, im] pairs) or per :class:`Pairs` array and formats each
+distinct float magnitude of a large block once.
 A decoder refuses a missing field or a value of the wrong kind, shape or
 size, such as a null or NaN where a finite number belongs, an ``n`` that is
 no integer >= 1 or a matrix whose ``data`` is not N x N pairs, with a
@@ -33,9 +33,25 @@ def _c(z):
 
 
 def complex_pairs(a):
-    """Nested [re, im] lists of a complex array: the floats of ``_c`` per entry."""
+    """Nested [re, im] lists of a complex array: the floats of ``_c`` per entry.
+
+    :func:`dumps` writes ``Pairs(a)`` as the same text, without the lists.
+    """
     a = np.asarray(a, dtype=complex)
     return np.stack([a.real, a.imag], -1).tolist()
+
+
+class Pairs:
+    """A complex array that :func:`dumps` writes as its ``complex_pairs`` lists.
+
+    It is the one value that :func:`dumps` knows and json does not: json
+    refuses it with the ``TypeError`` it raises for any unknown type.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, a):
+        self.array = np.asarray(a, dtype=complex)
 
 
 _MISSING = object()
@@ -287,11 +303,35 @@ def _block(o, level):
         texts = _flat(0)(leaves)[1:-1].split(",\n")
     else:
         return None
+    return _fill(shape, level, texts)
+
+
+def _fill(shape, level, texts):
+    """The indent-2 text at ``level`` of a nesting of ``shape`` whose leaves read ``texts``."""
     template = "%s"
     for depth, width in reversed(list(enumerate(shape))):
         pad = "\n" + "  " * (level + depth)
         template = f"[{pad}  " + f",{pad}  ".join([template] * width) + f"{pad}]"
     return template % tuple(texts)
+
+
+def _pairs(a, level, path):
+    """``json.dumps(complex_pairs(a), indent=2)`` text of a complex array at ``level``.
+
+    A finite array of one or more dimensions and entries is a block read
+    straight from its float view, [re, im] per entry in row-major order; a
+    non-finite, empty or 0-d one is written from its ``complex_pairs`` lists,
+    so NaN and Infinity are json's text.
+    """
+    if a.ndim and a.size:
+        x = np.ascontiguousarray(a).view(float).ravel()
+        if np.isfinite(x).all():
+            if x.size < DEDUPE_MIN_LEAVES:
+                texts = map(float.__repr__, x.tolist())
+            else:
+                texts = _deduped_reprs(x)
+            return _fill((*a.shape, 2), level, texts)
+    return _encode(complex_pairs(a), level, path)
 
 
 def _key(key):
@@ -303,7 +343,7 @@ def _key(key):
 def _encode(o, level, path):
     """``json.dumps(o, indent=2)`` text of ``o`` nested ``level`` deep."""
     if not isinstance(o, _CONTAINERS):
-        return _flat(level)(o)
+        return _pairs(o.array, level, path) if type(o) is Pairs else _flat(level)(o)
     if not o:
         return "{}" if isinstance(o, dict) else "[]"
     if id(o) in path:
@@ -333,6 +373,9 @@ def dumps(obj):
     matrix, is one %-template filled with its leaves' texts: in a large block
     of finite floats each distinct magnitude is formatted once, so the
     mirrored entries of a Hermitian matrix cost one repr.
+    One value that json does not know is written too: a :class:`Pairs`
+    array gets the text that json gives its ``complex_pairs`` lists, filled
+    from the array without building them when it is finite.
     """
     return _encode(obj, 0, set())
 

@@ -33,7 +33,8 @@ arithmetic, the references of the coefficient-array ``build_p``/``build_q``.
 encoder, and ``reference_from_coeff_vector`` the original per-coefficient
 slot loop with its trimming loop, the references of ``serialize.dumps`` and
 of ``vectorpoly.from_coeff_vector``; ``_reference_trim`` is the trailing-zero
-walk that ``vectorpoly._trim`` replaced.
+walk that ``vectorpoly._trim`` replaced.  ``pairs_as_lists`` readies a
+payload that holds ``serialize.Pairs`` arrays for ``reference_dumps``.
 ``reference_generate_random`` is the generator that drew each uniform with
 its own ``rng.uniform`` call, scanned every pair (j, k) with k >= j and
 rescanned the free rows for each pivot, the reference of ``generate_random``.
@@ -49,7 +50,7 @@ import pytest
 from hypothesis import strategies as st
 
 from specband import BoundaryMatrix, GenProfile, MatrixSpec, StepMeasure, generate_random
-from specband import matrices
+from specband import matrices, serialize
 from specband.errors import (
     DimensionMismatch,
     InconsistentProfile,
@@ -616,6 +617,17 @@ def reference_is_solution(r, data, tol=1e-8):
 def reference_dumps(obj):
     """JSON text as the CLI wrote it before ``serialize.dumps``."""
     return json.dumps(obj, indent=2)
+
+
+def pairs_as_lists(obj):
+    """obj with the ``complex_pairs`` lists of each ``serialize.Pairs`` in its place."""
+    if isinstance(obj, serialize.Pairs):
+        return serialize.complex_pairs(obj.array)
+    if isinstance(obj, dict):
+        return {k: pairs_as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [pairs_as_lists(v) for v in obj]
+    return obj
 
 
 def _reference_trim(coeffs):

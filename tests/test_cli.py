@@ -11,7 +11,13 @@ from specband.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, r
 from specband.reconstruct import ZERO_NORM_TOL, orthonormalize
 from specband.spectral import CLUSTER_TOL, StepMeasure
 
-from conftest import gue_measure, make_fix7, reference_dumps, tie_keeping_permutation
+from conftest import (
+    gue_measure,
+    make_fix7,
+    pairs_as_lists,
+    reference_dumps,
+    tie_keeping_permutation,
+)
 
 #: the one subcommand that reads each tolerance flag
 FLAG_OWNER = {"--tol-zero": "reconstruct", "--cluster-tol": "staircase", "--tol": "check-solution"}
@@ -677,7 +683,8 @@ class TestOutputText:
         out = tmp_path / "out.json"
         run_cli([a.format(**files) for a in argv] + ["-o", str(out)])
         assert len(payloads) == 1
-        assert out.read_text(encoding="utf-8") == reference_dumps(payloads[0]) + "\n"
+        text = reference_dumps(pairs_as_lists(payloads[0]))
+        assert out.read_text(encoding="utf-8") == text + "\n"
 
     def test_roundtrip_report_with_infinity(self, files, tmp_path):
         out = tmp_path / "out.json"

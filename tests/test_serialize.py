@@ -15,7 +15,7 @@ from specband.cli import EXIT_OK, run_cli
 from specband.spectral import StepMeasure
 from specband.vectorpoly import VectorPolynomial
 
-from conftest import make_fix7, reference_dumps
+from conftest import make_fix7, pairs_as_lists, reference_dumps
 
 
 finite_float = st.floats(
@@ -391,6 +391,49 @@ class TestBlocks:
         assert len(doc["matrix"]["data"]) == doc["emitted"] >= 60
         assert text == reference_dumps(doc) + "\n"
         assert sigma.read_text(encoding="utf-8") == reference_dumps(json.loads(sigma.read_text())) + "\n"
+
+
+# Arrays for ``serialize.Pairs``: complex or real, of 0-3 dimensions of 0-9
+# entries each (up to 1,458 floats, on both sides of DEDUPE_MIN_LEAVES) or
+# of 63 and 64 entries (126 and 128 floats, at it), C-ordered or
+# transposed.  Their parts are signed zeros, subnormals, +-1.7e308 and
+# ordinary values, and in half the arrays also NaN and infinities, which
+# send the array to the fallback.  Each array is nested 0-3 deep.
+FINITE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7e308, -1.7e308,
+                0.1, -1 / 3, 2.5, 1e22]
+NON_FINITE_PARTS = [float("nan"), float("inf"), -float("inf")]
+NESTINGS = [lambda o: [o], lambda o: {"x": o}, lambda o: [1.5, o, "s"],
+            lambda o: {"n": 2, "data": o, "t": [[0.5, -0.0]]}]
+
+
+@st.composite
+def pairs_arrays(draw):
+    shape = draw(st.lists(st.integers(0, 9), max_size=3)
+                 | st.sampled_from([[63], [64], [4, 4, 4]]))
+    pool = FINITE_PARTS + (NON_FINITE_PARTS if draw(st.booleans()) else [])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.array(rng.choice(pool, size=shape))
+    if draw(st.booleans()):
+        a = a.astype(complex)
+        a.imag = rng.choice(pool, size=shape)
+    return a.T if draw(st.booleans()) else a
+
+
+class TestPairs:
+    @settings(max_examples=400, deadline=None)
+    @given(pairs_arrays(), st.lists(st.sampled_from(NESTINGS), max_size=3))
+    def test_text_is_json_text_of_complex_pairs(self, a, nestings):
+        obj = ser.Pairs(a)
+        for nest in nestings:
+            obj = nest(obj)
+        with mock.patch.object(ser, "_deduped_reprs", wraps=ser._deduped_reprs) as dedupe:
+            assert ser.dumps(obj) == reference_dumps(pairs_as_lists(obj))
+        finite = np.isfinite(a).all()
+        assert dedupe.call_count == (a.ndim > 0 and 2 * a.size >= ser.DEDUPE_MIN_LEAVES and finite)
+
+    def test_json_refuses_pairs(self):
+        with pytest.raises(TypeError, match="^Object of type Pairs is not JSON serializable$"):
+            json.dumps({"a": ser.Pairs(np.eye(2))})
 
 
 complex_entries = st.complex_numbers(allow_nan=True, allow_infinity=True) | st.sampled_from(
