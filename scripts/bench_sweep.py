@@ -54,8 +54,10 @@ and emitted counts (``decisions_agree``), and the sha256 of every sweep's
 raised (``outputs_identical``); on the sha256 over what perfbench's
 ``direct`` gate reads, the stage outputs up to ``det_theta_polynomial``
 (or the stage and error that ended the instance) and the ``direct_check``
-output (``gate_outputs_identical``), and over the generator report's JSON
-(``generator_reports_identical``), listing the seeds whose height table
+output (``gate_outputs_identical``), on the ``direct`` gate's verdict and
+the solution flags of each instance (``gate_verdicts_agree``, which holds
+where a change moves bits but no decision), and over the generator report's
+JSON (``generator_reports_identical``), listing the seeds whose height table
 differs (``height_tables_changed``); on every file the inverse operation
 wrote (or its exit code and error line) and the gate's verdict
 (``outputs_identical``); and on each payload's text (``payloads``).
@@ -246,11 +248,14 @@ def _run_stages(stages, inputs=tuple):
     return run
 
 
-def _direct_record(run, check):
+def _direct_record(run, check, verdict):
     """The sha256 over a direct instance's stage outputs and ``direct_check`` output
-    ``check`` (perfbench's ``DirectOutput``, or the exception it raised)."""
+    ``check`` (perfbench's ``DirectOutput``, or the exception it raised), the
+    ``direct`` gate's ``verdict`` and the solution flags."""
     gate = hashlib.sha256()
-    rec = {}
+    rec = {"gate_failure": verdict,
+           "solution_flags": None if isinstance(check, Exception)
+           else [bool(f) for f in check.solution_flags]}
     for name, out in run["outs"].items():
         if name == "verify_generators":
             rec["generators_sha256"] = _sha256(_output_bytes(name, out))
@@ -311,13 +316,19 @@ def _roundtrip_side(pkg, wl, insts, n, N):
 
 
 def _direct_side(pkg, wl, insts):
-    """``direct_check`` of a cell's instances and the stages' runs; per seed, their record."""
+    """``direct_check`` of a cell's instances and the stages' runs; per seed, their
+    record, with perfbench's ``direct`` verdict: None, "gate" or the stage that raised."""
     own = [_own(pkg, inst) for inst in insts]
     runs = [_run_stages(_direct_stages(pkg),
                         functools.partial(_direct_inputs, pkg, inst.spec, inst.t, inst.N))
             for inst in own]
     timed = {"checks": functools.partial(_each, wl.direct_check, own), "runs": runs}
-    return timed, [_direct_record(run, check) for run, check in zip(runs, timed["checks"]())]
+    direct, records = wl.Direct(None), []
+    for inst, run, check in zip(own, runs, timed["checks"]()):
+        verdict = (direct.stage(check) if isinstance(check, Exception)
+                   else direct.gate(inst, check)[0])
+        records.append(_direct_record(run, check, verdict))
+    return timed, records
 
 
 @contextlib.contextmanager
@@ -649,7 +660,8 @@ def summarize(runs):
 
 
 def summarize_direct(runs):
-    """Per direct cell, the failures and ``minimal`` flags per checkout, and the digests."""
+    """Per direct cell, the failures and ``minimal`` flags per checkout, the digests,
+    and whether the gate's verdicts and the solution flags agree."""
     cells = []
     for n, N, recs in _cells(runs, "direct", DIRECT_GRID):
         cell = {"n": n, "N": N, "seeds": len(SEEDS)}
@@ -658,6 +670,7 @@ def summarize_direct(runs):
                           "minimal": [r.get("minimal") for r in final]}
         cell["inputs_agree"] = _agree(recs, "digest")
         cell["gate_outputs_identical"] = _agree(recs, "gate_sha256")
+        cell["gate_verdicts_agree"] = _agree(recs, "gate_failure", "solution_flags")
         cell["generator_reports_identical"] = _agree(recs, "generators_sha256")
         cell["height_tables_changed"] = [
             seed for seed, a, b in zip(SEEDS, recs["before"], recs["after"])

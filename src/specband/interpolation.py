@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoDecomposition
 from .reconstruct import ZERO_NORM_TOL, _sweep
-from .spectral import StepMeasure, cluster_starts, row_norms, row_vdots
+from .spectral import StepMeasure, cluster_starts
 from .vectorpoly import (
     MINUS_INF,
     VectorPolynomial,
@@ -58,19 +58,13 @@ class InterpolationData(StepMeasure):
 
 
 def is_solution(r: VectorPolynomial, data: InterpolationData, tol: float = 1e-8) -> bool:
-    """Whether r is annihilated by every data point, relatively to its size.
-
-    All nodes are tested at once, each rounded as a loop over the nodes
-    rounds it: r(mu_k) by ``VectorPolynomial.evaluate_at`` and (C^k)* r(mu_k)
-    by ``row_vdots``, as in ``StepMeasure.weight_row``, its modulus by
-    ``np.hypot`` (Python's ``abs``) and the norms by ``row_norms``.
-    """
+    """Whether r is annihilated by every data point, relatively to its size:
+    |(C^k)* r(mu_k)| <= tol (1 + |C^k| |r(mu_k)|) at every node."""
     if r.n != data.n:
         raise DimensionMismatch("polynomial dimension does not match the data")
     vals = r.evaluate_at(data.lambdas)
-    dots = row_vdots(data.c, vals)
-    resid = np.hypot(dots.real, dots.imag)
-    scale = row_norms(data.c) * row_norms(vals)
+    resid = np.abs(np.einsum("ki,ki->k", data.c.conj(), vals))
+    scale = np.linalg.norm(data.c, axis=1) * np.linalg.norm(vals, axis=1)
     return not np.any(resid > tol * (1.0 + scale))
 
 

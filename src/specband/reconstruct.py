@@ -27,12 +27,11 @@ reduced by classical Gram-Schmidt, twice: each pass takes every multiplier
 at once, cs = conj(V) w, from the conjugated rows, and subtracts cs V, so w
 is orthogonal to V at working precision (Giraud, Langou, Rozloznik & van
 den Eshof, Numer. Math. 101, 2005); before the first row is emitted there
-is nothing to project against, and no pass runs.  Only
-the first n emitted vectors, the constants, also carry their coefficients
-of e_1..e_n, an n x n block that takes the same multipliers with Python's
-complex rounding (``spectral._subtract_in_order``, shared with
-``build_p``/``build_q``); T~ is read off it.  p~ and q~ are the p_k and q_j
-of the recovered matrix, built when asked for.  The sweep itself,
+is nothing to project against, and no pass runs.  Only the first n emitted
+vectors, the constants, also carry their coefficients of e_1..e_n, an n x n
+block that takes the same multipliers (``spectral._subtract_in_order``,
+shared with ``build_p``/``build_q``); T~ is read off it.  p~ and q~ are the
+p_k and q_j of the recovered matrix, built when asked for.  The sweep itself,
 ``_sweep``, also gives ``interpolation.verify_generators`` its kernel
 dimensions; the checks that the matrix needs are ``orthonormalize``'s.
 """

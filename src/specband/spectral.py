@@ -104,7 +104,7 @@ class StepMeasure:
     once and read by ``evaluate``, ``moments_upto`` (and so ``total_mass``)
     and ``grouped_jumps``.  Jumps at equal (clustered) locations may be
     grouped on demand.  sigma is left-continuous: sigma(t) sums the jumps
-    strictly below t.
+    strictly below t.  Its sums (sigma, the moments, the jumps) hold no -0.0.
     """
 
     n: int
@@ -126,15 +126,15 @@ class StepMeasure:
 
     @functools.cached_property
     def outer(self):
-        """The (N, n, n) block of C^k (C^k)*, ``_outer_products(c)``: formed on
-        first read, then kept read-only for every later reader."""
-        outer = _outer_products(self.c)
+        """The (N, n, n) block of C^k (C^k)*: formed on first read, then kept
+        read-only for every later reader."""
+        outer = self.c[:, :, None] * self.c.conj()[:, None, :]
         outer.flags.writeable = False
         return outer
 
     def evaluate(self, t):
-        """sigma(t): 0.0 + C C* + ..., summed in order over the points strictly below t."""
-        return _sum_in_order(self.outer[self.lambdas < t])
+        """sigma(t): the sum of C C* over the points strictly below t."""
+        return np.add.reduce(self.outer[self.lambdas < t], axis=0, initial=0.0)
 
     def spectral_arrays(self):
         """The lambda vector and the (N, n) block of conj(C^k), a row per point."""
@@ -143,19 +143,15 @@ class StepMeasure:
     def moments_upto(self, K):
         """Moments S_0..S_K as a (K+1, n, n) array, in one array pass.
 
-        S_k is 0.0 + lambda^k C C* + ..., summed over the growth points in
-        order (``_sum_in_order``), with each C C* rounded as ``np.outer``
-        rounds it (``_outer_products``).  ``np.float_power`` gives the same
-        powers as Python's ``float ** int``; an overflowing power raises
-        ``FloatingPointError`` rather than turning into inf.  The product of
-        a real power and C C* rounds fused or unfused to the same value up to
-        the sign of a zero, which the sum from +0.0 does not keep.
+        S_k is the sum of lambda^k C C* over the growth points.  An
+        overflowing power raises ``FloatingPointError`` rather than turning
+        into inf.
         """
         if K < 0:
             raise ValueError("moment order must be nonnegative")
         with np.errstate(over="raise"):
-            powers = np.float_power(self.lambdas[:, None], np.arange(K + 1))
-        return _sum_in_order(powers[:, :, None, None] * self.outer[:, None])
+            powers = np.vander(self.lambdas, K + 1, increasing=True)
+        return np.add.reduce(powers[:, :, None, None] * self.outer[:, None], axis=0, initial=0.0)
 
     def moment(self, k):
         """k-th moment: sum of lambda^k C C* over all growth points."""
@@ -170,34 +166,22 @@ class StepMeasure:
         Clusters are those of ``cluster_starts``.  Returns a structured array
         with a (location, jump) record per cluster, in order: the fields
         ``"location"`` and ``"jump"`` hold all clusters as arrays, and a
-        record unpacks as a pair.  The location is ``np.mean`` of the
-        cluster's lambdas (lambda itself for a single point), the jump
-        0.0 + C C* + ..., summed over the cluster in order; the clusters are
-        counted and summed only when one holds two or more points.
-        ``jump_rank`` gives a jump's numerical rank.
+        record unpacks as a pair.  The location is the mean of the cluster's
+        lambdas, the jump the sum of its C C*.  ``jump_rank`` gives a jump's
+        numerical rank.
         """
         lam, outer = self.lambdas, self.outer
         start = cluster_starts(lam, cluster_tol)
         out = np.empty(start.size, dtype=[("location", float), ("jump", complex, outer.shape[1:])])
-        out["location"] = lam[start]
-        jumps = outer[start] + 0.0
-        if start.size < self.size:  # some cluster holds two or more points
-            count = np.diff(start, append=self.size)
-            # the d-th further point of every cluster that has one, so each sum runs in order
-            for d in range(1, count.max()):
-                more = count > d
-                jumps[more] += outer[start[more] + d]
-            for i in np.flatnonzero(count > 1):
-                out["location"][i] = np.mean(lam[start[i] : start[i] + count[i]])
-        out["jump"] = jumps
+        out["location"] = np.add.reduceat(lam, start) / np.add.reduceat(np.ones_like(lam), start)
+        out["jump"] = np.add.reduceat(outer, start, axis=0) + 0.0  # a lone -0.0 becomes 0.0
         return out
 
     def weight_row(self, f: VectorPolynomial):
-        """Spectral coordinates of f: the scalar (C^k)* f(lambda_k) per point,
-        ``row_vdots`` of C and ``VectorPolynomial.evaluate_at``."""
+        """Spectral coordinates of f: the scalar (C^k)* f(lambda_k) per point."""
         if f.n != self.n:
             raise DimensionMismatch("polynomial dimension does not match the measure")
-        return row_vdots(self.c, f.evaluate_at(self.lambdas))
+        return np.einsum("ki,ki->k", self.c.conj(), f.evaluate_at(self.lambdas))
 
 
 def cluster_starts(lam, cluster_tol=CLUSTER_TOL):
@@ -221,10 +205,7 @@ def eigen_decompose(m: FiniteHermitian) -> SpectralData:
 
     Eigenvalues come out ascending with multiplicity; each eigenvector is
     rotated so its first significant entry is real positive.  A unit
-    eigenvector always has a nonzero pivot, so every column turns, all in one
-    product that rounds as a loop over the columns would: ``np.hypot`` is
-    Python's ``abs`` of the pivot, the quotient is the same elementwise
-    division, and ``_scale_columns`` rounds the product.
+    eigenvector always has a nonzero pivot, so every column turns.
     """
     defect = m.hermiticity_defect()
     scale = max(1.0, float(np.max(np.abs(m.data))))
@@ -233,7 +214,7 @@ def eigen_decompose(m: FiniteHermitian) -> SpectralData:
     lams, phi = np.linalg.eigh(m.data)
     phi = np.asarray(phi, dtype=complex)
     pivot, _ = _first_significant(phi)
-    phi = _scale_columns(phi, np.hypot(pivot.real, pivot.imag) / pivot)
+    phi = phi * (np.abs(pivot) / pivot)
     sd = SpectralData(np.asarray(lams, dtype=float), phi)
     if sd.unitarity_defect() > 1e-10 * max(1, m.N):
         raise NumericalFailure("eigenvector matrix lost unitarity")
@@ -246,54 +227,6 @@ def _first_significant(block):
     peak = mags.max(axis=0)
     idx = np.argmax(mags > 1e-8 * peak, axis=0)
     return block[idx, np.arange(block.shape[1])], peak
-
-
-def _scale_columns(block, factor):
-    """block[:, k] * factor[k] for every k, rounded as that per-column product rounds.
-
-    A SIMD build of numpy multiplies complex arrays with an unfused scalar
-    kernel when the inner loop has one element and with a vector kernel,
-    which may fuse a multiply-add, when it has more.  A column of a one-row
-    block is such a one-element loop, so that block takes the unfused formula
-    written out; any other block takes one broadcast product, whose inner
-    loop has more than one element, as each column's has.
-    """
-    if block.shape[0] != 1:
-        return block * factor
-    re, im, f_re, f_im = block.real, block.imag, factor.real, factor.imag
-    out = np.empty_like(block)
-    out.real = re * f_re - im * f_im
-    out.imag = re * f_im + im * f_re
-    return out
-
-
-def _outer_products(c):
-    """C C* for every row C of the C-ordered block c, stacked (N, n, n).
-
-    One broadcast product, equal bit for bit to ``np.outer(c, c.conj())``
-    per row: both run numpy's complex multiply once per entry.  The inner
-    loop's strides choose numpy's kernel, so a block of another layout may
-    round differently.
-    """
-    return c[:, :, None] * c.conj()[:, None, :]
-
-
-def row_norms(x):
-    """``np.linalg.norm`` of each row of the 2-D complex array x, bit for bit.
-
-    norm takes sqrt(re . re + im . im) with BLAS dot; a stacked (1, L) @ (L, 1)
-    matmul calls that same dot per row, where a sum along the axis would add
-    in another order.
-    """
-    re, im = x.real, x.imag
-    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
-    return np.sqrt(sq[:, 0, 0])
-
-
-def row_vdots(a, b):
-    """``np.vdot`` of each row of a with the same row of b: a stacked
-    row-by-column matmul calls the same BLAS dot per row."""
-    return np.matmul(a.conj()[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def psi_at(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, z) -> np.ndarray:
@@ -359,13 +292,15 @@ def build_p(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix):
     k <= n are the boundary matrix's columns, entries of magnitude <=
     COEFF_TRIM_TOL set to 0; each further p_c solves the row equation owning
     the edge of column c with conjugated entries (formal adjoint of the
-    numeric recursion), rounded as stepwise Python complex arithmetic rounds it.
+    numeric recursion), summed by ``_subtract_in_order``.
     """
     N, n, data = s.N, s.n, m.data
     w = n * (N - n + 1)
     coeffs = np.zeros((N, n + w), dtype=complex)
-    # np.hypot is Python's complex abs bit for bit; np.abs on complex is not
-    coeffs[:n, n : 2 * n] = np.where(np.hypot(t.t.real, t.t.imag) > COEFF_TRIM_TOL, t.t, 0.0).T
+    # Python's abs: np.abs may differ from it in the last bit, and so trim an
+    # entry of magnitude COEFF_TRIM_TOL that abs keeps, or the other way round
+    coeffs[:n, n : 2 * n] = [[v if abs(v) > COEFF_TRIM_TOL else 0.0 for v in col]
+                             for col in t.t.T.tolist()]
     for c, r in sorted(s.pivot.items()):
         edge = data[r - 1, c - 1]
         if abs(edge) == 0.0:
@@ -403,6 +338,13 @@ def _subtract_in_order(row, cs, rows):
     complex multiply may fuse a multiply-add; with a purely real or purely
     imaginary factor one term of each part is an exact zero and fusing
     changes nothing, hence the split of c into c.real and 1j*c.imag.
+
+    The p and q coefficients, and so the sweep's T~, keep these bits because
+    decisions read them: ``interpolation.is_solution`` tests the q_j at the
+    nodes at a relative 1e-8, a bound that their residual reaches on many
+    instances.  ``row - cs @ rows`` in its place flips that test, either
+    way, on 119 of perfbench's 960 n = 1, N = 20 ``direct`` instances of
+    seeds 1-20: rounding noise, until the test reads point values.
     """
     terms = np.empty((len(cs) + 1, row.size), dtype=complex)
     terms[0] = row
@@ -417,9 +359,7 @@ def c_vectors(sd: SpectralData, t: BoundaryMatrix) -> np.ndarray:
     Returns an (N, n) array whose row k is C^k.  The phase of each
     eigencolumn is re-fixed so the first significant entry of its head is
     real positive; everything downstream only depends on C C*.  Heads and
-    C-vectors are checked all at once, each error naming the first failing k;
-    the head rotation rounds as ``eigen_decompose``'s does, and the C-vector
-    norms are ``row_norms``, ``np.linalg.norm`` per vector.
+    C-vectors are checked all at once, each error naming the first failing k.
     """
     t.require_invertible()
     heads = sd.phi[: t.n, :]
@@ -427,9 +367,9 @@ def c_vectors(sd: SpectralData, t: BoundaryMatrix) -> np.ndarray:
     vanished = peak == 0.0
     if vanished.any():
         raise NumericalFailure(f"eigenvector {int(np.argmax(vanished))} has a vanishing head")
-    heads = _scale_columns(heads, np.hypot(pivot.real, pivot.imag) / pivot)
+    heads = heads * (np.abs(pivot) / pivot)
     cs = np.ascontiguousarray(np.linalg.solve(t.t.conj().T, heads).T)
-    small = row_norms(cs) <= 1e-13
+    small = np.linalg.norm(cs, axis=1) <= 1e-13
     if small.any():
         raise NumericalFailure(f"C-vector {int(np.argmax(small))} vanished")
     return cs
@@ -472,8 +412,7 @@ class DirectPass:
                         Chebyshev nodes of ``det_theta_polynomial`` over it;
       * ``psi``         one ``psi_at`` recursion over lambda_1..lambda_N and
                         then the nodes, (2N + 1, N, n);
-      * ``u``           the rows u_k = Psi(lambda_k) C^k, each its own
-                        matrix-vector product, as a loop over k rounds it;
+      * ``u``           the rows u_k = Psi(lambda_k) C^k;
       * ``theta_nodes`` Theta at the nodes, from the node rows of ``psi``.
 
     Points stacked in one ``psi_at`` call give the bytes of separate calls.
@@ -555,20 +494,15 @@ def gram_matrix(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
     rows u_k come from the ``DirectPass`` of (m, s, t), as in the other
     direct checks.
     """
-    gram = np.zeros((s.N, s.N), dtype=complex)
-    for u in direct_pass(m, s, t, sd).u:
-        gram += np.outer(u, u.conj())
-    return gram
+    u = direct_pass(m, s, t, sd).u
+    return u.T @ u.conj()
 
 
 def multiplication_matrix(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
                           sd: SpectralData = None) -> np.ndarray:
     """Matrix elements <p_i, t * p_j> under the step measure, from Psi at the eigenvalues."""
     dp = direct_pass(m, s, t, sd)
-    out = np.zeros((s.N, s.N), dtype=complex)
-    for lam, u in zip(dp.sd.lambdas, dp.u):
-        out += lam * np.outer(u, u.conj())
-    return out
+    return (dp.u.T * dp.sd.lambdas) @ dp.u.conj()
 
 
 def q_norms_sq(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
@@ -579,29 +513,18 @@ def q_norms_sq(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix,
     which the theory says is exactly zero; scales_sq[j] is the size the same
     sum would have without the cancellation inside (M - l I)_K Psi(l) C, i.e.
     the K-row magnitudes of (M - l I) times the recovered eigenvector norms.
-
-    All eigenvalues are taken at once, rounded as a loop over k rounds:
-    (M - l_k I)_K u_k is one matrix-vector product per k, the K rows of every
-    M - l_k I are stacked (n N^2 entries) for their row norms, |u_k| is
-    ``row_norms``, and both sums run over k in order.
+    The squared magnitude of K-row j at l is that of its entries off the
+    diagonal plus |m_kk - l|^2, k the j-th element of K.
     """
     dp = direct_pass(m, s, t, sd)
-    lams, us, n = dp.sd.lambdas, dp.u, s.n
+    lams, us = dp.sd.lambdas, dp.u
     rows = np.array(s.K) - 1
     k_rows = m.data[rows, :]
-    v = np.matmul(k_rows, us[:, :, None])[:, :, 0] - lams[:, None] * us[:, rows]
-    shifted = np.repeat(k_rows[None], len(lams), axis=0)
-    shifted[:, np.arange(n), rows] -= lams[:, None]
-    scales = (np.linalg.norm(shifted, axis=2) * row_norms(us)[:, None]) ** 2
-    return _sum_in_order(np.abs(v) ** 2), _sum_in_order(scales)
-
-
-def _sum_in_order(terms):
-    """0.0 + terms[0] + terms[1] + ..., left to right along the first axis.
-
-    ``np.add.reduce`` adds the rows in order, except that it sums a single
-    column pairwise; a single column takes a cumulative sum instead.
-    """
-    if np.prod(terms.shape[1:]) > 1:
-        return np.add.reduce(terms, axis=0, initial=0.0)
-    return np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)[-1]
+    diag = k_rows[np.arange(s.n), rows]
+    off_diag = k_rows.copy()
+    off_diag[np.arange(s.n), rows] = 0.0
+    row_sq = np.linalg.norm(off_diag, axis=1) ** 2 + np.abs(diag - lams[:, None]) ** 2
+    v = us @ k_rows.T - lams[:, None] * us[:, rows]
+    scales = row_sq * np.linalg.norm(us, axis=1)[:, None] ** 2
+    return (np.add.reduce(np.abs(v) ** 2, axis=0, initial=0.0),
+            np.add.reduce(scales, axis=0, initial=0.0))

@@ -101,35 +101,22 @@ class VectorPolynomial:
     def evaluate_at(self, ts):
         """``evaluate(t)`` for every real t in ts, as a (len(ts), n) array.
 
-        Python rounds the Horner step acc * t + c as (acc.re t - acc.im 0.0 +
-        c.re, acc.re 0.0 + acc.im t + c.im); each step below runs those float
-        operations for all points and components at once, the two zero
-        products as one product with (-0.0, 0.0).  Only the sign of a NaN may
-        differ, as it depends on the order of the operands.  Shorter
-        components are padded at the top with zeros, which leave the
-        accumulator at 0j, and zero components stay 0j.  Like Python's, the
-        arithmetic overflows to inf without a warning.
+        One complex Horner step per degree runs over all points and
+        components at once, on a (width, n) array of the coefficients from
+        the top, shorter components padded with zeros.  Like Python's
+        arithmetic in ``evaluate``, it overflows to inf without a warning.
+        At an infinite or NaN t an empty component may read NaN, not 0.
         """
-        ts = np.asarray(ts, dtype=float)
+        ts = np.asarray(ts, dtype=float)[:, None]
         width = max(len(c) for c in self.comps)
-        steps = np.zeros((width, 2, self.n, 1))
+        top = np.zeros((width, self.n), dtype=complex)
         for j, comp in enumerate(self.comps):
-            top = np.array(comp[::-1], dtype=complex)
-            steps[width - len(top):, 0, j, 0] = top.real
-            steps[width - len(top):, 1, j, 0] = top.imag
-        acc = np.zeros((2, self.n, ts.size))
-        signed_zero = np.array([-0.0, 0.0])[:, None, None]
+            top[width - len(comp):, j] = comp[::-1]
+        acc = np.zeros((ts.size, self.n), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in steps:
-                cross = acc[::-1] * signed_zero
-                acc *= ts
-                acc += cross
-                acc += step
-        out = np.zeros((ts.size, self.n), dtype=complex)
-        live = [j for j, comp in enumerate(self.comps) if comp]
-        out.real[:, live] = acc[0, live].T
-        out.imag[:, live] = acc[1, live].T
-        return out
+            for c in top:
+                acc = acc * ts + c
+        return acc
 
     def conjugate_coeffs(self):
         """Formal adjoint companion: conjugate every coefficient."""

@@ -9,6 +9,9 @@ FIX7   the 7x7 matrix with n=3, pivots 4->1, 5->4, 6->2, 7->6 and
 
 ``brute_force_scans`` swaps MatrixSpec's structural index for the original
 per-query scans over every stored entry, as a reference for equivalence tests.
+Where an array form may round otherwise than its reference, ``assert_within``
+compares the two within ``REL_BOUND`` of the scale of the quantity, which the
+test states; ``horner_scale`` is that scale for a polynomial's value.
 ``reference_orthonormalize`` and ``reference_moment`` are the inverse sweep
 on VectorPolynomial arithmetic and the original per-order moment loop, the
 references of the array-based sweep and moments; with ``mgs_pass`` the
@@ -274,6 +277,24 @@ def outcome(fn, *args, **kwargs):
 def reference_outcome(fn, *args):
     with brute_force_scans():
         return outcome(fn, *args)
+
+
+#: the largest departure from a reference that a comparison allows, as a
+#: share of the scale of the quantity compared
+REL_BOUND = 1e-13
+
+
+def assert_within(got, ref, scale):
+    """Same shape, and |got - ref| <= REL_BOUND * scale entrywise (scale broadcasts)."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    gap = np.abs(got - ref)
+    assert np.all(gap <= REL_BOUND * np.asarray(scale)), (float(np.max(gap)), np.max(scale))
+
+
+def horner_scale(r, t):
+    """Per component of r, sum |c_k| |t|^k: the size that bounds Horner's rounding at t."""
+    return np.array([sum(abs(c) * abs(t) ** k for k, c in enumerate(comp)) for comp in r.comps])
 
 
 # -- reference: the step measure's moments and jumps, point by point -------

@@ -19,7 +19,7 @@ _spec.loader.exec_module(bench_sweep)
 SUMMARIES = {"records": bench_sweep.summarize, "direct": bench_sweep.summarize_direct,
              "inverse": bench_sweep.summarize_inverse}
 FLAGS = ("inputs_agree", "specs_identical", "decisions_agree", "outputs_identical",
-         "gate_outputs_identical", "generator_reports_identical")
+         "gate_outputs_identical", "gate_verdicts_agree", "generator_reports_identical")
 CELL, SEED = 3, 2
 
 
@@ -34,7 +34,8 @@ def records():
         "records": [[{"digest": "d", "spec_sha256": "s", "gue": sweep(), "stage": sweep(),
                       "roundtrip": {"eigenvalue_error": 1e-15, "sha256": "r"}} for _ in seeds]
                     for _ in bench_sweep.GRID],
-        "direct": [[{"digest": "d", "gate_sha256": "g", "generators_sha256": "h",
+        "direct": [[{"digest": "d", "gate_sha256": "g", "gate_failure": None,
+                     "solution_flags": [True, False], "generators_sha256": "h",
                      "height_table": [[0, 0, 0], [1, 1, 0]], "minimal": True} for _ in seeds]
                    for _ in bench_sweep.DIRECT_GRID],
         "inverse": [[{"digest": "d", "sha256": "f", "failure": None} for _ in range(64)]
@@ -76,6 +77,8 @@ def test_identical_records_raise_every_flag():
     ("records", ("roundtrip", "failure"), "measure", ["outputs_identical"]),
     ("direct", ("digest",), "e", ["inputs_agree"]),
     ("direct", ("gate_sha256",), "x", ["gate_outputs_identical"]),
+    ("direct", ("gate_failure",), "gate", ["gate_verdicts_agree"]),
+    ("direct", ("solution_flags",), [True, True], ["gate_verdicts_agree"]),
     ("direct", ("generators_sha256",), "x", ["generator_reports_identical"]),
     ("direct", ("height_table",), [[0, 0, 0]], ["height_tables_changed"]),
     ("inverse", ("digest",), "e", ["inputs_agree"]),

@@ -86,6 +86,17 @@ class TestPipelineCommands:
         assert run_cli(["staircase", str(sigma)]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1] == "0.5,1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0"
 
+    def test_moments_have_no_negative_zero(self, tmp_path):
+        # C C* of C = (1, -0) has -0.0 entries, and lambda < 0 gives negative powers
+        sigma, out = tmp_path / "sigma.json", tmp_path / "moments.json"
+        points = [{"lambda": -1.5, "C": [[1.0, -0.0], [-0.0, -0.0]]},
+                  {"lambda": 0.5, "C": [[-0.0, 0.0], [2.0, -1.0]]}]
+        ser.dump({"n": 2, "points": points}, sigma)
+        assert run_cli(["moments", "--k", "5", str(sigma), "-o", str(out)]) == EXIT_OK
+        values = np.array(read_json(out)["moments"], dtype=float)
+        assert values.shape == (6, 2, 2, 2)
+        assert (values == 0.0).any() and not np.signbit(values[values == 0.0]).any()
+
     def test_spectrum_truncates_like_measure(self, tmp_path, capsys):
         # N = n needs no structure: spectrum and measure both take the 2 x 2 corner
         spec = tmp_path / "spec.json"
