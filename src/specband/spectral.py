@@ -297,10 +297,8 @@ def build_p(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix):
     N, n, data = s.N, s.n, m.data
     w = n * (N - n + 1)
     coeffs = np.zeros((N, n + w), dtype=complex)
-    # Python's abs: np.abs may differ from it in the last bit, and so trim an
-    # entry of magnitude COEFF_TRIM_TOL that abs keeps, or the other way round
-    coeffs[:n, n : 2 * n] = [[v if abs(v) > COEFF_TRIM_TOL else 0.0 for v in col]
-                             for col in t.t.T.tolist()]
+    # np.hypot is Python's complex abs bit for bit; np.abs on complex is not
+    coeffs[:n, n : 2 * n] = np.where(np.hypot(t.t.real, t.t.imag) > COEFF_TRIM_TOL, t.t, 0.0).T
     for c, r in sorted(s.pivot.items()):
         edge = data[r - 1, c - 1]
         if abs(edge) == 0.0:

@@ -293,8 +293,16 @@ def assert_within(got, ref, scale):
 
 
 def horner_scale(r, t):
-    """Per component of r, sum |c_k| |t|^k: the size that bounds Horner's rounding at t."""
-    return np.array([sum(abs(c) * abs(t) ** k for k, c in enumerate(comp)) for comp in r.comps])
+    """Per component of r, sum |c_k| |t|^k: the size that bounds Horner's rounding
+    at t, by Horner's rule on the magnitudes, so that it overflows to inf as the
+    value does."""
+    out = []
+    for comp in r.comps:
+        acc = 0.0
+        for c in reversed(comp):
+            acc = acc * abs(t) + abs(c)
+        out.append(acc)
+    return np.array(out)
 
 
 # -- reference: the step measure's moments and jumps, point by point -------

@@ -489,7 +489,7 @@ class TestEvaluateAndWeightsMatchReference:
 
     def test_empty_measure(self):
         mu = StepMeasure(2, [], [])
-        assert mu.evaluate(0.0).tolist() == np.zeros((2, 2), dtype=complex).tolist()
+        assert mu.evaluate(0.0).tobytes() == np.zeros((2, 2), dtype=complex).tobytes()
         assert mu.weight_row(VectorPolynomial.zero(2)).shape == (0,)
 
 

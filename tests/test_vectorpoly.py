@@ -259,20 +259,26 @@ class TestEvaluateAt:
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 3).flatmap(
-            lambda n: st.lists(st.lists(coeff, max_size=7), min_size=n, max_size=n)
+            lambda n: st.lists(st.lists(st.one_of(coeff, special), max_size=7), min_size=n, max_size=n)
         ),
         st.lists(
-            st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0, 1e-300, -1e-3])),
+            st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0, 1e-300, -1e200])),
             max_size=6,
         ),
     )
     def test_matches_evaluate_at_finite_points(self, comps, ts):
-        # the scalar Horner loop of ``evaluate`` is the reference
+        # the scalar Horner loop of ``evaluate`` is the reference: NaN and inf in
+        # the same real and imaginary parts, the finite values within the bound
+        # of the Horner scale
         r = VectorPolynomial.from_components(comps, len(comps))
         got = r.evaluate_at(np.array(ts))
         assert got.shape == (len(ts), r.n)
         for row, t in zip(got, ts):
-            assert_within(row, r.evaluate(t), horner_scale(r, t))
+            ref = r.evaluate(t)
+            assert np.isnan(row.view(float)).tolist() == np.isnan(ref.view(float)).tolist()
+            assert np.isinf(row.view(float)).tolist() == np.isinf(ref.view(float)).tolist()
+            finite = np.isfinite(ref)
+            assert_within(row[finite], ref[finite], horner_scale(r, t)[finite])
 
     def test_overflow_gives_inf_without_a_warning(self):
         # 1 + z^2 overflows at the first two points; a NaN coefficient and an
