@@ -574,8 +574,12 @@ def ab_worker(before, after, rounds):
 
 
 def start_side(checkout, *extra):
-    """A single-threaded worker process with the checkout's ``src/`` and perfbench on its path."""
+    """A single-threaded worker process with the checkout's ``src/`` and perfbench on its path.
+
+    It does not inherit SPECBAND_TOL, which perfbench clears too, so its
+    inverse cells run ``reconstruct`` at the default threshold."""
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
+    env.pop("SPECBAND_TOL", None)
     env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.abspath(checkout), "src"), PERFBENCH])
     return subprocess.Popen([sys.executable, __file__, "--worker", *extra], env=env,
                             stdout=subprocess.PIPE, text=True)

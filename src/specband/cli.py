@@ -113,7 +113,7 @@ def cmd_validate(args):
 def cmd_truncate(args):
     spec = ser.spec_from_dict(ser.load(args.file))
     m = truncate(spec, args.N)
-    _emit({"N": m.N, "data": ser.Pairs(m.data)}, args.output)
+    _emit(ser.matrix_to_dict(m), args.output)
     return EXIT_OK
 
 
@@ -233,8 +233,8 @@ def cmd_reconstruct(args):
               file=sys.stderr)
     m = rec.recover_matrix(res)
     payload = {
-        "matrix": {"N": m.N, "data": ser.Pairs(m.data)},
-        "boundary": {"n": res.t_tilde.n, "t": ser.Pairs(res.t_tilde.t)},
+        "matrix": ser.matrix_to_dict(m),
+        "boundary": ser.boundary_to_dict(res.t_tilde),
         "q_heights": list(res.q_heights),
         "skip_log": list(res.skip_log),
         "rank_exhausted": res.rank_exhausted,

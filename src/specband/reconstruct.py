@@ -188,8 +188,8 @@ def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
     ``FloatingPointError`` rather than passing for a degeneration.
     """
     n = mu.n
-    lam, conj_c = mu.spectral_arrays()
-    cols = conj_c.T.copy()  # row i: conj(C^p)_i over the points p
+    lam = mu.lambdas
+    cols = mu.c.conj().T.copy()  # row i: conj(C^p)_i over the points p
     # the first m rows of ``basis`` hold the emitted p~'s spectral coordinates
     # and those of ``basis_conj`` their conjugates, row j of ``heads`` the j-th
     # constant's coefficients of e_1..e_n; one allocation holds both, as a

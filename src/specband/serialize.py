@@ -4,9 +4,9 @@ Complex numbers are always written as two-element [re, im] arrays.  Matrix
 entries store the upper triangle only; Hermitian symmetry is implied.
 Every file is ``json.dumps(obj, indent=2)`` text, written by :func:`dumps`,
 which hands each scalar and each dict or list of scalars to json's C
-encoder, fills one text template per block of scalar lists (such as a
-matrix's [re, im] pairs) or per :class:`Pairs` array and formats each
-distinct float magnitude of a large block once.
+encoder and fills one text template per :class:`Pairs` array (a matrix,
+a boundary matrix, moments), formatting each distinct float magnitude of
+a large array once.
 A decoder refuses a missing field or a value of the wrong kind, shape or
 size, such as a null or NaN where a finite number belongs, an ``n`` that is
 no integer >= 1 or a matrix whose ``data`` is not N x N pairs, with a
@@ -17,7 +17,6 @@ the command line prints as an ``error:`` line.
 import functools
 import json
 import math
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -169,7 +168,7 @@ def spec_from_dict(d: dict) -> MatrixSpec:
 
 
 def matrix_to_dict(m: FiniteHermitian) -> dict:
-    return {"N": m.N, "data": complex_pairs(m.data)}
+    return {"N": m.N, "data": Pairs(m.data)}
 
 
 def matrix_from_dict(d: dict) -> FiniteHermitian:
@@ -178,7 +177,7 @@ def matrix_from_dict(d: dict) -> FiniteHermitian:
 
 
 def boundary_to_dict(t: BoundaryMatrix) -> dict:
-    return {"n": t.n, "t": complex_pairs(t.t)}
+    return {"n": t.n, "t": Pairs(t.t)}
 
 
 def boundary_from_dict(d: dict) -> BoundaryMatrix:
@@ -227,11 +226,10 @@ def poly_from_dict(d: dict) -> VectorPolynomial:
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-_SEQUENCES = frozenset((list, tuple))
 _CONTAINERS = (list, tuple, dict)
-# Smallest block of finite floats whose distinct magnitudes are formatted
-# once; a smaller one formats each float.  On random Hermitian N x N blocks
-# of [re, im] pairs, about half of whose magnitudes are distinct, the dedupe
+# Smallest finite Pairs array, in floats, whose distinct magnitudes are
+# formatted once; a smaller one formats each float.  On random Hermitian
+# N x N matrices, about half of whose magnitudes are distinct, the dedupe
 # broke even between 72 and 200 floats (N = 6 to 10; 2-core Xeon, Python
 # 3.11, numpy 2.4): below, numpy's set-up costs more than the reprs it saves.
 DEDUPE_MIN_LEAVES = 128
@@ -243,29 +241,6 @@ def _flat(level):
     return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
 
 
-def _block_leaves(o):
-    """Shape and leaves of a rectangular nesting of o, or None.
-
-    The nesting is two or more deep, of non-empty lists (or tuples), such as
-    the [re, im] pairs of a matrix; the leaves are what it holds at the
-    bottom.  The shape is read down the first items; a list that holds
-    itself there ends the walk, and the encoder reports the cycle.
-    """
-    shape, seen, x = [], set(), o
-    while type(x) in _SEQUENCES and x and id(x) not in seen:
-        seen.add(id(x))
-        shape.append(len(x))
-        x = x[0]
-    if len(shape) < 2:
-        return None
-    items = o
-    for width in shape[1:]:
-        if not (_SEQUENCES.issuperset(map(type, items)) and {width} == set(map(len, items))):
-            return None
-        items = list(chain.from_iterable(items))
-    return shape, items
-
-
 def _deduped_reprs(x):
     """The repr of each float of x, each distinct magnitude formatted once.
 
@@ -275,35 +250,6 @@ def _deduped_reprs(x):
     texts = list(map(float.__repr__, magnitudes.tolist()))
     texts += ["-" + t for t in texts]
     return map(texts.__getitem__, (at + len(magnitudes) * np.signbit(x)).tolist())
-
-
-def _block(o, level):
-    """``json.dumps(o, indent=2)`` text of a block at ``level``, or None for no block.
-
-    A block is a rectangular nesting (``_block_leaves``) of JSON scalars.
-    The leaves' texts fill one %-template of the block's layout.  Finite
-    floats are their reprs, each distinct magnitude formatted once in a
-    block of ``DEDUPE_MIN_LEAVES`` or more; the texts of other leaves come
-    from one C-encoder call, whose encoded scalars hold no raw newline, so
-    ",\n" only occurs between two of them.
-    """
-    found = _block_leaves(o)
-    if found is None:
-        return None
-    shape, leaves = found
-    types = set(map(type, leaves))
-    # a sum of floats is finite only if every float is; one that overflows
-    # takes the C encoder, which is as exact
-    if types == {float} and math.isfinite(sum(leaves)):
-        if len(leaves) < DEDUPE_MIN_LEAVES:
-            texts = map(float.__repr__, leaves)
-        else:
-            texts = _deduped_reprs(np.array(leaves))
-    elif _SCALARS.issuperset(types):
-        texts = _flat(0)(leaves)[1:-1].split(",\n")
-    else:
-        return None
-    return _fill(shape, level, texts)
 
 
 def _fill(shape, level, texts):
@@ -318,10 +264,11 @@ def _fill(shape, level, texts):
 def _pairs(a, level, path):
     """``json.dumps(complex_pairs(a), indent=2)`` text of a complex array at ``level``.
 
-    A finite array of one or more dimensions and entries is a block read
-    straight from its float view, [re, im] per entry in row-major order; a
-    non-finite, empty or 0-d one is written from its ``complex_pairs`` lists,
-    so NaN and Infinity are json's text.
+    A finite array of one or more dimensions and entries fills one template
+    from its float view, [re, im] per entry in row-major order, each distinct
+    magnitude formatted once if it holds ``DEDUPE_MIN_LEAVES`` floats or
+    more; a non-finite, empty or 0-d one is written from its
+    ``complex_pairs`` lists, so NaN and Infinity are json's text.
     """
     if a.ndim and a.size:
         x = np.ascontiguousarray(a).view(float).ravel()
@@ -351,8 +298,6 @@ def _encode(o, level, path):
     is_dict = isinstance(o, dict)
     if _SCALARS.issuperset(map(type, o.values() if is_dict else o)):
         body = _flat(level + 1)(o)[1:-1]
-    elif not is_dict and (text := _block(o, level)) is not None:
-        return text
     else:
         path.add(id(o))
         items = ((_key(k) + ": " + _encode(v, level + 1, path) for k, v in o.items())
@@ -368,14 +313,12 @@ def dumps(obj):
 
     Dicts and lists are walked here.  Each scalar, and each dict or list that
     holds only scalars, takes one call of the C encoder, which formats NaN,
-    infinities, ints and strings exactly as json does.  A block, a
-    rectangular nesting of scalar lists such as the [re, im] pairs of a
-    matrix, is one %-template filled with its leaves' texts: in a large block
-    of finite floats each distinct magnitude is formatted once, so the
-    mirrored entries of a Hermitian matrix cost one repr.
-    One value that json does not know is written too: a :class:`Pairs`
-    array gets the text that json gives its ``complex_pairs`` lists, filled
-    from the array without building them when it is finite.
+    infinities, ints and strings exactly as json does.  One value that json
+    does not know is written too: a :class:`Pairs` array gets the text that
+    json gives its ``complex_pairs`` lists.  A finite one is one %-template
+    filled from the array without building them; in a large one each
+    distinct magnitude is formatted once, so the mirrored entries of a
+    Hermitian matrix cost one repr.
     """
     return _encode(obj, 0, set())
 

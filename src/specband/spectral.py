@@ -136,10 +136,6 @@ class StepMeasure:
         """sigma(t): the sum of C C* over the points strictly below t."""
         return np.add.reduce(self.outer[self.lambdas < t], axis=0, initial=0.0)
 
-    def spectral_arrays(self):
-        """The lambda vector and the (N, n) block of conj(C^k), a row per point."""
-        return self.lambdas, self.c.conj()
-
     def moments_upto(self, K):
         """Moments S_0..S_K as a (K+1, n, n) array, in one array pass.
 

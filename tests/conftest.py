@@ -38,6 +38,7 @@ slot loop with its trimming loop, the references of ``serialize.dumps`` and
 of ``vectorpoly.from_coeff_vector``; ``_reference_trim`` is the trailing-zero
 walk that ``vectorpoly._trim`` replaced.  ``pairs_as_lists`` readies a
 payload that holds ``serialize.Pairs`` arrays for ``reference_dumps``.
+``no_shell_tolerance`` clears SPECBAND_TOL for every test.
 ``reference_generate_random`` is the generator that drew each uniform with
 its own ``rng.uniform`` call, scanned every pair (j, k) with k >= j and
 rescanned the free rows for each pivot, the reference of ``generate_random``.
@@ -69,6 +70,13 @@ from specband.vectorpoly import (
     canonical_e,
     leading_slot,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_shell_tolerance(monkeypatch):
+    """Every test starts without the caller's SPECBAND_TOL, the zero-norm
+    threshold that ``reconstruct`` reads; a test sets it with ``monkeypatch``."""
+    monkeypatch.delenv("SPECBAND_TOL", raising=False)
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 Two checkouts' identical records raise every flag; one record that differs in
 its sha256, its decisions or its failure lowers the flags that cover it, and
-only those.
+only those.  A worker process starts without the shell's SPECBAND_TOL.
 """
 
 import importlib.util
@@ -98,3 +98,12 @@ def test_one_differing_payload_lowers_its_flag():
     after = records()
     after["payloads"]["gen"] = "q"
     assert lowered({"before": records(), "after": after}) == {("payloads", "gen")}
+
+
+def test_worker_env_has_no_shell_tolerance(monkeypatch):
+    envs = []
+    monkeypatch.setenv("SPECBAND_TOL", "1e-3")
+    monkeypatch.setattr(bench_sweep.subprocess, "Popen", lambda *a, env, **kw: envs.append(env))
+    bench_sweep.start_side(".", "--rounds", "1")
+    assert len(envs) == 1 and "SPECBAND_TOL" not in envs[0]
+    assert envs[0]["OPENBLAS_NUM_THREADS"] == "1"

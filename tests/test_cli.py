@@ -666,6 +666,7 @@ class TestOutputText:
         "argv",
         [
             ["gen", "--n", "3", "--N-max", "9", "--seed", "4", "--mtilde"],
+            ["gen", "--n", "3", "--N-max", "160", "--seed", "0"],
             ["validate", "--class", "m", "{spec}"],
             ["validate", "--class", "mtilde", "{spec}"],
             ["truncate", "--N", "5", "{spec}"],
@@ -748,7 +749,6 @@ class TestParserReuse:
     def test_settings_do_not_leak(self, sigma_file, configs, monkeypatch, capsys):
         sweep = ["reconstruct", "--max-k", "6", sigma_file]
         stairs = ["staircase", sigma_file]
-        monkeypatch.delenv("SPECBAND_TOL", raising=False)
         for argv in (sweep + ["--tol-zero", "1e-3"], sweep,
                      stairs + ["--cluster-tol", "1e-4"], stairs):
             assert run_cli(argv) == EXIT_OK

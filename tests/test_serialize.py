@@ -1,6 +1,5 @@
 import copy
 import json
-import math
 import re
 from unittest import mock
 
@@ -54,12 +53,12 @@ class TestSpecRoundTrip:
 class TestOtherRoundTrips:
     def test_dense_matrix(self):
         m = truncate(make_fix7(), 7)
-        back = ser.matrix_from_dict(json.loads(json.dumps(ser.matrix_to_dict(m))))
+        back = ser.matrix_from_dict(json.loads(ser.dumps(ser.matrix_to_dict(m))))
         assert np.array_equal(back.data, m.data)
 
     def test_boundary(self):
         t = BoundaryMatrix(2, np.array([[1.0, 0.5 + 2j], [0, 0.75]]))
-        back = ser.boundary_from_dict(json.loads(json.dumps(ser.boundary_to_dict(t))))
+        back = ser.boundary_from_dict(json.loads(ser.dumps(ser.boundary_to_dict(t))))
         assert np.array_equal(back.t, t.t)
 
     def test_measure(self):
@@ -78,7 +77,8 @@ class TestOtherRoundTrips:
         spec = make_fix7()
         obj, kind = ser.sniff_matrix_or_spec(ser.spec_to_dict(spec))
         assert kind == "spec"
-        obj, kind = ser.sniff_matrix_or_spec(ser.matrix_to_dict(truncate(spec, 7)))
+        dense = json.loads(ser.dumps(ser.matrix_to_dict(truncate(spec, 7))))
+        obj, kind = ser.sniff_matrix_or_spec(dense)
         assert kind == "matrix"
         with pytest.raises(ValueError):
             ser.sniff_matrix_or_spec({"bogus": 1})
@@ -255,7 +255,7 @@ class TestDumpsMatchesReference:
             ser.matrix_to_dict(truncate(spec, 7)),
             ser.boundary_to_dict(BoundaryMatrix(2, np.array([[1.0, 0.5 + 2j], [0, 0.75]]))),
         ):
-            assert ser.dumps(d) == reference_dumps(d)
+            assert ser.dumps(d) == reference_dumps(pairs_as_lists(d))
 
     @pytest.mark.parametrize(
         "obj",
@@ -292,31 +292,8 @@ class TestDumpsMatchesReference:
         assert ser.dump(d) == reference_dumps(d)
 
 
-# Blocks for the dedupe: rectangular 2- and 3-deep nestings of at least
-# DEDUPE_MIN_LEAVES floats drawn from a small pool of magnitudes with random
-# signs (so -0.0 too), each magnitude formatted once for many leaves.
-MAGNITUDES = [0.0, 5e-324, 1e-5, 0.1, 1 / 3, 1.0, 2.5, 123456.789, 1e16, 1e22]
-pool_floats = st.tuples(st.sampled_from(MAGNITUDES), st.booleans()).map(
-    lambda mv: -mv[0] if mv[1] else mv[0]
-)
-
-
-@st.composite
-def float_blocks(draw):
-    outer = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
-    last = -(-ser.DEDUPE_MIN_LEAVES // math.prod(outer)) + draw(st.integers(0, 3))
-    shape = [*outer, last]
-    leaves = draw(st.lists(pool_floats, min_size=math.prod(shape), max_size=math.prod(shape)))
-    block = np.array(leaves).reshape(shape).tolist()
-    if draw(st.booleans()):  # tuple rows at the bottom
-        block = [tuple(row) for row in block] if len(shape) == 2 else [
-            [tuple(row) for row in plane] for plane in block]
-    return block
-
-
 def _large_block(rows=20, cols=10):
-    """A rows x cols block of distinct finite floats, large enough to be deduped."""
-    assert rows * cols >= ser.DEDUPE_MIN_LEAVES
+    """A rows x cols nesting of distinct finite floats."""
     return [[(-1) ** k * (j + 0.5 * k) / 7 for k in range(cols)] for j in range(rows)]
 
 
@@ -326,17 +303,7 @@ def _with(block, j, k, value):
     return block
 
 
-class TestBlocks:
-    @settings(max_examples=300, deadline=None)
-    @given(float_blocks(), st.integers(0, 3))
-    def test_deduped_blocks(self, block, level):
-        nested = block
-        for _ in range(level):
-            nested = {"x": [nested]}
-        with mock.patch.object(ser, "_deduped_reprs", wraps=ser._deduped_reprs) as dedupe:
-            assert ser.dumps(nested) == reference_dumps(nested)
-        assert dedupe.call_count == 1
-
+class TestNestedListsAndPairs:
     @pytest.mark.parametrize(
         "block",
         [
@@ -351,7 +318,7 @@ class TestBlocks:
             _with(_large_block(), 5, 5, 2**70),
             [[j, k] for j in range(100) for k in range(2)],
             [[True, False]] * 100,
-            [[1e308, 1e308]] * 100,  # finite, but their sum overflows
+            [[1e308, 1e308]] * 100,  # finite, near the largest float
             _large_block()[:-1] + [_large_block()[-1][:-1]],  # ragged
             _large_block()[:-1] + [_large_block()[-1] + [1.0]],
             _large_block()[:-1] + [[]],
