@@ -44,8 +44,11 @@ single-threaded process of its own that imports its own ``src/``.  Per
 cell and checkout the output holds the emitted counts, the round trip's
 eigenvalue errors ("inf" where the recovered size is wrong, null where it
 raised), the stages that raised, the largest orthogonality loss
-max |W W* - I| of the emitted rows, each direct seed's ``minimal`` flag
-and the count of inverse instances that perfbench's gate refuses.  Per
+max |W W* - I| of the emitted rows, each direct seed's ``minimal`` flag,
+the count of inverse instances that perfbench's gate refuses, the largest
+eigenvalue and jump errors that the gate reads of the instances it passes
+(criterion 09's bounds are 1e-8 and 1e-7) and the largest ``band_leakage``
+of the written files (null where a checkout writes none).  Per
 cell it says whether the checkouts agree on the inputs (``inputs_agree``),
 the generated specs' text (``specs_identical``), the q heights, skip logs
 and emitted counts (``decisions_agree``), and the sha256 of every sweep's
@@ -351,18 +354,26 @@ def _handed_to_writer(pkg):
 def _inverse_side(pkg, wl, workdir, insts):
     """The inverse operation on each instance, writing into ``workdir``, and the payloads
     it handed to the writer; per instance, the sha256 of the written file (or of the
-    exit code and error line) and the gate's verdict."""
+    exit code and error line), the gate's verdict and, of a written file, the
+    eigenvalue and jump errors that the gate reads and the band leakage (None where
+    the file has none)."""
     op = wl.Inverse(workdir)
     records = []
     with _handed_to_writer(pkg) as payloads:
         for inst in insts:
             out = op.op(inst)
             code, err = out
-            written = f"{code}: {err}".encode()
+            record = {"sha256": _sha256(f"{code}: {err}".encode())}
             if code == 0:
                 with open(op.out_path, "rb") as fh:
                     written = fh.read()
-            records.append({"sha256": _sha256(written), "failure": op.gate(inst, out)[0]})
+                doc = json.loads(written)
+                eig, jump = wl.check_spectrum(wl._complex_array(doc["matrix"]["data"]),
+                                              wl._complex_array(doc["boundary"]["t"]),
+                                              inst.n, inst)
+                record = {"sha256": _sha256(written), "eigenvalue_error": eig,
+                          "jump_error": jump, "band_leakage": doc.get("band_leakage")}
+            records.append(dict(record, failure=op.gate(inst, out)[0]))
     return {"op": op.op, "payloads": payloads}, records
 
 
@@ -685,12 +696,21 @@ def summarize_direct(runs):
 
 
 def summarize_inverse(runs):
-    """Per inverse cell, the gate's refusals per checkout and whether every written file agrees."""
+    """Per inverse cell and checkout, the gate's refusals, the largest eigenvalue and
+    jump errors of the instances that it passes and the largest band leakage; and
+    whether every written file agrees."""
     cells = []
     for n, N, recs in _cells(runs, "inverse", INVERSE_GRID):
         cell = {"n": n, "N": N, "seeds": list(INVERSE_SEEDS), "rounds": INVERSE_ROUNDS}
         for side, final in recs.items():
-            cell[side] = {"gate_failures": sum(r["failure"] is not None for r in final)}
+            passed = [r for r in final if r["failure"] is None]
+            leakages = [r["band_leakage"] for r in final if r.get("band_leakage") is not None]
+            cell[side] = {
+                "gate_failures": len(final) - len(passed),
+                "eigenvalue_error_max": max((r["eigenvalue_error"] for r in passed), default=None),
+                "jump_error_max": max((r["jump_error"] for r in passed), default=None),
+                "band_leakage_max": max(leakages, default=None),
+            }
         cell["inputs_agree"] = _agree(recs, "digest")
         cell["outputs_identical"] = _agree(recs, "sha256", "failure")
         cells.append(cell)

@@ -48,6 +48,7 @@ from .reconstruct import (
     RoundTripReport,
     compare_measures,
     orthonormalize,
+    recover_band,
     recover_matrix,
     roundtrip,
     spec_from_dense,

@@ -17,11 +17,15 @@ is the only ``--N`` they take.  ``measure --n`` may not exceed a dense
 input's N, nor differ from a spec's n.  ``validate --class`` is ``m`` or
 ``mtilde``, and ``-o`` names every command's output file.
 Flags must be spelled out in full; an abbreviation is a usage error.
-``reconstruct -v`` writes the sweep's emitted count, q heights, skip count
-and orthogonality loss to stderr.  ``roundtrip`` exits 1 when its round
-trip misses criterion 09 (class ok, size N, eigenvalue error <= 1e-8,
-jump-matrix error <= 1e-7), ``roundtrip --batch`` when any of its round trips
-does; the batch summary counts those in ``failed``.
+``reconstruct`` writes the recovered band: an entry between rows whose
+sweep heights differ by more than n is 0.0, and ``band_leakage`` is the
+largest such entry of the recovered matrix over its largest entry; the
+command never refuses for it.  ``reconstruct -v`` writes the sweep's emitted
+count, q heights, skip count, orthogonality loss and the band leakage to
+stderr.  ``roundtrip`` exits 1 when its round trip misses criterion 09
+(class ok, size N, eigenvalue error <= 1e-8, jump-matrix error <= 1e-7),
+``roundtrip --batch`` when any of its round trips does; the batch summary
+counts those in ``failed``.
 """
 
 import argparse
@@ -227,11 +231,11 @@ def cmd_reconstruct(args):
     if args.max_k < mu.n:
         raise UsageError(f"--max-k {args.max_k} is below the measure's order n={mu.n}")
     res = rec.orthonormalize(mu, args.max_k, zero_tol=args.tol_zero)
+    m, leakage = rec.recover_band(res)
     if args.verbose:
         print(f"emitted {len(res.weights)}, q heights {list(res.q_heights)}, "
-              f"skips {len(res.skip_log)}, orthogonality loss {res.orthogonality_loss:.3e}",
-              file=sys.stderr)
-    m = rec.recover_matrix(res)
+              f"skips {len(res.skip_log)}, orthogonality loss {res.orthogonality_loss:.3e}, "
+              f"band leakage {leakage:.3e}", file=sys.stderr)
     payload = {
         "matrix": ser.matrix_to_dict(m),
         "boundary": ser.boundary_to_dict(res.t_tilde),
@@ -239,6 +243,7 @@ def cmd_reconstruct(args):
         "skip_log": list(res.skip_log),
         "rank_exhausted": res.rank_exhausted,
         "emitted": len(res.weights),
+        "band_leakage": leakage,
     }
     _emit(payload, args.output)
     return EXIT_OK

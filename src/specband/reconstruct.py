@@ -11,7 +11,9 @@ orthonormal system, the first n of them form the boundary matrix, and
     m~_ij = <p~_i, t * p~_j>
 
 assembles a matrix in the band-with-degenerations class whose step
-spectral function reproduces sigma.
+spectral function reproduces sigma.  ``recover_band`` sets the entries that
+the class makes zero, between heights more than n apart, to 0.0 and reports
+the largest of them as the band leakage.
 
 Working representation: the sweep reads the measure once into a lambda
 vector and the n rows conj(C^p)_i over the points p.  The spectral
@@ -83,7 +85,8 @@ class OrthoResult:
 
     ``t_tilde`` is the boundary matrix read off the e_1..e_n coefficients of
     the first n constants, ``skip_log`` lists the canonical indices suppressed
-    by the height-lattice rule and ``q_heights`` the heights of degenerations.
+    by the height-lattice rule, ``q_heights`` the heights of degenerations and
+    ``p_heights`` those of the emitted rows.
     ``p_tilde`` and ``q_tilde`` are derived on first access by ``build_p``
     and ``build_q``.  They keep the sweep's heights and, where the declared
     degenerations have zero norm, equal its residuals in L2(sigma); as
@@ -96,6 +99,7 @@ class OrthoResult:
     t_tilde: BoundaryMatrix
     skip_log: tuple
     q_heights: tuple
+    p_heights: tuple  # one per row of weights
     rank_exhausted: bool
     weights: np.ndarray  # emitted spectral coordinates, row per p~
     lambdas: np.ndarray  # the measure's points, a column of weights each
@@ -108,37 +112,32 @@ class OrthoResult:
 
     @functools.cached_property
     def _band(self):
-        """Recovered matrix, its structure by the emitted heights, and those heights.
+        """The recovered band (``recover_band``) and its structure by the emitted heights.
 
         Column height h >= n is pivoted by row height h - n.  Entries between
         heights more than n apart vanish if the degenerations have zero norm;
         their rounding noise is zeroed, lest it raise the derived heights.
         """
         n, N = self.t_tilde.n, len(self.weights)
-        gone = set(self.q_heights).union(k - 1 for k in self.skip_log)
-        heights = [h for h in range(N + len(gone)) if h not in gone][:N]
-        row = {h: i for i, h in enumerate(heights, 1)}
-        pivot = {c: row[h - n] for c, h in enumerate(heights, 1) if h >= n}
-        s = StructureInfo.from_pivot(n, N, pivot)
-        m = recover_matrix(self)
-        far = np.abs(np.subtract.outer(heights, heights)) > n
-        off = float(np.max(np.abs(m.data[far]), initial=0.0))
-        if off > BAND_NOISE_TOL * float(np.max(np.abs(m.data))):
-            raise NumericalFailure(f"entry {off:.3e} outside the band: a degeneration "
-                                   f"at {self.q_heights} has nonzero norm; p~, q~ not derivable")
-        return FiniteHermitian(N, np.where(far, 0.0, m.data)), s, heights
+        m, leakage = recover_band(self)
+        if leakage > BAND_NOISE_TOL:
+            raise NumericalFailure(f"band leakage {leakage:.3e}: a degeneration at "
+                                   f"{self.q_heights} has nonzero norm; p~, q~ not derivable")
+        row = {h: i for i, h in enumerate(self.p_heights, 1)}
+        pivot = {c: row[h - n] for c, h in enumerate(self.p_heights, 1) if h >= n}
+        return m, StructureInfo.from_pivot(n, N, pivot)
 
     @functools.cached_property
     def p_tilde(self):
-        m, s, _ = self._band
+        m, s = self._band
         return tuple(build_p(m, s, self.t_tilde))
 
     @functools.cached_property
     def q_tilde(self):
         """The q~ of height h: build_q's polynomial of the K row of height h - n."""
-        m, s, heights = self._band
+        m, s = self._band
         q = build_q(m, s, self.t_tilde, self.p_tilde)
-        return tuple(q[s.K.index(heights.index(h - s.n) + 1)] for h in self.q_heights)
+        return tuple(q[s.K.index(self.p_heights.index(h - s.n) + 1)] for h in self.q_heights)
 
 
 def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL) -> OrthoResult:
@@ -158,7 +157,8 @@ def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL)
         raise SingularZerothMoment(
             f"zeroth moment has eigenvalue {eig[0]:.3e}; cannot start"
         )
-    weights, _, heads, q_heights, skip_log = _sweep(mu, max(min(max_k, mu.size), 0), zero_tol)
+    cap = max(min(max_k, mu.size), 0)
+    weights, p_heights, heads, q_heights, skip_log = _sweep(mu, cap, zero_tol)
     if q_heights and q_heights[0] < n:
         raise SingularZerothMoment(f"degeneration at height {q_heights[0]} < n={n}; T~ is singular")
     if len(weights) < n:
@@ -167,6 +167,7 @@ def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL)
         t_tilde=BoundaryMatrix(n, heads.T),
         skip_log=tuple(skip_log),
         q_heights=tuple(q_heights),
+        p_heights=tuple(p_heights),
         rank_exhausted=len(weights) < max_k,
         weights=weights,
         lambdas=mu.lambdas,
@@ -249,6 +250,24 @@ def recover_matrix(res: OrthoResult) -> FiniteHermitian:
     w = res.weights
     mat = (w.conj() * res.lambdas) @ w.T
     return FiniteHermitian(w.shape[0], 0.5 * (mat + mat.conj().T))
+
+
+def recover_band(res: OrthoResult):
+    """(m~ of ``recover_matrix`` inside its band, band leakage).
+
+    Entries between heights more than n apart vanish in m~, as the matrix
+    lies in the band-with-degenerations class; they are set to 0.0.  The
+    leakage is the largest of them over the largest entry, 0.0 where none
+    is dropped: rounding residue where the degenerations have zero norm,
+    above ``BAND_NOISE_TOL`` where one has not.
+    """
+    m = recover_matrix(res)
+    h = np.asarray(res.p_heights)
+    far = np.abs(h[:, None] - h) > res.t_tilde.n
+    size = np.abs(m.data)
+    off = float(np.max(size[far], initial=0.0))
+    leakage = off / float(np.max(size)) if off else 0.0
+    return FiniteHermitian(m.N, np.where(far, 0.0, m.data)), leakage
 
 
 def spec_from_dense(data: np.ndarray, n: int) -> MatrixSpec:

@@ -433,7 +433,7 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
         raise SingularZerothMoment(
             f"zeroth moment has eigenvalue {eig[0]:.3e}; cannot start"
         )
-    emitted_w, emitted_poly = [], []
+    emitted_w, emitted_poly, p_heights = [], [], []
     q_heights, skip_log, skip_residuals = [], [], []
     k = 0
     while len(q_heights) < n:
@@ -454,6 +454,7 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
         elif len(emitted_poly) < min(max_k, mu.size):
             emitted_w.append(w / norm)
             emitted_poly.append(poly * (1.0 / norm))
+            p_heights.append(h)
         else:
             break
     if len(emitted_poly) < n:
@@ -467,6 +468,7 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
         t_tilde=BoundaryMatrix(n, t_mat),
         skip_log=tuple(skip_log),
         q_heights=tuple(q_heights),
+        p_heights=tuple(p_heights),
         rank_exhausted=len(emitted_poly) < max_k,
         weights=np.array(emitted_w),
         lambdas=mu.lambdas,

@@ -38,7 +38,8 @@ def records():
                      "solution_flags": [True, False], "generators_sha256": "h",
                      "height_table": [[0, 0, 0], [1, 1, 0]], "minimal": True} for _ in seeds]
                    for _ in bench_sweep.DIRECT_GRID],
-        "inverse": [[{"digest": "d", "sha256": "f", "failure": None} for _ in range(64)]
+        "inverse": [[{"digest": "d", "sha256": "f", "failure": None, "eigenvalue_error": 1e-14,
+                      "jump_error": 1e-15, "band_leakage": 1e-12} for _ in range(64)]
                     for _ in bench_sweep.INVERSE_GRID],
         "payloads": {"measure": "m", "gen": "p"},
     }
@@ -84,6 +85,8 @@ def test_identical_records_raise_every_flag():
     ("inverse", ("digest",), "e", ["inputs_agree"]),
     ("inverse", ("sha256",), "x", ["outputs_identical"]),
     ("inverse", ("failure",), "gate", ["outputs_identical"]),
+    ("inverse", ("band_leakage",), 0.5, []),
+    ("inverse", ("eigenvalue_error",), 1e-9, []),
 ])
 def test_one_differing_record_lowers_its_flags(key, path, value, flags):
     after = records()
@@ -92,6 +95,27 @@ def test_one_differing_record_lowers_its_flags(key, path, value, flags):
         rec = rec[part]
     rec[path[-1]] = value
     assert lowered({"before": records(), "after": after}) == {(key, CELL, f) for f in flags}
+
+
+def test_inverse_cells_report_the_digits_of_gate_passes():
+    runs = {"before": records(), "after": records()}
+    after = runs["after"]["inverse"][CELL]
+    after[SEED].update(eigenvalue_error=5e-9, jump_error=3e-8, band_leakage=2e-11)
+    # a refused instance's errors are not read; its leakage is
+    after[SEED + 1].update(failure="gate", eigenvalue_error=1.0, jump_error=float("inf"),
+                           band_leakage=0.3)
+    # a checkout that writes no band_leakage, and a cell that the gate refuses whole
+    for rec in runs["before"]["inverse"][CELL]:
+        rec["band_leakage"] = None
+    for rec in runs["after"]["inverse"][0]:
+        rec["failure"] = "gate"
+    cells = bench_sweep.summarize_inverse(runs)
+    assert cells[CELL]["after"] == {"gate_failures": 1, "eigenvalue_error_max": 5e-9,
+                                    "jump_error_max": 3e-8, "band_leakage_max": 0.3}
+    assert cells[CELL]["before"] == {"gate_failures": 0, "eigenvalue_error_max": 1e-14,
+                                     "jump_error_max": 1e-15, "band_leakage_max": None}
+    assert cells[0]["after"] == {"gate_failures": 64, "eigenvalue_error_max": None,
+                                 "jump_error_max": None, "band_leakage_max": 1e-12}
 
 
 def test_one_differing_payload_lowers_its_flag():

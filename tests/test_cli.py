@@ -8,7 +8,14 @@ from specband import cli
 from specband import serialize as ser
 from specband import GenProfile, generate_random, truncate
 from specband.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run_cli
-from specband.reconstruct import ZERO_NORM_TOL, orthonormalize
+from specband.reconstruct import (
+    BAND_NOISE_TOL,
+    ROUNDTRIP_EIG_TOL,
+    ZERO_NORM_TOL,
+    orthonormalize,
+    recover_band,
+    recover_matrix,
+)
 from specband.spectral import CLUSTER_TOL, StepMeasure
 
 from conftest import (
@@ -168,11 +175,13 @@ class TestPipelineCommands:
         assert capsys.readouterr().err == ""
         assert run_cli(["reconstruct", str(sigma), "-v", "-o", out]) == EXIT_OK
         res = orthonormalize(ser.measure_from_dict(read_json(sigma)), 20)
+        leakage = recover_band(res)[1]
         assert capsys.readouterr().err == (
             f"emitted 7, q heights {list(res.q_heights)}, skips {len(res.skip_log)}, "
-            f"orthogonality loss {res.orthogonality_loss:.3e}\n"
+            f"orthogonality loss {res.orthogonality_loss:.3e}, band leakage {leakage:.3e}\n"
         )
         assert len(res.weights) == 7 and len(res.q_heights) == 3
+        assert read_json(out)["band_leakage"] == leakage
 
     def test_roundtrip(self, flip2_file, tmp_path):
         report = tmp_path / "report.json"
@@ -242,6 +251,68 @@ class TestPipelineCommands:
         from0, from1 = batch(0), batch(1)
         assert from0 != from1
         assert from0[1] == from1[0]
+
+
+def written_band(tmp_path, mu, *flags):
+    """(exit code, written document, the sweep's result) of ``reconstruct`` on ``mu``."""
+    sigma, out = tmp_path / "sigma.json", tmp_path / "out.json"
+    ser.dump(ser.measure_to_dict(mu), sigma)
+    code = run_cli(["reconstruct", str(sigma), "--max-k", str(mu.size), *flags, "-o", str(out)])
+    res = orthonormalize(ser.measure_from_dict(read_json(sigma)), mu.size)
+    return code, read_json(out), res
+
+
+def far_from_band(res):
+    """Mask of the entries between rows whose sweep heights differ by more than n."""
+    h = np.array(res.p_heights)
+    return np.abs(np.subtract.outer(h, h)) > res.t_tilde.n
+
+
+class TestWrittenBand:
+    """``reconstruct`` writes recover_matrix's entries inside the band and 0.0 outside it."""
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 3), (3, 1)])
+    def test_in_band_bytes_and_zeros_outside(self, tmp_path, n, seed):
+        code, doc, res = written_band(tmp_path, gue_measure(seed, n, 20))
+        assert code == EXIT_OK
+        written = np.array(doc["matrix"]["data"], dtype=float)
+        written = written[..., 0] + 1j * written[..., 1]
+        dense = recover_matrix(res).data
+        far = far_from_band(res)
+        assert far.any()
+        assert written[~far].tobytes() == dense[~far].tobytes()
+        parts = np.array(doc["matrix"]["data"], dtype=float)[far]
+        assert np.all(parts == 0.0) and not np.signbit(parts).any()
+        # the theory's zeros come out of W diag(lambda) W* as rounding residue
+        assert np.max(np.abs(dense[far])) > 0.0
+        scale = np.max(np.abs(dense))
+        assert doc["band_leakage"] == np.max(np.abs(dense[far])) / scale
+        assert doc["band_leakage"] == recover_band(res)[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_eigenvalues_of_the_written_band(self, tmp_path, n):
+        # criterion 09's bound on every measure whose size the sweep recovers
+        checked = 0
+        for seed in range(8):
+            mu = gue_measure(seed, n, 20)
+            code, doc, _ = written_band(tmp_path, mu)
+            assert code == EXIT_OK
+            if doc["emitted"] < mu.size:
+                continue
+            data = np.array(doc["matrix"]["data"], dtype=float)
+            eig = np.linalg.eigvalsh(data[..., 0] + 1j * data[..., 1])
+            assert np.max(np.abs(eig - mu.lambdas)) <= ROUNDTRIP_EIG_TOL
+            checked += 1
+        assert checked >= 2
+
+    def test_leakage_never_refuses(self, tmp_path, monkeypatch):
+        # at a relative threshold of 0.5 the sweep declares degenerations of
+        # nonzero norm, and entries far outside the band survive the recovery
+        monkeypatch.setenv("SPECBAND_TOL", "0.5")
+        code, doc, _ = written_band(tmp_path, gue_measure(0, 3, 20))
+        assert code == EXIT_OK
+        assert doc["band_leakage"] > BAND_NOISE_TOL
+        assert doc["q_heights"] == [6, 7, 11]
 
 
 class TestPointOrder:

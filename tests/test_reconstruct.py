@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from specband import (
     BoundaryMatrix,
+    FiniteHermitian,
     GenProfile,
     InterpolationData,
     MatrixSpec,
@@ -14,7 +15,10 @@ from specband import (
     PivotViolation,
     SingularZerothMoment,
     StepMeasure,
+    StructureInfo,
     analyze_structure,
+    build_p,
+    build_q,
     compare_measures,
     eigen_decompose,
     generate_random,
@@ -22,6 +26,7 @@ from specband import (
     kernel_dimension,
     norm_sq,
     orthonormalize,
+    recover_band,
     recover_matrix,
     roundtrip,
     spec_from_dense,
@@ -435,16 +440,23 @@ def sweep_parts(res):
         return res
     w = res.weights
     return (
-        w.dtype, w.shape, w.tobytes(), res.q_heights, res.skip_log, res.rank_exhausted,
-        res.t_tilde.t.tobytes(), res.lambdas.tobytes(),
+        w.dtype, w.shape, w.tobytes(), res.q_heights, res.p_heights, res.skip_log,
+        res.rank_exhausted, res.t_tilde.t.tobytes(), res.lambdas.tobytes(),
     )
+
+
+def heights_by_skip_log(res):
+    """The emitted heights: the first ones that are neither degenerate nor skipped."""
+    gone = set(res.q_heights) | {k - 1 for k in res.skip_log}
+    emitted = [h for h in range(len(res.weights) + len(gone)) if h not in gone]
+    return emitted[: len(res.weights)]
 
 
 def assert_derived_heights(res):
     """p~ take the heights that are neither degenerate nor skipped, q~ the q heights."""
-    gone = set(res.q_heights) | {k - 1 for k in res.skip_log}
-    emitted = [h for h in range(len(res.weights) + len(gone)) if h not in gone]
-    assert [height(p) for p in res.p_tilde] == emitted[: len(res.weights)]
+    emitted = heights_by_skip_log(res)
+    assert list(res.p_heights) == emitted
+    assert [height(p) for p in res.p_tilde] == emitted
     assert [height(q) for q in res.q_tilde] == list(res.q_heights)
 
 
@@ -608,3 +620,75 @@ def test_polynomials_are_derived_only_on_access(monkeypatch, tmp_path, fix7):
     assert roundtrip(fix7, random_boundary(3, 41), 7).class_ok
     with pytest.raises(AssertionError, match="derived"):
         orthonormalize(mu, 7).p_tilde
+
+
+# -- the recovered band ---------------------------------------------------------
+
+
+def band_by_skip_log(res):
+    """The band, structure and polynomials as ``_band`` built them from the heights
+    that the q heights and the skip log give, with its zeroing and refusal."""
+    n, N = res.t_tilde.n, len(res.weights)
+    heights = heights_by_skip_log(res)
+    row = {h: i for i, h in enumerate(heights, 1)}
+    s = StructureInfo.from_pivot(n, N, {c: row[h - n] for c, h in enumerate(heights, 1) if h >= n})
+    m = recover_matrix(res)
+    far = np.abs(np.subtract.outer(heights, heights)) > n
+    off = float(np.max(np.abs(m.data[far]), initial=0.0))
+    if off > reconstruct.BAND_NOISE_TOL * float(np.max(np.abs(m.data))):
+        raise NumericalFailure("has nonzero norm")
+    m = FiniteHermitian(N, np.where(far, 0.0, m.data))
+    p = build_p(m, s, res.t_tilde)
+    q = build_q(m, s, res.t_tilde, p)
+    return p, [q[s.K.index(heights.index(h - n) + 1)] for h in res.q_heights]
+
+
+def poly_bytes(polys):
+    return [[np.array(c, dtype=complex).tobytes() for c in p.comps] for p in polys]
+
+
+def band_measures():
+    """The acceptance set and GUE measures up to N = 40, with their sweeps' caps."""
+    yield from acceptance_measures()
+    for n in (1, 2, 3):
+        for N in (n + 1, 10, 20, 40):
+            yield gue_measure(N, n, N), N
+
+
+def test_derived_polynomials_keep_their_bytes():
+    refused = 0
+    for mu, N in band_measures():
+        res = orthonormalize(mu, N)
+        ref = outcome(band_by_skip_log, res)
+        if ref == (NumericalFailure, "has nonzero norm"):
+            refused += 1
+            with pytest.raises(NumericalFailure, match="has nonzero norm"):
+                res.p_tilde
+            continue
+        assert poly_bytes(res.p_tilde) == poly_bytes(ref[0])
+        assert poly_bytes(res.q_tilde) == poly_bytes(ref[1])
+    assert refused == 1  # gue_measure(40, 2, 40)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_band_is_the_dense_recovery_inside_the_band(n):
+    for N in (n + 1, 10, 20, 40):
+        res = orthonormalize(gue_measure(N, n, N), N)
+        dense = recover_matrix(res).data
+        m, leakage = recover_band(res)
+        h = np.array(heights_by_skip_log(res))
+        far = np.abs(np.subtract.outer(h, h)) > n
+        assert m.data[~far].tobytes() == dense[~far].tobytes()
+        assert np.all(m.data[far] == 0.0) and not np.signbit(m.data[far].view(float)).any()
+        if far.any():
+            assert leakage == np.max(np.abs(dense[far])) / np.max(np.abs(dense))
+        else:
+            assert leakage == 0.0
+
+
+def test_no_entry_dropped_leaks_nothing():
+    # N <= n + 1 rows lie within n heights of each other
+    res = orthonormalize(gue_measure(0, 2, 3), 3)
+    assert res.p_heights == (0, 1, 2)
+    m, leakage = recover_band(res)
+    assert leakage == 0.0 and m.data.tobytes() == recover_matrix(res).data.tobytes()
