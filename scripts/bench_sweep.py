@@ -363,7 +363,7 @@ def _inverse_side(pkg, wl, workdir, insts):
         for inst in insts:
             out = op.op(inst)
             code, err = out
-            record = {"sha256": _sha256(f"{code}: {err}".encode())}
+            written, figures = f"{code}: {err}".encode(), {}
             if code == 0:
                 with open(op.out_path, "rb") as fh:
                     written = fh.read()
@@ -371,9 +371,10 @@ def _inverse_side(pkg, wl, workdir, insts):
                 eig, jump = wl.check_spectrum(wl._complex_array(doc["matrix"]["data"]),
                                               wl._complex_array(doc["boundary"]["t"]),
                                               inst.n, inst)
-                record = {"sha256": _sha256(written), "eigenvalue_error": eig,
-                          "jump_error": jump, "band_leakage": doc.get("band_leakage")}
-            records.append(dict(record, failure=op.gate(inst, out)[0]))
+                figures = {"eigenvalue_error": eig, "jump_error": jump,
+                           "band_leakage": doc.get("band_leakage")}
+            records.append({"sha256": _sha256(written), **figures,
+                            "failure": op.gate(inst, out)[0]})
     return {"op": op.op, "payloads": payloads}, records
 
 

@@ -20,7 +20,10 @@ Flags must be spelled out in full; an abbreviation is a usage error.
 ``reconstruct`` writes the recovered band: an entry between rows whose
 sweep heights differ by more than n is 0.0, and ``band_leakage`` is the
 largest such entry of the recovered matrix over its largest entry; the
-command never refuses for it.  ``reconstruct -v`` writes the sweep's emitted
+command never refuses for it.  Where the leakage exceeds
+``reconstruct.BAND_NOISE_TOL`` (a degeneration of nonzero norm) and the
+sweep emitted one row per point of the measure, it writes the dense
+recovery, whose spectrum is the measure's.  ``reconstruct -v`` writes the sweep's emitted
 count, q heights, skip count, orthogonality loss and the band leakage to
 stderr.  ``roundtrip`` exits 1 when its round trip misses criterion 09
 (class ok, size N, eigenvalue error <= 1e-8, jump-matrix error <= 1e-7),
@@ -232,6 +235,10 @@ def cmd_reconstruct(args):
         raise UsageError(f"--max-k {args.max_k} is below the measure's order n={mu.n}")
     res = rec.orthonormalize(mu, args.max_k, zero_tol=args.tol_zero)
     m, leakage = rec.recover_band(res)
+    if leakage > rec.BAND_NOISE_TOL and len(res.weights) == len(res.lambdas):
+        # a degeneration of nonzero norm, and a row per point: W is unitary, so
+        # W diag(lambda) W* reproduces the measure, which the band would not
+        m = rec.recover_matrix(res)
     if args.verbose:
         print(f"emitted {len(res.weights)}, q heights {list(res.q_heights)}, "
               f"skips {len(res.skip_log)}, orthogonality loss {res.orthogonality_loss:.3e}, "

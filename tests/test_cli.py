@@ -275,14 +275,13 @@ class TestWrittenBand:
     def test_in_band_bytes_and_zeros_outside(self, tmp_path, n, seed):
         code, doc, res = written_band(tmp_path, gue_measure(seed, n, 20))
         assert code == EXIT_OK
-        written = np.array(doc["matrix"]["data"], dtype=float)
-        written = written[..., 0] + 1j * written[..., 1]
+        pairs = np.array(doc["matrix"]["data"], dtype=float)
+        written = pairs[..., 0] + 1j * pairs[..., 1]
         dense = recover_matrix(res).data
         far = far_from_band(res)
         assert far.any()
         assert written[~far].tobytes() == dense[~far].tobytes()
-        parts = np.array(doc["matrix"]["data"], dtype=float)[far]
-        assert np.all(parts == 0.0) and not np.signbit(parts).any()
+        assert np.all(pairs[far] == 0.0) and not np.signbit(pairs[far]).any()
         # the theory's zeros come out of W diag(lambda) W* as rounding residue
         assert np.max(np.abs(dense[far])) > 0.0
         scale = np.max(np.abs(dense))
@@ -305,14 +304,32 @@ class TestWrittenBand:
             checked += 1
         assert checked >= 2
 
+    def test_a_row_per_point_keeps_the_spectrum(self, tmp_path):
+        # at --tol-zero 1e-4 the sweep declares a degeneration of nonzero norm at
+        # height 19 and still emits a row per point: W is unitary, and the dense
+        # recovery, written in place of the band, keeps the measure's spectrum
+        mu = gue_measure(6, 2, 20)
+        code, doc, _ = written_band(tmp_path, mu, "--tol-zero", "1e-4")
+        res = orthonormalize(mu, mu.size, zero_tol=1e-4)
+        assert code == EXIT_OK and doc["emitted"] == mu.size and doc["q_heights"] == [19, 22]
+        assert doc["band_leakage"] == recover_band(res)[1] > BAND_NOISE_TOL
+        pairs = np.array(doc["matrix"]["data"], dtype=float)
+        written = pairs[..., 0] + 1j * pairs[..., 1]
+        assert written.tobytes() == recover_matrix(res).data.tobytes()
+        assert np.max(np.abs(np.linalg.eigvalsh(written) - mu.lambdas)) <= ROUNDTRIP_EIG_TOL
+
     def test_leakage_never_refuses(self, tmp_path, monkeypatch):
         # at a relative threshold of 0.5 the sweep declares degenerations of
-        # nonzero norm, and entries far outside the band survive the recovery
+        # nonzero norm and stops at 7 of 20 rows: the band is written all the same
         monkeypatch.setenv("SPECBAND_TOL", "0.5")
-        code, doc, _ = written_band(tmp_path, gue_measure(0, 3, 20))
+        mu = gue_measure(0, 3, 20)
+        code, doc, _ = written_band(tmp_path, mu)
         assert code == EXIT_OK
         assert doc["band_leakage"] > BAND_NOISE_TOL
-        assert doc["q_heights"] == [6, 7, 11]
+        assert doc["q_heights"] == [6, 7, 11] and doc["emitted"] == 7
+        res = orthonormalize(mu, mu.size, zero_tol=0.5)
+        pairs = np.array(doc["matrix"]["data"], dtype=float)
+        assert pairs.tobytes() == recover_band(res)[0].data.view(float).tobytes()
 
 
 class TestPointOrder:
