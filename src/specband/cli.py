@@ -23,12 +23,12 @@ largest such entry of the recovered matrix over its largest entry; the
 command never refuses for it.  Where the leakage exceeds
 ``reconstruct.BAND_NOISE_TOL`` (a degeneration of nonzero norm) and the
 sweep emitted one row per point of the measure, it writes the dense
-recovery, whose spectrum is the measure's.  ``reconstruct -v`` writes the sweep's emitted
-count, q heights, skip count, orthogonality loss and the band leakage to
-stderr.  ``roundtrip`` exits 1 when its round trip misses criterion 09
-(class ok, size N, eigenvalue error <= 1e-8, jump-matrix error <= 1e-7),
-``roundtrip --batch`` when any of its round trips does; the batch summary
-counts those in ``failed``.
+recovery, whose spectrum is the measure's.  ``reconstruct -v`` writes the
+sweep's emitted count, q heights, skip count, orthogonality loss and the
+band leakage to stderr.  ``roundtrip`` exits 1 when its round trip misses
+criterion 09 (class ok, size N, eigenvalue error <= 1e-8, jump-matrix error
+<= 1e-7), ``roundtrip --batch`` when any of its round trips does; the batch
+summary counts those in ``failed``.
 """
 
 import argparse

@@ -682,13 +682,5 @@ def test_band_is_the_dense_recovery_inside_the_band(n):
         assert np.all(m.data[far] == 0.0) and not np.signbit(m.data[far].view(float)).any()
         if far.any():
             assert leakage == np.max(np.abs(dense[far])) / np.max(np.abs(dense))
-        else:
+        else:  # N = n + 1 rows lie within n heights of each other
             assert leakage == 0.0
-
-
-def test_no_entry_dropped_leaks_nothing():
-    # N <= n + 1 rows lie within n heights of each other
-    res = orthonormalize(gue_measure(0, 2, 3), 3)
-    assert res.p_heights == (0, 1, 2)
-    m, leakage = recover_band(res)
-    assert leakage == 0.0 and m.data.tobytes() == recover_matrix(res).data.tobytes()
