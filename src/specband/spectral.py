@@ -38,7 +38,7 @@ from .errors import (
     SingularBoundary,
 )
 from .matrices import FiniteHermitian, StructureInfo
-from .vectorpoly import COEFF_TRIM_TOL, VectorPolynomial, from_coeff_rows, to_coeff_vector
+from .vectorpoly import COEFF_TRIM_TOL, VectorPolynomial, from_coeff_rows
 
 #: relative gap under which neighbouring eigenvalues join one jump
 CLUSTER_TOL = 1e-9
@@ -289,20 +289,40 @@ def build_p(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix):
     COEFF_TRIM_TOL set to 0; each further p_c solves the row equation owning
     the edge of column c with conjugated entries (formal adjoint of the
     numeric recursion), summed by ``_subtract_in_order``.
+
+    The edges are checked, in column order, before any row is built.  The
+    pivot rows' terms are formed once for all rows: where each row's nonzero
+    entries left of its edge lie, the -re and -1j*im parts of their
+    conjugates (``_subtract_negated``'s factors), and the real part and 1j
+    times the imaginary part of each scale 1/conj(edge).  The loop then only
+    gathers the rows that a row equation reads, sums them and stores the
+    scaled sum.
     """
     N, n, data = s.N, s.n, m.data
     w = n * (N - n + 1)
+    pivots = sorted(s.pivot.items())
+    cols = np.array([c for c, _ in pivots], dtype=int) - 1
+    rows = np.array([r for _, r in pivots], dtype=int) - 1
+    edges = data[rows, cols]
+    zero = np.flatnonzero(edges == 0)
+    if zero.size:
+        c, r = pivots[zero[0]]
+        raise PivotViolation(f"zero edge entry at ({r},{c})")
+    left = (data[rows] != 0) & (np.arange(N) < cols[:, None])
+    owner, at = np.nonzero(left)  # row by row, columns ascending
+    conj = data[rows[owner], at].conj()
+    neg_re, neg_im = -conj.real[:, None], (-1j * conj.imag)[:, None]
+    ends = np.cumsum(left.sum(axis=1)).tolist()
+    scale = 1.0 / edges.conj()
     coeffs = np.zeros((N, n + w), dtype=complex)
     # np.hypot is Python's complex abs bit for bit; np.abs on complex is not
     coeffs[:n, n : 2 * n] = np.where(np.hypot(t.t.real, t.t.imag) > COEFF_TRIM_TOL, t.t, 0.0).T
-    for c, r in sorted(s.pivot.items()):
-        edge = data[r - 1, c - 1]
-        if abs(edge) == 0.0:
-            raise PivotViolation(f"zero edge entry at ({r},{c})")
-        cols = np.flatnonzero(data[r - 1, : c - 1])
-        acc = _subtract_in_order(coeffs[r - 1, :w], data[r - 1, cols].conj(), coeffs[cols, n:])
-        scale = 1.0 / edge.conjugate()
-        coeffs[c - 1, n:] = acc * scale.real + acc * (1j * scale.imag)
+    lo = 0
+    for c, r, hi, sr, si in zip(cols.tolist(), rows.tolist(), ends,
+                                scale.real.tolist(), (1j * scale.imag).tolist()):
+        acc = _subtract_negated(coeffs[r, :w], neg_re[lo:hi], neg_im[lo:hi], coeffs[at[lo:hi], n:])
+        coeffs[c, n:] = acc * sr + acc * si
+        lo = hi
     return from_coeff_rows(coeffs[:, n:], n)
 
 
@@ -311,18 +331,22 @@ def build_q(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, p):
 
     q_j = sum_i conj(m_{k,i}) p_i - z p_k, k the j-th element of K, summed in
     this order on canonical coefficient rows n places wider than the longest p_i.
+    The rows are the p_i's stored arrays, stacked and padded with zeros.
     """
     if len(p) != s.N:
         raise DimensionMismatch("expected one p polynomial per truncation row")
-    width = s.n * (max(len(comp) for pk in p for comp in pk.comps) + 1)
-    coeffs = np.array([to_coeff_vector(pk, width) for pk in p])
-    q = np.zeros((s.n, width), dtype=complex)
+    n = s.n
+    width = n * (-(-max(pk.coeffs.size for pk in p) // n) + 1)
+    coeffs = np.zeros((s.N, width), dtype=complex)
+    for row, pk in zip(coeffs, p):
+        row[: pk.coeffs.size] = pk.coeffs
+    q = np.zeros((n, width), dtype=complex)
     for j, k in enumerate(s.K):
         cols = np.flatnonzero(m.data[k - 1])
-        rows = np.vstack([coeffs[cols], np.roll(coeffs[k - 1], s.n)])
+        rows = np.vstack([coeffs[cols], np.roll(coeffs[k - 1], n)])
         cs = np.append(-m.data[k - 1, cols].conj(), 1.0)
         q[j] = _subtract_in_order(q[j], cs, rows)
-    return from_coeff_rows(q, s.n)
+    return from_coeff_rows(q, n)
 
 
 def _subtract_in_order(row, cs, rows):
@@ -340,10 +364,16 @@ def _subtract_in_order(row, cs, rows):
     way, on 119 of perfbench's 960 n = 1, N = 20 ``direct`` instances of
     seeds 1-20: rounding noise, until the test reads point values.
     """
-    terms = np.empty((len(cs) + 1, row.size), dtype=complex)
+    return _subtract_negated(row, -cs.real[:, None], (-1j * cs.imag)[:, None], rows)
+
+
+def _subtract_negated(row, neg_re, neg_im, rows):
+    """``_subtract_in_order`` from its factors' parts: the columns
+    neg_re = -cs.real and neg_im = -1j * cs.imag."""
+    terms = np.empty((len(neg_re) + 1, row.size), dtype=complex)
     terms[0] = row
-    np.multiply(-cs.real[:, None], rows, out=terms[1:])
-    terms[1:] += (-1j * cs.imag)[:, None] * rows
+    np.multiply(neg_re, rows, out=terms[1:])
+    terms[1:] += neg_im * rows
     return np.cumsum(terms, axis=0)[-1]
 
 

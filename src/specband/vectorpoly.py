@@ -10,10 +10,18 @@ pair realizes each nonnegative integer.  The canonical family
 ``e_1, e_2, ...`` (``e_{n*k+i} = z^k * unit_i``) realizes height m-1 at
 index m and is the working basis for coefficient-space computations.
 
-Building one from coefficients drops the trailing ones equal to 0 (of
-either sign) and no others: there is no trimming tolerance.
+A ``VectorPolynomial`` stores its coordinates in that basis as one
+read-only complex array, ``coeffs``: entry k multiplies e_{k+1}, that is
+slot k mod n at degree k div n.  The array ends at its last entry that is
+not 0 (of either sign), so its length is h(r) + 1; a NaN counts as nonzero.
+There is no trimming tolerance.  The per-component tuples ``comps`` are
+derived from it when first read, each without its trailing zeros.  A zero
+past the end of its own component is stored as it came, so it may be -0.0:
+``to_coeff_vector`` and ``evaluate_at`` may read -0.0 where the components
+padded with zeros would give +0.0, and agree with them in every other bit.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,42 +37,55 @@ MINUS_INF = float("-inf")
 COEFF_TRIM_TOL = 1e-12
 
 
-def _trim(coeffs):
-    """Drop trailing zero coefficients; a tuple of Python complex."""
-    return _trimmed_slots([coeffs], 1)[0][0]
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
-def _trimmed_slots(rows, n):
-    """Per row of the 2-D rows, its slots i = 0..n-1 (every n-th entry from i),
-    each without trailing zero coefficients.
-
-    One array pass finds the last kept coefficient of every slot of every row;
-    a NaN is kept, as ``nan != 0`` holds.
-    """
-    rows = np.asarray(rows, dtype=complex)
-    count, size = rows.shape
-    depth = -(-size // n)
-    keep = np.zeros((count, depth * n), dtype=bool)
-    keep[:, :size] = rows != 0
-    grid = keep.reshape(count, depth, n)  # [row, d, i]: z^d in slot i
-    lengths = np.max(grid * np.arange(1, depth + 1)[:, None], axis=1, initial=0)
-    return [
-        tuple(tuple(values[i : n * k : n]) for i, k in enumerate(lens))
-        for values, lens in zip(rows.tolist(), lengths.tolist())
-    ]
+#: the coordinates of every zero polynomial
+_EMPTY = _read_only(np.zeros(0, dtype=complex))
 
 
-@dataclass(frozen=True)
+def _slots(coeffs, n):
+    """Slots i = 0..n-1 of a canonical array (every n-th entry from i), each
+    without trailing zero coefficients, as tuples of Python complex."""
+    depth = -(-coeffs.size // n)
+    keep = np.zeros(depth * n, dtype=bool)
+    keep[: coeffs.size] = coeffs != 0
+    lengths = np.max(keep.reshape(depth, n) * np.arange(1, depth + 1)[:, None], axis=0, initial=0)
+    values = coeffs.tolist()
+    return tuple(tuple(values[i : n * k : n]) for i, k in enumerate(lengths.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class VectorPolynomial:
     """Immutable n-dimensional vector of scalar polynomials.
 
-    ``comps[j]`` holds the ascending-degree coefficients of component
-    j+1; trailing zero coefficients are trimmed on construction, so an
-    empty tuple is the zero component.
+    ``coeffs`` is the read-only canonical array of the module docstring:
+    entry k is the coefficient of z^(k div n) in component k mod n + 1, and
+    the array's length is the height + 1 (empty for the zero polynomial).
+    The constructor takes such an array as it is; ``from_components``,
+    ``from_coeff_vector`` and ``from_coeff_rows`` build one from any
+    coefficients.  ``comps[j]``, derived on first read, holds the
+    ascending-degree coefficients of component j+1 without trailing zeros,
+    so an empty tuple is the zero component.  Equality and hashing go by n
+    and ``comps``.
     """
 
     n: int
-    comps: tuple
+    coeffs: np.ndarray
+
+    @functools.cached_property
+    def comps(self):
+        return _slots(self.coeffs, self.n)
+
+    def __eq__(self, other):
+        if not isinstance(other, VectorPolynomial):
+            return NotImplemented
+        return (self.n, self.comps) == (other.n, other.comps)
+
+    def __hash__(self):
+        return hash((self.n, self.comps))
 
     @classmethod
     def from_components(cls, comps, n=None):
@@ -73,15 +94,18 @@ class VectorPolynomial:
             n = len(comps)
         if len(comps) != n:
             raise DimensionMismatch(f"expected {n} components, got {len(comps)}")
-        return cls(n, tuple(_trim(c) for c in comps))
+        grid = np.zeros((max(map(len, comps), default=0), n), dtype=complex)
+        for j, comp in enumerate(comps):
+            grid[: len(comp), j] = comp
+        return from_coeff_rows(grid.reshape(1, -1), n)[0]
 
     @classmethod
     def zero(cls, n):
-        return cls(n, tuple(() for _ in range(n)))
+        return cls(n, _EMPTY)
 
     @property
     def is_zero(self):
-        return all(len(c) == 0 for c in self.comps)
+        return self.coeffs.size == 0
 
     def degree(self, j):
         """Degree of component j (1-based); -inf for a zero component."""
@@ -102,27 +126,25 @@ class VectorPolynomial:
         """``evaluate(t)`` for every real t in ts, as a (len(ts), n) array.
 
         One complex Horner step per degree runs over all points and
-        components at once, on a (width, n) array of the coefficients from
-        the top, shorter components padded with zeros.  Like Python's
-        arithmetic in ``evaluate``, it overflows to inf without a warning.
-        At an infinite or NaN t an empty component may read NaN, not 0.
+        components at once, on the stored array padded with zeros to whole
+        degrees and read as a (width, n) grid from the top degree down.  Like
+        Python's arithmetic in ``evaluate``, it overflows to inf without a
+        warning.  At an infinite or NaN t an empty component may read NaN,
+        not 0.
         """
         ts = np.asarray(ts, dtype=float)[:, None]
-        width = max(len(c) for c in self.comps)
-        top = np.zeros((width, self.n), dtype=complex)
-        for j, comp in enumerate(self.comps):
-            top[width - len(comp):, j] = comp[::-1]
-        acc = np.zeros((ts.size, self.n), dtype=complex)
+        size, n = self.coeffs.size, self.n
+        grid = np.zeros(-(-size // n) * n, dtype=complex)
+        grid[:size] = self.coeffs
+        acc = np.zeros((ts.size, n), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            for c in top:
+            for c in grid.reshape(-1, n)[::-1]:
                 acc = acc * ts + c
         return acc
 
     def conjugate_coeffs(self):
         """Formal adjoint companion: conjugate every coefficient."""
-        return VectorPolynomial(
-            self.n, tuple(tuple(c.conjugate() for c in comp) for comp in self.comps)
-        )
+        return VectorPolynomial(self.n, _read_only(self.coeffs.conj()))
 
     def __add__(self, other):
         if not isinstance(other, VectorPolynomial):
@@ -145,8 +167,8 @@ class VectorPolynomial:
 
     def __mul__(self, scalar):
         scalar = complex(scalar)
-        return VectorPolynomial(
-            self.n, tuple(_trim([c * scalar for c in comp]) for comp in self.comps)
+        return VectorPolynomial.from_components(
+            [[c * scalar for c in comp] for comp in self.comps], self.n
         )
 
     __rmul__ = __mul__
@@ -167,21 +189,18 @@ class VectorPolynomial:
         return VectorPolynomial.from_components(comps, self.n)
 
     def z_mul(self, power=1):
-        """Multiply every component by z**power (shift coefficients)."""
-        return VectorPolynomial(
-            self.n,
-            tuple((0j,) * power + comp if comp else () for comp in self.comps),
-        )
+        """Multiply every component by z**power: n*power zeros before the stored array."""
+        if self.is_zero:
+            return self
+        shifted = np.zeros(self.n * power + self.coeffs.size, dtype=complex)
+        shifted[self.n * power :] = self.coeffs
+        return VectorPolynomial(self.n, _read_only(shifted))
 
 
 def height(r: VectorPolynomial):
-    """Height h(r) = max_j (n*deg(r_j) + j - 1); -inf for the zero polynomial."""
-    best = MINUS_INF
-    for j in range(1, r.n + 1):
-        d = r.degree(j)
-        if d != MINUS_INF:
-            best = max(best, r.n * d + j - 1)
-    return best
+    """Height h(r) = max_j (n*deg(r_j) + j - 1), the stored array's length - 1;
+    -inf for the zero polynomial."""
+    return r.coeffs.size - 1 if r.coeffs.size else MINUS_INF
 
 
 def leading_slot(h, n):
@@ -197,23 +216,21 @@ def canonical_e(index, n):
     """
     if index < 1:
         raise ValueError("canonical index must be >= 1")
-    i, k = leading_slot(index - 1, n)
-    comps = [[] for _ in range(n)]
-    comps[i - 1] = [0j] * k + [1.0 + 0j]
-    return VectorPolynomial.from_components(comps, n)
+    coeffs = np.zeros(index, dtype=complex)
+    coeffs[-1] = 1.0
+    return VectorPolynomial(n, _read_only(coeffs))
 
 
 def to_coeff_vector(r: VectorPolynomial, length):
     """Coordinates of r in the canonical basis e_1..e_length.
 
-    Raises if r has coefficients beyond the requested height window.
+    Raises if r stores more coefficients than the window holds, that is if
+    its height is length or more.
     """
+    if r.coeffs.size > length:
+        raise ValueError("polynomial exceeds coefficient window")
     out = np.zeros(length, dtype=complex)
-    for j, comp in enumerate(r.comps):
-        slot = out[j :: r.n]  # a view: e_{j+1}, e_{j+1+n}, ...
-        if any(abs(c) > 0 for c in comp[len(slot):]):
-            raise ValueError("polynomial exceeds coefficient window")
-        slot[: len(comp)] = comp[: len(slot)]
+    out[: r.coeffs.size] = r.coeffs
     return out
 
 
@@ -223,8 +240,16 @@ def from_coeff_vector(coords, n):
 
 
 def from_coeff_rows(rows, n):
-    """:func:`from_coeff_vector` of each row of a 2-D array, trimmed in one pass."""
-    return [VectorPolynomial(n, comps) for comps in _trimmed_slots(rows, n)]
+    """:func:`from_coeff_vector` of each row of a 2-D array, in one pass.
+
+    The rows are copied once, into a read-only block; one scan finds each
+    row's last nonzero entry, and each polynomial's array is its row up to
+    there (a view of the block).
+    """
+    block = _read_only(np.array(rows, dtype=complex))
+    count, size = block.shape
+    lengths = np.max((block != 0) * np.arange(1, size + 1), axis=1, initial=0)
+    return [VectorPolynomial(n, row[:k]) for row, k in zip(block, lengths.tolist())]
 
 
 def poly_allclose(a: VectorPolynomial, b: VectorPolynomial, tol=1e-9):

@@ -36,8 +36,9 @@ arithmetic, the references of the coefficient-array ``build_p``/``build_q``.
 encoder, and ``reference_from_coeff_vector`` the original per-coefficient
 slot loop with its trimming loop, the references of ``serialize.dumps`` and
 of ``vectorpoly.from_coeff_vector``; ``_reference_trim`` is the trailing-zero
-walk that ``vectorpoly._trim`` replaced.  ``pairs_as_lists`` readies a
-payload that holds ``serialize.Pairs`` arrays for ``reference_dumps``.
+walk that the array scan of ``vectorpoly.from_coeff_rows`` replaced.
+``pairs_as_lists`` readies a payload that holds ``serialize.Pairs`` arrays
+for ``reference_dumps``.
 ``no_shell_tolerance`` clears SPECBAND_TOL for every test.
 ``reference_generate_random`` is the generator that drew each uniform with
 its own ``rng.uniform`` call, scanned every pair (j, k) with k >= j and
@@ -685,7 +686,7 @@ def reference_from_coeff_vector(coords, n):
         while len(comp) <= k:
             comp.append(0j)
         comp[k] = complex(c)
-    return VectorPolynomial(n, tuple(_reference_trim(c) for c in comps))
+    return VectorPolynomial.from_components([_reference_trim(c) for c in comps], n)
 
 
 # -- reference: the generator with one scalar draw per uniform --------------

@@ -244,6 +244,23 @@ class TestPolynomialsMatchReference:
         raised = assert_polynomials_like_reference(FiniteHermitian(7, data), s, t)
         assert raised == (PivotViolation, "zero edge entry at (4,5)")
 
+    def test_first_zero_edge_raises_before_any_row(self, fix7, monkeypatch):
+        # the edges of columns 5 and 7 vanish: the first in column order is named,
+        # as the stepwise reference names it, and no row equation is summed first
+        m, s, t, _ = setup(fix7, 7)
+        data = m.data.copy()
+        for c in (5, 7):
+            r = s.pivot[c]
+            data[r - 1, c - 1] = data[c - 1, r - 1] = 0.0
+        m = FiniteHermitian(7, data)
+        raised = assert_polynomials_like_reference(m, s, t)
+        assert raised == (PivotViolation, "zero edge entry at (4,5)")
+        sums = []
+        monkeypatch.setattr(spectral, "_subtract_negated", lambda *args: sums.append(args))
+        with pytest.raises(PivotViolation):
+            build_p(m, s, t)
+        assert sums == []
+
     def test_no_vector_polynomial_arithmetic(self, fix7, monkeypatch):
         m, s, _, _ = setup(fix7, 7)
         t = random_boundary(3, 1)

@@ -2,14 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specband.errors import DimensionMismatch
 from specband.vectorpoly import (
     MINUS_INF,
     VectorPolynomial,
-    _trim,
     canonical_e,
     from_coeff_rows,
     from_coeff_vector,
@@ -24,6 +23,11 @@ from conftest import _reference_trim, assert_within, horner_scale, reference_fro
 
 def vp(comps, n=None):
     return VectorPolynomial.from_components(comps, n)
+
+
+def _trim(coeffs):
+    """One scalar polynomial's coefficients as stored: trailing zeros dropped."""
+    return vp([coeffs], 1).comps[0]
 
 
 class TestHeight:
@@ -127,6 +131,14 @@ class TestCoeffVector:
         r = vp([[0, 0, 1]])
         with pytest.raises(ValueError):
             to_coeff_vector(r, 2)
+
+    def test_nan_past_the_window_raises(self):
+        # a NaN is a stored coefficient: height 1 does not fit a window of 1
+        r = vp([[1, float("nan")]], 1)
+        assert height(r) == 1
+        with pytest.raises(ValueError):
+            to_coeff_vector(r, 1)
+        assert np.isnan(to_coeff_vector(r, 2)[1])
 
 
 coeff = st.complex_numbers(
@@ -253,6 +265,72 @@ class TestTrimMatchesReference:
         assert len(got) == count
         for poly, row in zip(got, rows):
             assert _same_poly(poly, reference_from_coeff_vector(row, n))
+
+
+edge_entries = st.sampled_from(
+    [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), float("nan"),
+     complex(-0.0, float("nan")), 1e-300, complex(-0.0, -1e-300), complex(5e-324, 0.0)]
+)
+
+edge_comps = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(edge_entries, edge_entries, coeff), max_size=7), min_size=n, max_size=n
+    )
+)
+
+
+def reference_height(comps):
+    """max (n deg(r_j) + j - 1) over the trimmed components; -inf if all are empty."""
+    n = len(comps)
+    return max((n * (len(c) - 1) + j for j, c in enumerate(comps) if c), default=MINUS_INF)
+
+
+def reference_coeff_vector(comps, length):
+    """The trimmed components written slot by slot into zeros."""
+    out = np.zeros(length, dtype=complex)
+    for j, comp in enumerate(comps):
+        out[j :: len(comps)][: len(comp)] = comp
+    return out
+
+
+class TestArrayCore:
+    """The stored array against the per-component trim, height and slot writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_comps)
+    def test_comps_keep_their_repr(self, comps):
+        r = vp(comps)
+        assert repr(r.comps) == repr(tuple(_reference_trim(c) for c in comps))
+        assert all(type(c) is complex for comp in r.comps for c in comp)
+        assert not r.coeffs.flags.writeable and r.coeffs.dtype == complex
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_comps)
+    def test_height_is_the_array_length_less_one(self, comps):
+        r = vp(comps)
+        assert height(r) == reference_height(r.comps)
+        assert height(r) == (r.coeffs.size - 1 if r.coeffs.size else MINUS_INF)
+        assert r.is_zero == (r.coeffs.size == 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_comps, st.integers(0, 4))
+    @example([[1.0, complex(-0.0, -0.0)], [1.0, 1.0]], 0)  # -0.0 past the end of slot 0
+    def test_coeff_vector_and_rows_round_trip(self, comps, spare):
+        r = vp(comps)
+        n, length = r.n, r.coeffs.size + spare
+        coords = to_coeff_vector(r, length)
+        # the stored array, then +0.0; the slot writes' values, where a zero past
+        # the end of its slot may keep its sign
+        assert coords.tobytes() == r.coeffs.tobytes() + bytes(16 * spare)
+        ref = reference_coeff_vector(r.comps, length)
+        assert np.array_equal(coords, ref, equal_nan=True)
+        rows = np.vstack([coords, np.zeros(length), coords[::-1]])
+        back, zero, flipped = from_coeff_rows(rows, n)
+        assert _same_poly(back, r) and back.coeffs.tobytes() == r.coeffs.tobytes()
+        assert zero.is_zero and _same_poly(zero, VectorPolynomial.zero(n))
+        assert _same_poly(flipped, reference_from_coeff_vector(coords[::-1], n))
+        assert to_coeff_vector(flipped, length).tobytes() == (
+            coords[::-1][: flipped.coeffs.size].tobytes() + bytes(16 * (length - flipped.coeffs.size)))
 
 
 class TestEvaluateAt:
