@@ -42,19 +42,18 @@ def _read_only(a):
     return a
 
 
-#: the coordinates of every zero polynomial
-_EMPTY = _read_only(np.zeros(0, dtype=complex))
-
-
 def _slots(coeffs, n):
     """Slots i = 0..n-1 of a canonical array (every n-th entry from i), each
-    without trailing zero coefficients, as tuples of Python complex."""
-    depth = -(-coeffs.size // n)
-    keep = np.zeros(depth * n, dtype=bool)
-    keep[: coeffs.size] = coeffs != 0
-    lengths = np.max(keep.reshape(depth, n) * np.arange(1, depth + 1)[:, None], axis=0, initial=0)
+    without trailing zero coefficients, as tuples of Python complex.  A NaN
+    is kept, as ``nan == 0`` is false."""
     values = coeffs.tolist()
-    return tuple(tuple(values[i : n * k : n]) for i, k in enumerate(lengths.tolist()))
+    slots = []
+    for i in range(n):
+        slot = values[i::n]
+        while slot and slot[-1] == 0:
+            slot.pop()
+        slots.append(tuple(slot))
+    return tuple(slots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +100,7 @@ class VectorPolynomial:
 
     @classmethod
     def zero(cls, n):
-        return cls(n, _EMPTY)
+        return cls(n, _read_only(np.zeros(0, dtype=complex)))
 
     @property
     def is_zero(self):
