@@ -51,10 +51,14 @@ eigenvalue and jump errors that the gate reads of the instances it passes
 of the written files (null where a checkout writes none).  Per
 cell it says whether the checkouts agree on the inputs (``inputs_agree``),
 the generated specs' text (``specs_identical``), the q heights, skip logs
-and emitted counts (``decisions_agree``), and the sha256 of every sweep's
-``weights`` and ``t_tilde`` bytes and of every round trip's
+and emitted counts (``decisions_agree``), those and the sha256 of every
+sweep's ``weights`` bytes (``weights_identical``), and those, the bytes of
+every sweep's ``t_tilde`` and the sha256 of every round trip's
 ``RoundTripReport.to_dict()`` JSON text and matrix bytes, or of the error
-raised (``outputs_identical``); on the sha256 over what perfbench's
+raised (``outputs_identical``); it also gives the largest change of T~
+between the checkouts, relative to its largest entry
+(``t_tilde_change_max``), so that a change that moves only T~'s rounding
+reads as that; on the sha256 over what perfbench's
 ``direct`` gate reads, the stage outputs up to ``det_theta_polynomial``
 (or the stage and error that ended the instance) and the ``direct_check``
 output (``gate_outputs_identical``), on the ``direct`` gate's verdict and
@@ -63,7 +67,8 @@ where a change moves bits but no decision), and over the generator report's
 JSON (``generator_reports_identical``), listing the seeds whose height table
 differs (``height_tables_changed``); on every file the inverse operation
 wrote (or its exit code and error line) and the gate's verdict
-(``outputs_identical``); and on each payload's text (``payloads``).
+(``outputs_identical``), and on the verdict alone (``gate_verdicts_agree``);
+and on each payload's text (``payloads``).
 
 Timing: one more single-threaded process imports both checkouts' packages
 and alternates between them (``_ab``), ``--rounds`` times per entry and
@@ -142,7 +147,8 @@ def _sweep_record(res):
         "q_heights": list(res.q_heights),
         "skip_log": list(res.skip_log),
         "loss": float(np.max(np.abs(w @ w.conj().T - np.eye(len(w))))),
-        "sha256": _sha256(w.tobytes() + res.t_tilde.t.tobytes()),
+        "sha256": _sha256(w.tobytes()),
+        "t_tilde": res.t_tilde.t.tobytes().hex(),
     }
 
 
@@ -644,6 +650,15 @@ def _agree(recs, *keys):
     return all(a.get(k) == b.get(k) for a, b in zip(recs["before"], recs["after"]) for k in keys)
 
 
+def _t_tilde_change(a, b):
+    """max |T~_after - T~_before| / max |T~_before| of two sweep records, None where
+    either has no T~ (the sweep raised)."""
+    if "t_tilde" not in a or "t_tilde" not in b:
+        return None
+    before, after = (np.frombuffer(bytes.fromhex(r["t_tilde"]), dtype=complex) for r in (a, b))
+    return float(np.max(np.abs(after - before)) / np.max(np.abs(before)))
+
+
 def summarize(runs):
     """Per grid cell, the records and agreement of both checkouts' identity passes."""
     cells = []
@@ -666,10 +681,18 @@ def summarize(runs):
         pairs = [(a.get(part, {}), b.get(part, {}))
                  for a, b in zip(recs["before"], recs["after"]) for part in ("gue", "stage")]
         cell["decisions_agree"] = all(_decisions(a) == _decisions(b) for a, b in pairs)
-        pairs += [(a["roundtrip"], b["roundtrip"]) for a, b in zip(recs["before"], recs["after"])]
-        cell["outputs_identical"] = all(
+        cell["weights_identical"] = all(
             _decisions(a) == _decisions(b) and a.get("sha256") == b.get("sha256")
             for a, b in pairs
+        )
+        changes = [c for c in (_t_tilde_change(a, b) for a, b in pairs) if c is not None]
+        cell["t_tilde_change_max"] = max(changes, default=None)
+        outputs = pairs + [(a["roundtrip"], b["roundtrip"])
+                           for a, b in zip(recs["before"], recs["after"])]
+        cell["outputs_identical"] = all(
+            _decisions(a) == _decisions(b) and a.get("sha256") == b.get("sha256")
+            and a.get("t_tilde") == b.get("t_tilde")
+            for a, b in outputs
         )
         cells.append(cell)
     return cells
@@ -713,6 +736,7 @@ def summarize_inverse(runs):
                 "band_leakage_max": max(leakages, default=None),
             }
         cell["inputs_agree"] = _agree(recs, "digest")
+        cell["gate_verdicts_agree"] = _agree(recs, "failure")
         cell["outputs_identical"] = _agree(recs, "sha256", "failure")
         cells.append(cell)
     return cells

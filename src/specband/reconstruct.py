@@ -29,13 +29,12 @@ reduced by classical Gram-Schmidt, twice: each pass takes every multiplier
 at once, cs = conj(V) w, from the conjugated rows, and subtracts cs V, so w
 is orthogonal to V at working precision (Giraud, Langou, Rozloznik & van
 den Eshof, Numer. Math. 101, 2005); before the first row is emitted there
-is nothing to project against, and no pass runs.  Only the first n emitted
-vectors, the constants, also carry their coefficients of e_1..e_n, an n x n
-block that takes the same multipliers (``spectral._subtract_in_order``,
-shared with ``build_p``/``build_q``); T~ is read off it.  p~ and q~ are the
-p_k and q_j of the recovered matrix, built when asked for.  The sweep itself,
-``_sweep``, also gives ``interpolation.verify_generators`` its kernel
-dimensions; the checks that the matrix needs are ``orthonormalize``'s.
+is nothing to project against, and no pass runs.  The sweep carries no
+coefficients: ``orthonormalize`` reads T~ off the constants' rows once.  p~
+and q~ are the p_k and q_j of the recovered matrix, built when asked for.
+The sweep itself, ``_sweep``, also gives ``interpolation.verify_generators``
+its kernel dimensions; the checks that the matrix needs are
+``orthonormalize``'s.
 """
 
 import functools
@@ -57,7 +56,6 @@ from .spectral import (
     BoundaryMatrix,
     CLUSTER_TOL,
     StepMeasure,
-    _subtract_in_order,
     build_p,
     build_q,
     eigen_decompose,
@@ -84,8 +82,9 @@ BAND_NOISE_TOL = 1e-4
 class OrthoResult:
     """Output of the orthonormalization sweep.
 
-    ``t_tilde`` is the boundary matrix read off the e_1..e_n coefficients of
-    the first n constants, ``skip_log`` lists the canonical indices suppressed
+    ``t_tilde`` is the boundary matrix, the transpose of the e_1..e_n
+    coefficients of the first n constants (upper triangular with a real
+    diagonal, exactly), ``skip_log`` lists the canonical indices suppressed
     by the height-lattice rule, ``q_heights`` the heights of degenerations and
     ``p_heights`` those of the emitted rows.
     ``p_tilde`` and ``q_tilde`` are derived on first access by ``build_p``
@@ -147,9 +146,12 @@ def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL)
     Runs until min(``max_k``, N) orthonormal polynomials are emitted (an
     orthonormal system in L2 of N points has at most N members) or all
     residue classes mod n are closed by degenerations (then the measure's
-    rank is exhausted and the result says so).  Only the first n emitted
-    vectors, the constants, keep their coefficients of e_1..e_n, an n x n
-    block; a degeneration below height n raises, as T~ would be singular.
+    rank is exhausted and the result says so).  A degeneration below height
+    n raises, as T~ would be singular.  The first n emitted rows are
+    V = H conj(C)^T, H lower triangular with diagonal 1/norm of each
+    constant's residual, and V V* = I gives H^-1 = conj(C)^T V*; T~ = H^T.
+    The sweep's norms replace that product's diagonal, which cancellation
+    blurs where the constants lean on each other.
     """
     n = mu.n
     s0 = mu.total_mass()
@@ -159,13 +161,17 @@ def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL)
             f"zeroth moment has eigenvalue {eig[0]:.3e}; cannot start"
         )
     cap = max(min(max_k, mu.size), 0)
-    weights, p_heights, heads, q_heights, skip_log = _sweep(mu, cap, zero_tol)
+    weights, p_heights, norms, q_heights, skip_log = _sweep(mu, cap, zero_tol)
     if q_heights and q_heights[0] < n:
         raise SingularZerothMoment(f"degeneration at height {q_heights[0]} < n={n}; T~ is singular")
     if len(weights) < n:
         raise SingularZerothMoment("fewer than n orthonormal constants emerged")
+    h_inv = mu.c.conj().T @ weights[:n].conj().T
+    np.fill_diagonal(h_inv, norms[:n])
+    t_tilde = np.triu(np.linalg.inv(h_inv).T)
+    np.fill_diagonal(t_tilde, 1.0 / h_inv.diagonal().real)
     return OrthoResult(
-        t_tilde=BoundaryMatrix(n, heads.T),
+        t_tilde=BoundaryMatrix(n, t_tilde),
         skip_log=tuple(skip_log),
         q_heights=tuple(q_heights),
         p_heights=tuple(p_heights),
@@ -183,9 +189,9 @@ def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
     every residue class mod n, or at the first direction past the cap that
     is not degenerate.  A degeneration below height n is recorded like any
     other, so the sweep also runs on data whose S_0 is singular.  Returns
-    the emitted spectral coordinates (a row each), their heights, the n x n
-    block of the constants' e_1..e_n coefficients (a row each), the
-    degeneration heights and the skipped canonical indices.  An overflow,
+    the emitted spectral coordinates (a row each), their heights and the
+    norms of their residuals, the degeneration heights and the skipped
+    canonical indices.  An overflow,
     such as a norm of e_k past the largest float, raises
     ``FloatingPointError`` rather than passing for a degeneration.
     """
@@ -193,13 +199,11 @@ def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
     lam = mu.lambdas
     cols = mu.c.conj().T.copy()  # row i: conj(C^p)_i over the points p
     # the first m rows of ``basis`` hold the emitted p~'s spectral coordinates
-    # and those of ``basis_conj`` their conjugates, row j of ``heads`` the j-th
-    # constant's coefficients of e_1..e_n; one allocation holds both, as a
-    # second one cost more than the conjugations it saves at N = 160
+    # and those of ``basis_conj`` their conjugates; one allocation holds both, as
+    # a second one cost more than the conjugations it saves at N = 160
     basis, basis_conj = np.zeros((2, cap, mu.size), dtype=complex)
-    heads = np.zeros((n, n), dtype=complex)
     b, bc = basis[:0], basis_conj[:0]
-    emitted = []
+    emitted, norms = [], []  # heights and residual norms of the emitted rows
     q_heights = []
     closed = set()  # residues mod n of the degeneration heights
     skip_log = []
@@ -220,30 +224,24 @@ def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
         x, y = w.real, w.imag  # np.linalg.norm's sum; its dot raises on overflow
         e_norm = math.sqrt(x.dot(x) + y.dot(y))
         m = len(emitted)
-        passes = []
         for _ in range(2 if m else 0):  # nothing to project against before the first row
             cs = bc @ w
             w = w - cs @ b
-            passes.append(cs)
         x, y = w.real, w.imag
         norm = math.sqrt(x.dot(x) + y.dot(y))
         if norm <= zero_tol * max(e_norm, 1e-300):
             q_heights.append(h)
             closed.add(i)
         elif m < cap:
-            if m < n:  # a constant: e_k's e_1..e_n part, reduced as w was
-                head = np.eye(1, n, h, dtype=complex)[0]
-                for cs in passes:
-                    head = _subtract_in_order(head, cs, heads[:m])
-                heads[m] = head * (1.0 / norm)
             np.divide(w, norm, out=basis[m])
             np.conjugate(basis[m], out=basis_conj[m])
             emitted.append(h)
+            norms.append(norm)
             b, bc = basis[: m + 1], basis_conj[: m + 1]
         else:
             # cap reached and the next direction is not degenerate: stop
             break
-    return b, emitted, heads, q_heights, skip_log
+    return b, emitted, norms, q_heights, skip_log
 
 
 def recover_matrix(res: OrthoResult) -> FiniteHermitian:

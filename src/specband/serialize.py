@@ -242,14 +242,16 @@ def _flat(level):
 
 
 def _deduped_reprs(x):
-    """The repr of each float of x, each distinct magnitude formatted once.
+    """The repr of each float of x, each distinct magnitude formatted once; a
+    float's magnitude is found in the sorted distinct ones by binary search.
 
     ``repr(-v) == "-" + repr(v)`` for every finite v >= 0, -0.0 included.
     """
-    magnitudes, at = np.unique(np.abs(x), return_inverse=True)
+    size = np.abs(x)
+    magnitudes = np.unique(size)
     texts = list(map(float.__repr__, magnitudes.tolist()))
-    texts += ["-" + t for t in texts]
-    return map(texts.__getitem__, (at + len(magnitudes) * np.signbit(x)).tolist())
+    texts = np.array(texts + ["-" + t for t in texts], dtype=object)
+    return texts[np.searchsorted(magnitudes, size) + len(magnitudes) * np.signbit(x)].tolist()
 
 
 def _fill(shape, level, texts):

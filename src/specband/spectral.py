@@ -288,7 +288,7 @@ def build_p(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix):
     k <= n are the boundary matrix's columns, entries of magnitude <=
     COEFF_TRIM_TOL set to 0; each further p_c solves the row equation owning
     the edge of column c with conjugated entries (formal adjoint of the
-    numeric recursion), summed by ``_subtract_in_order``.
+    numeric recursion), summed by ``_subtract_negated``.
 
     The edges are checked, in column order, before any row is built.  The
     pivot rows' terms are formed once for all rows: where each row's nonzero
@@ -331,7 +331,8 @@ def build_q(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, p):
 
     q_j = sum_i conj(m_{k,i}) p_i - z p_k, k the j-th element of K, summed in
     this order on canonical coefficient rows n places wider than the longest p_i.
-    The rows are the p_i's stored arrays, stacked and padded with zeros.
+    The rows are the p_i's stored arrays, stacked and padded with zeros, and
+    the sum is ``_subtract_negated``'s.
     """
     if len(p) != s.N:
         raise DimensionMismatch("expected one p polynomial per truncation row")
@@ -345,31 +346,26 @@ def build_q(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, p):
         cols = np.flatnonzero(m.data[k - 1])
         rows = np.vstack([coeffs[cols], np.roll(coeffs[k - 1], n)])
         cs = np.append(-m.data[k - 1, cols].conj(), 1.0)
-        q[j] = _subtract_in_order(q[j], cs, rows)
+        q[j] = _subtract_negated(q[j], -cs.real[:, None], (-1j * cs.imag)[:, None], rows)
     return from_coeff_rows(q, n)
 
 
-def _subtract_in_order(row, cs, rows):
-    """row - cs[0] rows[0] - cs[1] rows[1] - ..., summed left to right.
+def _subtract_negated(row, neg_re, neg_im, rows):
+    """row - cs[0] rows[0] - cs[1] rows[1] - ..., summed left to right, from the
+    columns neg_re = -cs.real and neg_im = -1j * cs.imag of its factors cs.
 
     Each product is rounded as Python's complex product rounds it.  numpy's
     complex multiply may fuse a multiply-add; with a purely real or purely
     imaginary factor one term of each part is an exact zero and fusing
     changes nothing, hence the split of c into c.real and 1j*c.imag.
 
-    The p and q coefficients, and so the sweep's T~, keep these bits because
-    decisions read them: ``interpolation.is_solution`` tests the q_j at the
-    nodes at a relative 1e-8, a bound that their residual reaches on many
-    instances.  ``row - cs @ rows`` in its place flips that test, either
-    way, on 119 of perfbench's 960 n = 1, N = 20 ``direct`` instances of
-    seeds 1-20: rounding noise, until the test reads point values.
+    The p and q coefficients keep these bits because decisions read them:
+    ``interpolation.is_solution`` tests the q_j at the nodes at a relative
+    1e-8, a bound that their residual reaches on many instances.
+    ``row - cs @ rows`` in its place flips that test, either way, on 119 of
+    perfbench's 960 n = 1, N = 20 ``direct`` instances of seeds 1-20:
+    rounding noise, until the test reads point values.
     """
-    return _subtract_negated(row, -cs.real[:, None], (-1j * cs.imag)[:, None], rows)
-
-
-def _subtract_negated(row, neg_re, neg_im, rows):
-    """``_subtract_in_order`` from its factors' parts: the columns
-    neg_re = -cs.real and neg_im = -1j * cs.imag."""
     terms = np.empty((len(neg_re) + 1, row.size), dtype=complex)
     terms[0] = row
     np.multiply(neg_re, rows, out=terms[1:])

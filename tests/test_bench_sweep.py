@@ -1,13 +1,14 @@
 """Negative controls for ``scripts/bench_sweep.py``'s identity comparison.
 
 Two checkouts' identical records raise every flag; one record that differs in
-its sha256, its decisions or its failure lowers the flags that cover it, and
-only those.  A worker process starts without the shell's SPECBAND_TOL.
+its sha256, its T~, its decisions or its failure lowers the flags that cover it,
+and only those.  A worker process starts without the shell's SPECBAND_TOL.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,13 +19,20 @@ _spec.loader.exec_module(bench_sweep)
 
 SUMMARIES = {"records": bench_sweep.summarize, "direct": bench_sweep.summarize_direct,
              "inverse": bench_sweep.summarize_inverse}
-FLAGS = ("inputs_agree", "specs_identical", "decisions_agree", "outputs_identical",
-         "gate_outputs_identical", "gate_verdicts_agree", "generator_reports_identical")
+FLAGS = ("inputs_agree", "specs_identical", "decisions_agree", "weights_identical",
+         "outputs_identical", "gate_outputs_identical", "gate_verdicts_agree",
+         "generator_reports_identical")
 CELL, SEED = 3, 2
+T_TILDE = np.array([[2.0, 1 - 1j], [0.0, 0.5]])
+
+
+def t_tilde_hex(t=T_TILDE):
+    return np.asarray(t, dtype=complex).tobytes().hex()
 
 
 def sweep():
-    return {"emitted": 4, "q_heights": [4], "skip_log": [], "loss": 2e-16, "sha256": "w"}
+    return {"emitted": 4, "q_heights": [4], "skip_log": [], "loss": 2e-16, "sha256": "w",
+            "t_tilde": t_tilde_hex()}
 
 
 def records():
@@ -68,13 +76,18 @@ def test_identical_records_raise_every_flag():
 @pytest.mark.parametrize("key, path, value, flags", [
     ("records", ("digest",), "e", ["inputs_agree"]),
     ("records", ("spec_sha256",), "t", ["specs_identical"]),
-    ("records", ("gue", "sha256"), "x", ["outputs_identical"]),
-    ("records", ("stage", "sha256"), "x", ["outputs_identical"]),
+    ("records", ("gue", "sha256"), "x", ["weights_identical", "outputs_identical"]),
+    ("records", ("stage", "sha256"), "x", ["weights_identical", "outputs_identical"]),
+    ("records", ("gue", "t_tilde"), t_tilde_hex(T_TILDE + 2.0**-52), ["outputs_identical"]),
     ("records", ("roundtrip", "sha256"), "x", ["outputs_identical"]),
-    ("records", ("gue", "q_heights"), [3], ["decisions_agree", "outputs_identical"]),
-    ("records", ("stage", "skip_log"), [2], ["decisions_agree", "outputs_identical"]),
-    ("records", ("gue", "emitted"), 3, ["decisions_agree", "outputs_identical"]),
-    ("records", ("gue", "failure"), "NumericalFailure", ["decisions_agree", "outputs_identical"]),
+    ("records", ("gue", "q_heights"), [3],
+     ["decisions_agree", "weights_identical", "outputs_identical"]),
+    ("records", ("stage", "skip_log"), [2],
+     ["decisions_agree", "weights_identical", "outputs_identical"]),
+    ("records", ("gue", "emitted"), 3,
+     ["decisions_agree", "weights_identical", "outputs_identical"]),
+    ("records", ("gue", "failure"), "NumericalFailure",
+     ["decisions_agree", "weights_identical", "outputs_identical"]),
     ("records", ("roundtrip", "failure"), "measure", ["outputs_identical"]),
     ("direct", ("digest",), "e", ["inputs_agree"]),
     ("direct", ("gate_sha256",), "x", ["gate_outputs_identical"]),
@@ -84,7 +97,7 @@ def test_identical_records_raise_every_flag():
     ("direct", ("height_table",), [[0, 0, 0]], ["height_tables_changed"]),
     ("inverse", ("digest",), "e", ["inputs_agree"]),
     ("inverse", ("sha256",), "x", ["outputs_identical"]),
-    ("inverse", ("failure",), "gate", ["outputs_identical"]),
+    ("inverse", ("failure",), "gate", ["gate_verdicts_agree", "outputs_identical"]),
     ("inverse", ("band_leakage",), 0.5, []),
     ("inverse", ("eigenvalue_error",), 1e-9, []),
 ])
@@ -95,6 +108,24 @@ def test_one_differing_record_lowers_its_flags(key, path, value, flags):
         rec = rec[part]
     rec[path[-1]] = value
     assert lowered({"before": records(), "after": after}) == {(key, CELL, f) for f in flags}
+
+
+def test_cells_report_the_largest_relative_change_of_t_tilde():
+    runs = {"before": records(), "after": records()}
+    assert {cell["t_tilde_change_max"] for cell in bench_sweep.summarize(runs)} == {0.0}
+    # T~'s rounding moves in two seeds' sweeps; a sweep that raised has no T~
+    after = runs["after"]["records"][CELL]
+    moved = T_TILDE.astype(complex)
+    moved[0, 1] += 2.0**-52
+    after[SEED]["stage"]["t_tilde"] = t_tilde_hex(moved)
+    moved[1, 1] -= 2.0**-50
+    after[SEED + 1]["gue"]["t_tilde"] = t_tilde_hex(moved)
+    for rec in runs["before"]["records"][0] + runs["after"]["records"][0]:
+        rec["gue"] = rec["stage"] = {"failure": "NumericalFailure"}
+    cells = bench_sweep.summarize(runs)
+    assert cells[CELL]["t_tilde_change_max"] == 2.0**-50 / 2.0
+    assert cells[CELL]["weights_identical"] and not cells[CELL]["outputs_identical"]
+    assert cells[0]["t_tilde_change_max"] is None
 
 
 def test_inverse_cells_report_the_digits_of_gate_passes():
