@@ -150,8 +150,9 @@ def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL)
     n raises, as T~ would be singular.  The first n emitted rows are
     V = H conj(C)^T, H lower triangular with diagonal 1/norm of each
     constant's residual, and V V* = I gives H^-1 = conj(C)^T V*; T~ = H^T.
-    The sweep's norms replace that product's diagonal, which cancellation
-    blurs where the constants lean on each other.
+    H^-1 takes the sweep's norms on its diagonal, which that product blurs by
+    cancellation where the constants lean on each other, and a second pass
+    below it, as the sweep's residuals do.
     """
     n = mu.n
     s0 = mu.total_mass()
@@ -166,10 +167,11 @@ def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL)
         raise SingularZerothMoment(f"degeneration at height {q_heights[0]} < n={n}; T~ is singular")
     if len(weights) < n:
         raise SingularZerothMoment("fewer than n orthonormal constants emerged")
-    h_inv = mu.c.conj().T @ weights[:n].conj().T
-    np.fill_diagonal(h_inv, norms[:n])
+    cols, v = mu.c.conj().T, weights[:n]
+    h_inv = np.tril(cols @ v.conj().T, -1) + np.diag(norms[:n])
+    h_inv += np.tril((cols - h_inv @ v) @ v.conj().T, -1)
     t_tilde = np.triu(np.linalg.inv(h_inv).T)
-    np.fill_diagonal(t_tilde, 1.0 / h_inv.diagonal().real)
+    np.fill_diagonal(t_tilde, np.reciprocal(norms[:n]))
     return OrthoResult(
         t_tilde=BoundaryMatrix(n, t_tilde),
         skip_log=tuple(skip_log),
