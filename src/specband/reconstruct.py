@@ -193,9 +193,8 @@ def _sweep(mu: StepMeasure, cap: int, zero_tol: float):
     other, so the sweep also runs on data whose S_0 is singular.  Returns
     the emitted spectral coordinates (a row each), their heights and the
     norms of their residuals, the degeneration heights and the skipped
-    canonical indices.  An overflow,
-    such as a norm of e_k past the largest float, raises
-    ``FloatingPointError`` rather than passing for a degeneration.
+    canonical indices.  An overflow, such as a norm of e_k past the largest
+    float, raises ``FloatingPointError`` rather than passing for a degeneration.
     """
     n = mu.n
     lam = mu.lambdas
