@@ -472,13 +472,15 @@ def assert_boundary_solves_the_measure(t, mu):
 
 def assert_sweep_like_reference(mu, max_k, zero_tol=ZERO_NORM_TOL):
     """The reference sweep's fields, byte for byte, and its T~ within REL_BOUND of
-    its largest entry; T~ solves the measure."""
+    its largest entry, with the same diagonal, 1/norm of each constant's residual;
+    T~ solves the measure."""
     new = outcome(orthonormalize, mu, max_k, zero_tol=zero_tol)
     ref = outcome(reference_orthonormalize, mu, max_k, zero_tol=zero_tol)
     assert sweep_parts(new) == sweep_parts(ref)
     if isinstance(new, OrthoResult):
         t, t_ref = new.t_tilde.t, ref.t_tilde.t
         assert np.max(np.abs(t - t_ref)) <= REL_BOUND * np.max(np.abs(t_ref))
+        assert np.diag(t).tobytes() == np.diag(t_ref).tobytes()
         assert_boundary_solves_the_measure(t, mu)
     return new
 
