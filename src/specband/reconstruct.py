@@ -82,9 +82,8 @@ BAND_NOISE_TOL = 1e-4
 class OrthoResult:
     """Output of the orthonormalization sweep.
 
-    ``t_tilde`` is the boundary matrix, the transpose of the e_1..e_n
-    coefficients of the first n constants (upper triangular with a real
-    diagonal, exactly), ``skip_log`` lists the canonical indices suppressed
+    ``t_tilde`` is the boundary matrix, the first n constants' e_1..e_n
+    coefficients transposed, ``skip_log`` lists the canonical indices suppressed
     by the height-lattice rule, ``q_heights`` the heights of degenerations and
     ``p_heights`` those of the emitted rows.
     ``p_tilde`` and ``q_tilde`` are derived on first access by ``build_p``
@@ -150,9 +149,9 @@ def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL)
     n raises, as T~ would be singular.  The first n emitted rows are
     V = H conj(C)^T, H lower triangular with diagonal 1/norm of each
     constant's residual, and V V* = I gives H^-1 = conj(C)^T V*; T~ = H^T.
-    H^-1 takes the sweep's norms on its diagonal, which that product blurs by
-    cancellation where the constants lean on each other, and a second pass
-    below it, as the sweep's residuals do.
+    H is solved for from that product's lower part, taken in two passes as
+    the sweep takes them, and the sweep's norms, which its diagonal would
+    blur by cancellation where the constants lean on each other.
     """
     n = mu.n
     s0 = mu.total_mass()
@@ -168,12 +167,14 @@ def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL)
     if len(weights) < n:
         raise SingularZerothMoment("fewer than n orthonormal constants emerged")
     cols, v = mu.c.conj().T, weights[:n]
-    h_inv = np.tril(cols @ v.conj().T, -1) + np.diag(norms[:n])
+    h_inv = np.tril(cols @ v.conj().T, -1)
     h_inv += np.tril((cols - h_inv @ v) @ v.conj().T, -1)
-    t_tilde = np.triu(np.linalg.inv(h_inv).T)
-    np.fill_diagonal(t_tilde, np.reciprocal(norms[:n]))
+    h = np.zeros((n, n), dtype=complex)
+    for i, norm in enumerate(norms[:n]):
+        h[i, :i] = -(h_inv[i, :i] @ h[:i, :i]) / norm
+        h[i, i] = 1.0 / norm
     return OrthoResult(
-        t_tilde=BoundaryMatrix(n, t_tilde),
+        t_tilde=BoundaryMatrix(n, h.T),
         skip_log=tuple(skip_log),
         q_heights=tuple(q_heights),
         p_heights=tuple(p_heights),
