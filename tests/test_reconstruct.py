@@ -598,6 +598,18 @@ def test_emitted_coordinates_are_orthonormal(mu, zero_tol):
         assert np.max(np.abs(w @ w.conj().T - np.eye(len(w)))) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boundary_matrix_is_read_only_from_the_constants(n):
+    # T~ comes from the first n emitted rows and their norms alone: a sweep
+    # stopped after the constants gives it bit for bit
+    mu = gue_measure(0, n, 40)
+    full, constants = orthonormalize(mu, 40), orthonormalize(mu, n)
+    assert len(full.weights) > n and len(constants.weights) == n
+    assert constants.weights.tobytes() == full.weights[:n].tobytes()
+    assert constants.t_tilde.t.tobytes() == full.t_tilde.t.tobytes()
+    assert_boundary_solves_the_measure(full.t_tilde.t, mu)
+
+
 def test_orthogonality_loss_is_computed_when_read(fix7):
     res = orthonormalize(measure_of(fix7, 7)[0], 7)
     assert "orthogonality_loss" not in vars(res)
