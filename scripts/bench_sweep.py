@@ -87,7 +87,10 @@ median wall (``*_ms``) and CPU (``*_cpu_ms``) times per checkout, for the
 inverse operation the 90th percentiles (``*_p90_ms``) too, the share of
 rounds in which the after checkout took less CPU time, the quartiles of
 its CPU-time ratio and, at the top of each cell, whether both checkouts'
-outputs are identical.  Read every ratio against ``roundtrip_aa``, the
+outputs are identical; a ``sweep_ab`` or ``roundtrip_ab`` entry also gives
+``weights_identical`` and ``t_tilde_change_max`` of its sweeps, as the
+identity cells do, so that a change that moves only T~'s rounding reads as
+that there too.  Read every ratio against ``roundtrip_aa``, the
 round trips again with the after checkout on both sides, imported twice in
 the same order: the second import of identical code read 1-3 % faster, and
 heap state moved a single cell by up to 8 % between runs (n=1 N=160).
@@ -512,11 +515,20 @@ def _ab(calls, rounds, args=None, p90=False):
 
 
 def _sides(fn, sides, *args):
-    """Each thing to time that ``fn`` returns, per checkout, and whether both
-    checkouts' records agree."""
+    """Each thing to time that ``fn`` returns, per checkout, and both checkouts' records."""
     out = {side: fn(*pkg_wl, *args) for side, pkg_wl in sides.items()}
     timed = {key: {side: out[side][0][key] for side in out} for key in out["after"][0]}
-    return timed, out["before"][1] == out["after"][1]
+    return timed, {side: out[side][1] for side in out}
+
+
+def _agreement(recs, sweeps=None):
+    """``identical``, whether both checkouts' records agree whole; with ``sweeps``,
+    which takes one record to its sweep records, also ``_sweep_agreement`` of them."""
+    out = {"identical": recs["before"] == recs["after"]}
+    if sweeps:
+        out.update(_sweep_agreement([pair for a, b in zip(recs["before"], recs["after"])
+                                     for pair in zip(sweeps(a), sweeps(b))]))
+    return out
 
 
 def _stage_each(name, runs, inputs):
@@ -543,12 +555,12 @@ def _roundtrip_ab(sides, specs, rounds, stages=False):
     ``stages``, also their ``generate_random`` of the specs and each stage."""
     cells = []
     for (n, N), insts in specs.items():
-        timed, identical = _sides(_roundtrip_side, sides, insts, n, N)
+        timed, recs = _sides(_roundtrip_side, sides, insts, n, N)
         cell = dict(_ab(timed["trips"], rounds), n=n, N=N)
         if stages:
             cell["generate_random"] = _ab(timed["generate"], rounds)
             cell["stages"] = _stages_ab(timed["runs"], rounds)
-        cells.append(dict(cell, identical=identical))
+        cells.append(dict(cell, **_agreement(recs, lambda rec: [rec.get("stage", {})])))
     return cells
 
 
@@ -567,25 +579,25 @@ def ab_worker(before, after, rounds):
             doc["payloads_ab"][kind] = dict(_ab(calls, PAYLOAD_ROUND_FACTOR * rounds),
                                             identical=len({c() for c in calls.values()}) == 1)
         for (n, N), inputs in grid.items():
-            timed, identical = _sides(_sweep_side, sides, inputs["measures"], N)
+            timed, recs = _sides(_sweep_side, sides, inputs["measures"], N)
             doc["sweep_ab"].append(dict(_ab(timed["sweeps"], rounds), n=n, N=N,
-                                        identical=identical))
+                                        **_agreement(recs, lambda rec: [rec])))
         doc["roundtrip_ab"] = _roundtrip_ab(sides, specs, rounds, stages=True)
         for n, N in DIRECT_GRID:
-            timed, identical = _sides(_direct_side, sides, grid[(n, N)]["specs"])
+            timed, recs = _sides(_direct_side, sides, grid[(n, N)]["specs"])
             doc["direct_ab"].append(dict(_ab(timed["checks"], rounds), n=n, N=N,
                                          stages=_stages_ab(timed["runs"], rounds),
-                                         identical=identical))
+                                         **_agreement(recs)))
         for n, N in INVERSE_GRID:
             insts = [inst for inst in pool if (inst.n, inst.N) == (n, N)][:rounds]
-            timed, identical = _sides(_inverse_side, sides, tmp, insts)
+            timed, recs = _sides(_inverse_side, sides, tmp, insts)
             handed = timed["payloads"]
             dumps = {side: pkg.serialize.dumps for side, (pkg, _) in sides.items()}
             cell = dict(_ab(timed["op"], rounds, lambda side, i: (insts[i % len(insts)],),
                             p90=True), n=n, N=N)
             cell["dumps"] = _ab(dumps, rounds, lambda side, i: (
                 handed[side][i % len(handed[side])],)) if all(handed.values()) else None
-            doc["inverse_ab"].append(dict(cell, identical=identical))
+            doc["inverse_ab"].append(dict(cell, **_agreement(recs)))
     twice = {"before": _fresh_specband(after), "after": _fresh_specband(after)}
     doc["roundtrip_aa"] = _roundtrip_ab(twice, specs, rounds)
     json.dump(doc, sys.stdout)
@@ -650,6 +662,19 @@ def _agree(recs, *keys):
     return all(a.get(k) == b.get(k) for a, b in zip(recs["before"], recs["after"]) for k in keys)
 
 
+def _sweep_agreement(pairs):
+    """Of (before, after) sweep records: ``weights_identical``, whether every pair
+    agrees on its decisions and weights, and ``t_tilde_change_max``, the largest
+    relative change of T~ (None where no pair holds two T~)."""
+    changes = [c for c in (_t_tilde_change(a, b) for a, b in pairs) if c is not None]
+    return {
+        "weights_identical": all(
+            _decisions(a) == _decisions(b) and a.get("sha256") == b.get("sha256") for a, b in pairs
+        ),
+        "t_tilde_change_max": max(changes, default=None),
+    }
+
+
 def _t_tilde_change(a, b):
     """max |T~_after - T~_before| / max |T~_before| of two sweep records, None where
     either has no T~ (the sweep raised)."""
@@ -681,12 +706,7 @@ def summarize(runs):
         pairs = [(a.get(part, {}), b.get(part, {}))
                  for a, b in zip(recs["before"], recs["after"]) for part in ("gue", "stage")]
         cell["decisions_agree"] = all(_decisions(a) == _decisions(b) for a, b in pairs)
-        cell["weights_identical"] = all(
-            _decisions(a) == _decisions(b) and a.get("sha256") == b.get("sha256")
-            for a, b in pairs
-        )
-        changes = [c for c in (_t_tilde_change(a, b) for a, b in pairs) if c is not None]
-        cell["t_tilde_change_max"] = max(changes, default=None)
+        cell.update(_sweep_agreement(pairs))
         outputs = pairs + [(a["roundtrip"], b["roundtrip"])
                            for a, b in zip(recs["before"], recs["after"])]
         cell["outputs_identical"] = all(

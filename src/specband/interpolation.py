@@ -59,13 +59,27 @@ class InterpolationData(StepMeasure):
 
 def is_solution(r: VectorPolynomial, data: InterpolationData, tol: float = 1e-8) -> bool:
     """Whether r is annihilated by every data point, relatively to its size:
-    |(C^k)* r(mu_k)| <= tol (1 + |C^k| |r(mu_k)|) at every node."""
+    |(C^k)* r(mu_k)| <= tol (1 + |C^k| |r(mu_k)|) at every node.
+
+    A value, residual or bound that is not finite decides nothing (an inf
+    bound would pass any residual): ``FloatingPointError`` names the first
+    node where one is, and which.  A value of about 1.3e154 already
+    overflows the norm that the bound squares."""
     if r.n != data.n:
         raise DimensionMismatch("polynomial dimension does not match the data")
     vals = r.evaluate_at(data.lambdas)
-    resid = np.abs(np.einsum("ki,ki->k", data.c.conj(), vals))
-    scale = np.linalg.norm(data.c, axis=1) * np.linalg.norm(vals, axis=1)
-    return not np.any(resid > tol * (1.0 + scale))
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(np.einsum("ki,ki->k", data.c.conj(), vals))
+        bound = tol * (1.0 + np.linalg.norm(data.c, axis=1) * np.linalg.norm(vals, axis=1))
+    finite = np.isfinite(resid) & np.isfinite(bound)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        what = ("r(lambda)" if not np.isfinite(vals[k]).all()
+                else "the residual C* r(lambda)" if not np.isfinite(resid[k])
+                else "the bound tol (1 + |C| |r(lambda)|)")
+        lam = float(data.lambdas[k])
+        raise FloatingPointError(f"{what} at node lambda = {lam!r} is not finite")
+    return not np.any(resid > bound)
 
 
 @dataclass(frozen=True)

@@ -331,8 +331,11 @@ def build_q(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, p):
 
     q_j = sum_i conj(m_{k,i}) p_i - z p_k, k the j-th element of K, summed in
     this order on canonical coefficient rows n places wider than the longest p_i.
-    The rows are the p_i's stored arrays, stacked and padded with zeros, and
-    the sum is ``_subtract_negated``'s.
+    The rows are the p_i's stored arrays, padded with zeros.  Every K row's
+    terms are written once into one block, segment after segment: the rows at
+    the nonzero columns i of row k, then z p_k, row k shifted by n places.
+    Their factors, -conj(m_{k,i}) and 1, lie in one array in the same order,
+    and each segment's sum is ``_subtract_negated``'s.
     """
     if len(p) != s.N:
         raise DimensionMismatch("expected one p polynomial per truncation row")
@@ -341,23 +344,49 @@ def build_q(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, p):
     coeffs = np.zeros((s.N, width), dtype=complex)
     for row, pk in zip(coeffs, p):
         row[: pk.coeffs.size] = pk.coeffs
+    k = np.array(s.K, dtype=int) - 1
+    nonzero = m.data[k] != 0
+    owner, at = np.nonzero(nonzero)  # row by row, columns ascending
+    ends = np.cumsum(nonzero.sum(axis=1) + 1)
+    shifted = ends - 1  # each segment ends with its z p_k
+    own = np.ones(owner.size + k.size, dtype=bool)
+    own[shifted] = False
+    rows = np.empty((own.size, width), dtype=complex)
+    rows[own] = coeffs[at]
+    rows[shifted, :n] = 0.0
+    rows[shifted, n:] = coeffs[k, :-n]
+    cs = np.empty(own.size, dtype=complex)
+    cs[own] = -m.data[k[owner], at].conj()
+    cs[shifted] = 1.0
+    neg_re, neg_im = -cs.real[:, None], (-1j * cs.imag)[:, None]
     q = np.zeros((n, width), dtype=complex)
-    for j, k in enumerate(s.K):
-        cols = np.flatnonzero(m.data[k - 1])
-        rows = np.vstack([coeffs[cols], np.roll(coeffs[k - 1], n)])
-        cs = np.append(-m.data[k - 1, cols].conj(), 1.0)
-        q[j] = _subtract_negated(q[j], -cs.real[:, None], (-1j * cs.imag)[:, None], rows)
+    lo = 0
+    for j, hi in enumerate(ends.tolist()):
+        q[j] = _subtract_negated(q[j], neg_re[lo:hi], neg_im[lo:hi], rows[lo:hi])
+        lo = hi
     return from_coeff_rows(q, n)
+
+
+#: -0.0 in both parts: the sum that leaves every addend's bits, signed zeros included
+_NEGATIVE_ZERO = complex(-0.0, -0.0)
 
 
 def _subtract_negated(row, neg_re, neg_im, rows):
     """row - cs[0] rows[0] - cs[1] rows[1] - ..., summed left to right, from the
     columns neg_re = -cs.real and neg_im = -1j * cs.imag of its factors cs.
 
-    Each product is rounded as Python's complex product rounds it.  numpy's
-    complex multiply may fuse a multiply-add; with a purely real or purely
-    imaginary factor one term of each part is an exact zero and fusing
-    changes nothing, hence the split of c into c.real and 1j*c.imag.
+    Each product is rounded as Python's complex product rounds it, up to the
+    sign of a part that underflows to zero.  numpy's complex multiply may
+    fuse a multiply-add; with a purely real or purely imaginary factor one
+    term of each part is an exact zero, and fusing moves no other bit,
+    hence the split of c into c.real and 1j*c.imag.
+
+    The terms are the rows of one C-ordered block, and ``np.add.reduce``
+    along its axis 0 adds them one row after the other: numpy's pairwise
+    summation runs only along the contiguous axis.  The reduction starts
+    from ``initial``; -0.0 is the value that every first term passes
+    unchanged, where add's identity +0.0 would turn a -0.0 into +0.0.  So
+    the sum is the left-to-right one bit for bit, signed zeros included.
 
     The p and q coefficients keep these bits because decisions read them:
     ``interpolation.is_solution`` tests the q_j at the nodes at a relative
@@ -370,7 +399,7 @@ def _subtract_negated(row, neg_re, neg_im, rows):
     terms[0] = row
     np.multiply(neg_re, rows, out=terms[1:])
     terms[1:] += neg_im * rows
-    return np.cumsum(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0, initial=_NEGATIVE_ZERO)
 
 
 def c_vectors(sd: SpectralData, t: BoundaryMatrix) -> np.ndarray:

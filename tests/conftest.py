@@ -642,16 +642,22 @@ def reference_q_norms_sq(m, s, t, sd):
 
 
 def reference_is_solution(r, data, tol=1e-8):
-    """The annihilation test one node at a time, stopping at the first failing node."""
+    """The annihilation test one node at a time.  The first node whose value,
+    residual or bound is not finite raises, whatever the nodes before it decide."""
     if r.n != data.n:
         raise DimensionMismatch("polynomial dimension does not match the data")
+    solved = True
     for mu, c in points(data):
-        val = r.evaluate(mu)
-        resid = abs(np.vdot(c, val))
-        scale = np.linalg.norm(c) * np.linalg.norm(val)
-        if resid > tol * (1.0 + scale):
-            return False
-    return True
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = r.evaluate(mu)
+            resid = abs(np.vdot(c, val))
+            bound = tol * (1.0 + np.linalg.norm(c) * np.linalg.norm(val))
+        for what, x in (("r(lambda)", val), ("the residual C* r(lambda)", resid),
+                        ("the bound tol (1 + |C| |r(lambda)|)", bound)):
+            if not np.isfinite(x).all():
+                raise FloatingPointError(f"{what} at node lambda = {mu!r} is not finite")
+        solved = solved and not resid > bound
+    return solved
 
 
 def reference_dumps(obj):

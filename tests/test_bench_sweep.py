@@ -162,3 +162,43 @@ def test_worker_env_has_no_shell_tolerance(monkeypatch):
     bench_sweep.start_side(".", "--rounds", "1")
     assert len(envs) == 1 and "SPECBAND_TOL" not in envs[0]
     assert envs[0]["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_ab_entries_report_weights_and_t_tilde():
+    # each checkout's records come back from _sides beside what it times
+    recs = {side: [sweep() for _ in bench_sweep.SEEDS] for side in ("before", "after")}
+    timed, got = bench_sweep._sides(lambda pkg, wl: ({"sweeps": pkg}, recs[pkg]),
+                                    {side: (side, None) for side in recs})
+    assert timed == {"sweeps": {"before": "before", "after": "after"}} and got == recs
+    same = {"identical": True, "weights_identical": True, "t_tilde_change_max": 0.0}
+    assert bench_sweep._agreement(got, lambda rec: [rec]) == same
+    assert bench_sweep._agreement(got) == {"identical": True}
+    # T~'s rounding moves: the entry is not identical, but its weights are
+    moved = T_TILDE.astype(complex)
+    moved[1, 1] -= 2.0**-50
+    recs["after"][SEED]["t_tilde"] = t_tilde_hex(moved)
+    assert bench_sweep._agreement(recs, lambda rec: [rec]) == {
+        "identical": False, "weights_identical": True, "t_tilde_change_max": 2.0**-50 / 2.0}
+    recs["after"][SEED + 1]["sha256"] = "x"
+    assert bench_sweep._agreement(recs, lambda rec: [rec])["weights_identical"] is False
+
+
+def test_roundtrip_ab_entries_read_the_stage_sweep():
+    trips = {side: records()["records"][CELL] for side in ("before", "after")}
+
+    def stage(rec):  # as _roundtrip_ab reads a record
+        return [rec.get("stage", {})]
+
+    assert bench_sweep._agreement(trips, stage) == {
+        "identical": True, "weights_identical": True, "t_tilde_change_max": 0.0}
+    # the round trip's own bytes differ, its sweep's do not
+    trips["after"][SEED]["roundtrip"]["sha256"] = "x"
+    assert bench_sweep._agreement(trips, stage) == {
+        "identical": False, "weights_identical": True, "t_tilde_change_max": 0.0}
+    # a round trip that raised before its sweep has no stage on either side
+    for recs in trips.values():
+        for rec in recs:
+            del rec["stage"]
+    assert bench_sweep._agreement(trips, stage)["t_tilde_change_max"] is None
+    trips["after"][SEED]["stage"] = sweep()
+    assert bench_sweep._agreement(trips, stage)["weights_identical"] is False

@@ -506,6 +506,14 @@ class TestExitCodes:
         assert run_cli(["moments", str(sigma), "--k", "2000"]) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure: overflow")
 
+    def test_overflowing_solution_bound_is_a_numerical_failure(self, tmp_path, capsys):
+        # 1e155 z at the one node -1: the bound is inf and would pass any residual
+        sigma, poly = tmp_path / "sigma.json", tmp_path / "poly.json"
+        ser.dump({"n": 1, "points": [{"lambda": -1.0, "C": [[1.0, 0.0]]}]}, sigma)
+        ser.dump({"n": 1, "comps": [[[0.0, 0.0], [1e155, 0.0]]]}, poly)
+        assert run_cli(["check-solution", str(sigma), str(poly)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: the bound ")
+
     def test_overflowing_moment_gap_is_a_verify_failure(self, tmp_path, capsys):
         # scaled by 1e16, the sweep stays finite but a moment of order 2l does not
         spec = ser.spec_to_dict(generate_random(GenProfile(n=2, n_max=14), 1))

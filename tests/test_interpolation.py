@@ -65,6 +65,31 @@ class TestIsSolution:
         data = InterpolationData.from_measure(mu)
         assert is_solution(VectorPolynomial.zero(1), data)
 
+    def test_overflowing_bound_raises(self):
+        # |r(-1)| = c: from c of about 1.3e154 the norm in the bound squares to inf,
+        # and an inf bound would pass any residual
+        data = InterpolationData(1, [-1.0], [[1.0]])
+        assert not is_solution(VectorPolynomial(1, np.array([0.0, 1e154])), data)
+        with pytest.raises(FloatingPointError, match=r"^the bound .* at node lambda = -1.0 is"):
+            is_solution(VectorPolynomial(1, np.array([0.0, 1e155])), data)
+
+    @pytest.mark.parametrize("coeffs", [[0.0, np.inf], [1.0, complex(1.0, np.nan)]])
+    def test_value_that_is_not_finite_raises(self, coeffs):
+        data = InterpolationData(1, [-1.0, 2.0], [[1.0], [1.0]])
+        r = VectorPolynomial(1, np.array(coeffs, dtype=complex))
+        with pytest.raises(FloatingPointError, match=r"^r\(lambda\) at node lambda = -1.0 is"):
+            is_solution(r, data)
+        assert_solution_like_reference([r], data)
+
+    def test_later_node_that_is_not_finite_raises(self):
+        # r(0) = 1 fails the test, r(2) = 1 + 2e154 overflows the bound: it raises
+        r = VectorPolynomial(1, np.array([1.0, 1e154], dtype=complex))
+        assert not is_solution(r, InterpolationData(1, [0.0], [[1.0]]))
+        data = InterpolationData(1, [0.0, 2.0], [[1.0], [1.0]])
+        with pytest.raises(FloatingPointError, match=r"^the bound .* at node lambda = 2.0 is"):
+            is_solution(r, data)
+        assert_solution_like_reference([r], data)
+
     def test_node_multiplicity_cap(self):
         c = np.array([1.0 + 0j])
         with pytest.raises(ValueError):

@@ -301,6 +301,69 @@ def test_polynomials_match_reference_with_trimmed_boundary(case):
     assert_polynomials_like_reference(*case)
 
 
+#: parts of the ordered sums' entries: signed zeros, subnormals and ordinary sizes
+SUM_PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -1.0, 0.5)
+
+
+@st.composite
+def ordered_sums(draw):
+    """Arguments of ``_subtract_negated`` as its callers form them: a row, 1-20
+    factors and rows of width 2-130 whose parts are signed zeros, subnormals
+    or of size up to 1e150, with cancelling pairs of terms and rows whose
+    parts are all zeros of either sign."""
+    k, w = draw(st.integers(1, 20)), draw(st.integers(2, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def parts(*shape):
+        kind = rng.integers(0, 3, size=shape)
+        wide = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-320, 150, size=shape)
+        special = rng.choice(SUM_PARTS, size=shape)
+        return np.where(kind == 0, special, np.where(kind == 1, wide, rng.standard_normal(shape)))
+
+    def entries(*shape):
+        out = np.empty(shape, dtype=complex)  # parts set apart keep the sign of a zero
+        out.real, out.imag = parts(*shape), parts(*shape)
+        return out
+
+    row, rows, cs = entries(w), entries(k, w), entries(k)
+    for i in np.flatnonzero(rng.random(k) < 0.2):  # a term that cancels the one before it
+        rows[i], cs[i] = (rows[i - 1], -cs[i - 1]) if i else (row, 1.0)
+    zeros = rng.random(w) < 0.2  # columns of zeros of either sign
+    for a in (row, rows):
+        a.real[..., zeros] = rng.choice([0.0, -0.0], size=a[..., zeros].shape)
+        a.imag[..., zeros] = rng.choice([0.0, -0.0], size=a[..., zeros].shape)
+    return row, -cs.real[:, None], (-1j * cs.imag)[:, None], rows
+
+
+def python_terms(neg_re, neg_im, rows):
+    """neg_re_i rows_i + neg_im_i rows_i in Python's arithmetic on complex operands."""
+    return np.array([[complex(a, 0.0) * r + b * r for r in row]
+                     for a, b, row in zip(neg_re[:, 0].tolist(), neg_im[:, 0].tolist(),
+                                          rows.tolist())], dtype=complex).reshape(rows.shape)
+
+
+def left_to_right(row, terms):
+    """row + terms[0] + terms[1] + ..., one column at a time in Python's arithmetic."""
+    out = []
+    for acc, column in zip(row.tolist(), terms.T.tolist()):
+        for term in column:
+            acc = acc + term
+        out.append(acc)
+    return np.array(out, dtype=complex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_sums())
+def test_subtract_negated_sums_left_to_right(args):
+    row, neg_re, neg_im, rows = args
+    terms = neg_re * rows + neg_im * rows
+    # each term is Python's, up to the sign of a part that underflows to zero:
+    # numpy's complex multiply may fuse, Python's does not
+    assert (terms == python_terms(neg_re, neg_im, rows)).all()
+    # numpy's pairwise summation starts at 8 terms; a column of -0.0 stays -0.0
+    assert spectral._subtract_negated(*args).tobytes() == left_to_right(row, terms).tobytes()
+
+
 # ---------------------------------------------------------------- C vectors
 
 class TestCVectors:
