@@ -521,13 +521,13 @@ def _sides(fn, sides, *args):
     return timed, {side: out[side][1] for side in out}
 
 
-def _agreement(recs, sweeps=None):
-    """``identical``, whether both checkouts' records agree whole; with ``sweeps``,
-    which takes one record to its sweep records, also ``_sweep_agreement`` of them."""
+def _agreement(recs, sweep=None):
+    """``identical``, whether both checkouts' records agree whole; with ``sweep``,
+    which takes a record to its sweep's record, also ``_sweep_agreement`` of those."""
     out = {"identical": recs["before"] == recs["after"]}
-    if sweeps:
-        out.update(_sweep_agreement([pair for a, b in zip(recs["before"], recs["after"])
-                                     for pair in zip(sweeps(a), sweeps(b))]))
+    if sweep:
+        out.update(_sweep_agreement([(sweep(a), sweep(b))
+                                     for a, b in zip(recs["before"], recs["after"])]))
     return out
 
 
@@ -560,7 +560,7 @@ def _roundtrip_ab(sides, specs, rounds, stages=False):
         if stages:
             cell["generate_random"] = _ab(timed["generate"], rounds)
             cell["stages"] = _stages_ab(timed["runs"], rounds)
-        cells.append(dict(cell, **_agreement(recs, lambda rec: [rec.get("stage", {})])))
+        cells.append(dict(cell, **_agreement(recs, lambda rec: rec.get("stage", {}))))
     return cells
 
 
@@ -581,7 +581,7 @@ def ab_worker(before, after, rounds):
         for (n, N), inputs in grid.items():
             timed, recs = _sides(_sweep_side, sides, inputs["measures"], N)
             doc["sweep_ab"].append(dict(_ab(timed["sweeps"], rounds), n=n, N=N,
-                                        **_agreement(recs, lambda rec: [rec])))
+                                        **_agreement(recs, lambda rec: rec)))
         doc["roundtrip_ab"] = _roundtrip_ab(sides, specs, rounds, stages=True)
         for n, N in DIRECT_GRID:
             timed, recs = _sides(_direct_side, sides, grid[(n, N)]["specs"])

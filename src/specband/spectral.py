@@ -349,14 +349,14 @@ def build_q(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, p):
     owner, at = np.nonzero(nonzero)  # row by row, columns ascending
     ends = np.cumsum(nonzero.sum(axis=1) + 1)
     shifted = ends - 1  # each segment ends with its z p_k
-    own = np.ones(owner.size + k.size, dtype=bool)
-    own[shifted] = False
-    rows = np.empty((own.size, width), dtype=complex)
-    rows[own] = coeffs[at]
+    gathered = np.ones(owner.size + k.size, dtype=bool)
+    gathered[shifted] = False
+    rows = np.empty((gathered.size, width), dtype=complex)
+    rows[gathered] = coeffs[at]
     rows[shifted, :n] = 0.0
     rows[shifted, n:] = coeffs[k, :-n]
-    cs = np.empty(own.size, dtype=complex)
-    cs[own] = -m.data[k[owner], at].conj()
+    cs = np.empty(gathered.size, dtype=complex)
+    cs[gathered] = -m.data[k[owner], at].conj()
     cs[shifted] = 1.0
     neg_re, neg_im = -cs.real[:, None], (-1j * cs.imag)[:, None]
     q = np.zeros((n, width), dtype=complex)

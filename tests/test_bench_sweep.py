@@ -2,7 +2,8 @@
 
 Two checkouts' identical records raise every flag; one record that differs in
 its sha256, its T~, its decisions or its failure lowers the flags that cover it,
-and only those.  A worker process starts without the shell's SPECBAND_TOL.
+and only those; the A/B timing entries read their sweeps' weights and T~ the
+same way.  A worker process starts without the shell's SPECBAND_TOL.
 """
 
 import importlib.util
@@ -171,23 +172,23 @@ def test_ab_entries_report_weights_and_t_tilde():
                                     {side: (side, None) for side in recs})
     assert timed == {"sweeps": {"before": "before", "after": "after"}} and got == recs
     same = {"identical": True, "weights_identical": True, "t_tilde_change_max": 0.0}
-    assert bench_sweep._agreement(got, lambda rec: [rec]) == same
+    assert bench_sweep._agreement(got, lambda rec: rec) == same
     assert bench_sweep._agreement(got) == {"identical": True}
     # T~'s rounding moves: the entry is not identical, but its weights are
     moved = T_TILDE.astype(complex)
     moved[1, 1] -= 2.0**-50
     recs["after"][SEED]["t_tilde"] = t_tilde_hex(moved)
-    assert bench_sweep._agreement(recs, lambda rec: [rec]) == {
+    assert bench_sweep._agreement(recs, lambda rec: rec) == {
         "identical": False, "weights_identical": True, "t_tilde_change_max": 2.0**-50 / 2.0}
     recs["after"][SEED + 1]["sha256"] = "x"
-    assert bench_sweep._agreement(recs, lambda rec: [rec])["weights_identical"] is False
+    assert bench_sweep._agreement(recs, lambda rec: rec)["weights_identical"] is False
 
 
 def test_roundtrip_ab_entries_read_the_stage_sweep():
     trips = {side: records()["records"][CELL] for side in ("before", "after")}
 
     def stage(rec):  # as _roundtrip_ab reads a record
-        return [rec.get("stage", {})]
+        return rec.get("stage", {})
 
     assert bench_sweep._agreement(trips, stage) == {
         "identical": True, "weights_identical": True, "t_tilde_change_max": 0.0}
