@@ -15,6 +15,10 @@ takes seeds 0-4, and each instance comes from perfbench's builders:
   ``compare_measures`` and ``moment_gap`` (both measures' ``moments_upto``
   and the largest entry of their difference); the first stage that raises
   ends the instance;
+* the same stages up to ``orthonormalize`` under the random complex
+  upper-triangular boundary that ``spec_instance`` draws with the spec, as
+  perfbench's ``roundtrip`` pools run them: T = I alone leaves some
+  rounding paths of the sweep untaken (``complex_t``);
 * ``generate_random(GenProfile(n, N), s)`` with the spec seed s of
   ``spec_instance``, the generation that builds the round trip's spec.
 
@@ -44,14 +48,15 @@ single-threaded process of its own that imports its own ``src/``.  Per
 cell and checkout the output holds the emitted counts, the round trip's
 eigenvalue errors ("inf" where the recovered size is wrong, null where it
 raised), the stages that raised, the largest orthogonality loss
-max |W W* - I| of the emitted rows, each direct seed's ``minimal`` flag,
+max |W W* - I| of the emitted rows (under T = I), each direct seed's ``minimal`` flag,
 the count of inverse instances that perfbench's gate refuses, the largest
 eigenvalue and jump errors that the gate reads of the instances it passes
 (criterion 09's bounds are 1e-8 and 1e-7) and the largest ``band_leakage``
 of the written files (null where a checkout writes none).  Per
 cell it says whether the checkouts agree on the inputs (``inputs_agree``),
 the generated specs' text (``specs_identical``), the q heights, skip logs
-and emitted counts (``decisions_agree``), those and the sha256 of every
+and emitted counts of every sweep, the ``complex_t`` ones included
+(``decisions_agree``), those and the sha256 of every
 sweep's ``weights`` bytes (``weights_identical``), and those, the bytes of
 every sweep's ``t_tilde`` and the sha256 of every round trip's
 ``RoundTripReport.to_dict()`` JSON text and matrix bytes, or of the error
@@ -306,11 +311,24 @@ def _own(pkg, inst):
                                t=pkg.spectral.BoundaryMatrix(inst.n, inst.t.t))
 
 
+def _complex_boundary_record(pkg, inst, N):
+    """The record of the sweep of ``inst``'s spec under its complex boundary, or
+    of the stage of the round trip that raised before it."""
+    stages = _roundtrip_stages(pkg, inst.spec, inst.t, N)
+    upto = list(stages)[: list(stages).index("orthonormalize") + 1]
+    run = _run_stages({name: stages[name] for name in upto})
+    if "orthonormalize" in run["outs"]:
+        return _sweep_record(run["outs"]["orthonormalize"])
+    return {"failure": run["failed"][0]}
+
+
 def _roundtrip_side(pkg, wl, insts, n, N):
     """The round trips with T = I of a cell's specs, the generation of the specs
-    and the stages' runs; per seed, their records."""
+    and the stages' runs; per seed, their records, with the record of the sweep
+    under the spec's own complex boundary (``complex_t``)."""
     eye = pkg.BoundaryMatrix.identity(n)
-    specs = [_own(pkg, inst).spec for inst in insts]
+    own = [_own(pkg, inst) for inst in insts]
+    specs = [inst.spec for inst in own]
     # the spec seed that perfbench's spec_instance draws for each seed of the cell
     seeds = [int(np.random.SeedSequence([seed, n, N, 0]).generate_state(2)[0]) for seed in SEEDS]
     timed = {"trips": functools.partial(_each, pkg.reconstruct.roundtrip, specs, eye, N),
@@ -318,9 +336,10 @@ def _roundtrip_side(pkg, wl, insts, n, N):
                  pkg.generate_random, pkg.GenProfile(n, N)), seeds),
              "runs": [_run_stages(_roundtrip_stages(pkg, spec, eye, N)) for spec in specs]}
     records = []
-    for rep, spec, run in zip(timed["trips"](), timed["generate"](), timed["runs"]):
+    for rep, spec, run, inst in zip(timed["trips"](), timed["generate"](), timed["runs"], own):
         text = pkg.serialize.dumps(pkg.serialize.spec_to_dict(spec))
-        rec = {"spec_sha256": _sha256(text.encode()), "roundtrip": _roundtrip_record(rep)}
+        rec = {"spec_sha256": _sha256(text.encode()), "roundtrip": _roundtrip_record(rep),
+               "complex_t": _complex_boundary_record(pkg, inst, N)}
         if "orthonormalize" in run["outs"]:
             rec["stage"] = _sweep_record(run["outs"]["orthonormalize"])
         records.append(rec)
@@ -696,6 +715,7 @@ def summarize(runs):
             cell[side] = {
                 "emitted_gue": [g.get("emitted") for g in gue],
                 "emitted_roundtrip": [s.get("emitted") for s in stage],
+                "emitted_complex_t": [r["complex_t"].get("emitted") for r in final],
                 "orthogonality_loss_max": max((s["loss"] for s in gue + stage if "loss" in s),
                                               default=None),
                 "roundtrip_eigenvalue_error": [_finite(t.get("eigenvalue_error")) for t in trips],
@@ -704,7 +724,8 @@ def summarize(runs):
         cell["inputs_agree"] = _agree(recs, "digest")
         cell["specs_identical"] = _agree(recs, "spec_sha256")
         pairs = [(a.get(part, {}), b.get(part, {}))
-                 for a, b in zip(recs["before"], recs["after"]) for part in ("gue", "stage")]
+                 for a, b in zip(recs["before"], recs["after"])
+                 for part in ("gue", "stage", "complex_t")]
         cell["decisions_agree"] = all(_decisions(a) == _decisions(b) for a, b in pairs)
         cell.update(_sweep_agreement(pairs))
         outputs = pairs + [(a["roundtrip"], b["roundtrip"])

@@ -43,6 +43,9 @@ class InterpolationData(StepMeasure):
 
     def __post_init__(self):
         super().__post_init__()
+        self._check()
+
+    def _check(self):
         lam, n = self.lambdas, self.n
         zero = np.flatnonzero(~self.c.any(axis=1))
         if zero.size:
@@ -54,7 +57,17 @@ class InterpolationData(StepMeasure):
 
     @classmethod
     def from_measure(cls, mu: StepMeasure):
-        return cls(mu.n, mu.lambdas, mu.c)
+        """The data of the measure's points and C-vectors.
+
+        The measure's arrays are read-only and already sorted, so the data
+        takes them as they are, sharing their memory, and runs only its own
+        two checks: no zero direction, no node repeated more than n times.
+        """
+        data = object.__new__(cls)
+        for name in ("n", "lambdas", "c"):
+            object.__setattr__(data, name, getattr(mu, name))
+        data._check()
+        return data
 
 
 def is_solution(r: VectorPolynomial, data: InterpolationData, tol: float = 1e-8) -> bool:

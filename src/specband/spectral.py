@@ -27,7 +27,7 @@ and t are the same objects, so a sequence of checks on one truncation runs
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,10 +79,22 @@ class BoundaryMatrix:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (ascending, multiplicity repeated) and eigenvector columns."""
+    """Eigenvalues (ascending, multiplicity repeated) and eigenvector columns.
+
+    ``lambdas`` and ``phi`` are read-only copies of the arrays given, so the
+    data never changes once made and ``c_vectors`` may keep its result on it.
+    ``kept_c`` is that result: (boundary, C) of the last ``c_vectors`` call.
+    """
 
     lambdas: np.ndarray
     phi: np.ndarray
+    kept_c: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("lambdas", "phi"):
+            a = np.array(getattr(self, name))
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def N(self):
@@ -139,15 +151,16 @@ class StepMeasure:
     def moments_upto(self, K):
         """Moments S_0..S_K as a (K+1, n, n) array, in one array pass.
 
-        S_k is the sum of lambda^k C C* over the growth points.  An
-        overflowing power raises ``FloatingPointError`` rather than turning
-        into inf.
+        S_k is the sum of lambda^k C C* over the growth points.  Any overflow,
+        of a power, of its product with C C* or of the sum, raises
+        ``FloatingPointError`` rather than turning into inf.
         """
         if K < 0:
             raise ValueError("moment order must be nonnegative")
         with np.errstate(over="raise"):
             powers = np.vander(self.lambdas, K + 1, increasing=True)
-        return np.add.reduce(powers[:, :, None, None] * self.outer[:, None], axis=0, initial=0.0)
+            return np.add.reduce(powers[:, :, None, None] * self.outer[:, None], axis=0,
+                                 initial=0.0)
 
     def moment(self, k):
         """k-th moment: sum of lambda^k C C* over all growth points."""
@@ -204,8 +217,8 @@ def eigen_decompose(m: FiniteHermitian) -> SpectralData:
     eigenvector always has a nonzero pivot, so every column turns.
     """
     defect = m.hermiticity_defect()
-    scale = max(1.0, float(np.max(np.abs(m.data))))
-    if defect > 1e-9 * scale:
+    # the scale is at least 1, so a zero defect passes without reading it
+    if defect and defect > 1e-9 * max(1.0, float(np.max(np.abs(m.data)))):
         raise NumericalFailure(f"matrix is not Hermitian (defect {defect:.3e})")
     lams, phi = np.linalg.eigh(m.data)
     phi = np.asarray(phi, dtype=complex)
@@ -244,7 +257,8 @@ def psi_at(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix, z) -> np.nda
             raise PivotViolation(f"zero edge entry at ({r},{c})")
         acc = z[..., None] * psi[..., r - 1, :]
         acc -= data[r - 1, : c - 1] @ psi[..., : c - 1, :]
-        psi[..., c - 1, :] = acc / edge
+        acc /= edge  # in place: contiguous, where the row of a stack is strided
+        psi[..., c - 1, :] = acc
     return psi
 
 
@@ -405,11 +419,19 @@ def _subtract_negated(row, neg_re, neg_im, rows):
 def c_vectors(sd: SpectralData, t: BoundaryMatrix) -> np.ndarray:
     """Boundary-reduced eigenvector heads: solve T* C = (first n rows of phi).
 
-    Returns an (N, n) array whose row k is C^k.  The phase of each
+    Returns a read-only (N, n) array whose row k is C^k.  The phase of each
     eigencolumn is re-fixed so the first significant entry of its head is
     real positive; everything downstream only depends on C C*.  Heads and
     C-vectors are checked all at once, each error naming the first failing k.
+
+    The result is kept on ``sd`` (``sd.kept_c``) with the boundary object it
+    was solved for, and handed out again while ``t`` is that very object:
+    ``sd`` and ``t`` are read-only, so ``step_measure`` and the
+    ``DirectPass`` of one truncation share one solve.  Another boundary
+    replaces the kept result; an error keeps nothing.
     """
+    if sd.kept_c is not None and sd.kept_c[0] is t:
+        return sd.kept_c[1]
     t.require_invertible()
     heads = sd.phi[: t.n, :]
     pivot, peak = _first_significant(heads)
@@ -421,11 +443,16 @@ def c_vectors(sd: SpectralData, t: BoundaryMatrix) -> np.ndarray:
     small = np.linalg.norm(cs, axis=1) <= 1e-13
     if small.any():
         raise NumericalFailure(f"C-vector {int(np.argmax(small))} vanished")
+    cs.flags.writeable = False
+    object.__setattr__(sd, "kept_c", (t, cs))
     return cs
 
 
 def step_measure(sd: SpectralData, t: BoundaryMatrix) -> StepMeasure:
-    """Step spectral function of the truncation for the given boundary matrix."""
+    """Step spectral function of the truncation for the given boundary matrix.
+
+    Its C is ``c_vectors(sd, t)``, kept on ``sd`` for a ``DirectPass`` of the
+    same eigen data and boundary object."""
     return StepMeasure(t.n, sd.lambdas, c_vectors(sd, t))
 
 
@@ -455,7 +482,8 @@ class DirectPass:
 
       * ``sd``          the eigen data: the ``sd`` it was made with, else
                         ``eigen_decompose(m)``;
-      * ``c``           the (N, n) block of the C^k, ``c_vectors(sd, t)``;
+      * ``c``           the (N, n) block of the C^k, ``c_vectors(sd, t)``,
+                        the solve that ``step_measure(sd, t)`` shares;
       * ``window``      the spectrum's range padded by a quarter of its width
                         (at least 1/4 each side), and ``nodes`` the N + 1
                         Chebyshev nodes of ``det_theta_polynomial`` over it;

@@ -126,7 +126,8 @@ class VectorPolynomial:
 
         One complex Horner step per degree runs over all points and
         components at once, on the stored array padded with zeros to whole
-        degrees and read as a (width, n) grid from the top degree down.  Like
+        degrees and read as a (width, n) grid from the top degree down, in
+        place on one accumulator (``acc * ts + c``'s bytes).  Like
         Python's arithmetic in ``evaluate``, it overflows to inf without a
         warning.  At an infinite or NaN t an empty component may read NaN,
         not 0.
@@ -138,7 +139,8 @@ class VectorPolynomial:
         acc = np.zeros((ts.size, n), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             for c in grid.reshape(-1, n)[::-1]:
-                acc = acc * ts + c
+                acc *= ts
+                acc += c
         return acc
 
     def conjugate_coeffs(self):

@@ -6,6 +6,7 @@ and only those; the A/B timing entries read their sweeps' weights and T~ the
 same way.  A worker process starts without the shell's SPECBAND_TOL.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -41,6 +42,7 @@ def records():
     seeds = bench_sweep.SEEDS
     return {
         "records": [[{"digest": "d", "spec_sha256": "s", "gue": sweep(), "stage": sweep(),
+                      "complex_t": sweep(),
                       "roundtrip": {"eigenvalue_error": 1e-15, "sha256": "r"}} for _ in seeds]
                     for _ in bench_sweep.GRID],
         "direct": [[{"digest": "d", "gate_sha256": "g", "gate_failure": None,
@@ -80,6 +82,9 @@ def test_identical_records_raise_every_flag():
     ("records", ("gue", "sha256"), "x", ["weights_identical", "outputs_identical"]),
     ("records", ("stage", "sha256"), "x", ["weights_identical", "outputs_identical"]),
     ("records", ("gue", "t_tilde"), t_tilde_hex(T_TILDE + 2.0**-52), ["outputs_identical"]),
+    ("records", ("complex_t", "sha256"), "x", ["weights_identical", "outputs_identical"]),
+    ("records", ("complex_t", "failure"), "measure",
+     ["decisions_agree", "weights_identical", "outputs_identical"]),
     ("records", ("roundtrip", "sha256"), "x", ["outputs_identical"]),
     ("records", ("gue", "q_heights"), [3],
      ["decisions_agree", "weights_identical", "outputs_identical"]),
@@ -122,7 +127,7 @@ def test_cells_report_the_largest_relative_change_of_t_tilde():
     moved[1, 1] -= 2.0**-50
     after[SEED + 1]["gue"]["t_tilde"] = t_tilde_hex(moved)
     for rec in runs["before"]["records"][0] + runs["after"]["records"][0]:
-        rec["gue"] = rec["stage"] = {"failure": "NumericalFailure"}
+        rec["gue"] = rec["stage"] = rec["complex_t"] = {"failure": "NumericalFailure"}
     cells = bench_sweep.summarize(runs)
     assert cells[CELL]["t_tilde_change_max"] == 2.0**-50 / 2.0
     assert cells[CELL]["weights_identical"] and not cells[CELL]["outputs_identical"]
@@ -203,3 +208,23 @@ def test_roundtrip_ab_entries_read_the_stage_sweep():
     assert bench_sweep._agreement(trips, stage)["t_tilde_change_max"] is None
     trips["after"][SEED]["stage"] = sweep()
     assert bench_sweep._agreement(trips, stage)["weights_identical"] is False
+
+
+def test_roundtrip_records_sweep_the_complex_boundary():
+    # each spec's sweep also runs under the boundary that spec_instance draws
+    # with it; the recovered T~ is that boundary, not the identity
+    import specband
+
+    wl_spec = importlib.util.spec_from_file_location("workloads_test",
+                                                     ROOT / "perfbench" / "workloads.py")
+    wl = importlib.util.module_from_spec(wl_spec)
+    wl_spec.loader.exec_module(wl)
+    insts = [dataclasses.replace(inst, spec=specband.serialize.spec_to_dict(inst.spec))
+             for inst in (wl.spec_instance(seed, 2, 10, 0) for seed in bench_sweep.SEEDS)]
+    _, recs = bench_sweep._roundtrip_side(specband, wl, insts, 2, 10)
+    for inst, rec in zip(insts, recs):
+        got = rec["complex_t"]
+        assert got["emitted"] == 10 and got["t_tilde"] != rec["stage"]["t_tilde"]
+        t_tilde = np.frombuffer(bytes.fromhex(got["t_tilde"]), dtype=complex).reshape(2, 2)
+        assert np.max(np.abs(t_tilde - inst.t.t)) <= 1e-10 * np.max(np.abs(inst.t.t))
+        assert np.any(inst.t.t.imag != 0)

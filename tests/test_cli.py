@@ -506,6 +506,17 @@ class TestExitCodes:
         assert run_cli(["moments", str(sigma), "--k", "2000"]) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure: overflow")
 
+    def test_overflowing_moment_product_is_a_numerical_failure(self, tmp_path, capsys):
+        # lambda^2 = 1e308 is finite; its product with C C* = 1e4 is not, and
+        # JSON has no Infinity to write for it
+        sigma, out = tmp_path / "sigma.json", tmp_path / "moments.json"
+        ser.dump({"n": 1, "points": [{"lambda": 1e154, "C": [[100.0, 0.0]]}]}, sigma)
+        assert run_cli(["moments", str(sigma), "--k", "1"]) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli(["moments", str(sigma), "--k", "2", "-o", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: overflow")
+        assert not out.exists()
+
     def test_overflowing_solution_bound_is_a_numerical_failure(self, tmp_path, capsys):
         # 1e155 z at the one node -1: the bound is inf and would pass any residual
         sigma, poly = tmp_path / "sigma.json", tmp_path / "poly.json"

@@ -9,6 +9,7 @@ from specband import (
     InterpolationData,
     NoDecomposition,
     SingularZerothMoment,
+    StepMeasure,
     analyze_structure,
     build_p,
     build_q,
@@ -28,6 +29,7 @@ from specband.vectorpoly import VectorPolynomial, canonical_e, height, poly_allc
 
 from conftest import (
     awkward_measures,
+    gue_measure,
     make_fix7,
     outcome,
     random_boundary,
@@ -107,6 +109,20 @@ class TestIsSolution:
         # its norm underflows to 0.0, yet the direction is nonzero
         data = InterpolationData(1, [0.5], [[1e-170]])
         assert data.c[0, 0] == 1e-170
+
+    def test_from_measure_shares_the_measure_arrays(self):
+        mu = gue_measure(0, 2, 20)
+        data = InterpolationData.from_measure(mu)
+        assert data.n == mu.n and data.lambdas is mu.lambdas and data.c is mu.c
+
+    @pytest.mark.parametrize("lam, c, message", [
+        ([3.0, 1.0, 2.0], [[1, 0], [0, 0], [0, 0]], "zero direction vector at node 1.0"),
+        ([0.5, -2.0, -2.0, -2.0], [[1, 1]] * 4, "node -2.0 repeats more than n=2 times"),
+    ])
+    def test_from_measure_runs_its_checks(self, lam, c, message):
+        mu = StepMeasure(2, lam, c)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            InterpolationData.from_measure(mu)
 
     def test_errors_name_nodes_in_sorted_order(self):
         # the first zero direction and the (n+1)-th node of the first crowded

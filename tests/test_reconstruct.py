@@ -598,6 +598,35 @@ def test_emitted_coordinates_are_orthonormal(mu, zero_tol):
         assert np.max(np.abs(w @ w.conj().T - np.eye(len(w)))) <= 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 170), st.data())
+def test_sweep_multipliers_take_matmul_bytes(N, data):
+    # _sweep's multipliers bc.dot(w) are bc @ w byte for byte: bc is the first m
+    # rows of the conjugated half of a padded (2, cap, N) block, w a scaled row
+    cap = data.draw(st.integers(1, N))
+    m = data.draw(st.integers(1, cap))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** data.draw(st.integers(-100, 100))
+    basis, basis_conj = np.zeros((2, cap, N), dtype=complex)
+    basis[:m] = rng.normal(size=(m, N)) + 1j * rng.normal(size=(m, N))
+    np.conjugate(basis[:m], out=basis_conj[:m])
+    w = scale * (rng.normal(size=N) + 1j * rng.normal(size=N))
+    bc = basis_conj[:m]
+    assert bc.dot(w).tobytes() == (bc @ w).tobytes()
+
+
+def test_one_row_projection_is_no_dot():
+    # why _sweep keeps cs @ b: with one emitted row, ndarray.dot rounds the
+    # product otherwise than matmul (here on every draw of 20)
+    rng = np.random.default_rng(0)
+    differ = 0
+    for N in range(10, 170, 8):
+        cs = rng.normal(size=1) + 1j * rng.normal(size=1)
+        b = rng.normal(size=(1, N)) + 1j * rng.normal(size=(1, N))
+        differ += (cs @ b).tobytes() != cs.dot(b).tobytes()
+    assert differ > 0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_boundary_matrix_is_read_only_from_the_constants(n):
     # T~ comes from the first n emitted rows and their norms alone: a sweep

@@ -124,6 +124,17 @@ class TestEigenDecompose:
         _, _, _, sd = setup(fix7, 7)
         assert sd.unitarity_defect() <= 1e-10 * 7
 
+    def test_arrays_are_read_only_copies(self, fix7):
+        lam, phi = np.arange(3.0), np.eye(3, dtype=complex)
+        sd = SpectralData(lam, phi)
+        for given, held in ((lam, sd.lambdas), (phi, sd.phi)):
+            assert held.tobytes() == given.tobytes() and not np.shares_memory(held, given)
+            assert given.flags.writeable
+            with pytest.raises(ValueError):
+                held[0] = 0.0
+        _, _, _, sd = setup(fix7, 7)
+        assert not (sd.lambdas.flags.writeable or sd.phi.flags.writeable)
+
 
 # ---------------------------------------------------------------- p and q
 
@@ -389,6 +400,43 @@ class TestCVectors:
         for a, b in zip(c1, c2):
             assert np.allclose(b, a / np.conj(alpha))
 
+    def test_result_is_kept_for_the_same_boundary(self, fix7):
+        m, s, t, sd = setup(fix7, 7)
+        cs = c_vectors(sd, t)
+        assert c_vectors(sd, t) is cs and not cs.flags.writeable
+        # step_measure and the DirectPass of the same eigen data share the solve
+        assert step_measure(sd, t).c.tobytes() == cs.tobytes()
+        assert spectral.direct_pass(m, s, t, sd).c is cs
+        # another boundary object, even of equal bytes, is solved anew and replaces it
+        other = BoundaryMatrix(t.n, t.t)
+        again = c_vectors(sd, other)
+        assert again is not cs and again.tobytes() == cs.tobytes()
+        assert c_vectors(sd, other) is again
+        assert c_vectors(sd, t) is not cs
+
+    @pytest.mark.parametrize("head, message", [
+        (0.0, "eigenvector 2 has a vanishing head"),
+        (1e-15, "C-vector 2 vanished"),  # a nonzero head, and |C| <= 1e-13
+    ])
+    def test_errors_are_raised_again(self, head, message):
+        phi = np.eye(6, dtype=complex)
+        phi[0, 2:] = head
+        sd = SpectralData(np.arange(6.0), phi)
+        t = random_boundary(2, 3)
+        for _ in range(2):
+            with pytest.raises(NumericalFailure, match=f"^{message}$"):
+                c_vectors(sd, t)
+        assert sd.kept_c is None  # an error keeps nothing
+
+    def test_singular_boundary_is_raised_again(self, fix7):
+        _, _, _, sd = setup(fix7, 7)
+        cs = c_vectors(sd, BoundaryMatrix.identity(3))
+        t = BoundaryMatrix(3, np.diag([1.0, 0.0, 1.0]))
+        for _ in range(2):
+            with pytest.raises(SingularBoundary):
+                c_vectors(sd, t)
+        assert sd.kept_c[1] is cs
+
     def test_singular_boundary(self, fix7):
         _, _, _, sd = setup(fix7, 7)
         t = BoundaryMatrix(3, np.triu(np.ones((3, 3))) - np.eye(3) * 1.0 + np.diag([1, 0, 1]))
@@ -612,7 +660,9 @@ class TestMeasureArrays:
             with pytest.raises(ValueError):
                 a[0] = 0.0
         # the caller's arrays are copied, not frozen
-        assert sd.lambdas.flags.writeable
+        lam, c = np.array(sd.lambdas), np.array(c_vectors(sd, t))
+        StepMeasure(t.n, lam, c)
+        assert lam.flags.writeable and c.flags.writeable
         assert orthonormalize(mu, 7).lambdas is mu.lambdas
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -759,6 +809,16 @@ class TestMoments:
         mu = StepMeasure(1, [1e200], [[1.0]])
         with pytest.raises(FloatingPointError):
             mu.moments_upto(2)
+
+    @pytest.mark.parametrize("lambdas, c, k", [
+        ([1e154], [[100.0]], 2),  # lambda^2 is finite, its product with C C* is not
+        ([1.0, 2.0], [[1e154], [1e154j]], 0),  # each C C* is finite, their sum is not
+    ])
+    def test_overflowing_product_or_sum_raises(self, lambdas, c, k):
+        mu = StepMeasure(1, lambdas, c)
+        assert np.isfinite(mu.outer).all()
+        with pytest.raises(FloatingPointError, match="overflow"):
+            mu.moments_upto(k)
 
 
 def assert_moments_like_reference(mu, K):
