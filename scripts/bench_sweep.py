@@ -39,9 +39,10 @@ instance of perfbench's ``inverse`` pools (32 rounds) of the seeds
 the writer.  The payloads are one of each other kind the command line
 writes: a ``measure`` of n=3 N=160, a ``gen`` spec of n=3 N=160, a
 ``generators`` report of n=3 N=40, a ``roundtrip --batch 16`` report, a
-40 x 40 ``truncate`` of an n=3 spec and the ``moments --k 12`` of the n=3
-N=160 measure.  Each checkout builds its own, as its command hands it to
-``serialize.dumps``.
+40 x 40 ``truncate`` of an n=3 spec, the 160 x 160 ``truncate`` of an n=3
+N=160 mtilde spec (the band layout of a ``reconstruct`` that emits every
+row) and the ``moments --k 12`` of the n=3 N=160 measure.  Each checkout
+builds its own, as its command hands it to ``serialize.dumps``.
 
 Identity: each checkout runs every instance once, untimed, in a
 single-threaded process of its own that imports its own ``src/``.  Per
@@ -449,7 +450,9 @@ def _payloads(pkg, wl, tmp):
         return payload
 
     mtilde, small = os.path.join(tmp, "mtilde.json"), os.path.join(tmp, "small.json")
+    mtilde160 = os.path.join(tmp, "mtilde160.json")
     cli.run_cli(["gen", "--n", "3", "--N-max", "40", "--mtilde", "--seed", "0", "-o", mtilde])
+    cli.run_cli(["gen", "--n", "3", "--N-max", "160", "--mtilde", "--seed", "0", "-o", mtilde160])
     cli.run_cli(["gen", "--n", "2", "--N-max", "10", "--seed", "7", "-o", small])
     gue = wl.measure_instance(0, 3, 160, 0, tmp)
     return {
@@ -458,6 +461,7 @@ def _payloads(pkg, wl, tmp):
         "generators": handed("generators", mtilde),
         "roundtrip_batch": handed("roundtrip", small, "--N", "8", "--batch", "16", "--seed", "0"),
         "truncate": handed("truncate", mtilde, "--N", "40"),
+        "truncate160": handed("truncate", mtilde160, "--N", "160"),
         "moments": handed("moments", gue.path, "--k", "12"),
     }
 

@@ -4,9 +4,12 @@ Complex numbers are always written as two-element [re, im] arrays.  Matrix
 entries store the upper triangle only; Hermitian symmetry is implied.
 Every file is ``json.dumps(obj, indent=2)`` text, written by :func:`dumps`,
 which hands each scalar and each dict or list of scalars to json's C
-encoder and fills one text template per :class:`Pairs` array (a matrix,
-a boundary matrix, moments), formatting each distinct float magnitude of
-a large array once.
+encoder and writes each :class:`Pairs` array (a matrix, a boundary matrix,
+moments) at the cost of its nonzero entries: every [0.0, 0.0] pair takes
+one shared text, the other pairs are filled in one template, formatting
+each distinct float magnitude of a large array once, and the rows are
+joined from the pairs' texts.  An array with no such pair fills one
+template with all its floats.
 A decoder refuses a missing field or a value of the wrong kind, shape or
 size, such as a null or NaN where a finite number belongs, an ``n`` that is
 no integer >= 1 or a matrix whose ``data`` is not N x N pairs, with a
@@ -227,11 +230,12 @@ def poly_from_dict(d: dict) -> VectorPolynomial:
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _CONTAINERS = (list, tuple, dict)
-# Smallest finite Pairs array, in floats, whose distinct magnitudes are
-# formatted once; a smaller one formats each float.  On random Hermitian
-# N x N matrices, about half of whose magnitudes are distinct, the dedupe
-# broke even between 72 and 200 floats (N = 6 to 10; 2-core Xeon, Python
-# 3.11, numpy 2.4): below, numpy's set-up costs more than the reprs it saves.
+# Fewest floats to format (those of a finite Pairs array's pairs other than
+# [0.0, 0.0]) whose distinct magnitudes are formatted once; fewer are
+# formatted each.  On random Hermitian N x N matrices, about half of whose
+# magnitudes are distinct, the dedupe broke even between 72 and 200 floats
+# (N = 6 to 10; 2-core Xeon, Python 3.11, numpy 2.4): below, numpy's set-up
+# costs more than the reprs it saves.
 DEDUPE_MIN_LEAVES = 128
 
 
@@ -242,16 +246,19 @@ def _flat(level):
 
 
 def _deduped_reprs(x):
-    """The repr of each float of x, each distinct magnitude formatted once; a
-    float's magnitude is found in the sorted distinct ones by binary search.
+    """The repr of each float of x, each distinct magnitude formatted once.
 
     ``repr(-v) == "-" + repr(v)`` for every finite v >= 0, -0.0 included.
     """
-    size = np.abs(x)
-    magnitudes = np.unique(size)
+    magnitudes, index = np.unique(np.abs(x), return_inverse=True)
     texts = list(map(float.__repr__, magnitudes.tolist()))
     texts = np.array(texts + ["-" + t for t in texts], dtype=object)
-    return texts[np.searchsorted(magnitudes, size) + len(magnitudes) * np.signbit(x)].tolist()
+    return texts[index + len(magnitudes) * np.signbit(x)].tolist()
+
+
+def _reprs(x):
+    """The repr of each float of the flat array x, deduped from ``DEDUPE_MIN_LEAVES`` floats on."""
+    return _deduped_reprs(x) if x.size >= DEDUPE_MIN_LEAVES else map(float.__repr__, x.tolist())
 
 
 def _fill(shape, level, texts):
@@ -263,23 +270,46 @@ def _fill(shape, level, texts):
     return template % tuple(texts)
 
 
+def _join(shape, level, texts):
+    """``_fill``'s text, joined row by row: faster where the leaves are long texts."""
+    for depth in reversed(range(len(shape))):
+        pad = "\n" + "  " * (level + depth)
+        width, sep = shape[depth], f",{pad}  "
+        texts = [f"[{pad}  " + sep.join(texts[i:i + width]) + f"{pad}]"
+                 for i in range(0, len(texts), width)]
+    return texts[0]
+
+
 def _pairs(a, level, path):
     """``json.dumps(complex_pairs(a), indent=2)`` text of a complex array at ``level``.
 
-    A finite array of one or more dimensions and entries fills one template
-    from its float view, [re, im] per entry in row-major order, each distinct
-    magnitude formatted once if it holds ``DEDUPE_MIN_LEAVES`` floats or
-    more; a non-finite, empty or 0-d one is written from its
-    ``complex_pairs`` lists, so NaN and Infinity are json's text.
+    A finite array of one or more dimensions and entries is written from its
+    float view, [re, im] per entry in row-major order.  Where some pair's
+    parts are both +0.0 by bits (a -0.0 does not count), every such pair
+    takes one shared text, the other pairs fill copies of one pair template
+    in a single fill, and the rows are joined from the pairs' texts; an
+    array without such a pair fills one template with all its floats,
+    which is faster there.  The floats formatted are deduped if they are
+    ``DEDUPE_MIN_LEAVES`` or more.  A non-finite, empty or 0-d array is
+    written from its ``complex_pairs`` lists, so NaN and Infinity are
+    json's text.
     """
     if a.ndim and a.size:
-        x = np.ascontiguousarray(a).view(float).ravel()
+        x = np.ascontiguousarray(a).view(float)
         if np.isfinite(x).all():
-            if x.size < DEDUPE_MIN_LEAVES:
-                texts = map(float.__repr__, x.tolist())
-            else:
-                texts = _deduped_reprs(x)
-            return _fill((*a.shape, 2), level, texts)
+            pairs = x.reshape(-1, 2)
+            bits = pairs.view(np.uint64)
+            kept = np.flatnonzero(bits[:, 0] | bits[:, 1])
+            if kept.size == len(pairs):
+                return _fill((*a.shape, 2), level, _reprs(x.ravel()))
+            pad = "\n" + "  " * (level + a.ndim)
+            pair = f"[{pad}  %s,{pad}  %s{pad}]"
+            texts = [pair % ("0.0", "0.0")] * len(pairs)
+            # no float's repr holds "\0", so it parts the filled pairs again
+            filled = "\0".join([pair] * kept.size) % tuple(_reprs(pairs[kept].ravel()))
+            for i, text in zip(kept.tolist(), filled.split("\0")):
+                texts[i] = text
+            return _join(a.shape, level, texts)
     return _encode(complex_pairs(a), level, path)
 
 
@@ -317,10 +347,11 @@ def dumps(obj):
     holds only scalars, takes one call of the C encoder, which formats NaN,
     infinities, ints and strings exactly as json does.  One value that json
     does not know is written too: a :class:`Pairs` array gets the text that
-    json gives its ``complex_pairs`` lists.  A finite one is one %-template
-    filled from the array without building them; in a large one each
-    distinct magnitude is formatted once, so the mirrored entries of a
-    Hermitian matrix cost one repr.
+    json gives its ``complex_pairs`` lists.  A finite one is written from
+    the array without building them (see ``_pairs``): its [0.0, 0.0] pairs
+    share one text, and in a large one each distinct magnitude is
+    formatted once, so the mirrored entries of a Hermitian matrix cost one
+    repr.
     """
     return _encode(obj, 0, set())
 
@@ -330,7 +361,8 @@ def dump(obj_dict, path=None):
     if path is None:
         return text
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
+        fh.write("\n")
     return None
 
 

@@ -139,8 +139,10 @@ class StepMeasure:
     @functools.cached_property
     def outer(self):
         """The (N, n, n) block of C^k (C^k)*: formed on first read, then kept
-        read-only for every later reader."""
-        outer = self.c[:, :, None] * self.c.conj()[:, None, :]
+        read-only for every later reader.  An overflowing product raises
+        ``FloatingPointError`` and keeps nothing, so every reader raises it."""
+        with np.errstate(over="raise"):
+            outer = self.c[:, :, None] * self.c.conj()[:, None, :]
         outer.flags.writeable = False
         return outer
 

@@ -517,6 +517,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("numerical failure: overflow")
         assert not out.exists()
 
+    def test_overflowing_jump_is_a_numerical_failure(self, tmp_path, capsys):
+        # C C* = 1e400 at the one point: the staircase would read inf
+        sigma, out = tmp_path / "sigma.json", tmp_path / "stairs.csv"
+        ser.dump({"n": 1, "points": [{"lambda": 1.0, "C": [[1e200, 0.0]]}]}, sigma)
+        assert run_cli(["staircase", str(sigma), "-o", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: overflow") and "Traceback" not in err
+        assert not out.exists()
+
     def test_overflowing_solution_bound_is_a_numerical_failure(self, tmp_path, capsys):
         # 1e155 z at the one node -1: the bound is inf and would pass any residual
         sigma, poly = tmp_path / "sigma.json", tmp_path / "poly.json"

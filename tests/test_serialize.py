@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from specband import BoundaryMatrix, MatrixSpec, TailProfile, truncate
 from specband import serialize as ser
 from specband.cli import EXIT_OK, run_cli
+from specband.reconstruct import orthonormalize, recover_band
 from specband.spectral import StepMeasure
 from specband.vectorpoly import VectorPolynomial
 
-from conftest import make_fix7, pairs_as_lists, reference_dumps
+from conftest import gue_measure, make_fix7, pairs_as_lists, reference_dumps
 
 
 finite_float = st.floats(
@@ -352,9 +353,11 @@ class TestNestedListsAndPairs:
         ser.dump(ser.measure_to_dict(StepMeasure(3, lam, phi[:3].T)), sigma)
         with mock.patch.object(ser, "_deduped_reprs", wraps=ser._deduped_reprs) as dedupe:
             assert run_cli(["reconstruct", str(sigma), "--max-k", "80", "-o", str(out)]) == EXIT_OK
-        assert dedupe.call_count == 1  # the matrix; the 3 x 3 boundary is too small
         text = out.read_text(encoding="utf-8")
         doc = json.loads(text)
+        # the matrix's nonzero pairs; the 3 x 3 boundary's are too few
+        matrix = np.array(doc["matrix"]["data"]).view(complex)[..., 0]
+        assert dedupe.call_count == _dedupe_calls(matrix) == 1
         assert len(doc["matrix"]["data"]) == doc["emitted"] >= 60
         assert text == reference_dumps(doc) + "\n"
         assert sigma.read_text(encoding="utf-8") == reference_dumps(json.loads(sigma.read_text())) + "\n"
@@ -362,10 +365,14 @@ class TestNestedListsAndPairs:
 
 # Arrays for ``serialize.Pairs``: complex or real, of 0-3 dimensions of 0-9
 # entries each (up to 1,458 floats, on both sides of DEDUPE_MIN_LEAVES) or
-# of 63 and 64 entries (126 and 128 floats, at it), C-ordered or
-# transposed.  Their parts are signed zeros, subnormals, +-1.7e308 and
-# ordinary values, and in half the arrays also NaN and infinities, which
-# send the array to the fallback.  Each array is nested 0-3 deep.
+# of 63 and 64 entries (126 and 128 floats, at it), 4 x 4 x 4 or 40 x 40,
+# C-ordered or transposed.  Their parts are signed zeros, subnormals,
+# +-1.7e308 and ordinary values, and in half the arrays also NaN and
+# infinities, which send the array to the fallback.  A drawn share of the
+# entries, up to all of them, is then made exactly (+0.0, +0.0), the pair
+# that the writer shares one text for; -0.0 in either part keeps its own
+# text, so that some arrays with most pairs zero cross DEDUPE_MIN_LEAVES
+# only by their nonzero pairs.  Each array is nested 0-3 deep.
 FINITE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7e308, -1.7e308,
                 0.1, -1 / 3, 2.5, 1e22]
 NON_FINITE_PARTS = [float("nan"), float("inf"), -float("inf")]
@@ -376,14 +383,27 @@ NESTINGS = [lambda o: [o], lambda o: {"x": o}, lambda o: [1.5, o, "s"],
 @st.composite
 def pairs_arrays(draw):
     shape = draw(st.lists(st.integers(0, 9), max_size=3)
-                 | st.sampled_from([[63], [64], [4, 4, 4]]))
+                 | st.sampled_from([[63], [64], [4, 4, 4], [40, 40]]))
     pool = FINITE_PARTS + (NON_FINITE_PARTS if draw(st.booleans()) else [])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = np.array(rng.choice(pool, size=shape))
     if draw(st.booleans()):
         a = a.astype(complex)
         a.imag = rng.choice(pool, size=shape)
+    zero_share = draw(st.sampled_from([0.0, 0.5, 0.9, 0.98, 1.0]))
+    a[rng.random(size=shape) < zero_share] = 0.0
     return a.T if draw(st.booleans()) else a
+
+
+def _dedupe_calls(a):
+    """1 where ``dumps`` dedupes the reprs of a finite array: its pairs other than
+    (+0.0, +0.0) by bits hold ``DEDUPE_MIN_LEAVES`` floats or more; else 0."""
+    if a.ndim == 0 or not np.isfinite(a).all():
+        return 0
+    parts = np.asarray(a, dtype=complex).ravel()
+    parts = np.stack([parts.real, parts.imag], axis=-1)
+    nonzero = np.signbit(parts).any(axis=1) | (parts != 0.0).any(axis=1)
+    return int(2 * nonzero.sum() >= ser.DEDUPE_MIN_LEAVES)
 
 
 class TestPairs:
@@ -395,8 +415,26 @@ class TestPairs:
             obj = nest(obj)
         with mock.patch.object(ser, "_deduped_reprs", wraps=ser._deduped_reprs) as dedupe:
             assert ser.dumps(obj) == reference_dumps(pairs_as_lists(obj))
-        finite = np.isfinite(a).all()
-        assert dedupe.call_count == (a.ndim > 0 and 2 * a.size >= ser.DEDUPE_MIN_LEAVES and finite)
+        assert dedupe.call_count == _dedupe_calls(a)
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((40, 40)),
+        np.full((40, 40), complex(0.0, -0.0)),
+        np.full((4, 4, 4), complex(-0.0, 0.0)),
+        np.diag(np.full(39, -0.0), 1) + np.eye(40),
+    ])
+    def test_zero_and_negative_zero_pairs(self, a):
+        assert ser.dumps({"a": ser.Pairs(a)}) == reference_dumps({"a": ser.complex_pairs(a)})
+
+    def test_reconstructed_band(self):
+        # the band of gue_measure(0, 3, 160) that reconstruct writes, mostly zero pairs
+        m, _ = recover_band(orthonormalize(gue_measure(0, 3, 160), 160))
+        pairs = m.data.view(float).reshape(-1, 2)
+        assert (pairs == 0.0).all(axis=1).mean() > 0.8
+        d = ser.matrix_to_dict(m)
+        with mock.patch.object(ser, "_deduped_reprs", wraps=ser._deduped_reprs) as dedupe:
+            assert ser.dumps(d) == reference_dumps(pairs_as_lists(d))
+        assert dedupe.call_count == _dedupe_calls(m.data) == 1
 
     def test_json_refuses_pairs(self):
         with pytest.raises(TypeError, match="^Object of type Pairs is not JSON serializable$"):

@@ -820,6 +820,16 @@ class TestMoments:
         with pytest.raises(FloatingPointError, match="overflow"):
             mu.moments_upto(k)
 
+    @pytest.mark.parametrize("first", ["evaluate", "grouped_jumps", "moments_upto", "outer"])
+    def test_overflowing_jump_raises_whichever_reader_comes_first(self, first):
+        # C C* = 1e400 overflows: no reader may keep or sum an inf in its place
+        mu = StepMeasure(1, [1.0], [[1e200]])
+        readers = {"evaluate": lambda: mu.evaluate(2.0), "grouped_jumps": mu.grouped_jumps,
+                   "moments_upto": lambda: mu.moments_upto(0), "outer": lambda: mu.outer}
+        for name in [first, *(name for name in readers if name != first)]:
+            with pytest.raises(FloatingPointError, match="overflow"):
+                readers[name]()
+
 
 def assert_moments_like_reference(mu, K):
     """S_0..S_K, in one table and one by one, within the bound of the largest entry
