@@ -246,14 +246,25 @@ def _flat(level):
 
 
 def _deduped_reprs(x):
-    """The repr of each float of x, each distinct magnitude formatted once.
+    """The repr of each float of the flat array x, each distinct magnitude
+    formatted once: the magnitudes are sorted once, and each float reads the
+    text of its run of equal ones.  (``np.unique`` with ``return_inverse``
+    sorts the same way at a higher fixed cost; a binary search of each
+    float's magnitude cost more on arrays of mostly distinct ones.)
 
     ``repr(-v) == "-" + repr(v)`` for every finite v >= 0, -0.0 included.
     """
-    magnitudes, index = np.unique(np.abs(x), return_inverse=True)
-    texts = list(map(float.__repr__, magnitudes.tolist()))
+    size = np.abs(x)
+    order = np.argsort(size)
+    ordered = size[order]
+    first = np.empty(size.size, dtype=bool)  # where a run of equal magnitudes starts
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    run = np.empty(size.size, dtype=np.intp)
+    run[order] = np.cumsum(first) - 1
+    texts = list(map(float.__repr__, ordered[first].tolist()))
     texts = np.array(texts + ["-" + t for t in texts], dtype=object)
-    return texts[index + len(magnitudes) * np.signbit(x)].tolist()
+    return texts[run + len(texts) // 2 * np.signbit(x)].tolist()
 
 
 def _reprs(x):
@@ -275,7 +286,7 @@ def _join(shape, level, texts):
     for depth in reversed(range(len(shape))):
         pad = "\n" + "  " * (level + depth)
         width, sep = shape[depth], f",{pad}  "
-        texts = [f"[{pad}  " + sep.join(texts[i:i + width]) + f"{pad}]"
+        texts = [f"[{pad}  {sep.join(texts[i:i + width])}{pad}]"
                  for i in range(0, len(texts), width)]
     return texts[0]
 
