@@ -14,8 +14,9 @@ Tolerances are positive finite numbers, ``--k``, ``--batch`` and ``--seed``
 are >= 0, and ``--N``, ``--n`` and ``gen --N-max`` are >= 1.  ``spectrum`` and
 ``measure`` truncate a spec at ``--N`` (default N_max); a dense input's own N
 is the only ``--N`` they take.  ``measure --n`` may not exceed a dense
-input's N, nor differ from a spec's n.  ``validate --class`` is ``m`` or
-``mtilde``, and ``-o`` names every command's output file.
+input's N, nor differ from a spec's n, and ``measure --N`` may not fall below
+a spec's n.  ``validate --class`` is ``m`` or ``mtilde``, and ``-o`` names
+every command's output file.
 Flags must be spelled out in full; an abbreviation is a usage error.
 ``reconstruct`` writes the recovered band: an entry between rows whose
 sweep heights differ by more than n is 0.0, and ``band_leakage`` is the
@@ -157,6 +158,8 @@ def cmd_measure(args):
     m, n = _read_truncation(args.file, args.N, args.n)
     if n is None:
         raise SpecbandError("dense input needs --n to fix the boundary order")
+    if n > m.N:  # only a spec reaches here: a dense input's --n was checked above
+        raise UsageError(f"--N {m.N} is below the spec's n={n}")
     sd = eigen_decompose(m)
     t = _load_boundary(args.boundary, n)
     mu = step_measure(sd, t)

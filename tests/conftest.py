@@ -14,8 +14,7 @@ compares the two within ``REL_BOUND`` of the scale of the quantity, which the
 test states; ``horner_scale`` is that scale for a polynomial's value.
 ``reference_orthonormalize`` and ``reference_moment`` are the inverse sweep
 on VectorPolynomial arithmetic and the original per-order moment loop, the
-references of the array-based sweep and moments; with ``mgs_pass`` the
-sweep runs its original modified Gram-Schmidt kernel.
+references of the array-based sweep and moments.
 ``points`` gives a measure's (lambda, C) pairs for the per-point references.
 ``reference_evaluate`` and ``reference_point_weights`` are sigma(t) and the
 spectral coordinates of a polynomial by a loop over the points, the
@@ -47,7 +46,6 @@ rescanned the free rows for each pivot, the reference of ``generate_random``.
 
 import contextlib
 import json
-from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -388,46 +386,9 @@ def block_pass(w, emitted_w):
     return w - cs @ basis, cs
 
 
-def mgs_pass(w, emitted_w):
-    """One modified Gram-Schmidt pass, the sweep's original kernel: each
-    multiplier is taken from the residual the previous one left."""
-    cs = []
-    for wi in emitted_w:
-        c = complex(np.vdot(wi, w))
-        if c != 0:
-            w = w - c * wi
-        cs.append(c)
-    return w, cs
-
-
-def _reference_residual(mu, k, emitted_w, emitted_poly, gs_pass):
-    w = reference_weight_row(mu, k)
-    e_norm = float(np.linalg.norm(w))
-    poly = canonical_e(k, mu.n)
-    for _ in range(2):
-        w, cs = gs_pass(w, emitted_w)
-        for pi, c in zip(emitted_poly, cs):
-            if c != 0:
-                poly = poly - pi * c
-    return w, poly, e_norm
-
-
-@dataclass(frozen=True)
-class ReferenceSweep(OrthoResult):
-    """The reference sweep's result, plus the relative residual at each skipped index."""
-
-    skip_residuals: tuple = ()
-
-
-def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TOL,
-                             gs_pass=block_pass):
-    """The sweep with every residual carried as a VectorPolynomial.
-
-    ``check_skips`` also reduces e_k at every skipped index and records its
-    relative residual, which the lattice rule predicts to vanish.
-    ``gs_pass=mgs_pass`` runs the original modified Gram-Schmidt kernel, an
-    oracle for the sweep's decisions rather than for its bits.
-    """
+def reference_orthonormalize(mu, max_k, zero_tol=ZERO_NORM_TOL):
+    """The sweep with every residual carried as a VectorPolynomial, reduced by
+    two ``block_pass``es."""
     n = mu.n
     eig = np.linalg.eigvalsh(reference_moment(mu, 0))
     if eig[0] <= 1e-12 * max(eig[-1], 1.0):
@@ -435,18 +396,22 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
             f"zeroth moment has eigenvalue {eig[0]:.3e}; cannot start"
         )
     emitted_w, emitted_poly, p_heights = [], [], []
-    q_heights, skip_log, skip_residuals = [], [], []
+    q_heights, skip_log = [], []
     k = 0
     while len(q_heights) < n:
         k += 1
         h = k - 1
         if any((h - hq) > 0 and (h - hq) % n == 0 for hq in q_heights):
             skip_log.append(k)
-            if check_skips:
-                w, _, e_norm = _reference_residual(mu, k, emitted_w, emitted_poly, gs_pass)
-                skip_residuals.append(float(np.linalg.norm(w)) / max(e_norm, 1e-300))
             continue
-        w, poly, e_norm = _reference_residual(mu, k, emitted_w, emitted_poly, gs_pass)
+        w = reference_weight_row(mu, k)
+        e_norm = float(np.linalg.norm(w))
+        poly = canonical_e(k, n)
+        for _ in range(2):
+            w, cs = block_pass(w, emitted_w)
+            for pi, c in zip(emitted_poly, cs):
+                if c != 0:
+                    poly = poly - pi * c
         norm = float(np.linalg.norm(w))
         if norm <= zero_tol * max(e_norm, 1e-300):
             if h < n:
@@ -465,7 +430,7 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
         for i in range(n):
             comp = emitted_poly[j].comps[i]
             t_mat[i, j] = comp[0] if comp else 0.0
-    return ReferenceSweep(
+    return OrthoResult(
         t_tilde=BoundaryMatrix(n, t_mat),
         skip_log=tuple(skip_log),
         q_heights=tuple(q_heights),
@@ -473,7 +438,6 @@ def reference_orthonormalize(mu, max_k, check_skips=False, zero_tol=ZERO_NORM_TO
         rank_exhausted=len(emitted_poly) < max_k,
         weights=np.array(emitted_w),
         lambdas=mu.lambdas,
-        skip_residuals=tuple(skip_residuals),
     )
 
 

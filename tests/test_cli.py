@@ -698,6 +698,7 @@ class TestBoundaryOrderFlags:
          "error: argument --n: must be a positive integer, got '-1'"),
         (["measure", "dense.json", "--n", "7"], "error: --n 7 exceeds the dense matrix's size N=6"),
         (["measure", "spec.json", "--n", "3"], "error: --n 3 differs from the spec's n=2"),
+        (["measure", "spec.json", "--N", "1"], "error: --N 1 is below the spec's n=2"),
         (["gen", "--n", "2", "--N-max", "0"],
          "error: argument --N-max: must be a positive integer, got '0'"),
     ])
