@@ -629,8 +629,10 @@ def ab_worker(before, after, rounds):
 def start_side(checkout, *extra):
     """A single-threaded worker process with the checkout's ``src/`` and perfbench on its path.
 
-    It does not inherit SPECBAND_TOL, which perfbench clears too, so its
-    inverse cells run ``reconstruct`` at the default threshold."""
+    It does not inherit SPECBAND_TOL, which perfbench clears too: older
+    checkouts passed as ``--before`` still read that variable as
+    ``reconstruct``'s zero-norm threshold, and the scrub keeps their inverse
+    cells at the default."""
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     env.pop("SPECBAND_TOL", None)
     env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.abspath(checkout), "src"), PERFBENCH])

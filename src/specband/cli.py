@@ -7,16 +7,16 @@ sorted by lambda when read, and every JSON output is
 Exit codes: 0 success, 1 validation failure (a malformed file included), 2
 numerical failure (an overflow included), 64 usage error.
 ``reconstruct --tol-zero`` sets the zero-norm threshold of the
-reconstruction sweep; without it the environment variable SPECBAND_TOL
-does.  ``staircase --cluster-tol`` sets the gap under which growth points
-join one jump, ``check-solution --tol`` the membership check's threshold.
+reconstruction sweep (default ``reconstruct.ZERO_NORM_TOL``).
+``staircase --cluster-tol`` sets the gap under which growth points join one
+jump, ``check-solution --tol`` the membership check's threshold.
 Tolerances are positive finite numbers, ``--k``, ``--batch`` and ``--seed``
 are >= 0, and ``--N``, ``--n`` and ``gen --N-max`` are >= 1.  ``spectrum`` and
 ``measure`` truncate a spec at ``--N`` (default N_max); a dense input's own N
 is the only ``--N`` they take.  ``measure --n`` may not exceed a dense
 input's N, nor differ from a spec's n, and ``measure --N`` may not fall below
-a spec's n.  ``validate --class`` is ``m`` or ``mtilde``, and ``-o`` names
-every command's output file.
+a spec's n.  A ``--boundary`` matrix's order must be that n.  ``validate
+--class`` is ``m`` or ``mtilde``, and ``-o`` names every command's output file.
 Flags must be spelled out in full; an abbreviation is a usage error.
 ``reconstruct`` writes the recovered band: an entry between rows whose
 sweep heights differ by more than n is 0.0, and ``band_leakage`` is the
@@ -37,7 +37,6 @@ import contextlib
 import csv
 import functools
 import math
-import os
 import sys
 
 import numpy as np
@@ -108,7 +107,10 @@ def _emit(payload, out_path):
 def _load_boundary(path, n):
     if path is None:
         return BoundaryMatrix.identity(n)
-    return ser.boundary_from_dict(ser.load(path))
+    t = ser.boundary_from_dict(ser.load(path))
+    if t.n != n:
+        raise UsageError(f"--boundary order {t.n} differs from n={n}")
+    return t
 
 
 def cmd_validate(args):
@@ -351,8 +353,8 @@ def build_parser():
     p = add("reconstruct", cmd_reconstruct, help="matrix from a step measure")
     p.add_argument("--verbose", "-v", action="count", default=0)
     p.add_argument("--max-k", type=int, default=20)
-    p.add_argument("--tol-zero", type=_tolerance, default=None,
-                   help="zero-norm threshold (default: SPECBAND_TOL, else 1e-8)")
+    p.add_argument("--tol-zero", type=_tolerance, default=rec.ZERO_NORM_TOL,
+                   help="zero-norm threshold of the sweep (default %(default)s)")
     p.add_argument("file")
 
     p = add("roundtrip", cmd_roundtrip, help="full direct+inverse pipeline report")
@@ -374,16 +376,7 @@ def build_parser():
 
 
 def run_cli(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.fn is cmd_reconstruct:
-        env = os.environ.get("SPECBAND_TOL")
-        try:
-            # a bad SPECBAND_TOL is a usage error even where --tol-zero wins
-            env_tol = _tolerance(env) if env else rec.ZERO_NORM_TOL
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"SPECBAND_TOL {exc}")
-        args.tol_zero = args.tol_zero or env_tol
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as exc:

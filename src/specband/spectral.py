@@ -38,7 +38,7 @@ from .errors import (
     SingularBoundary,
 )
 from .matrices import FiniteHermitian, StructureInfo
-from .vectorpoly import COEFF_TRIM_TOL, VectorPolynomial, from_coeff_rows
+from .vectorpoly import VectorPolynomial, from_coeff_rows
 
 #: relative gap under which neighbouring eigenvalues join one jump
 CLUSTER_TOL = 1e-9
@@ -51,7 +51,8 @@ JUMP_RANK_TOL = 1e-8
 class BoundaryMatrix:
     """Upper-triangular invertible n x n matrix fixing boundary values.
 
-    ``t`` is a read-only complex copy of the array given.
+    ``t`` is a read-only complex copy of the upper triangle of the array
+    given: the noise that the check allows below the diagonal is dropped.
     """
 
     n: int
@@ -65,6 +66,7 @@ class BoundaryMatrix:
             raise DimensionMismatch(f"boundary matrix must be {self.n}x{self.n}")
         if np.max(np.abs(np.tril(t, -1))) > 1e-12 * max(1.0, np.max(np.abs(t))):
             raise ValueError("boundary matrix must be upper triangular")
+        t = np.triu(t)
         t.flags.writeable = False
         object.__setattr__(self, "t", t)
 
@@ -301,10 +303,10 @@ def build_p(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix):
 
     Row k of one array is n zeros, then the canonical coefficients of p_k
     (degree <= k - n), so its first w = n(N - n + 1) places are z p_k.  Rows
-    k <= n are the boundary matrix's columns, entries of magnitude <=
-    COEFF_TRIM_TOL set to 0; each further p_c solves the row equation owning
-    the edge of column c with conjugated entries (formal adjoint of the
-    numeric recursion), summed by ``_subtract_negated``.
+    k <= n are the boundary matrix's columns as they are; each further p_c
+    solves the row equation owning the edge of column c with conjugated
+    entries (formal adjoint of the numeric recursion), summed by
+    ``_subtract_negated``.
 
     The edges are checked, in column order, before any row is built.  The
     pivot rows' terms are formed once for all rows: where each row's nonzero
@@ -331,8 +333,7 @@ def build_p(m: FiniteHermitian, s: StructureInfo, t: BoundaryMatrix):
     ends = np.cumsum(left.sum(axis=1)).tolist()
     scale = 1.0 / edges.conj()
     coeffs = np.zeros((N, n + w), dtype=complex)
-    # np.hypot is Python's complex abs bit for bit; np.abs on complex is not
-    coeffs[:n, n : 2 * n] = np.where(np.hypot(t.t.real, t.t.imag) > COEFF_TRIM_TOL, t.t, 0.0).T
+    coeffs[:n, n : 2 * n] = t.t.T
     lo = 0
     for c, r, hi, sr, si in zip(cols.tolist(), rows.tolist(), ends,
                                 scale.real.tolist(), (1j * scale.imag).tolist()):

@@ -32,10 +32,6 @@ from .errors import DimensionMismatch
 # comparisons and h + n*l arithmetic behave without special cases.
 MINUS_INF = float("-inf")
 
-#: absolute magnitude at or below which ``spectral.build_p`` sets an entry of
-#: the boundary matrix to 0 in the rows of p_1..p_n
-COEFF_TRIM_TOL = 1e-12
-
 
 def _read_only(a):
     a.flags.writeable = False

@@ -16,7 +16,7 @@ from specband.reconstruct import (
     recover_band,
     recover_matrix,
 )
-from specband.spectral import CLUSTER_TOL, StepMeasure
+from specband.spectral import CLUSTER_TOL, BoundaryMatrix, StepMeasure
 
 from conftest import (
     gue_measure,
@@ -318,12 +318,11 @@ class TestWrittenBand:
         assert written.tobytes() == recover_matrix(res).data.tobytes()
         assert np.max(np.abs(np.linalg.eigvalsh(written) - mu.lambdas)) <= ROUNDTRIP_EIG_TOL
 
-    def test_leakage_never_refuses(self, tmp_path, monkeypatch):
+    def test_leakage_never_refuses(self, tmp_path):
         # at a relative threshold of 0.5 the sweep declares degenerations of
         # nonzero norm and stops at 7 of 20 rows: the band is written all the same
-        monkeypatch.setenv("SPECBAND_TOL", "0.5")
         mu = gue_measure(0, 3, 20)
-        code, doc, _ = written_band(tmp_path, mu)
+        code, doc, _ = written_band(tmp_path, mu, "--tol-zero", "0.5")
         assert code == EXIT_OK
         assert doc["band_leakage"] > BAND_NOISE_TOL
         assert doc["q_heights"] == [6, 7, 11] and doc["emitted"] == 7
@@ -543,13 +542,6 @@ class TestExitCodes:
         assert run_cli(["roundtrip", str(path), "--N", "14"]) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("error in verify: overflow")
 
-    def test_tol_env_override(self, flip2_file, tmp_path, monkeypatch, capsys):
-        sigma = tmp_path / "sigma.json"
-        run_cli(["measure", flip2_file, "-o", str(sigma)])
-        monkeypatch.setenv("SPECBAND_TOL", "1e-3")
-        assert run_cli(["reconstruct", str(sigma)]) == EXIT_OK
-        capsys.readouterr()
-
 
 class TestToleranceAndLimitChecks:
     @pytest.fixture
@@ -636,23 +628,16 @@ class TestToleranceAndLimitChecks:
         assert run_cli(["roundtrip", "--N", "7", "--batch", "0", fix7_file]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["N"] == 7
 
-    @pytest.mark.parametrize("value", ["0", "-1e-3", "abc", "nan"])
-    def test_bad_tolerance_env_is_a_usage_error(self, sigma_file, value, monkeypatch, capsys):
-        monkeypatch.setenv("SPECBAND_TOL", value)
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["reconstruct", sigma_file])
-        assert exc.value.code == EXIT_USAGE
-        assert "SPECBAND_TOL" in capsys.readouterr().err
-
-    def test_tolerance_flag_beats_env(self, sigma_file, tmp_path, monkeypatch):
+    def test_no_environment_variable_sets_the_threshold(self, sigma_file, tmp_path, monkeypatch):
+        # --tol-zero 0.5 declares degenerations that the default does not;
+        # SPECBAND_TOL=0.5 in the environment changes no byte of the output
+        plain, loose, env = (tmp_path / f"{name}.json" for name in ("plain", "loose", "env"))
+        assert run_cli(["reconstruct", sigma_file, "-o", str(plain)]) == EXIT_OK
+        assert run_cli(["reconstruct", sigma_file, "--tol-zero", "0.5", "-o", str(loose)]) == EXIT_OK
+        assert read_json(loose)["emitted"] < read_json(plain)["emitted"] == 7
         monkeypatch.setenv("SPECBAND_TOL", "0.5")
-        loose, strict = tmp_path / "loose.json", tmp_path / "strict.json"
-        assert run_cli(["reconstruct", sigma_file, "-o", str(loose)]) == EXIT_OK
-        assert run_cli(
-            ["reconstruct", sigma_file, "--tol-zero", "1e-8", "-o", str(strict)]
-        ) == EXIT_OK
-        # a relative threshold of 0.5 declares degenerations the default does not
-        assert read_json(loose)["emitted"] < read_json(strict)["emitted"] == 7
+        assert run_cli(["reconstruct", sigma_file, "-o", str(env)]) == EXIT_OK
+        assert env.read_bytes() == plain.read_bytes()
 
     def test_cluster_tol_is_used(self, fix7_file, tmp_path):
         sigma = tmp_path / "sigma.json"
@@ -682,13 +667,15 @@ class TestToleranceAndLimitChecks:
 
 
 class TestBoundaryOrderFlags:
-    """``measure --n`` and ``gen --N-max`` on gen --n 2 --N-max 6 --seed 1, truncated to 6 x 6."""
+    """``measure --n``, ``--boundary`` and ``gen --N-max`` on gen --n 2 --N-max 6 --seed 1,
+    truncated to 6 x 6; t3.json is the 3 x 3 identity boundary."""
 
     @pytest.fixture
     def workdir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run_cli(["gen", "--n", "2", "--N-max", "6", "--seed", "1", "-o", "spec.json"]) == EXIT_OK
         assert run_cli(["truncate", "spec.json", "--N", "6", "-o", "dense.json"]) == EXIT_OK
+        ser.dump(ser.boundary_to_dict(BoundaryMatrix.identity(3)), "t3.json")
         return tmp_path
 
     @pytest.mark.parametrize("argv, line", [
@@ -699,6 +686,14 @@ class TestBoundaryOrderFlags:
         (["measure", "dense.json", "--n", "7"], "error: --n 7 exceeds the dense matrix's size N=6"),
         (["measure", "spec.json", "--n", "3"], "error: --n 3 differs from the spec's n=2"),
         (["measure", "spec.json", "--N", "1"], "error: --N 1 is below the spec's n=2"),
+        (["measure", "spec.json", "--boundary", "t3.json"],
+         "error: --boundary order 3 differs from n=2"),
+        (["measure", "dense.json", "--n", "2", "--boundary", "t3.json"],
+         "error: --boundary order 3 differs from n=2"),
+        (["generators", "spec.json", "--boundary", "t3.json"],
+         "error: --boundary order 3 differs from n=2"),
+        (["roundtrip", "spec.json", "--N", "6", "--boundary", "t3.json"],
+         "error: --boundary order 3 differs from n=2"),
         (["gen", "--n", "2", "--N-max", "0"],
          "error: argument --N-max: must be a positive integer, got '0'"),
     ])
@@ -863,27 +858,17 @@ class TestParserReuse:
         assert (first.tail, first.real, first.mtilde) == ([1, 2], True, True)
         assert (second.tail, second.real, second.mtilde) == (None, False, False)
 
-    def test_settings_do_not_leak(self, sigma_file, configs, monkeypatch, capsys):
+    def test_settings_do_not_leak(self, sigma_file, configs, capsys):
         sweep = ["reconstruct", "--max-k", "6", sigma_file]
         stairs = ["staircase", sigma_file]
         for argv in (sweep + ["--tol-zero", "1e-3"], sweep,
                      stairs + ["--cluster-tol", "1e-4"], stairs):
             assert run_cli(argv) == EXIT_OK
-        monkeypatch.setenv("SPECBAND_TOL", "1e-5")
-        assert run_cli(sweep) == EXIT_OK
-        assert run_cli(sweep + ["--tol-zero", "1e-2"]) == EXIT_OK
-        assert run_cli(stairs) == EXIT_OK
-        monkeypatch.delenv("SPECBAND_TOL")
-        assert run_cli(sweep) == EXIT_OK
         assert configs == [
             ("zero", 1e-3),
             ("zero", ZERO_NORM_TOL),
             ("cluster", 1e-4),
             ("cluster", CLUSTER_TOL),
-            ("zero", 1e-5),
-            ("zero", 1e-2),
-            ("cluster", CLUSTER_TOL),
-            ("zero", ZERO_NORM_TOL),
         ]
         # the same calls on a parser built afresh give the same settings
         cli.build_parser.cache_clear()

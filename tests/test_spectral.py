@@ -35,7 +35,7 @@ from specband import (
 from specband.errors import DimensionMismatch, NumericalFailure, PivotViolation
 from specband.interpolation import InterpolationData, verify_generators
 from specband.spectral import CLUSTER_TOL, SpectralData, StepMeasure, jump_rank
-from specband.vectorpoly import COEFF_TRIM_TOL, VectorPolynomial, height
+from specband.vectorpoly import VectorPolynomial, height
 
 from conftest import (
     assert_within,
@@ -187,6 +187,15 @@ class TestBuildP:
         p = build_p(m, s, t)
         assert [height(p[k]) for k in range(3)] == [0, 1, 2]
 
+    def test_noise_below_the_diagonal_is_dropped(self):
+        # the check allows sub-diagonal noise up to 1e-12 of the largest entry;
+        # it is stored as an exact zero, so p_1 keeps height 0 at any scale of T
+        t = BoundaryMatrix(2, [[1e3, 1], [1e-10, 1e3]])
+        assert np.tril(t.t, -1).tobytes() == np.zeros((2, 2), dtype=complex).tobytes()
+        m, s, _, _ = setup(generate_random(GenProfile(n=2, n_max=6), 0), 6)
+        p = build_p(m, s, t)
+        assert [height(p[k]) for k in range(2)] == [0, 1]
+
 
 class TestBuildQ:
     def test_flip2_q1(self, flip2):
@@ -286,9 +295,9 @@ class TestPolynomialsMatchReference:
 
 
 @st.composite
-def trimmed_boundaries(draw):
-    """An instance whose complex boundary has one entry at or just above
-    COEFF_TRIM_TOL, with an edge entry of the matrix zeroed or not."""
+def boundaries_of_any_size(draw):
+    """An instance whose complex boundary has one entry of a size from 0 to
+    1e150, with an edge entry of the matrix zeroed or not."""
     n = draw(st.integers(1, 3))
     N = draw(st.integers(n + 2, 12))
     seed = draw(st.integers(0, 10_000))
@@ -297,7 +306,7 @@ def trimmed_boundaries(draw):
     t = random_boundary(n, seed).t.copy()
     i = draw(st.integers(0, n - 1))
     j = draw(st.integers(i, n - 1))
-    size = draw(st.sampled_from([0.0, 1e-14, COEFF_TRIM_TOL, np.nextafter(COEFF_TRIM_TOL, 1.0)]))
+    size = draw(st.sampled_from([0.0, 5e-324, 1e-14, 1e-12, 1e-10, 1.0, 1e150]))
     t[i, j] = size * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
     data = m.data.copy()
     if draw(st.booleans()):
@@ -307,9 +316,14 @@ def trimmed_boundaries(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(trimmed_boundaries())
-def test_polynomials_match_reference_with_trimmed_boundary(case):
-    assert_polynomials_like_reference(*case)
+@given(boundaries_of_any_size())
+def test_polynomials_match_reference_with_boundary_entries_of_any_size(case):
+    # T's columns reach the rows of p_1..p_n unchanged, however small an entry
+    m, s, t = case
+    if assert_polynomials_like_reference(m, s, t)[0] is not PivotViolation:
+        p = build_p(m, s, t)
+        for k in range(s.n):
+            assert np.array_equal(np.pad(p[k].coeffs, (0, s.n - p[k].coeffs.size)), t.t[:, k])
 
 
 #: parts of the ordered sums' entries: signed zeros, subnormals and ordinary sizes
