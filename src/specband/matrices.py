@@ -29,6 +29,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InconsistentProfile,
     MissingPivot,
     PivotViolation,
@@ -169,7 +170,7 @@ class StructureInfo:
 class FiniteHermitian:
     """Dense N x N Hermitian matrix (an upper-left truncation).
 
-    ``data`` is a read-only copy of the array given, so a matrix never
+    ``data`` is a read-only copy of the N x N array given, so a matrix never
     changes once made (``spectral.direct_pass`` relies on that).
     """
 
@@ -178,6 +179,8 @@ class FiniteHermitian:
 
     def __post_init__(self):
         data = np.array(self.data)
+        if data.shape != (self.N, self.N):
+            raise DimensionMismatch(f"matrix data must be {self.N}x{self.N}, not {data.shape}")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 

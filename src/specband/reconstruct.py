@@ -151,21 +151,21 @@ def orthonormalize(mu: StepMeasure, max_k: int, zero_tol: float = ZERO_NORM_TOL)
     constant's residual, and V V* = I gives H^-1 = conj(C)^T V*; T~ = H^T.
     H is solved for from that product's lower part, taken in two passes as
     the sweep takes them, and the sweep's norms, which its diagonal would
-    blur by cancellation where the constants lean on each other.
+    blur by cancellation where the constants lean on each other.  A
+    ``max_k`` below n, too few rows for T~, is refused first.
     """
     n = mu.n
+    if max_k < n:
+        raise ValueError(f"max_k={max_k} is below the measure's order n={n}")
     s0 = mu.total_mass()
     eig = np.linalg.eigvalsh(s0)
     if eig[0] <= 1e-12 * max(eig[-1], 1.0):
         raise SingularZerothMoment(
             f"zeroth moment has eigenvalue {eig[0]:.3e}; cannot start"
         )
-    cap = max(min(max_k, mu.size), 0)
-    weights, p_heights, norms, q_heights, skip_log = _sweep(mu, cap, zero_tol)
+    weights, p_heights, norms, q_heights, skip_log = _sweep(mu, min(max_k, mu.size), zero_tol)
     if q_heights and q_heights[0] < n:
         raise SingularZerothMoment(f"degeneration at height {q_heights[0]} < n={n}; T~ is singular")
-    if len(weights) < n:
-        raise SingularZerothMoment("fewer than n orthonormal constants emerged")
     cols, v = mu.c.conj().T, weights[:n]
     h_inv = np.tril(cols @ v.conj().T, -1)
     h_inv += np.tril((cols - h_inv @ v) @ v.conj().T, -1)

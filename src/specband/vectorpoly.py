@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-# Height (and degree) of the zero polynomial.  A genuine -inf so that
+# Height of the zero polynomial.  A genuine -inf so that
 # comparisons and h + n*l arithmetic behave without special cases.
 MINUS_INF = float("-inf")
 
@@ -102,11 +102,6 @@ class VectorPolynomial:
     def is_zero(self):
         return self.coeffs.size == 0
 
-    def degree(self, j):
-        """Degree of component j (1-based); -inf for a zero component."""
-        c = self.comps[j - 1]
-        return len(c) - 1 if c else MINUS_INF
-
     def evaluate(self, t):
         """Componentwise Horner evaluation; returns a complex n-vector."""
         out = np.zeros(self.n, dtype=complex)
@@ -138,10 +133,6 @@ class VectorPolynomial:
                 acc *= ts
                 acc += c
         return acc
-
-    def conjugate_coeffs(self):
-        """Formal adjoint companion: conjugate every coefficient."""
-        return VectorPolynomial(self.n, _read_only(self.coeffs.conj()))
 
     def __add__(self, other):
         if not isinstance(other, VectorPolynomial):

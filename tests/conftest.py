@@ -386,6 +386,8 @@ def reference_orthonormalize(mu, max_k, zero_tol=ZERO_NORM_TOL):
     """The sweep with every residual carried as a VectorPolynomial, reduced by
     two ``block_pass``es."""
     n = mu.n
+    if max_k < n:
+        raise ValueError(f"max_k={max_k} is below the measure's order n={n}")
     eig = np.linalg.eigvalsh(reference_moment(mu, 0))
     if eig[0] <= 1e-12 * max(eig[-1], 1.0):
         raise SingularZerothMoment(
@@ -419,8 +421,6 @@ def reference_orthonormalize(mu, max_k, zero_tol=ZERO_NORM_TOL):
             p_heights.append(h)
         else:
             break
-    if len(emitted_poly) < n:
-        raise SingularZerothMoment("fewer than n orthonormal constants emerged")
     t_mat = np.zeros((n, n), dtype=complex)
     for j in range(n):
         for i in range(n):

@@ -1,9 +1,11 @@
 """One assertion per input guard that the rest of the suite does not reach."""
 
+import re
+
 import numpy as np
 import pytest
 
-from specband import BoundaryMatrix, MatrixSpec
+from specband import BoundaryMatrix, MatrixSpec, spectral
 from specband.errors import DimensionMismatch, NumericalFailure
 from specband.interpolation import decompose
 from specband.matrices import FiniteHermitian, StructureInfo, analyze_structure, truncate
@@ -58,6 +60,24 @@ def test_boundary_matrix_of_the_wrong_shape():
 def test_boundary_matrix_with_an_entry_below_the_diagonal():
     with pytest.raises(ValueError, match="boundary matrix must be upper triangular"):
         BoundaryMatrix(2, [[1, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("N, data", [
+    (3, np.eye(2)),
+    (2, np.zeros((2, 3))),
+    (2, np.zeros(4)),
+    (2, np.zeros((2, 2, 1))),
+])
+def test_dense_matrix_of_the_wrong_shape(N, data):
+    with pytest.raises(DimensionMismatch, match=re.escape(f"matrix data must be {N}x{N}, not {data.shape}")):
+        FiniteHermitian(N, data)
+
+
+def test_eigen_decompose_refuses_eigenvectors_that_are_not_unitary(monkeypatch):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(spectral.np.linalg, "eigh", lambda a: (eigh(a)[0], 1.01 * eigh(a)[1]))
+    with pytest.raises(NumericalFailure, match="^eigenvector matrix lost unitarity$"):
+        eigen_decompose(FiniteHermitian(2, np.array([[0, 1], [1, 0]], dtype=complex)))
 
 
 def test_jump_rank_of_a_zero_jump():

@@ -141,9 +141,17 @@ class TestOrthonormalize:
             orthonormalize(mu, 2)
 
     def test_fewer_than_n_constants(self):
-        # max_k = 1 caps the sweep before the second constant
-        with pytest.raises(SingularZerothMoment, match="fewer than n orthonormal constants"):
-            orthonormalize(gue_measure(0, 2, 5), 1)
+        # a cap below n is refused before the sweep, however well conditioned
+        # S_0 is (here the identity), and before S_0 is read at all
+        mu = gue_measure(0, 3, 10)
+        assert np.allclose(mu.total_mass(), np.eye(3))
+        for k in (2, 0, -3):
+            with pytest.raises(ValueError, match=f"^max_k={k} is below the measure's order n=3$"):
+                orthonormalize(mu, k)
+        c = np.array([1.0, 0.0], dtype=complex)
+        singular = StepMeasure(2, [0.0, 1.0], [c, c])
+        with pytest.raises(ValueError, match="max_k=1 is below"):
+            orthonormalize(singular, 1)
 
     def test_degeneration_below_n_is_singular(self, tmp_path):
         # nearly parallel heads: at zero_tol=1e-2 the residual of e_2 counts

@@ -115,9 +115,42 @@ class TestOps:
         with pytest.raises(DimensionMismatch):
             vp([[1], []]) + vp([[1], [], []])
 
-    def test_conjugate_coeffs(self):
-        r = vp([[1 + 2j], [3 - 1j]])
-        assert r.conjugate_coeffs().comps == (((1 - 2j),), ((3 + 1j),))
+
+class TestEquality:
+    """Equality and hashing go by n and the coefficients, however they were built."""
+
+    def assert_same(self, a, b):
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_built_by_components_and_by_rows(self):
+        a = vp([[1, 2j], [3]])
+        (b,) = from_coeff_rows([[1, 3, 2j]], 2)
+        self.assert_same(a, b)
+
+    def test_signed_zero_coefficient(self):
+        a, b = vp([[-0.0, 1]]), vp([[0.0, 1]])
+        assert a.coeffs.tobytes() != b.coeffs.tobytes()
+        self.assert_same(a, b)
+
+    def test_negative_zero_past_its_slots_end(self):
+        # slot 1 ends at its constant; its z^1 entry, stored before slot 2's,
+        # is -0.0 in one array and +0.0 in the other
+        (a,) = from_coeff_rows([[1, 0, -0.0, 2]], 2)
+        b = vp([[1], [0, 2]])
+        assert a.coeffs.tobytes() != b.coeffs.tobytes()
+        self.assert_same(a, b)
+
+    def test_different_n(self):
+        assert vp([[1]]) != vp([[1], []])
+
+    def test_one_different_coefficient(self):
+        assert vp([[1, 2], [3]]) != vp([[1, 2], [3 + 1e-15]])
+
+    @pytest.mark.parametrize("other", [1, (((1 + 0j),),), None])
+    def test_not_a_polynomial(self, other):
+        assert (vp([[1]]) == other) is False
 
 
 class TestCoeffVector:
