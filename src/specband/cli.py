@@ -14,9 +14,12 @@ Tolerances are positive finite numbers, ``--k``, ``--batch`` and ``--seed``
 are >= 0, and ``--N``, ``--n`` and ``gen --N-max`` are >= 1.  ``spectrum`` and
 ``measure`` truncate a spec at ``--N`` (default N_max); a dense input's own N
 is the only ``--N`` they take.  ``measure --n`` may not exceed a dense
-input's N, nor differ from a spec's n, and ``measure --N`` may not fall below
-a spec's n.  A ``--boundary`` matrix's order must be that n.  ``validate
---class`` is ``m`` or ``mtilde``, and ``-o`` names every command's output file.
+input's N, nor differ from a spec's n, ``measure --N`` may not fall below a
+spec's n, and ``roundtrip --N`` and ``generators --N`` must exceed it.  A
+``--boundary`` matrix's order must be that n.  ``gen`` refuses flags that give
+no profile: ``--N-max`` not above ``--n``, or a ``--tail`` that does not fit.
+``validate --class`` is ``m`` or ``mtilde``, and ``-o`` names every command's
+output file.
 Flags must be spelled out in full; an abbreviation is a usage error.
 ``reconstruct`` writes the recovered band: an entry between rows whose
 sweep heights differ by more than n is 0.0, and ``band_leakage`` is the
@@ -44,6 +47,7 @@ import numpy as np
 from . import reconstruct as rec
 from . import serialize as ser
 from .errors import (
+    InconsistentProfile,
     NoDecomposition,
     NumericalFailure,
     SingularBoundary,
@@ -213,6 +217,8 @@ def none_if_inf(h):
 
 def cmd_generators(args):
     spec = ser.spec_from_dict(ser.load(args.file))
+    if args.N is not None and args.N <= spec.n:
+        raise UsageError(f"--N {args.N} does not exceed the spec's n={spec.n}")
     N = args.N or spec.n_max
     m = truncate(spec, N)
     s = analyze_structure(spec, N)
@@ -264,6 +270,8 @@ def cmd_reconstruct(args):
 def cmd_roundtrip(args):
     """Report one round trip, or a batch of them; exit 1 where one misses criterion 09."""
     spec = ser.spec_from_dict(ser.load(args.file))
+    if args.N <= spec.n:
+        raise UsageError(f"--N {args.N} does not exceed the spec's n={spec.n}")
     t = _load_boundary(args.boundary, spec.n)
     if args.batch:
         reports = []
@@ -294,7 +302,11 @@ def cmd_gen(args):
         mtilde=args.mtilde,
         complex_entries=not args.real,
     )
-    spec = generate_random(profile, args.seed)
+    try:
+        spec = generate_random(profile, args.seed)
+    except InconsistentProfile as exc:  # the flags contradict each other
+        tail = f" --tail {args.tail[0]} {args.tail[1]}" if args.tail else ""
+        raise UsageError(f"--n {args.n} --N-max {args.N_max}{tail}: {exc}") from None
     _emit(ser.spec_to_dict(spec), args.output)
     return EXIT_OK
 

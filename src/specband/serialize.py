@@ -5,11 +5,7 @@ entries store the upper triangle only; Hermitian symmetry is implied.
 Every file is ``json.dumps(obj, indent=2)`` text, written by :func:`dumps`,
 which hands each scalar and each dict or list of scalars to json's C
 encoder and writes each :class:`Pairs` array (a matrix, a boundary matrix,
-moments) at the cost of its nonzero entries: every [0.0, 0.0] pair takes
-one shared text, the other pairs are filled in one template, formatting
-each distinct float magnitude of a large array once, and the rows are
-joined from the pairs' texts.  An array with no such pair fills one
-template with all its floats.
+moments) at the cost of its nonzero entries (see ``_pairs``).
 A decoder refuses a missing field or a value of the wrong kind, shape or
 size, such as a null or NaN where a finite number belongs, an ``n`` that is
 no integer >= 1 or a matrix whose ``data`` is not N x N pairs, with a
@@ -232,10 +228,11 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 _CONTAINERS = (list, tuple, dict)
 # Fewest floats to format (those of a finite Pairs array's pairs other than
 # [0.0, 0.0]) whose distinct magnitudes are formatted once; fewer are
-# formatted each.  On random Hermitian N x N matrices, about half of whose
-# magnitudes are distinct, the dedupe broke even between 72 and 200 floats
-# (N = 6 to 10; 2-core Xeon, Python 3.11, numpy 2.4): below, numpy's set-up
-# costs more than the reprs it saves.
+# formatted each.  On what reconstruct writes for gue_measure seeds 1-2
+# (2 vCPUs, Python 3.11, numpy 2.4), the dedupe cost 11-13 us more than
+# plain reprs on boundaries of 2-12 floats, broke even (within 2 us) on
+# n=1 N=20 bands of 104-110 floats and saved 22-45 us on n=2, 3 N=20 bands
+# of 188-256 floats.
 DEDUPE_MIN_LEAVES = 128
 
 
@@ -267,22 +264,8 @@ def _deduped_reprs(x):
     return texts[run + len(texts) // 2 * np.signbit(x)].tolist()
 
 
-def _reprs(x):
-    """The repr of each float of the flat array x, deduped from ``DEDUPE_MIN_LEAVES`` floats on."""
-    return _deduped_reprs(x) if x.size >= DEDUPE_MIN_LEAVES else map(float.__repr__, x.tolist())
-
-
-def _fill(shape, level, texts):
-    """The indent-2 text at ``level`` of a nesting of ``shape`` whose leaves read ``texts``."""
-    template = "%s"
-    for depth, width in reversed(list(enumerate(shape))):
-        pad = "\n" + "  " * (level + depth)
-        template = f"[{pad}  " + f",{pad}  ".join([template] * width) + f"{pad}]"
-    return template % tuple(texts)
-
-
 def _join(shape, level, texts):
-    """``_fill``'s text, joined row by row: faster where the leaves are long texts."""
+    """The indent-2 text at ``level`` of a nesting of ``shape`` whose leaves read ``texts``."""
     for depth in reversed(range(len(shape))):
         pad = "\n" + "  " * (level + depth)
         width, sep = shape[depth], f",{pad}  "
@@ -295,15 +278,11 @@ def _pairs(a, level, path):
     """``json.dumps(complex_pairs(a), indent=2)`` text of a complex array at ``level``.
 
     A finite array of one or more dimensions and entries is written from its
-    float view, [re, im] per entry in row-major order.  Where some pair's
-    parts are both +0.0 by bits (a -0.0 does not count), every such pair
-    takes one shared text, the other pairs fill copies of one pair template
-    in a single fill, and the rows are joined from the pairs' texts; an
-    array without such a pair fills one template with all its floats,
-    which is faster there.  The floats formatted are deduped if they are
-    ``DEDUPE_MIN_LEAVES`` or more.  A non-finite, empty or 0-d array is
-    written from its ``complex_pairs`` lists, so NaN and Infinity are
-    json's text.
+    float view: every pair whose parts are both +0.0 by bits (a -0.0 does
+    not count) takes one shared text, the other pairs fill copies of one
+    pair template, their floats deduped from ``DEDUPE_MIN_LEAVES`` on, and
+    the rows are joined from the pairs' texts.  Any other array is written
+    from its ``complex_pairs`` lists, so NaN and Infinity are json's text.
     """
     if a.ndim and a.size:
         x = np.ascontiguousarray(a).view(float)
@@ -311,13 +290,14 @@ def _pairs(a, level, path):
             pairs = x.reshape(-1, 2)
             bits = pairs.view(np.uint64)
             kept = np.flatnonzero(bits[:, 0] | bits[:, 1])
-            if kept.size == len(pairs):
-                return _fill((*a.shape, 2), level, _reprs(x.ravel()))
+            floats = pairs[kept].ravel()
+            reprs = (_deduped_reprs(floats) if floats.size >= DEDUPE_MIN_LEAVES
+                     else map(float.__repr__, floats.tolist()))
             pad = "\n" + "  " * (level + a.ndim)
             pair = f"[{pad}  %s,{pad}  %s{pad}]"
             texts = [pair % ("0.0", "0.0")] * len(pairs)
             # no float's repr holds "\0", so it parts the filled pairs again
-            filled = "\0".join([pair] * kept.size) % tuple(_reprs(pairs[kept].ravel()))
+            filled = "\0".join([pair] * kept.size) % tuple(reprs)
             for i, text in zip(kept.tolist(), filled.split("\0")):
                 texts[i] = text
             return _join(a.shape, level, texts)
@@ -358,11 +338,8 @@ def dumps(obj):
     holds only scalars, takes one call of the C encoder, which formats NaN,
     infinities, ints and strings exactly as json does.  One value that json
     does not know is written too: a :class:`Pairs` array gets the text that
-    json gives its ``complex_pairs`` lists.  A finite one is written from
-    the array without building them (see ``_pairs``): its [0.0, 0.0] pairs
-    share one text, and in a large one each distinct magnitude is
-    formatted once, so the mirrored entries of a Hermitian matrix cost one
-    repr.
+    json gives its ``complex_pairs`` lists, from the array itself where it
+    is finite (see ``_pairs``).
     """
     return _encode(obj, 0, set())
 

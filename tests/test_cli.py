@@ -667,8 +667,8 @@ class TestToleranceAndLimitChecks:
 
 
 class TestBoundaryOrderFlags:
-    """``measure --n``, ``--boundary`` and ``gen --N-max`` on gen --n 2 --N-max 6 --seed 1,
-    truncated to 6 x 6; t3.json is the 3 x 3 identity boundary."""
+    """``measure --n``, ``--N``, ``--boundary`` and ``gen``'s flags on gen --n 2 --N-max 6
+    --seed 1, truncated to 6 x 6; t3.json is the 3 x 3 identity boundary."""
 
     @pytest.fixture
     def workdir(self, tmp_path, monkeypatch):
@@ -696,6 +696,18 @@ class TestBoundaryOrderFlags:
          "error: --boundary order 3 differs from n=2"),
         (["gen", "--n", "2", "--N-max", "0"],
          "error: argument --N-max: must be a positive integer, got '0'"),
+        (["roundtrip", "spec.json", "--N", "2"], "error: --N 2 does not exceed the spec's n=2"),
+        (["roundtrip", "spec.json", "--N", "1", "--batch", "2"],
+         "error: --N 1 does not exceed the spec's n=2"),
+        (["generators", "spec.json", "--N", "2"], "error: --N 2 does not exceed the spec's n=2"),
+        (["gen", "--n", "2", "--N-max", "2"],
+         "error: --n 2 --N-max 2: need n >= 1 and declared size > n"),
+        (["gen", "--n", "2", "--N-max", "10", "--tail", "5", "4"],
+         "error: --n 2 --N-max 10 --tail 5 4: tail offset must lie in 1..n"),
+        (["gen", "--n", "2", "--N-max", "10", "--tail", "0", "1"],
+         "error: --n 2 --N-max 10 --tail 0 1: tail must start beyond the boundary columns"),
+        (["gen", "--n", "2", "--N-max", "10", "--tail", "10", "12"],
+         "error: --n 2 --N-max 10 --tail 10 12: tail must start by column N_max + 1"),
     ])
     def test_refusal_is_a_usage_error(self, workdir, argv, line, capsys):
         capsys.readouterr()
@@ -705,6 +717,14 @@ class TestBoundaryOrderFlags:
             code = exc.code
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.splitlines()[-1] == line
+
+    def test_generators_on_a_spec_of_no_larger_size_is_a_file_error(self, workdir, capsys):
+        # without --N, generators truncates at N_max, which here is n: the file is at fault
+        ser.dump({"n": 2, "N_max": 2, "tail": None, "pivot": {}, "entries": [[1, 1, 1, 0]]},
+                 "small.json")
+        capsys.readouterr()
+        assert run_cli(["generators", "small.json"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == ["error: truncation size must exceed n=2"]
 
     @pytest.mark.parametrize("argv", [["measure", "dense.json", "--n", "6"],
                                       ["measure", "spec.json", "--n", "2"]])

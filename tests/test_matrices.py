@@ -438,8 +438,9 @@ class TestGenerateRandomMatchesReference:
             ((2, 1), "tail offset must lie in 1..n"),
             ((1, 2), "tail must start beyond the boundary columns"),
             ((0, 2), "tail must start beyond the boundary columns"),
-            ((9, 10), "pivot columns do not cover the declared size"),
-            ((8, 10), "pivot columns do not cover the declared size"),
+            ((9, 10), "tail must start by column N_max + 1"),
+            ((8, 10), "tail must start by column N_max + 1"),
+            ((10, 12), "tail must start by column N_max + 1"),
         ],
     )
     def test_same_refusal_of_a_bad_tail(self, tail, message):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specband import BoundaryMatrix, MatrixSpec, TailProfile, truncate
+from specband import BoundaryMatrix, FiniteHermitian, MatrixSpec, TailProfile, truncate
 from specband import serialize as ser
 from specband.cli import EXIT_OK, run_cli
 from specband.reconstruct import orthonormalize, recover_band
@@ -435,6 +435,26 @@ class TestPairs:
         with mock.patch.object(ser, "_deduped_reprs", wraps=ser._deduped_reprs) as dedupe:
             assert ser.dumps(d) == reference_dumps(pairs_as_lists(d))
         assert dedupe.call_count == _dedupe_calls(m.data) == 1
+
+    @pytest.mark.parametrize("kind", ["n=1 boundary", "moments", "dense"])
+    def test_arrays_without_zero_pairs(self, kind):
+        # each kind of array that the CLI hands over, with no (+0.0, +0.0) pair: the
+        # 1 x 1 boundary of an n=1 reconstruction, 13 orders of 3 x 3 moments (234
+        # floats) and a dense Hermitian 8 x 8 (128 floats, at DEDUPE_MIN_LEAVES)
+        if kind == "n=1 boundary":
+            d = ser.boundary_to_dict(orthonormalize(gue_measure(1, 1, 20), 20).t_tilde)
+            a = d["t"].array
+        elif kind == "moments":
+            a = gue_measure(1, 3, 20).moments_upto(12)
+            d = {"n": 3, "orders": 12, "moments": ser.Pairs(a)}
+        else:
+            z = np.random.default_rng(1).normal(size=(8, 8, 2)) @ [1, 1j]
+            a = z + z.conj().T
+            d = ser.matrix_to_dict(FiniteHermitian(8, a))
+        assert (a != 0).all()
+        with mock.patch.object(ser, "_deduped_reprs", wraps=ser._deduped_reprs) as dedupe:
+            assert ser.dumps(d) == reference_dumps(pairs_as_lists(d))
+        assert dedupe.call_count == _dedupe_calls(a) == (kind != "n=1 boundary")
 
     def test_json_refuses_pairs(self):
         with pytest.raises(TypeError, match="^Object of type Pairs is not JSON serializable$"):
