@@ -22,6 +22,7 @@ built, so the structural queries behind validation cost O(1)
 call instead of a scan over all E stored entries.
 """
 
+import cmath
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -90,6 +91,8 @@ class MatrixSpec:
                 j, k, v = k, j, complex(v).conjugate()
             key = (j, k)
             v = complex(v)
+            if not cmath.isfinite(v):
+                raise ValueError(f"entry {key} must be finite, not {v}")
             if key in norm and abs(norm[key] - v) > 1e-9 * max(1.0, abs(v)):
                 raise ValueError(f"conflicting Hermitian values for entry {key}")
             norm[key] = v
@@ -100,6 +103,10 @@ class MatrixSpec:
             if not k0 > j0 >= 1:
                 raise ValueError("tail must satisfy k0 > j0 >= 1")
             object.__setattr__(self, "tail", (int(j0), int(k0)))
+        if self.tail_profile is not None:
+            for v in map(complex, (self.tail_profile.edge, *self.tail_profile.interior.values())):
+                if not cmath.isfinite(v):
+                    raise ValueError(f"tail_profile value must be finite, not {v}")
         scale = max((abs(v) for v in norm.values()), default=0.0)
         tol = STRUCT_TOL * max(scale, 1.0)
         partners = {}

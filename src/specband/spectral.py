@@ -27,6 +27,7 @@ and t are the same objects, so a sequence of checks on one truncation runs
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,8 @@ class BoundaryMatrix:
         t = np.array(self.t, dtype=complex)
         if t.shape != (self.n, self.n):
             raise DimensionMismatch(f"boundary matrix must be {self.n}x{self.n}")
+        if not np.isfinite(t).all():
+            raise ValueError("boundary matrix t must be finite")
         if np.max(np.abs(np.tril(t, -1))) > 1e-12 * max(1.0, np.max(np.abs(t))):
             raise ValueError("boundary matrix must be upper triangular")
         t = np.triu(t)
@@ -128,6 +131,9 @@ class StepMeasure:
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
         c = np.asarray(self.c, dtype=complex).reshape(lam.size, self.n)
+        for name, a in (("lambdas", lam), ("c", c)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"step measure {name} must be finite")
         order = np.argsort(lam, kind="stable")
         # indexing copies, in C order whatever the layout of the input
         for name, a in (("lambdas", lam[order]), ("c", c[order])):
@@ -221,6 +227,9 @@ def eigen_decompose(m: FiniteHermitian) -> SpectralData:
     eigenvector always has a nonzero pivot, so every column turns.
     """
     defect = m.hermiticity_defect()
+    # a non-finite entry makes the defect inf or NaN, which no comparison below refuses
+    if not math.isfinite(defect) and not np.isfinite(m.data).all():
+        raise NumericalFailure("matrix data holds a non-finite entry")
     # the scale is at least 1, so a zero defect passes without reading it
     if defect and defect > 1e-9 * max(1.0, float(np.max(np.abs(m.data)))):
         raise NumericalFailure(f"matrix is not Hermitian (defect {defect:.3e})")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,13 @@ from specband.reconstruct import (
     recover_band,
     recover_matrix,
 )
-from specband.spectral import CLUSTER_TOL, BoundaryMatrix, StepMeasure
+from specband.spectral import (
+    CLUSTER_TOL,
+    BoundaryMatrix,
+    StepMeasure,
+    eigen_decompose,
+    step_measure,
+)
 
 from conftest import (
     gue_measure,
@@ -143,18 +150,33 @@ class TestPipelineCommands:
         assert run_cli(["check-solution", str(sigma), str(ppoly)]) == EXIT_VALIDATION
         # p_2 = z is no solution, but its residual is within a loose threshold
         assert run_cli(["check-solution", str(sigma), str(ppoly), "--tol", "10"]) == EXIT_OK
+        zero = tmp_path / "zero.json"
+        ser.dump({"n": 1, "comps": [[]]}, zero)
+        assert run_cli(["check-solution", str(sigma), str(zero)]) == EXIT_OK
 
-    def test_generators(self, fix7_file, capsys):
+    def test_generators(self, fix7_file, tmp_path, capsys):
         assert run_cli(["generators", fix7_file]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["p_heights"][:4] == [0, 1, 2, 3]
         assert len(out["heights"]) == 3
+        assert out["solution_flags"] and all(out["solution_flags"])
+        # the q_j of a band matrix with degenerations are its generators (n=3, N=40)
+        spec = tmp_path / "mtilde.json"
+        assert run_cli(["gen", "--n", "3", "--N-max", "40", "--mtilde", "--seed", "0",
+                        "-o", str(spec)]) == EXIT_OK
+        assert run_cli(["generators", str(spec)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["minimal"], out["height_table"]
 
     def test_height_command(self, tmp_path, capsys):
+        # a polynomial is stored up to its last nonzero coefficient: in the second,
+        # slot 1 ends at z^2 past a -0.0 (height 4), and slot 2 holds only zeros
         poly = tmp_path / "poly.json"
-        ser.dump({"n": 3, "comps": [[[0, 0], [1, 0]], [], [[1, 0]]]}, poly)
-        assert run_cli(["height", str(poly)]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["height"] == 3
+        for comps, h in [([[[0, 0], [1, 0]], [], [[1, 0]]], 3),
+                         ([[[1, 0], [-0.0, 0], [2, 0], [0, 0]], [[0, 0], [-0.0, 0]]], 4)]:
+            ser.dump({"n": len(comps), "comps": comps}, poly)
+            assert run_cli(["height", str(poly)]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out) == {"n": len(comps), "height": h}
 
     def test_reconstruct(self, flip2_file, tmp_path, capsys):
         sigma = tmp_path / "sigma.json"
@@ -193,10 +215,13 @@ class TestPipelineCommands:
 
     def test_gen_validates(self, tmp_path, capsys):
         out = tmp_path / "spec.json"
-        assert run_cli(
-            ["gen", "--n", "2", "--N-max", "8", "--seed", "7", "-o", str(out)]
-        ) == EXIT_OK
-        assert run_cli(["validate", "--class", "m", str(out)]) == EXIT_OK
+        # the second profile takes the generator's --real path through the mtilde check
+        for flags, klass in [(["--n", "2", "--N-max", "8", "--seed", "7"], "m"),
+                             (["--n", "1", "--N-max", "12", "--real", "--mtilde", "--seed", "3"],
+                              "mtilde")]:
+            assert run_cli(["gen", *flags, "-o", str(out)]) == EXIT_OK
+            assert run_cli(["validate", "--class", klass, str(out)]) == EXIT_OK
+        assert all(im == 0 for _, _, _, im in read_json(out)["entries"])
         capsys.readouterr()
 
     def test_gen_deterministic(self, tmp_path):
@@ -268,13 +293,37 @@ def far_from_band(res):
     return np.abs(np.subtract.outer(h, h)) > res.t_tilde.n
 
 
+def mtilde_measure():
+    """The measure of gen --n 3 --N-max 40 --mtilde --seed 0, truncated at N = 40."""
+    spec = generate_random(GenProfile(n=3, n_max=40, mtilde=True), 0)
+    return step_measure(eigen_decompose(truncate(spec, 40)), BoundaryMatrix.identity(3))
+
+
 class TestWrittenBand:
     """``reconstruct`` writes recover_matrix's entries inside the band and 0.0 outside it."""
 
-    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 3), (3, 1)])
-    def test_in_band_bytes_and_zeros_outside(self, tmp_path, n, seed):
-        code, doc, res = written_band(tmp_path, gue_measure(seed, n, 20))
+    @pytest.mark.parametrize("make_mu", [
+        pytest.param(lambda: gue_measure(0, 1, 20), id="1-0"),
+        pytest.param(lambda: gue_measure(3, 2, 20), id="2-3"),
+        pytest.param(lambda: gue_measure(1, 3, 20), id="3-1"),
+        pytest.param(mtilde_measure, id="mtilde-3-40"),
+    ])
+    def test_in_band_bytes_and_zeros_outside(self, tmp_path, make_mu):
+        mu = make_mu()
+        code, doc, res = written_band(tmp_path, mu)
         assert code == EXIT_OK
+        # no skips: the q heights are the indices N..N+n-1, and the leakage is residue
+        n = mu.n
+        assert doc["q_heights"] == list(range(mu.size, mu.size + n)) and doc["skip_log"] == []
+        assert doc["band_leakage"] <= 1e-8
+        # T~ is upper triangular with a real positive diagonal, and T~* S_0 T~ = I
+        t_pairs = np.array(doc["boundary"]["t"], dtype=float)
+        assert np.all(t_pairs[np.tril_indices(n, -1)] == 0.0)
+        diag = t_pairs[range(n), range(n)]
+        assert np.all(diag[:, 1] == 0.0) and np.all(diag[:, 0] > 0.0)
+        t = t_pairs[..., 0] + 1j * t_pairs[..., 1]
+        s0 = mu.c.T @ mu.c.conj()
+        assert np.max(np.abs(t.conj().T @ s0 @ t - np.eye(n))) <= 1e-12
         pairs = np.array(doc["matrix"]["data"], dtype=float)
         written = pairs[..., 0] + 1j * pairs[..., 1]
         dense = recover_matrix(res).data
@@ -482,6 +531,22 @@ class TestExitCodes:
         ser.dump(payload, path)
         assert run_cli(argv + [str(path)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_missing_pivot_is_named_in_the_same_words(self, tmp_path, capsys):
+        # column 3 has no pivot: validate reports condition 1, and generators and
+        # roundtrip raise its first breach in the same words; no table here takes
+        # a report on stdout or a line that names its stage
+        path = str(tmp_path / "nopivot.json")
+        ser.dump({"n": 1, "N_max": 3, "tail": [1, 2], "pivot": {"2": 1},
+                  "entries": [[1, 2, 1, 0], [2, 3, 1, 0]]}, path)
+        assert run_cli(["validate", path]) == EXIT_VALIDATION
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert violations[0] == {"clause": "1", "where": [3],
+                                 "message": "column 3 lacks a pivot row"}
+        assert run_cli(["generators", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: column 3 lacks a pivot row\n"
+        assert run_cli(["roundtrip", path, "--N", "3"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error in structure: column 3 lacks a pivot row\n"
 
     def test_non_finite_boundary_is_an_error_line(self, fix7_file, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -813,6 +878,11 @@ class TestOutputText:
             ["roundtrip", "--N", "8", "{spec}"],
             ["roundtrip", "--N", "30", "{inf}"],
             ["roundtrip", "--N", "6", "--batch", "2", "--seed", "3", "{spec}"],
+            ["gen", "--n", "1", "--N-max", "12", "--real", "--mtilde", "--seed", "3"],
+            ["reconstruct", "{sigma}", "--tol-zero", "1e-6"],
+            # 128 floats and more: the writer's dedupe path
+            ["truncate", "--N", "8", "{spec}"],
+            ["moments", "--k", "20", "{sigma}"],
         ],
     )
     def test_file_is_reference_text(self, files, argv, tmp_path, monkeypatch):
@@ -830,10 +900,23 @@ class TestOutputText:
         text = reference_dumps(pairs_as_lists(payloads[0]))
         assert out.read_text(encoding="utf-8") == text + "\n"
 
-    def test_roundtrip_report_with_infinity(self, files, tmp_path):
+    def test_roundtrip_report_with_infinity(self, files, tmp_path, monkeypatch):
+        # a real report whose errors are set to inf, whatever size the sweep recovers
+        roundtrip = cli.rec.roundtrip
+
+        def infinite(spec, t, N):
+            return dataclasses.replace(roundtrip(spec, t, N), eigenvalue_error=float("inf"),
+                                       jump_matrix_error=float("inf"))
+
+        monkeypatch.setattr(cli.rec, "roundtrip", infinite)
+        payloads = []
+        dumps = ser.dumps
+        monkeypatch.setattr(ser, "dumps", lambda obj: payloads.append(obj) or dumps(obj))
         out = tmp_path / "out.json"
-        run_cli(["roundtrip", "--N", "30", files["inf"], "-o", str(out)])
-        assert '"eigenvalue_error": Infinity' in out.read_text(encoding="utf-8")
+        assert run_cli(["roundtrip", "--N", "8", files["spec"], "-o", str(out)]) == EXIT_VALIDATION
+        text = out.read_text(encoding="utf-8")
+        assert text == reference_dumps(pairs_as_lists(payloads[0])) + "\n"
+        assert '"eigenvalue_error": Infinity' in text and '"jump_matrix_error": Infinity' in text
 
     def test_stdout_is_reference_text(self, files, capsys):
         assert run_cli(["moments", "--k", "2", files["sigma"]]) == EXIT_OK

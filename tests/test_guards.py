@@ -5,13 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from specband import BoundaryMatrix, MatrixSpec, spectral
+from specband import BoundaryMatrix, GenProfile, MatrixSpec, TailProfile, generate_random, spectral
 from specband.errors import DimensionMismatch, NumericalFailure
-from specband.interpolation import decompose
+from specband.interpolation import InterpolationData, decompose
 from specband.matrices import FiniteHermitian, StructureInfo, analyze_structure, truncate
 from specband.reconstruct import roundtrip
 from specband.serialize import spec_from_dict, spec_to_dict
-from specband.spectral import build_q, eigen_decompose, jump_rank
+from specband.spectral import StepMeasure, build_q, eigen_decompose, jump_rank
 from specband.vectorpoly import VectorPolynomial, canonical_e, poly_allclose
 
 
@@ -24,6 +24,42 @@ from specband.vectorpoly import VectorPolynomial, canonical_e, poly_allclose
 def test_matrix_spec_refusals(n, n_max, entries, tail, message):
     with pytest.raises(ValueError, match=message):
         MatrixSpec(n, n_max, entries, {}, tail)
+
+
+def with_nan_corner(spec):
+    """``spec`` with its (1, 1) entry set to NaN."""
+    return MatrixSpec(spec.n, spec.n_max, {**spec.entries, (1, 1): float("nan")}, spec.pivot,
+                      spec.tail, spec.tail_profile)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: with_nan_corner(generate_random(GenProfile(2, 8), 1)), ValueError,
+     "entry (1, 1) must be finite, not (nan+0j)"),
+    (lambda: MatrixSpec(1, 2, {(2, 1): complex(1, INF)}, {2: 1}, None), ValueError,
+     "entry (1, 2) must be finite, not (1-infj)"),
+    (lambda: MatrixSpec(1, 2, {(1, 2): 1.0}, {2: 1}, (1, 2), TailProfile(edge=NAN)), ValueError,
+     "tail_profile value must be finite, not (nan+0j)"),
+    (lambda: MatrixSpec(1, 2, {(1, 2): 1.0}, {2: 1}, (1, 2), TailProfile(1.0, {1: INF})),
+     ValueError, "tail_profile value must be finite, not (inf+0j)"),
+    (lambda: BoundaryMatrix(1, [[NAN]]), ValueError, "boundary matrix t must be finite"),
+    (lambda: BoundaryMatrix(2, [[1, INF], [0, 1]]), ValueError, "boundary matrix t must be finite"),
+    (lambda: StepMeasure(1, [0, 1], [[1], [NAN]]), ValueError, "step measure c must be finite"),
+    (lambda: StepMeasure(1, [0, NAN], [[1], [1]]), ValueError,
+     "step measure lambdas must be finite"),
+    (lambda: InterpolationData(1, [0, INF], [[1], [1]]), ValueError,
+     "step measure lambdas must be finite"),
+    (lambda: eigen_decompose(FiniteHermitian(2, [[NAN, 0], [0, 1]])), NumericalFailure,
+     "matrix data holds a non-finite entry"),
+    # inf above the diagonal and 0 below it: the scale is inf, so the defect passes
+    (lambda: eigen_decompose(FiniteHermitian(2, [[0, INF], [0, 0]])), NumericalFailure,
+     "matrix data holds a non-finite entry"),
+])
+def test_non_finite_input_is_refused(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_entry_below_the_diagonal_is_the_conjugate():
